@@ -30,7 +30,6 @@ from .instance_io import (
 from .posets import count_chains, order_complex, proper_part
 from .subsets import GroundParams
 from .suspension_check import (
-    DEFAULT_MAX_CHAINS,
     HOMOTOPY_DISCLAIMER,
     build_proof_maps,
     carrier_cone_check,
@@ -156,11 +155,11 @@ def cmd_check_lemma(ns) -> int:
         except InvariantError as exc:
             report["proof_maps"] = {"passed": False, "error": str(exc)}
             ok = False
-        carrier = carrier_cone_check(inst, max_chains=ns.max_chains, seed=ns.seed)
+        carrier = carrier_cone_check(inst)
         report["carrier"] = {
             "total_chains": carrier.total_chains,
             "chains_checked": carrier.chains_checked,
-            "sampled": carrier.sampled,
+            "pairs_checked": carrier.pairs_checked,
             "failures": list(carrier.failures),
             "notes": list(carrier.notes),
         }
@@ -177,9 +176,11 @@ def cmd_check_lemma(ns) -> int:
         print(f"  proof_maps: {'pass' if pm['passed'] else 'FAIL (' + pm['error'] + ')'}")
     if "total_chains" in report.get("carrier", {}):
         c = report["carrier"]
-        mode = "sampled" if c["sampled"] else "all chains"
         status = "pass" if not c["failures"] else f"FAIL ({len(c['failures'])} chains)"
-        print(f"  carrier cones ({c['chains_checked']}/{c['total_chains']}, {mode}): {status}")
+        print(
+            f"  carrier cones (all {c['total_chains']} chains via "
+            f"{c['pairs_checked']} comparable pairs): {status}"
+        )
     print(f"overall: {'pass' if ok else 'FAIL'}")
     return EXIT_PASS if ok else EXIT_CONDITION
 
@@ -380,10 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         "check-lemma", help="check the suspension conditions on an instance"
     )
     _add_instance_arguments(p_check)
-    p_check.add_argument("--max-chains", type=int, default=DEFAULT_MAX_CHAINS,
-                         help="chain budget before carrier checks fall back to sampling")
-    p_check.add_argument("--seed", type=int, default=0,
-                         help="seed for the optional random part of the chain sample")
     p_check.add_argument("--max-subsets", type=int, default=None)
     p_check.add_argument("--out", metavar="FILE")
     p_check.set_defaults(handler=cmd_check_lemma)

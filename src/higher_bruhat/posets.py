@@ -27,7 +27,6 @@ __all__ = [
     "check_monotone",
     "count_chains",
     "iter_chains",
-    "iter_maximal_chains",
 ]
 
 
@@ -266,18 +265,6 @@ def check_monotone(m: MonotoneMap) -> tuple[bool, list[tuple[int, int]]]:
     return not violations, violations
 
 
-def _linear_extension(p: PosetLike) -> list[int]:
-    """Element indices sorted so that smaller elements come first."""
-    down = [0] * len(p.labels)
-    for i, row in enumerate(p.leq):
-        m = row
-        while m:
-            low = m & -m
-            down[low.bit_length() - 1] += 1
-            m ^= low
-    return sorted(range(len(p.labels)), key=lambda i: (down[i], i))
-
-
 def iter_chains(p: PosetLike) -> Iterator[tuple[int, ...]]:
     """All non-empty chains, each listed in increasing poset order."""
     n = len(p.labels)
@@ -298,83 +285,26 @@ def iter_chains(p: PosetLike) -> Iterator[tuple[int, ...]]:
 def count_chains(p: PosetLike) -> int:
     """Number of non-empty chains, without enumerating them."""
     n = len(p.labels)
-    order = _linear_extension(p)
+    below = [0] * n  # strict down-set of each element, as a column bitset
+    for i, row in enumerate(p.leq):
+        m = row & ~(1 << i)
+        while m:
+            low = m & -m
+            below[low.bit_length() - 1] |= 1 << i
+            m ^= low
     ending = [0] * n
-    for i in order:
+    # j < i makes below[j] a proper subset of below[i], so sorting by size
+    # visits every element after all elements below it
+    for i in sorted(range(n), key=lambda i: below[i].bit_count()):
         # chains ending at i extend chains ending strictly below i
         total = 1
-        for j in range(n):
-            if j != i and p.leq[j] >> i & 1:
-                total += ending[j]
+        m = below[i]
+        while m:
+            low = m & -m
+            total += ending[low.bit_length() - 1]
+            m ^= low
         ending[i] = total
     return sum(ending)
-
-
-def count_maximal_chains(p: PosetLike) -> int:
-    """Number of maximal chains, without enumerating them."""
-    n = len(p.labels)
-    order = _linear_extension(p)
-    down = [0] * n
-    for i, row in enumerate(p.leq):
-        m = row
-        while m:
-            low = m & -m
-            down[low.bit_length() - 1] |= 1 << i
-            m ^= low
-    starting = [0] * n  # maximal chains whose least element is i
-    total = 0
-    for i in reversed(order):
-        strict_up = p.leq[i] & ~(1 << i)
-        count = 0
-        m = strict_up
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            if not strict_up & down[j] & ~low:  # j covers i
-                count += starting[j]
-            m ^= low
-        starting[i] = count if strict_up else 1
-        if down[i] == 1 << i:
-            total += starting[i]
-    return total
-
-
-def iter_maximal_chains(p: PosetLike) -> Iterator[tuple[int, ...]]:
-    """Chains that cannot be extended: minimal start, cover steps, maximal end."""
-    n = len(p.labels)
-    if n == 0:
-        return
-    down = [0] * n
-    for i, row in enumerate(p.leq):
-        m = row
-        while m:
-            low = m & -m
-            down[low.bit_length() - 1] |= 1 << i
-            m ^= low
-    succ: list[list[int]] = [[] for _ in range(n)]
-    minimal = []
-    for i in range(n):
-        if down[i] == 1 << i:
-            minimal.append(i)
-        strict_up = p.leq[i] & ~(1 << i)
-        m = strict_up
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            if not strict_up & down[j] & ~low:
-                succ[i].append(j)
-            m ^= low
-
-    def extend(chain: tuple[int, ...]):
-        nxt = succ[chain[-1]]
-        if not nxt:
-            yield chain
-            return
-        for j in nxt:
-            yield from extend(chain + (j,))
-
-    for start in minimal:
-        yield from extend((start,))
 
 
 def order_complex(p: PosetLike) -> SimplicialComplex:

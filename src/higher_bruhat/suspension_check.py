@@ -4,15 +4,14 @@ Given bounded posets P and Q, a green/red dissection of P, and maps
 f: P -> Q and i, j: Q -> P, five conditions together guarantee that the
 proper part of P is homotopy equivalent to the suspension of the proper
 part of Q.  This module checks the conditions exhaustively, builds the
-comparison maps used in the argument, and verifies that every sampled
-chain has a coned carrier.  Homotopy equivalence itself is NOT certified:
+comparison maps used in the argument, and verifies that every chain
+has a coned carrier.  Homotopy equivalence itself is NOT certified:
 these are hypothesis and proof-skeleton checks; the homological
 consequence is certified separately by the homology module.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .errors import ConditionViolationError, ParameterError
@@ -21,9 +20,6 @@ from .posets import (
     MonotoneMap,
     check_monotone,
     count_chains,
-    count_maximal_chains,
-    iter_chains,
-    iter_maximal_chains,
     product_with_two_chain,
     proper_part,
 )
@@ -38,24 +34,11 @@ __all__ = [
     "carrier_cone_check",
     "CONDITION_NAMES",
     "HOMOTOPY_DISCLAIMER",
-    "SAMPLING_NOTE",
-    "TRUNCATION_NOTE",
-    "DEFAULT_MAX_CHAINS",
 ]
-
-DEFAULT_MAX_CHAINS = 50_000
 
 HOMOTOPY_DISCLAIMER = (
     "Checks certify the five conditions and the proof skeleton mechanically; "
     "homotopy equivalence itself is not certified."
-)
-SAMPLING_NOTE = (
-    "Cone checks ran on a deterministic chain sample (all singletons, all "
-    "maximal chains, seeded extras); sampled evidence is not a proof."
-)
-TRUNCATION_NOTE = (
-    "Even the maximal chains exceed the chain budget; a deterministic "
-    "prefix of them was checked."
 )
 
 CONDITION_NAMES = (
@@ -263,7 +246,7 @@ def build_proof_maps(inst: DissectionInstance) -> tuple[MonotoneMap, MonotoneMap
 class CarrierReport:
     total_chains: int
     chains_checked: int
-    sampled: bool
+    pairs_checked: int
     failures: tuple[str, ...]
     notes: tuple[str, ...] = field(default=())
 
@@ -272,116 +255,67 @@ class CarrierReport:
         return not self.failures
 
 
-def _sample_chains(pp, max_chains: int, seed: int) -> tuple[list[tuple[int, ...]], bool]:
-    """All singletons, then maximal chains, then seeded random padding.
-
-    Singletons are always included.  All maximal chains are included when
-    their count fits max_chains; beyond that a deterministic prefix of
-    max_chains of them (search order) is taken and the truncation is
-    flagged.  Random padding only ever fills leftover room.
-    """
-    chains: list[tuple[int, ...]] = [(v,) for v in range(len(pp.labels))]
-    seen = set(chains)
-    truncated = count_maximal_chains(pp) > max_chains
-    added = 0
-    for chain in iter_maximal_chains(pp):
-        if added >= max_chains:
-            break
-        if chain not in seen:
-            seen.add(chain)
-            chains.append(chain)
-            added += 1
-    rng = random.Random(seed)
-    strict_up = [pp.leq[v] & ~(1 << v) for v in range(len(pp.labels))]
-    attempts = 0
-    while len(chains) < max_chains and attempts < 4 * max_chains:
-        attempts += 1
-        v = rng.randrange(len(pp.labels))
-        chain = [v]
-        while True:
-            options = []
-            m = strict_up[chain[-1]]
-            while m:
-                low = m & -m
-                options.append(low.bit_length() - 1)
-                m ^= low
-            if not options or rng.random() < 0.34:
-                break
-            chain.append(rng.choice(options))
-        t = tuple(chain)
-        if t not in seen:
-            seen.add(t)
-            chains.append(t)
-    return chains, truncated
-
-
-def carrier_cone_check(
-    inst: DissectionInstance, max_chains: int = DEFAULT_MAX_CHAINS, seed: int = 0
-) -> CarrierReport:
-    """Verify that every examined chain has a coned carrier.
+def carrier_cone_check(inst: DissectionInstance) -> CarrierReport:
+    """Verify that every chain of the proper part of P has a coned carrier.
 
     For a chain s of the proper part of P, the carrier is the closed
     interval from i(f(min s)) to j(f(max s)), intersected with the proper
     part.  At least one endpoint must itself be proper, and that endpoint
     must be comparable to everything in the carrier (making the carrier a
-    cone).  All chains are checked when their number fits max_chains;
-    otherwise a deterministic sample of all singletons and all maximal
-    chains is used, padded with seeded random chains up to the budget.
-    If even the maximal chains outnumber the budget, a deterministic
-    prefix of them is taken and the report says so.
+    cone).  The carrier depends on s only through its least and greatest
+    elements, and every comparable pair a <= b is itself a chain, so
+    checking each comparable pair of the proper part covers every chain.
+    A failure names the pair as the chain a<b (or a, when a = b).
     """
     p = inst.p
-    pp = proper_part(p)
     down = p.down_sets()
     up = p.leq
-    proper_mask = 0
-    for parent in pp.parent_index:
-        proper_mask |= 1 << parent
+    bounds = (p.bottom, p.top)
+    proper_mask = ((1 << len(p.labels)) - 1) & ~(1 << p.bottom | 1 << p.top)
 
-    total = count_chains(pp)
-    sampled = total > max_chains
-    truncated = False
-    if sampled:
-        chains, truncated = _sample_chains(pp, max_chains, seed)
-    else:
-        chains = list(iter_chains(pp))
+    def chain(a: int, b: int) -> str:
+        return p.labels[a] if a == b else f"{p.labels[a]}<{p.labels[b]}"
 
     failures = []
-    for chain in chains:
-        lo_parent = pp.parent_index[chain[0]]
-        hi_parent = pp.parent_index[chain[-1]]
-        lo = inst.i.images[inst.f.images[lo_parent]]
-        hi = inst.j.images[inst.f.images[hi_parent]]
-        label = "<".join(pp.labels[v] for v in chain)
-        apex = None
-        if lo not in (p.bottom, p.top):
-            apex = lo
-        elif hi not in (p.bottom, p.top):
-            apex = hi
-        if apex is None:
-            failures.append(f"chain {label}: neither carrier endpoint is proper")
+    pairs = 0
+    for a in range(len(p.labels)):
+        if a in bounds:
             continue
-        carrier = up[lo] & down[hi] & proper_mask
-        if not carrier >> apex & 1:
-            failures.append(f"chain {label}: apex {p.labels[apex]} outside its carrier")
-            continue
-        comparable = up[apex] | down[apex]
-        stray = carrier & ~comparable
-        if stray:
-            other = stray.bit_length() - 1
-            failures.append(
-                f"chain {label}: carrier element {p.labels[other]} is incomparable "
-                f"to apex {p.labels[apex]}"
-            )
-    notes = [HOMOTOPY_DISCLAIMER]
-    if sampled:
-        notes.append(SAMPLING_NOTE)
-    if truncated:
-        notes.append(TRUNCATION_NOTE)
+        lo = inst.i.images[inst.f.images[a]]
+        m = up[a] & proper_mask
+        while m:
+            low = m & -m
+            b = low.bit_length() - 1
+            m ^= low
+            pairs += 1
+            hi = inst.j.images[inst.f.images[b]]
+            apex = None
+            if lo not in bounds:
+                apex = lo
+            elif hi not in bounds:
+                apex = hi
+            if apex is None:
+                failures.append(f"chain {chain(a, b)}: neither carrier endpoint is proper")
+                continue
+            carrier = up[lo] & down[hi] & proper_mask
+            if not carrier >> apex & 1:
+                failures.append(
+                    f"chain {chain(a, b)}: apex {p.labels[apex]} outside its carrier"
+                )
+                continue
+            comparable = up[apex] | down[apex]
+            stray = carrier & ~comparable
+            if stray:
+                other = stray.bit_length() - 1
+                failures.append(
+                    f"chain {chain(a, b)}: carrier element {p.labels[other]} is "
+                    f"incomparable to apex {p.labels[apex]}"
+                )
+    total = count_chains(proper_part(p))
     return CarrierReport(
         total_chains=total,
-        chains_checked=len(chains),
-        sampled=sampled,
+        chains_checked=total,
+        pairs_checked=pairs,
         failures=tuple(failures),
-        notes=tuple(notes),
+        notes=(HOMOTOPY_DISCLAIMER,),
     )

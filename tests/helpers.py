@@ -9,7 +9,7 @@ import itertools
 from math import gcd
 
 from higher_bruhat.complexes import SimplicialComplex, from_facets
-from higher_bruhat.posets import FiniteBoundedPoset, from_covers
+from higher_bruhat.posets import FiniteBoundedPoset, from_covers, iter_chains, proper_part
 
 
 def naive_colex_subsets(n, r):
@@ -118,6 +118,47 @@ def random_bounded_poset(rng, max_elements=10) -> FiniteBoundedPoset:
     if middle == 0:
         covers.add((0, n - 1))
     return from_covers(labels, sorted(covers), 0, n - 1)
+
+
+def chain_carrier_failures(inst):
+    """Carrier-cone failures found by walking every chain of the proper part of P.
+
+    The carrier of a chain s is the set of proper x with i(f(min s)) <= x <=
+    j(f(max s)).  Its apex is i(f(min s)) when that is proper, else
+    j(f(max s)) when that is; the apex must lie in the carrier and be
+    comparable to all of it.  Each failure is worded as carrier_cone_check
+    words it, with the chain named by its least and greatest elements, so
+    the result is the chain failure set projected to (min, max).
+    """
+    p = inst.p
+    bounds = (p.bottom, p.top)
+    pp = proper_part(p)
+    failures = set()
+    for chain in iter_chains(pp):
+        least, greatest = pp.parent_index[chain[0]], pp.parent_index[chain[-1]]
+        lo = inst.i.images[inst.f.images[least]]
+        hi = inst.j.images[inst.f.images[greatest]]
+        name = p.labels[least]
+        if least != greatest:
+            name += "<" + p.labels[greatest]
+        apex = next((x for x in (lo, hi) if x not in bounds), None)
+        if apex is None:
+            failures.add(f"chain {name}: neither carrier endpoint is proper")
+            continue
+        carrier = [
+            x for x in range(len(p.labels))
+            if x not in bounds and p.le(lo, x) and p.le(x, hi)
+        ]
+        if apex not in carrier:
+            failures.add(f"chain {name}: apex {p.labels[apex]} outside its carrier")
+            continue
+        stray = [x for x in carrier if not (p.le(x, apex) or p.le(apex, x))]
+        if stray:
+            failures.add(
+                f"chain {name}: carrier element {p.labels[max(stray)]} is "
+                f"incomparable to apex {p.labels[apex]}"
+            )
+    return failures
 
 
 def random_complex(rng, max_vertices=12) -> SimplicialComplex:

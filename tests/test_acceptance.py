@@ -96,7 +96,6 @@ def test_criterion_2_sphericity():
 
 def test_criterion_3_condition_checks(tmp_path):
     def check():
-        exhaustive = {(3, 1), (4, 1), (4, 2)}
         for n, k in SPHERICITY_INSTANCES:
             for kind in OrderKind:
                 out = tmp_path / f"lemma_{n}_{k}_{kind.value}.json"
@@ -109,12 +108,10 @@ def test_criterion_3_condition_checks(tmp_path):
                 assert report["all_pass"] is True
                 assert report["proof_maps"]["passed"] is True
                 assert report["carrier"]["failures"] == []
-                if (n, k) in exhaustive:
-                    assert report["carrier"]["sampled"] is False
-                    assert (
-                        report["carrier"]["chains_checked"]
-                        == report["carrier"]["total_chains"]
-                    )
+                assert (
+                    report["carrier"]["chains_checked"]
+                    == report["carrier"]["total_chains"]
+                )
 
     verdict(3, "suspension conditions and proof skeleton", check)
 

@@ -60,8 +60,13 @@ class TestCheckLemmaCommand:
         report = read_json(out)
         assert report["all_pass"] is True
         assert report["proof_maps"] == {"error": None, "passed": True}
-        assert report["carrier"]["sampled"] is False
+        assert report["carrier"]["chains_checked"] == report["carrier"]["total_chains"]
         assert report["carrier"]["failures"] == []
+
+    def test_sampling_flags_are_gone(self):
+        for flag in ("--max-chains", "--seed"):
+            assert main(["check-lemma", "--bruhat", "3", "1", "single_step",
+                         flag, "7"]) == 3
 
     def test_swapped_sections_fail(self, tmp_path):
         source = tmp_path / "instance.json"

@@ -11,11 +11,9 @@ from higher_bruhat.posets import (
     MonotoneMap,
     check_monotone,
     count_chains,
-    count_maximal_chains,
     from_covers,
     from_relation,
     iter_chains,
-    iter_maximal_chains,
     order_complex,
     product_with_two_chain,
     proper_part,
@@ -194,24 +192,13 @@ class TestOrderComplex:
 
 
 class TestMaximalChains:
-    def test_hexagon(self):
-        p = to_poset(enumerate_bruhat(GroundParams(3, 1)))
-        maximal = list(iter_maximal_chains(p))
-        assert len(maximal) == 2
-        assert all(len(c) == 4 for c in maximal)
-
-    def test_proper_hexagon(self):
-        pp = proper_part(to_poset(enumerate_bruhat(GroundParams(3, 1))))
-        maximal = sorted(iter_maximal_chains(pp))
-        assert len(maximal) == 2
-        assert all(len(c) == 2 for c in maximal)
-
     def test_count_matches_enumeration(self):
         rng = random.Random(5)
         for _ in range(10):
             p = random_bounded_poset(rng)
             assert count_chains(p) == len(list(iter_chains(p)))
-            assert count_maximal_chains(p) == len(list(iter_maximal_chains(p)))
+            pp = proper_part(p)
+            assert count_chains(pp) == len(list(iter_chains(pp)))
 
 
 class TestCheckMonotone:

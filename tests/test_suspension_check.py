@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import chain_carrier_failures
 from higher_bruhat.bruhat import (
     OrderKind,
     dissection_instance,
@@ -8,7 +9,13 @@ from higher_bruhat.bruhat import (
     map_f,
 )
 from higher_bruhat.errors import ConditionViolationError, ParameterError
-from higher_bruhat.posets import FiniteBoundedPoset, MonotoneMap, from_covers
+from higher_bruhat.posets import (
+    FiniteBoundedPoset,
+    MonotoneMap,
+    from_covers,
+    iter_chains,
+    proper_part,
+)
 from higher_bruhat.subsets import GroundParams
 from higher_bruhat.suspension_check import (
     CONDITION_NAMES,
@@ -28,6 +35,21 @@ def bruhat_instance(n, k, kind=OrderKind.SINGLE_STEP):
             enumerate_bruhat(GroundParams(n, k), kind=kind)
         )
     return INSTANCE_CACHE[key]
+
+
+def swap_sections(inst):
+    return DissectionInstance(
+        p=inst.p, q=inst.q, green=inst.green,
+        f=inst.f, i=inst.j, j=inst.i,
+    )
+
+
+def i_for_j(inst):
+    """Both sections i: only chains inside the bottom fiber lose their cone."""
+    return DissectionInstance(
+        p=inst.p, q=inst.q, green=inst.green,
+        f=inst.f, i=inst.i, j=inst.i,
+    )
 
 
 def swap_colors(inst):
@@ -156,45 +178,36 @@ class TestCarrierConeCheck:
         report = carrier_cone_check(bruhat_instance(3, 1))
         assert report.total_chains == 6
         assert report.chains_checked == 6
-        assert not report.sampled
+        assert report.pairs_checked == 6
         assert report.all_cones
 
     @pytest.mark.parametrize("n,k", [(4, 1), (4, 2)])
     @pytest.mark.parametrize("kind", list(OrderKind))
     def test_exhaustive_larger(self, n, k, kind):
-        report = carrier_cone_check(bruhat_instance(n, k, kind))
-        assert not report.sampled
+        inst = bruhat_instance(n, k, kind)
+        report = carrier_cone_check(inst)
+        assert report.chains_checked == report.total_chains
+        assert report.total_chains == len(list(iter_chains(proper_part(inst.p))))
         assert report.all_cones
 
-    def test_sampling_keeps_mandatory_chains(self):
-        # proper B(4,1): 22 singletons, 16 maximal chains, 304 chains total
-        report = carrier_cone_check(bruhat_instance(4, 1), max_chains=20)
-        assert report.sampled
-        assert report.chains_checked == 22 + 16
-        assert report.all_cones
-        assert any("sample" in note for note in report.notes)
-        assert not any("prefix" in note for note in report.notes)
-
-    def test_sampling_truncates_maximal_chains_under_tiny_budget(self):
-        report = carrier_cone_check(bruhat_instance(4, 1), max_chains=3)
-        assert report.sampled
-        assert report.chains_checked == 22 + 3
-        assert report.all_cones
-        assert any("prefix" in note for note in report.notes)
-
-    def test_seed_changes_only_the_padding(self):
-        first = carrier_cone_check(bruhat_instance(4, 1), max_chains=45, seed=1)
-        again = carrier_cone_check(bruhat_instance(4, 1), max_chains=45, seed=1)
-        assert first == again
-        assert first.sampled and first.all_cones
+    @pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3)])
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    @pytest.mark.parametrize(
+        "variant", [None, swap_sections, i_for_j], ids=["valid", "swapped", "i_for_j"]
+    )
+    def test_pairs_agree_with_chain_oracle(self, n, k, kind, variant):
+        inst = bruhat_instance(n, k, kind)
+        if variant is not None:
+            inst = variant(inst)
+        report = carrier_cone_check(inst)
+        assert len(set(report.failures)) == len(report.failures)
+        assert set(report.failures) == chain_carrier_failures(inst)
+        assert report.all_cones == (variant is None)
+        pp = proper_part(inst.p)
+        assert report.pairs_checked == sum(row.bit_count() for row in pp.leq)
 
     def test_swapped_sections_break_cones(self):
-        inst = bruhat_instance(3, 1)
-        broken = DissectionInstance(
-            p=inst.p, q=inst.q, green=inst.green,
-            f=inst.f, i=inst.j, j=inst.i,
-        )
-        report = carrier_cone_check(broken)
+        report = carrier_cone_check(swap_sections(bruhat_instance(3, 1)))
         assert not report.all_cones
 
     def test_disclaimer_always_present(self):
