@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import posets
@@ -122,30 +121,37 @@ class BruhatOrder:
             self._reach = tuple(rows)
         return self._reach
 
+    def inclusion(self) -> tuple[int, ...]:
+        """Row bitsets of ordinary inclusion of member families.
 
-def _bruteforce_scan(n: int, k: int, start: int, stop: int) -> list[int]:
-    checks = _packet_checks(n, k)
+        Row i is the AND, over the members of element i, of the column
+        bitset of elements containing that member.
+        """
+        containing = posets.transpose(
+            [u.bits for u in self.elements], self.params.num_members
+        )
+        everything = (1 << len(self.elements)) - 1
+        rows = []
+        for u in self.elements:
+            row = everything
+            m = u.bits
+            while m:
+                low = m & -m
+                row &= containing[low.bit_length() - 1]
+                m ^= low
+            rows.append(row)
+        return tuple(rows)
+
+
+def _bruteforce_bits(params: GroundParams) -> list[int]:
+    checks = _packet_checks(params.n, params.k)
     out = []
-    for bits in range(start, stop):
+    for bits in range(1 << params.num_members):
         for c in checks:
             if (bits & c.mask) not in c.segments:
                 break
         else:
             out.append(bits)
-    return out
-
-
-def _bruteforce_bits(params: GroundParams, jobs: int) -> list[int]:
-    total = 1 << params.num_members
-    if jobs <= 1:
-        return _bruteforce_scan(params.n, params.k, 0, total)
-    chunk = -(-total // (jobs * 8))
-    ranges = [(params.n, params.k, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(_bruteforce_scan, *zip(*ranges))
-    out: list[int] = []
-    for part in parts:
-        out.extend(part)
     return out
 
 
@@ -177,7 +183,6 @@ def enumerate_bruhat(
     kind: OrderKind = OrderKind.SINGLE_STEP,
     method: str = "bfs",
     max_subsets: int | None = None,
-    jobs: int = 1,
 ) -> BruhatOrder:
     """Enumerate B(n,k); method is "bfs" or "bruteforce" (an oracle pair)."""
     if method not in ("bfs", "bruteforce"):
@@ -194,7 +199,7 @@ def enumerate_bruhat(
     if method == "bfs":
         found = _bfs_bits(params)
     else:
-        found = _bruteforce_bits(params, jobs)
+        found = _bruteforce_bits(params)
     found.sort(key=lambda b: (b.bit_count(), b))
     elements = tuple(ConsistentSet(params, b) for b in found)
     index = {b: i for i, b in enumerate(found)}
@@ -374,20 +379,11 @@ def dual_buildup_sequence(u: ConsistentSet) -> BuildupSequence:
 def to_poset(order: BruhatOrder) -> posets.FiniteBoundedPoset:
     """The order as a generic bounded poset; relation follows order.kind."""
     labels = tuple(str(u) for u in order.elements)
-    n = len(order.elements)
     if order.kind is OrderKind.SINGLE_STEP:
         rows = order.reach()
     else:
-        rows = []
-        for i in range(n):
-            bits_i = order.elements[i].bits
-            row = 0
-            for j in range(n):
-                if bits_i & ~order.elements[j].bits == 0:
-                    row |= 1 << j
-            rows.append(row)
-        rows = tuple(rows)
-    return posets.from_relation(labels, rows, bottom=0, top=n - 1)
+        rows = order.inclusion()
+    return posets.from_relation(labels, rows, bottom=0, top=len(labels) - 1)
 
 
 def dissection_instance(order: BruhatOrder, suborder: BruhatOrder | None = None):

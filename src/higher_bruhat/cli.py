@@ -93,7 +93,7 @@ def cmd_enumerate(ns) -> int:
     params = GroundParams(ns.n, ns.k)
     methods = ["bfs", "bruteforce"] if ns.method == "both" else [ns.method]
     orders = [
-        enumerate_bruhat(params, method=m, max_subsets=ns.max_subsets, jobs=ns.jobs)
+        enumerate_bruhat(params, method=m, max_subsets=ns.max_subsets)
         for m in methods
     ]
     order = orders[0]
@@ -238,17 +238,16 @@ def cmd_compare_orders(ns) -> int:
     order = enumerate_bruhat(params, max_subsets=ns.max_subsets)
     n = len(order)
     reach = order.reach()
+    inclusion = order.inclusion()
     single_step_pairs = sum(row.bit_count() - 1 for row in reach)
-    inclusion_pairs = 0
+    inclusion_pairs = sum(row.bit_count() - 1 for row in inclusion)
     differing = []
     for i, u in enumerate(order.elements):
-        for j, v in enumerate(order.elements):
-            if i == j:
-                continue
-            if u.bits & ~v.bits == 0:
-                inclusion_pairs += 1
-                if not reach[i] >> j & 1:
-                    differing.append([str(u), str(v)])
+        m = inclusion[i] & ~reach[i]
+        while m:
+            low = m & -m
+            differing.append([str(u), str(order.elements[low.bit_length() - 1])])
+            m ^= low
     report = {
         "version": __version__,
         "command": "compare_orders",
@@ -370,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.add_argument("--max-subsets", type=int, default=None,
                         help="override the member-count limit")
-    p_enum.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the bruteforce scan")
     p_enum.add_argument("--elements", action="store_true",
                         help="include the full element list in the report")
     p_enum.add_argument("--out", metavar="FILE", help="write the JSON report here")

@@ -20,7 +20,6 @@ __all__ = ["SimplicialComplex", "make_complex", "from_facets", "suspension"]
 class SimplicialComplex:
     num_vertices: int
     faces: tuple[tuple[tuple[int, ...], ...], ...]
-    closed: bool
 
     @property
     def dim(self) -> int:
@@ -95,7 +94,6 @@ def make_complex(
     complex_ = SimplicialComplex(
         num_vertices=num_vertices,
         faces=tuple(tuple(sorted(fs, key=lambda t: t[::-1])) for fs in by_dim),
-        closed=True,
     )
     if not close and not verify_closed(complex_):
         raise NotClosedError("simplex family is not closed under taking faces")

@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass
 from math import gcd
 
-from .complexes import SimplicialComplex, verify_closed
+from .complexes import SimplicialComplex
 from .errors import NotClosedError, ParameterError, ResourceLimitError
 
 __all__ = [
@@ -73,8 +73,6 @@ def boundary_matrices(x: SimplicialComplex) -> list[IntegerMatrix]:
     sending every vertex to the empty simplex.  Deleting the t-th smallest
     vertex carries sign (-1)^t.
     """
-    if not x.closed and not verify_closed(x):
-        raise NotClosedError("boundary matrices need a downward-closed complex")
     mats = [
         IntegerMatrix(
             1,

@@ -27,7 +27,20 @@ __all__ = [
     "check_monotone",
     "count_chains",
     "iter_chains",
+    "transpose",
 ]
+
+
+def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """Column bitsets of a bit matrix: bit i of entry j is bit j of rows[i]."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        m = row
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= 1 << i
+            m ^= low
+    return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -49,13 +62,14 @@ class FiniteBoundedPoset:
                 raise ParameterError(f"row {i} references elements out of range")
             if not row >> i & 1:
                 raise NotAPosetError(f"relation is not reflexive at {self.labels[i]}")
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.leq[i] >> j & 1 and self.leq[j] >> i & 1:
-                    raise NotAPosetError(
-                        f"relation is not antisymmetric on "
-                        f"{self.labels[i]}, {self.labels[j]}"
-                    )
+        for i, (row, col) in enumerate(zip(self.leq, transpose(self.leq, n))):
+            both = row & col & ~(1 << i)
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise NotAPosetError(
+                    f"relation is not antisymmetric on "
+                    f"{self.labels[i]}, {self.labels[j]}"
+                )
         for i in range(n):
             row = self.leq[i]
             m = row
@@ -83,15 +97,7 @@ class FiniteBoundedPoset:
 
     def down_sets(self) -> tuple[int, ...]:
         """Column bitsets: bit i of entry j is set iff i <= j."""
-        n = len(self.labels)
-        cols = [0] * n
-        for i, row in enumerate(self.leq):
-            m = row
-            while m:
-                low = m & -m
-                cols[low.bit_length() - 1] |= 1 << i
-                m ^= low
-        return tuple(cols)
+        return transpose(self.leq, len(self.labels))
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction as (lower, upper) index pairs, ascending."""
@@ -169,10 +175,12 @@ def from_relation(
             raise NotBoundedError("no minimum element")
         bottom = bottoms[0]
     if top is None:
-        tops = [j for j in range(n) if all(row >> j & 1 for row in leq)]
-        if not tops:
+        above_all = full
+        for row in leq:
+            above_all &= row
+        if not above_all:
             raise NotBoundedError("no maximum element")
-        top = tops[0]
+        top = (above_all & -above_all).bit_length() - 1
     return FiniteBoundedPoset(labels, leq, bottom, top)
 
 
@@ -206,24 +214,21 @@ def from_covers(
             if acc != rows[i]:
                 rows[i] = acc
                 changed = True
-    for i in range(n):
-        for j in range(n):
-            if i != j and rows[i] >> j & 1 and rows[j] >> i & 1:
-                raise NotAPosetError(
-                    f"cover digraph has a cycle through {labels[i]} and {labels[j]}"
-                )
+    # a cycle of covers makes the closure fail the antisymmetry check
     return FiniteBoundedPoset(labels, tuple(rows), bottom, top)
 
 
 def proper_part(p: FiniteBoundedPoset) -> ProperPart:
     """Drop bottom and top; a one-element poset has an empty proper part."""
-    keep = [i for i in range(len(p.labels)) if i not in (p.bottom, p.top)]
+    bounds = sorted({p.bottom, p.top}, reverse=True)
+    keep = [i for i in range(len(p.labels)) if i not in bounds]
     rows = []
     for i in keep:
-        row = 0
-        for pos, j in enumerate(keep):
-            if p.leq[i] >> j & 1:
-                row |= 1 << pos
+        row = p.leq[i]
+        # delete bit t by shifting the bits above it down one place,
+        # the higher bound first so the lower one keeps its position
+        for t in bounds:
+            row = (row & ((1 << t) - 1)) | ((row >> (t + 1)) << t)
         rows.append(row)
     return ProperPart(
         parent=p,
@@ -285,13 +290,8 @@ def iter_chains(p: PosetLike) -> Iterator[tuple[int, ...]]:
 def count_chains(p: PosetLike) -> int:
     """Number of non-empty chains, without enumerating them."""
     n = len(p.labels)
-    below = [0] * n  # strict down-set of each element, as a column bitset
-    for i, row in enumerate(p.leq):
-        m = row & ~(1 << i)
-        while m:
-            low = m & -m
-            below[low.bit_length() - 1] |= 1 << i
-            m ^= low
+    # strict down-set of each element, as a column bitset
+    below = [col & ~(1 << j) for j, col in enumerate(transpose(p.leq, n))]
     ending = [0] * n
     # j < i makes below[j] a proper subset of below[i], so sorting by size
     # visits every element after all elements below it

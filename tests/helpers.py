@@ -9,7 +9,13 @@ import itertools
 from math import gcd
 
 from higher_bruhat.complexes import SimplicialComplex, from_facets
-from higher_bruhat.posets import FiniteBoundedPoset, from_covers, iter_chains, proper_part
+from higher_bruhat.posets import (
+    FiniteBoundedPoset,
+    ProperPart,
+    from_covers,
+    iter_chains,
+    proper_part,
+)
 
 
 def naive_colex_subsets(n, r):
@@ -118,6 +124,36 @@ def random_bounded_poset(rng, max_elements=10) -> FiniteBoundedPoset:
     if middle == 0:
         covers.add((0, n - 1))
     return from_covers(labels, sorted(covers), 0, n - 1)
+
+
+def naive_inclusion_rows(order):
+    """Inclusion relation rows of a Bruhat order, one element pair at a time."""
+    rows = []
+    for u in order.elements:
+        row = 0
+        for j, v in enumerate(order.elements):
+            if u.bits & ~v.bits == 0:
+                row |= 1 << j
+        rows.append(row)
+    return tuple(rows)
+
+
+def naive_proper_part(p):
+    """The proper part of p, re-indexing every surviving pair one at a time."""
+    keep = [i for i in range(len(p.labels)) if i not in (p.bottom, p.top)]
+    rows = []
+    for i in keep:
+        row = 0
+        for pos, j in enumerate(keep):
+            if p.leq[i] >> j & 1:
+                row |= 1 << pos
+        rows.append(row)
+    return ProperPart(
+        parent=p,
+        parent_index=tuple(keep),
+        labels=tuple(p.labels[i] for i in keep),
+        leq=tuple(rows),
+    )
 
 
 def chain_carrier_failures(inst):

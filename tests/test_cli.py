@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from higher_bruhat.bruhat import enumerate_bruhat, to_poset
+from higher_bruhat import cli
+from higher_bruhat.bruhat import BruhatOrder, enumerate_bruhat, to_poset
 from higher_bruhat.cli import main
 from higher_bruhat.instance_io import load_instance
 from higher_bruhat.subsets import GroundParams
@@ -43,6 +44,10 @@ class TestEnumerateCommand:
 
     def test_bad_parameters_exit_3(self):
         assert main(["enumerate", "3", "7"]) == 3
+
+    def test_jobs_flag_is_gone(self):
+        assert main(["enumerate", "4", "1", "--method", "bruteforce",
+                     "--jobs", "2"]) == 3
 
     def test_usage_error_exit_3(self):
         assert main(["enumerate", "three", "1"]) == 3
@@ -162,6 +167,41 @@ class TestCompareOrdersCommand:
         out = tmp_path / "report.json"
         assert main(["compare-orders", "4", "2", "--out", str(out)]) == 0
         assert read_json(out)["differing_pairs_count"] == 0
+
+    def test_seven_three_coincide(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["compare-orders", "7", "3", "--out", str(out)]) == 0
+        report = read_json(out)
+        assert report["count"] == 7_686
+        assert report["comparable_pairs_single_step"] == 1_993_511
+        assert report["comparable_pairs_inclusion"] == 1_993_511
+        assert report["differing_pairs_count"] == 0
+
+    def test_lists_pairs_comparable_under_inclusion_only(self, tmp_path, monkeypatch):
+        # no instance small enough for a test has differing pairs, so drop a
+        # cover from B(4,1): single-step reach loses pairs, inclusion keeps them
+        full = enumerate_bruhat(GroundParams(4, 1))
+        thinned = BruhatOrder(full.params, full.kind, full.elements, full.covers[1:])
+        monkeypatch.setattr(cli, "enumerate_bruhat", lambda *args, **kwargs: thinned)
+        out = tmp_path / "report.json"
+        assert main(["compare-orders", "4", "1", "--out", str(out)]) == 0
+        report = read_json(out)
+        reach = thinned.reach()
+        inclusion_pairs = 0
+        differing = []
+        for i, u in enumerate(thinned.elements):
+            for j, v in enumerate(thinned.elements):
+                if i != j and u.bits & ~v.bits == 0:
+                    inclusion_pairs += 1
+                    if not reach[i] >> j & 1:
+                        differing.append([str(u), str(v)])
+        assert differing
+        assert report["comparable_pairs_inclusion"] == inclusion_pairs
+        assert report["comparable_pairs_single_step"] == (
+            sum(row.bit_count() for row in reach) - len(reach)
+        )
+        assert report["differing_pairs_count"] == len(differing)
+        assert report["differing_pairs"] == differing
 
 
 class TestExportCommand:

@@ -93,7 +93,7 @@ class TestBoundaryMatrices:
                 assert all(all(v == 0 for v in row) for row in product)
 
     def test_not_closed_rejected(self):
-        broken = SimplicialComplex(3, (((0,), (1,)), ((0, 1), (1, 2))), closed=False)
+        broken = SimplicialComplex(3, (((0,), (1,)), ((0, 1), (1, 2))))
         with pytest.raises(NotClosedError):
             boundary_matrices(broken)
 

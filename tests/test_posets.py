@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import random_bounded_poset
+from helpers import naive_proper_part, random_bounded_poset
 from higher_bruhat.bruhat import dissection_instance, enumerate_bruhat, to_poset
 from higher_bruhat.errors import NotAPosetError, NotBoundedError, ParameterError
 from higher_bruhat.posets import (
@@ -19,6 +19,32 @@ from higher_bruhat.posets import (
     proper_part,
 )
 from higher_bruhat.subsets import GroundParams
+
+
+def shuffled(p, rng):
+    """p with its indices permuted; from four elements on, neither bound is
+    the first or the last index."""
+    n = len(p)
+    order = [i for i in range(n) if i not in (p.bottom, p.top)]
+    rng.shuffle(order)
+    if n >= 4:
+        order.insert(rng.randrange(1, len(order)), p.top)
+        order.insert(rng.randrange(1, len(order)), p.bottom)
+    else:
+        order += sorted({p.bottom, p.top})
+        rng.shuffle(order)
+    position = {old: new for new, old in enumerate(order)}
+    rows = [0] * n
+    for old, row in enumerate(p.leq):
+        for j in range(n):
+            if row >> j & 1:
+                rows[position[old]] |= 1 << position[j]
+    return FiniteBoundedPoset(
+        tuple(p.labels[old] for old in order),
+        tuple(rows),
+        position[p.bottom],
+        position[p.top],
+    )
 
 
 def chain_poset(n):
@@ -85,6 +111,45 @@ class TestFromRelation:
         with pytest.raises(NotAPosetError):
             from_relation(("a", "b"), (0b11, 0b11), bottom=0, top=1)
 
+    def test_antisymmetry_names_the_first_pair(self):
+        # b<->d and c<->d both break antisymmetry; b, d comes first
+        rows = (0b1111, 0b1010, 0b1110, 0b1110)
+        with pytest.raises(NotAPosetError, match="antisymmetric on b, d$"):
+            from_relation(("a", "b", "c", "d"), rows, bottom=0, top=3)
+
+    def test_antisymmetry_witness_matches_pairwise_scan(self):
+        rng = random.Random(5)
+        witnessed = 0
+        for _ in range(60):
+            n = rng.randrange(2, 9)
+            labels = tuple(f"e{i}" for i in range(n))
+            rows = tuple(
+                sum(1 << j for j in range(n) if rng.random() < 0.3) | 1 << i
+                for i in range(n)
+            )
+            first = next(
+                (
+                    (i, j)
+                    for i in range(n)
+                    for j in range(n)
+                    if i != j and rows[i] >> j & 1 and rows[j] >> i & 1
+                ),
+                None,
+            )
+            if first is None:
+                continue
+            witnessed += 1
+            i, j = first
+            with pytest.raises(NotAPosetError, match=f"antisymmetric on e{i}, e{j}$"):
+                FiniteBoundedPoset(labels, rows, 0, n - 1)
+        assert witnessed >= 20
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_detects_interior_bounds(self, seed):
+        q = shuffled(random_bounded_poset(random.Random(seed)), random.Random(seed))
+        p = from_relation(q.labels, q.leq)
+        assert (p.bottom, p.top) == (q.bottom, q.top)
+
     def test_transitivity_violation(self):
         rows = (0b011, 0b110, 0b100)  # a<=b, b<=c, but not a<=c
         with pytest.raises(NotAPosetError):
@@ -108,6 +173,13 @@ class TestProperPart:
     def test_one_element_poset(self):
         p = FiniteBoundedPoset(("x",), (0b1,), 0, 0)
         assert len(proper_part(p)) == 0
+        assert proper_part(p) == naive_proper_part(p)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_interior_bounds_match_pairwise(self, seed):
+        rng = random.Random(seed)
+        p = shuffled(random_bounded_poset(rng), rng)
+        assert proper_part(p) == naive_proper_part(p)
 
     def test_bruhat_three_one(self):
         pp = proper_part(to_poset(enumerate_bruhat(GroundParams(3, 1))))
