@@ -1,4 +1,4 @@
-"""Finite bounded posets: construction, proper parts, products, order complexes.
+"""Finite bounded posets: construction, proper parts, cores, order complexes.
 
 The order relation is stored as a tuple of row bitsets: bit j of leq[i] is
 set iff element i <= element j.  Partial-order axioms and boundedness are
@@ -9,6 +9,7 @@ always certified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence, Union
 
 from .complexes import SimplicialComplex, make_complex
@@ -22,10 +23,12 @@ __all__ = [
     "from_covers",
     "from_relation",
     "proper_part",
+    "beat_core",
     "product_with_two_chain",
     "order_complex",
     "check_monotone",
     "count_chains",
+    "chain_f_vector",
     "iter_chains",
     "transpose",
 ]
@@ -118,7 +121,11 @@ class FiniteBoundedPoset:
 
 @dataclass(frozen=True)
 class ProperPart:
-    """A bounded poset minus its bottom and top, with the induced relation."""
+    """An induced subposet of a bounded poset: its proper part, or a core of it.
+
+    Element i is parent element parent_index[i], and leq is the restriction
+    of the parent's relation to those elements.
+    """
 
     parent: FiniteBoundedPoset
     parent_index: tuple[int, ...]
@@ -238,6 +245,56 @@ def proper_part(p: FiniteBoundedPoset) -> ProperPart:
     )
 
 
+def beat_core(p: PosetLike) -> ProperPart:
+    """Delete beat points until none is left (Stong, 1966).
+
+    A beat point is a point whose strict down-set has a maximum or whose
+    strict up-set has a minimum.  Deleting one keeps the homotopy type of
+    the order complex, so the core has the same homology as p.  The result
+    indexes into the bounded poset that p is (or is an induced subposet of).
+    """
+    n = len(p.labels)
+    up = p.leq
+    down = transpose(up, n)
+    live = (1 << n) - 1
+
+    def has_extremum(strict: int, rows: Sequence[int]) -> bool:
+        # the extremum m of `strict` is the member whose closed row holds it all
+        m = strict
+        while m:
+            low = m & -m
+            if not strict & ~rows[low.bit_length() - 1]:
+                return True
+            m ^= low
+        return False
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            bit = 1 << i
+            if live & bit and (
+                has_extremum(down[i] & live & ~bit, down)
+                or has_extremum(up[i] & live & ~bit, up)
+            ):
+                live &= ~bit
+                changed = True
+    keep = [i for i in range(n) if live >> i & 1]
+    rows = tuple(
+        sum(1 << pos for pos, j in enumerate(keep) if up[i] >> j & 1) for i in keep
+    )
+    if isinstance(p, ProperPart):
+        parent, parent_index = p.parent, tuple(p.parent_index[i] for i in keep)
+    else:
+        parent, parent_index = p, tuple(keep)
+    return ProperPart(
+        parent=parent,
+        parent_index=parent_index,
+        labels=tuple(p.labels[i] for i in keep),
+        leq=rows,
+    )
+
+
 def product_with_two_chain(q: FiniteBoundedPoset) -> FiniteBoundedPoset:
     """The poset q x {0,1} with componentwise order.
 
@@ -305,6 +362,28 @@ def count_chains(p: PosetLike) -> int:
             m ^= low
         ending[i] = total
     return sum(ending)
+
+
+def chain_f_vector(p: PosetLike) -> tuple[int, ...]:
+    """Non-empty chains counted by size, without enumerating them.
+
+    Entry d counts the chains of d + 1 elements, so this is the f-vector of
+    the order complex.  It runs the down-set recursion of count_chains with
+    one count per chain size.
+    """
+    n = len(p.labels)
+    below = [col & ~(1 << j) for j, col in enumerate(transpose(p.leq, n))]
+    ending: list[list[int]] = [[] for _ in range(n)]
+    for i in sorted(range(n), key=lambda i: below[i].bit_count()):
+        lower = []
+        m = below[i]
+        while m:
+            low = m & -m
+            lower.append(ending[low.bit_length() - 1])
+            m ^= low
+        # a chain ending at i is i alone or i on top of a chain ending below i
+        ending[i] = [1, *map(sum, zip_longest(*lower, fillvalue=0))]
+    return tuple(map(sum, zip_longest(*ending, fillvalue=0)))
 
 
 def order_complex(p: PosetLike) -> SimplicialComplex:

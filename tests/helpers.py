@@ -1,21 +1,28 @@
 """Independent oracles and generators shared by the test modules.
 
 Everything here is deliberately written from the definitions, without
-using the library's bitset machinery, so the tests cross-check two
-independent routes to the same answers.
+using the library's bitset machinery, or follows an older and slower route
+through the library, so the tests cross-check two independent routes to
+the same answers.
 """
 
 import itertools
 from math import gcd
 
+from higher_bruhat import __version__
+from higher_bruhat.bruhat import OrderKind, enumerate_bruhat, to_poset
 from higher_bruhat.complexes import SimplicialComplex, from_facets
+from higher_bruhat.homology import is_sphere_homology, reduced_homology
 from higher_bruhat.posets import (
     FiniteBoundedPoset,
     ProperPart,
     from_covers,
     iter_chains,
+    order_complex,
     proper_part,
 )
+from higher_bruhat.subsets import GroundParams
+from higher_bruhat.suspension_check import HOMOTOPY_DISCLAIMER
 
 
 def naive_colex_subsets(n, r):
@@ -154,6 +161,54 @@ def naive_proper_part(p):
         labels=tuple(p.labels[i] for i in keep),
         leq=tuple(rows),
     )
+
+
+def naive_beat_points(p):
+    """Points whose strict down-set has a maximum or strict up-set a minimum."""
+    n = len(p.labels)
+    beats = []
+    for x in range(n):
+        below = [y for y in range(n) if y != x and p.le(y, x)]
+        above = [y for y in range(n) if y != x and p.le(x, y)]
+        if any(all(p.le(y, m) for y in below) for m in below) or any(
+            all(p.le(m, y) for y in above) for m in above
+        ):
+            beats.append(x)
+    return beats
+
+
+def full_route_report(n, k, kind):
+    """The verify-sphericity report computed on the whole proper part.
+
+    This is the route the command took before it moved to the beat-point
+    core: the order complex of every chain, then Smith normal form in every
+    degree.  It builds the same dict as the command's --out report.
+    """
+    params = GroundParams(n, k)
+    order = enumerate_bruhat(params, kind=OrderKind(kind))
+    complex_ = order_complex(proper_part(to_poset(order)))
+    homology = reduced_homology(complex_)
+    target = n - k - 2
+    return {
+        "version": __version__,
+        "command": "verify_sphericity",
+        "n": n,
+        "k": k,
+        "order": kind,
+        "sphere_dimension": target,
+        "is_sphere": is_sphere_homology(homology, target),
+        "num_simplices": complex_.num_simplices(),
+        "f_vector": list(complex_.f_vector()),
+        "homology": [
+            {
+                "degree": d,
+                "betti": homology.betti_at(d),
+                "torsion": list(homology.torsion_at(d)),
+            }
+            for d in homology.degrees()
+        ],
+        "notes": [HOMOTOPY_DISCLAIMER],
+    }
 
 
 def chain_carrier_failures(inst):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from helpers import full_route_report
 from higher_bruhat import cli
 from higher_bruhat.bruhat import BruhatOrder, enumerate_bruhat, to_poset
 from higher_bruhat.cli import main
@@ -149,6 +150,33 @@ class TestVerifySphericityCommand:
 
     def test_bad_order_kind_exit_3(self):
         assert main(["verify-sphericity", "--bruhat", "3", "1", "sideways"]) == 3
+
+    @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
+    @pytest.mark.parametrize(
+        "n,k", [(2, 1), (3, 1), (4, 1), (4, 2), (5, 2), (5, 3), (6, 4)]
+    )
+    def test_out_matches_full_route(self, tmp_path, n, k, kind):
+        out = tmp_path / "report.json"
+        assert main(["verify-sphericity", "--bruhat", str(n), str(k), kind,
+                     "--out", str(out)]) == 0
+        expected = json.dumps(
+            full_route_report(n, k, kind), sort_keys=True, indent=2, ensure_ascii=False
+        ) + "\n"
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_homology_runs_on_the_core_only(self, monkeypatch, capsys):
+        sizes = []
+        build = cli.order_complex
+
+        def recording(p):
+            sizes.append(len(p))
+            return build(p)
+
+        monkeypatch.setattr(cli, "order_complex", recording)
+        assert main(["verify-sphericity", "--bruhat", "4", "1", "single_step"]) == 0
+        assert sizes == [6]
+        stdout = capsys.readouterr().out
+        assert "homology computed on the beat-point core: 6 of 22 points" in stdout
 
 
 class TestCompareOrdersCommand:

@@ -2,13 +2,23 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import naive_proper_part, random_bounded_poset
+from helpers import (
+    homology_dict,
+    naive_beat_points,
+    naive_proper_part,
+    random_bounded_poset,
+)
 from higher_bruhat.bruhat import dissection_instance, enumerate_bruhat, to_poset
 from higher_bruhat.errors import NotAPosetError, NotBoundedError, ParameterError
+from higher_bruhat.homology import reduced_homology
 from higher_bruhat.posets import (
     FiniteBoundedPoset,
     MonotoneMap,
+    beat_core,
+    chain_f_vector,
     check_monotone,
     count_chains,
     from_covers,
@@ -261,6 +271,88 @@ class TestOrderComplex:
                 image = sorted(set(inst.f.images[v] for v in face))
                 for a, b in itertools.combinations(image, 2):
                     assert inst.q.le(a, b) or inst.q.le(b, a)
+
+
+def boolean_lattice(n):
+    """The subsets of [n] under inclusion, indexed by their bitmasks."""
+    size = 1 << n
+    rows = [sum(1 << b for b in range(size) if a & ~b == 0) for a in range(size)]
+    return FiniteBoundedPoset(tuple(f"s{a}" for a in range(size)), tuple(rows), 0, size - 1)
+
+
+def with_new_bound(p, above):
+    """p with a new top above its top (or a new bottom below its bottom)."""
+    labels = p.labels + ("new",)
+    new = len(p)
+    if above:
+        return from_covers(labels, p.covers() + ((p.top, new),), p.bottom, new)
+    return from_covers(labels, p.covers() + ((new, p.bottom),), new, p.top)
+
+
+class TestBeatCore:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_core_of_random_proper_part(self, seed):
+        p = random_bounded_poset(random.Random(seed), max_elements=12)
+        pp = proper_part(p)
+        core = beat_core(pp)
+        assert homology_dict(reduced_homology(order_complex(core))) == homology_dict(
+            reduced_homology(order_complex(pp))
+        )
+        assert naive_beat_points(core) == []
+        # an induced subposet of pp, indexed into the bounded poset p
+        assert core.parent is p
+        assert set(core.parent_index) <= set(pp.parent_index)
+        for a, pa in enumerate(core.parent_index):
+            assert core.labels[a] == p.labels[pa]
+            for b, pb in enumerate(core.parent_index):
+                assert core.le(a, b) == p.le(pa, pb)
+        assert chain_f_vector(pp) == order_complex(pp).f_vector()
+        assert chain_f_vector(p) == order_complex(p).f_vector()
+
+    def test_boolean_lattice_is_its_own_core(self):
+        pp = proper_part(boolean_lattice(3))
+        core = beat_core(pp)
+        assert len(core) == 6
+        assert core.parent_index == pp.parent_index
+        assert core.leq == pp.leq
+
+    def test_hanging_beat_points_are_deleted(self):
+        # 2^[3] with two points hung between the bottom and the atom {1},
+        # each with a strict up-set that has a minimum but no maximum, and
+        # two between the 2-set {1,2} and the top, each with a strict
+        # down-set that has a maximum but no minimum
+        b = boolean_lattice(3)
+        p = from_covers(
+            b.labels + ("under", "under2", "over", "over2"),
+            b.covers() + ((0, 8), (8, 1), (0, 9), (9, 1),
+                          (3, 10), (10, 7), (3, 11), (11, 7)),
+            0,
+            7,
+        )
+        core = beat_core(proper_part(p))
+        assert len(core) == 6
+        assert naive_beat_points(core) == []
+
+    def test_chain_collapses_to_a_point(self):
+        for n in range(3, 7):
+            assert len(beat_core(proper_part(chain_poset(n)))) == 1
+
+    def test_proper_part_with_a_bound_collapses_to_a_point(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            p = random_bounded_poset(rng)
+            for above in (True, False):
+                core = beat_core(proper_part(with_new_bound(p, above)))
+                assert len(core) == 1
+            assert len(beat_core(p)) == 1
+
+    def test_empty_proper_part(self):
+        pp = proper_part(chain_poset(2))
+        core = beat_core(pp)
+        assert len(core) == 0
+        assert core.parent_index == ()
+        assert list(chain_f_vector(pp)) == []
 
 
 class TestMaximalChains:
