@@ -1,8 +1,9 @@
 """Higher Bruhat orders B(n,k) and the structure maps between levels.
 
-An order is enumerated either by brute force over all member bitsets or by
-breadth-first growth from the empty family; the two form an oracle pair
-and are compared in the test suite rather than trusted.  Both relations
+An order is grown from the empty family one cardinality at a time, from
+per-packet tables of the members each segment blocks.  The brute-force
+oracle decides membership by scanning every member bitset against every
+packet and must find the same families at every level.  Both relations
 (single-step inclusion and ordinary inclusion) live on the same element
 set; single-step comparability is reachability in the digraph of
 single-member additions.
@@ -14,6 +15,8 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, getitem, or_
 
 from . import posets
 from .errors import (
@@ -26,7 +29,6 @@ from .subsets import (
     ConsistentSet,
     GroundParams,
     KSubset,
-    _checks_by_member,
     _packet_checks,
     colex_rank,
     complement,
@@ -155,27 +157,66 @@ def _bruteforce_bits(params: GroundParams) -> list[int]:
     return out
 
 
-def _bfs_bits(params: GroundParams) -> list[int]:
-    by_member = _checks_by_member(params.n, params.k)
-    width = params.num_members
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for bits in frontier:
-            for e in range(width):
-                flag = 1 << e
-                if bits & flag:
-                    continue
-                grown = bits | flag
-                if grown in seen:
-                    continue
-                # only packets through the new member can break
-                if all((grown & c.mask) in c.segments for c in by_member[e]):
-                    seen.add(grown)
-                    next_frontier.append(grown)
-        frontier = next_frontier
-    return sorted(seen)
+def _blocking_tables(n: int, k: int) -> tuple[tuple[dict[int, int], ...], tuple[int, ...]]:
+    """Per packet, a table from its current segment to the members it blocks.
+
+    A consistent family meets each packet in a segment; the table maps that
+    segment to the packet members outside it whose addition would leave a
+    non-segment.  Returned with the packet masks, in packet order.
+    """
+    tables = []
+    masks = []
+    for c in _packet_checks(n, k):
+        table = {}
+        for segment in c.segments:
+            blocked = 0
+            m = c.mask & ~segment
+            while m:
+                low = m & -m
+                if segment | low not in c.segments:
+                    blocked |= low
+                m ^= low
+            table[segment] = blocked
+        tables.append(table)
+        masks.append(c.mask)
+    return tuple(tables), tuple(masks)
+
+
+def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, int]]]:
+    """Elements in (cardinality, bits) order and covers in (i, j) order.
+
+    The order grows one cardinality at a time from the empty family.  A
+    family's addable mask holds the members whose addition keeps every
+    packet a segment; the next level is the sorted set of one-member
+    growths, and the covers out of a level are read off the same masks
+    once the next level has its indices.
+    """
+    tables, masks = _blocking_tables(params.n, params.k)
+    full = params.full_bits
+
+    def addable(bits: int) -> int:
+        segments = map(and_, itertools.repeat(bits), masks)
+        return full & ~bits & ~reduce(or_, map(getitem, tables, segments), 0)
+
+    elements: list[int] = []
+    covers: list[tuple[int, int]] = []
+    level = [0]
+    while level:
+        growths = []
+        for bits, add in zip(level, map(addable, level)):
+            row = []
+            while add:
+                low = add & -add
+                row.append(bits | low)
+                add ^= low
+            growths.append(row)
+        upper = sorted(set(itertools.chain.from_iterable(growths)))
+        pos = {bits: j for j, bits in enumerate(upper, len(elements) + len(level))}
+        for i, row in enumerate(growths, len(elements)):
+            covers.extend(zip(itertools.repeat(i), map(pos.__getitem__, row)))
+        elements.extend(level)
+        level = upper
+    return elements, covers
 
 
 def enumerate_bruhat(
@@ -184,7 +225,13 @@ def enumerate_bruhat(
     method: str = "bfs",
     max_subsets: int | None = None,
 ) -> BruhatOrder:
-    """Enumerate B(n,k); method is "bfs" or "bruteforce" (an oracle pair)."""
+    """Enumerate B(n,k); method is "bfs" or "bruteforce" (an oracle pair).
+
+    Both grow the order level by level from addable masks, which also give
+    the covers.  "bruteforce" then decides membership by scanning every
+    bitset against every packet, and raises InvariantError unless the scan
+    finds the same families.
+    """
     if method not in ("bfs", "bruteforce"):
         raise ParameterError(f"unknown enumeration method {method!r}")
     limit = max_subsets
@@ -196,22 +243,15 @@ def enumerate_bruhat(
             f"C({params.n},{params.k + 1}) = {width} members exceeds the {method} "
             f"limit of {limit}"
         )
-    if method == "bfs":
-        found = _bfs_bits(params)
-    else:
-        found = _bruteforce_bits(params)
-    found.sort(key=lambda b: (b.bit_count(), b))
+    found, covers = _grow(params)
+    if method == "bruteforce":
+        scanned = sorted(_bruteforce_bits(params), key=lambda b: (b.bit_count(), b))
+        if scanned != found:
+            raise InvariantError(
+                f"brute-force scan and addable-mask growth disagree: the scan finds "
+                f"{len(scanned)} families, the growth {len(found)}"
+            )
     elements = tuple(ConsistentSet(params, b) for b in found)
-    index = {b: i for i, b in enumerate(found)}
-    covers = []
-    for i, bits in enumerate(found):
-        for e in range(width):
-            flag = 1 << e
-            if bits & flag:
-                continue
-            j = index.get(bits | flag)
-            if j is not None:
-                covers.append((i, j))
     return BruhatOrder(params, kind, elements, tuple(covers))
 
 

@@ -181,19 +181,6 @@ def _packet_checks(n: int, k: int) -> tuple[_PacketCheck, ...]:
     return tuple(checks)
 
 
-@lru_cache(maxsize=None)
-def _checks_by_member(n: int, k: int) -> tuple[tuple[_PacketCheck, ...], ...]:
-    """For each member rank, the packets containing that member."""
-    per = [[] for _ in range(comb(n, k + 1))]
-    for check in _packet_checks(n, k):
-        m = check.mask
-        while m:
-            low = m & -m
-            per[low.bit_length() - 1].append(check)
-            m ^= low
-    return tuple(tuple(cs) for cs in per)
-
-
 def _bits_of(members, params: GroundParams) -> int:
     """Bitset of a member family; validates sizes and ground-set bounds."""
     if isinstance(members, ConsistentSet):
@@ -276,7 +263,20 @@ class ConsistentSet:
         return bool(self.bits >> colex_rank(elems) & 1)
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(m) for m in self.members()) + "}"
+        names = _member_names(self.params.n, self.params.member_size)
+        out = []
+        m = self.bits
+        while m:
+            low = m & -m
+            out.append(names[low.bit_length() - 1])
+            m ^= low
+        return "{" + ",".join(out) + "}"
+
+
+@lru_cache(maxsize=None)
+def _member_names(n: int, size: int) -> tuple[str, ...]:
+    """str() of every size-subset of [n], indexed by colex rank."""
+    return tuple(str(s) for s in enumerate_subsets(n, size))
 
 
 def internal_gaps(subset: KSubset, n: int) -> list[int]:

@@ -145,6 +145,25 @@ def naive_inclusion_rows(order):
     return tuple(rows)
 
 
+def naive_cover_pairs(order):
+    """Cover pairs of a Bruhat order, probing every one-member growth of every element."""
+    index = {u.bits: i for i, u in enumerate(order.elements)}
+    covers = []
+    for i, u in enumerate(order.elements):
+        for e in range(order.params.num_members):
+            if u.bits >> e & 1:
+                continue
+            j = index.get(u.bits | 1 << e)
+            if j is not None:
+                covers.append((i, j))
+    return tuple(covers)
+
+
+def naive_label(u):
+    """The label of a consistent family, member by member."""
+    return "{" + ",".join(str(m) for m in u.members()) + "}"
+
+
 def naive_proper_part(p):
     """The proper part of p, re-indexing every surviving pair one at a time."""
     keep = [i for i in range(len(p.labels)) if i not in (p.bottom, p.top)]

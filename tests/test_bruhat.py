@@ -3,7 +3,8 @@ from math import comb, factorial
 
 import pytest
 
-from helpers import inversion_family, naive_inclusion_rows
+from helpers import inversion_family, naive_cover_pairs, naive_inclusion_rows, naive_label
+from higher_bruhat import bruhat
 from higher_bruhat.bruhat import (
     OrderKind,
     admissible_permutation,
@@ -18,7 +19,7 @@ from higher_bruhat.bruhat import (
     map_j,
     to_poset,
 )
-from higher_bruhat.errors import ParameterError, ResourceLimitError
+from higher_bruhat.errors import InvariantError, ParameterError, ResourceLimitError
 from higher_bruhat.subsets import ConsistentSet, GroundParams, complement
 
 ORDER_CACHE = {}
@@ -64,6 +65,34 @@ class TestEnumeration:
                 bfs = order(n, k, method="bfs")
                 brute = order(n, k, method="bruteforce")
                 assert [u.bits for u in bfs.elements] == [u.bits for u in brute.elements]
+                assert bfs.covers == brute.covers
+
+    @pytest.mark.parametrize(
+        "n,k,method",
+        [
+            (n, k, method)
+            for n, k in ((2, 1), (3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (6, 2), (6, 4), (4, 0))
+            for method in ("bfs", "bruteforce")
+        ]
+        + [(7, 3, "bfs")],
+    )
+    def test_covers_match_naive_probe(self, n, k, method):
+        o = order(n, k, method=method)
+        assert o.covers == naive_cover_pairs(o)
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (6, 2), (10, 7)])
+    def test_labels_match_member_by_member(self, n, k):
+        for u in order(n, k).elements:
+            assert str(u) == naive_label(u)
+
+    def test_bruteforce_disagreement_raises(self, monkeypatch):
+        scan = bruhat._bruteforce_bits
+        # drop the family {12} of B(3,1), an atom of the order
+        monkeypatch.setattr(
+            bruhat, "_bruteforce_bits", lambda params: [b for b in scan(params) if b != 1]
+        )
+        with pytest.raises(InvariantError, match="finds 5 families, the growth 6"):
+            enumerate_bruhat(GroundParams(3, 1), method="bruteforce")
 
     def test_weak_order_counts_and_inversion_sets(self):
         for n in range(2, 6):

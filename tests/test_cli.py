@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from helpers import full_route_report
-from higher_bruhat import cli
+from higher_bruhat import bruhat, cli
 from higher_bruhat.bruhat import BruhatOrder, enumerate_bruhat, to_poset
 from higher_bruhat.cli import main
 from higher_bruhat.instance_io import load_instance
@@ -39,6 +39,32 @@ class TestEnumerateCommand:
         assert report["count"] == 8
         assert len(report["elements"]) == 8
         assert report["elements"][0] == "{}"
+
+    def test_oracle_disagreement_is_exit_1(self, monkeypatch, capsys):
+        scan = bruhat._bruteforce_bits
+        monkeypatch.setattr(bruhat, "_bruteforce_bits", lambda params: scan(params)[:-1])
+        assert main(["enumerate", "4", "1", "--method", "both"]) == 1
+        assert "disagree" in capsys.readouterr().err
+
+    def test_eight_four_scale_rung(self, tmp_path, monkeypatch):
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(enumerate_bruhat(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "enumerate_bruhat", recording)
+        out = tmp_path / "report.json"
+        assert main(["enumerate", "8", "4", "--out", str(out)]) == 0
+        report = read_json(out)
+        assert report["count"] == 78_032
+        # complementing a family reverses the order, so the level sizes
+        # read the same from either end
+        assert [card for card, _ in report["by_cardinality"]] == list(range(57))
+        sizes = [count for _, count in report["by_cardinality"]]
+        assert sizes == sizes[::-1]
+        # observed, with no published source
+        assert len(built[0].covers) == 289_408
 
     def test_limit_exceeded_is_exit_2(self):
         assert main(["enumerate", "10", "1", "--method", "bruteforce"]) == 2
