@@ -76,12 +76,10 @@ class BruhatOrder:
     def __init__(
         self,
         params: GroundParams,
-        kind: OrderKind,
         elements: tuple[ConsistentSet, ...],
         covers: tuple[tuple[int, int], ...],
     ):
         self.params = params
-        self.kind = kind
         self.elements = elements
         self.covers = covers
         self._index = {u.bits: i for i, u in enumerate(elements)}
@@ -109,18 +107,7 @@ class BruhatOrder:
     def reach(self) -> tuple[int, ...]:
         """Row bitsets of single-step reachability along the cover digraph."""
         if self._reach is None:
-            n = len(self.elements)
-            succ: list[list[int]] = [[] for _ in range(n)]
-            for a, b in self.covers:
-                succ[a].append(b)
-            rows = [0] * n
-            # covers increase cardinality, so element order is topological
-            for i in range(n - 1, -1, -1):
-                acc = 1 << i
-                for j in succ[i]:
-                    acc |= rows[j]
-                rows[i] = acc
-            self._reach = tuple(rows)
+            self._reach = posets.reach_rows(self.elements, self.covers)
         return self._reach
 
     def inclusion(self) -> tuple[int, ...]:
@@ -221,7 +208,6 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, int]]]:
 
 def enumerate_bruhat(
     params: GroundParams,
-    kind: OrderKind = OrderKind.SINGLE_STEP,
     method: str = "bfs",
     max_subsets: int | None = None,
 ) -> BruhatOrder:
@@ -252,7 +238,7 @@ def enumerate_bruhat(
                 f"{len(scanned)} families, the growth {len(found)}"
             )
     elements = tuple(ConsistentSet(params, b) for b in found)
-    return BruhatOrder(params, kind, elements, tuple(covers))
+    return BruhatOrder(params, elements, tuple(covers))
 
 
 def leq_inclusion(u: ConsistentSet, v: ConsistentSet) -> bool:
@@ -416,36 +402,43 @@ def dual_buildup_sequence(u: ConsistentSet) -> BuildupSequence:
     return BuildupSequence(steps)
 
 
-def to_poset(order: BruhatOrder) -> posets.FiniteBoundedPoset:
-    """The order as a generic bounded poset; relation follows order.kind."""
+def to_poset(order: BruhatOrder, kind: OrderKind) -> posets.FiniteBoundedPoset:
+    """The order as a bounded poset under the relation of the given kind.
+
+    The relation is built from the enumeration's covers and certified by
+    construction.  The inclusion order reuses that certificate when its
+    rows equal the single-step rows; otherwise its rows go through
+    from_relation's full validation.
+    """
     labels = tuple(str(u) for u in order.elements)
-    if order.kind is OrderKind.SINGLE_STEP:
-        rows = order.reach()
-    else:
+    top = len(labels) - 1
+    p = posets.from_covers(labels, order.covers, 0, top)
+    if kind is OrderKind.INCLUSION:
         rows = order.inclusion()
-    return posets.from_relation(labels, rows, bottom=0, top=len(labels) - 1)
+        if rows != p.leq:
+            return posets.from_relation(labels, rows, bottom=0, top=top)
+    return p
 
 
-def dissection_instance(order: BruhatOrder, suborder: BruhatOrder | None = None):
+def dissection_instance(
+    order: BruhatOrder, kind: OrderKind, suborder: BruhatOrder | None = None
+):
     """The structure maps of the level descent, packaged for condition checking.
 
-    Builds P from the order, Q from the same-kind order one ground-set
-    size down, colors elements green/red, and tabulates the three maps.
+    Builds P from the order and Q from the order one ground-set size down,
+    both under the relation of the given kind, colors elements green/red,
+    and tabulates the three maps.
     """
     from .suspension_check import DissectionInstance
 
     params = order.params
     _require_level_above_base(params)
     if suborder is None:
-        suborder = enumerate_bruhat(
-            GroundParams(params.n - 1, params.k), kind=order.kind
-        )
+        suborder = enumerate_bruhat(GroundParams(params.n - 1, params.k))
     if suborder.params != GroundParams(params.n - 1, params.k):
         raise ParameterError("suborder must live one ground-set size down")
-    if suborder.kind != order.kind:
-        raise ParameterError("order kinds differ")
-    p = to_poset(order)
-    q = to_poset(suborder)
+    p = to_poset(order, kind)
+    q = to_poset(suborder, kind)
     f_images = tuple(suborder.index_of(map_f(u)) for u in order.elements)
     i_images = tuple(order.index_of(map_i(v)) for v in suborder.elements)
     j_images = tuple(order.index_of(map_j(v)) for v in suborder.elements)

@@ -76,8 +76,8 @@ def _parse_bruhat_args(values) -> tuple[GroundParams, OrderKind]:
 def _load_dissection(ns):
     if ns.bruhat is not None:
         params, kind = _parse_bruhat_args(ns.bruhat)
-        order = enumerate_bruhat(params, kind=kind, max_subsets=ns.max_subsets)
-        inst = dissection_instance(order)
+        order = enumerate_bruhat(params, max_subsets=ns.max_subsets)
+        inst = dissection_instance(order, kind)
         source = {"bruhat": {"n": params.n, "k": params.k, "order": kind.value}}
         return inst, source
     loaded = load_instance(ns.instance)
@@ -187,8 +187,8 @@ def cmd_check_lemma(ns) -> int:
 
 def cmd_verify_sphericity(ns) -> int:
     params, kind = _parse_bruhat_args(ns.bruhat)
-    order = enumerate_bruhat(params, kind=kind, max_subsets=ns.max_subsets)
-    pp = proper_part(to_poset(order))
+    order = enumerate_bruhat(params, max_subsets=ns.max_subsets)
+    pp = proper_part(to_poset(order, kind))
     # count chains before any work that grows with them
     upcoming = 1 + count_chains(pp)
     if upcoming > ns.max_simplices:
@@ -287,15 +287,15 @@ def cmd_export(ns) -> int:
     maps_doc = None
     if ns.bruhat is not None:
         params, kind = _parse_bruhat_args(ns.bruhat)
-        order = enumerate_bruhat(params, kind=kind, max_subsets=ns.max_subsets)
+        order = enumerate_bruhat(params, max_subsets=ns.max_subsets)
         if params.n >= params.k + 2:
-            inst = dissection_instance(order)
+            inst = dissection_instance(order, kind)
             p = inst.p
             green_labels = [p.labels[i] for i in sorted(inst.green)]
             doc = instance_to_doc(inst)
         else:
             # base case n = k+1: no level below, export the bare poset
-            p = to_poset(order)
+            p = to_poset(order, kind)
             green_labels = [
                 p.labels[i] for i, u in enumerate(order.elements) if is_green(u)
             ]

@@ -57,7 +57,7 @@ class LoadedInstance:
         """The P poset, enumerating the Bruhat order when necessary."""
         if self.bruhat is not None:
             params, kind = self.bruhat
-            return to_poset(enumerate_bruhat(params, kind=kind, max_subsets=max_subsets))
+            return to_poset(enumerate_bruhat(params, max_subsets=max_subsets), kind)
         assert self.p is not None
         return self.p
 
@@ -78,8 +78,8 @@ class LoadedInstance:
         """Assemble a full dissection instance, or fail with ParameterError."""
         if self.bruhat is not None:
             params, kind = self.bruhat
-            order = enumerate_bruhat(params, kind=kind, max_subsets=max_subsets)
-            return dissection_instance(order)
+            order = enumerate_bruhat(params, max_subsets=max_subsets)
+            return dissection_instance(order, kind)
         if self.p is None or self.q is None:
             raise ParameterError("instance needs both P and Q poset blocks")
         if self.green_labels is None:

@@ -1,15 +1,35 @@
 """Finite bounded posets: construction, proper parts, cores, order complexes.
 
-The order relation is stored as a tuple of row bitsets: bit j of leq[i] is
-set iff element i <= element j.  Partial-order axioms and boundedness are
-verified whenever a poset is built, so a FiniteBoundedPoset in hand is
-always certified.
+The order relation is stored as row bitsets in both directions: bit j of
+leq[i] (the up row of i) is set iff element i <= element j, and bit i of
+down[j] (the down row of j) is set iff i <= j.  Next to its rows a poset
+keeps its covers, ascending, as cover_pairs.
+
+A FiniteBoundedPoset in hand is always certified, by one of two routes:
+
+- from_covers (and product_with_two_chain, which passes it the covers of
+  the product) certifies by construction.  A Kahn sort puts the cover
+  digraph in topological order, and a cycle raises NotAPosetError.  Up
+  rows are closed in reverse topological order and down rows in
+  topological order.  Acyclicity gives antisymmetry, the closure gives
+  reflexivity and transitivity, and boundedness is one row comparison per
+  bound.  Input pairs whose interval holds a third element are dropped,
+  so cover_pairs holds exactly the covers.
+- from_relation, like calling the class directly, takes relation rows
+  from outside and validates them pair by pair: reflexivity, antisymmetry
+  against the transposed rows, transitivity through every comparable pair,
+  and boundedness.  Its covers are read off the rows.
+
+Bit indices are read out of a row with one linear scan of its binary
+string, not one full-width operation per bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import zip_longest
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat, zip_longest
+from operator import or_
 from typing import Iterable, Iterator, Sequence, Union
 
 from .complexes import SimplicialComplex, make_complex
@@ -30,67 +50,105 @@ __all__ = [
     "count_chains",
     "chain_f_vector",
     "iter_chains",
+    "reach_rows",
     "transpose",
 ]
+
+
+def _bits(m: int) -> list[int]:
+    """Indices of the set bits of m, ascending, from one scan of bin(m)."""
+    s = bin(m)[:1:-1]
+    out = []
+    i = s.find("1")
+    while i >= 0:
+        out.append(i)
+        i = s.find("1", i + 1)
+    return out
 
 
 def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     """Column bitsets of a bit matrix: bit i of entry j is bit j of rows[i]."""
     cols = [0] * width
     for i, row in enumerate(rows):
-        m = row
-        while m:
-            low = m & -m
-            cols[low.bit_length() - 1] |= 1 << i
-            m ^= low
+        bit = 1 << i
+        for j in _bits(row):
+            cols[j] |= bit
     return tuple(cols)
+
+
+def _hasse(up: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Covers of a transitive relation given by its up rows, ascending.
+
+    The covers of i are the members of its strict up-set that lie strictly
+    above none of its other members.
+    """
+    strict = [row & ~(1 << i) for i, row in enumerate(up)]
+    out: list[tuple[int, int]] = []
+    for i, row in enumerate(strict):
+        beyond = reduce(or_, map(strict.__getitem__, _bits(row)), 0)
+        out.extend(zip(repeat(i), _bits(row & ~beyond)))
+    return tuple(out)
+
+
+def _check_bounds(
+    labels: tuple[str, ...], up: Sequence[int], down: Sequence[int], bottom: int, top: int
+) -> None:
+    n = len(labels)
+    if not 0 <= bottom < n or not 0 <= top < n:
+        raise NotBoundedError("bottom/top index out of range")
+    full = (1 << n) - 1
+    if up[bottom] != full:
+        raise NotBoundedError(f"{labels[bottom]} is not below every element")
+    if down[top] != full:
+        raise NotBoundedError(f"{labels[top]} is not above every element")
 
 
 @dataclass(frozen=True)
 class FiniteBoundedPoset:
+    """A finite poset with a least and a greatest element.
+
+    Calling the class validates the relation rows as from_relation does;
+    from_covers builds a poset certified by construction.
+    """
+
     labels: tuple[str, ...]
     leq: tuple[int, ...]
     bottom: int
     top: int
+    down: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    cover_pairs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.labels)
-        if len(self.leq) != n:
+        labels, up = self.labels, self.leq
+        n = len(labels)
+        if len(up) != n:
             raise ParameterError("labels and relation rows differ in length")
-        if len(set(self.labels)) != n:
+        if len(set(labels)) != n:
             raise ParameterError("labels must be unique")
         full = (1 << n) - 1
-        for i, row in enumerate(self.leq):
+        for i, row in enumerate(up):
             if row & ~full:
                 raise ParameterError(f"row {i} references elements out of range")
             if not row >> i & 1:
-                raise NotAPosetError(f"relation is not reflexive at {self.labels[i]}")
-        for i, (row, col) in enumerate(zip(self.leq, transpose(self.leq, n))):
+                raise NotAPosetError(f"relation is not reflexive at {labels[i]}")
+        down = transpose(up, n)
+        for i, (row, col) in enumerate(zip(up, down)):
             both = row & col & ~(1 << i)
             if both:
                 j = (both & -both).bit_length() - 1
                 raise NotAPosetError(
-                    f"relation is not antisymmetric on "
-                    f"{self.labels[i]}, {self.labels[j]}"
+                    f"relation is not antisymmetric on {labels[i]}, {labels[j]}"
                 )
-        for i in range(n):
-            row = self.leq[i]
-            m = row
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                if self.leq[j] & ~row:
-                    raise NotAPosetError(
-                        f"relation is not transitive through {self.labels[j]}"
-                    )
-                m ^= low
-        if not 0 <= self.bottom < n or not 0 <= self.top < n:
-            raise NotBoundedError("bottom/top index out of range")
-        if self.leq[self.bottom] != full:
-            raise NotBoundedError(f"{self.labels[self.bottom]} is not below every element")
-        for i in range(n):
-            if not self.leq[i] >> self.top & 1:
-                raise NotBoundedError(f"{self.labels[self.top]} is not above every element")
+        for row in up:
+            # the row holds itself, so it is closed iff the union of its
+            # members' rows adds nothing
+            members = _bits(row)
+            if reduce(or_, map(up.__getitem__, members)) != row:
+                j = next(j for j in members if up[j] & ~row)
+                raise NotAPosetError(f"relation is not transitive through {labels[j]}")
+        _check_bounds(labels, up, down, self.bottom, self.top)
+        object.__setattr__(self, "down", down)
+        object.__setattr__(self, "cover_pairs", _hasse(up))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -98,39 +156,26 @@ class FiniteBoundedPoset:
     def le(self, i: int, j: int) -> bool:
         return bool(self.leq[i] >> j & 1)
 
-    def down_sets(self) -> tuple[int, ...]:
-        """Column bitsets: bit i of entry j is set iff i <= j."""
-        return transpose(self.leq, len(self.labels))
-
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction as (lower, upper) index pairs, ascending."""
-        down = self.down_sets()
-        out = []
-        for i in range(len(self.labels)):
-            strict_up = self.leq[i] & ~(1 << i)
-            m = strict_up
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                between = strict_up & down[j] & ~low
-                if not between:
-                    out.append((i, j))
-                m ^= low
-        return tuple(out)
+        return self.cover_pairs
 
 
 @dataclass(frozen=True)
 class ProperPart:
     """An induced subposet of a bounded poset: its proper part, or a core of it.
 
-    Element i is parent element parent_index[i], and leq is the restriction
-    of the parent's relation to those elements.
+    Element i is parent element parent_index[i], and leq and down are the
+    restrictions of the parent's rows to those elements; cover_pairs are
+    the covers of the restricted relation, ascending.
     """
 
     parent: FiniteBoundedPoset
     parent_index: tuple[int, ...]
     labels: tuple[str, ...]
     leq: tuple[int, ...]
+    down: tuple[int, ...] = field(repr=False, compare=False)
+    cover_pairs: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -168,7 +213,7 @@ def from_relation(
     bottom: int | None = None,
     top: int | None = None,
 ) -> FiniteBoundedPoset:
-    """Build and verify a bounded poset from relation rows.
+    """Build and validate a bounded poset from relation rows.
 
     bottom and top are located automatically when not supplied.
     """
@@ -191,57 +236,121 @@ def from_relation(
     return FiniteBoundedPoset(labels, leq, bottom, top)
 
 
+def _cover_links(
+    labels: Sequence[object], cover_pairs: Iterable[tuple[int, int]]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Upper and lower neighbours of each element in the cover digraph."""
+    n = len(labels)
+    above: list[list[int]] = [[] for _ in range(n)]
+    below: list[list[int]] = [[] for _ in range(n)]
+    for a, b in cover_pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ParameterError(f"cover pair ({a}, {b}) out of range")
+        if a == b:
+            raise NotAPosetError(f"self-loop at {labels[a]}")
+        above[a].append(b)
+        below[b].append(a)
+    return above, below
+
+
+def _topological_order(
+    labels: Sequence[object], above: list[list[int]], below: list[list[int]]
+) -> list[int]:
+    """A Kahn sort of the cover digraph; a cycle raises NotAPosetError."""
+    indegree = [len(preds) for preds in below]
+    order = [i for i, d in enumerate(indegree) if not d]
+    for i in order:
+        for j in above[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < len(labels):
+        stuck = next(i for i, d in enumerate(indegree) if d)
+        raise NotAPosetError(f"covers contain a cycle at or below {labels[stuck]}")
+    return order
+
+
+def _close(links: list[list[int]], order: Iterable[int]) -> tuple[int, ...]:
+    """row[i] = 1<<i | OR(row[j] for j in links[i]), every j closed before i."""
+    rows = [0] * len(links)
+    for i in order:
+        rows[i] = reduce(or_, map(rows.__getitem__, links[i]), 1 << i)
+    return tuple(rows)
+
+
+def reach_rows(
+    labels: Sequence[object], cover_pairs: Iterable[tuple[int, int]]
+) -> tuple[int, ...]:
+    """Up rows of the reflexive-transitive closure of the cover pairs.
+
+    labels name the elements in error messages; a cycle raises
+    NotAPosetError.
+    """
+    above, below = _cover_links(labels, cover_pairs)
+    return _close(above, reversed(_topological_order(labels, above, below)))
+
+
 def from_covers(
     labels: Sequence[str],
     cover_pairs: Iterable[tuple[int, int]],
     bottom: int,
     top: int,
 ) -> FiniteBoundedPoset:
-    """Build a bounded poset as the reflexive-transitive closure of covers."""
+    """Build a bounded poset as the reflexive-transitive closure of covers.
+
+    The result is certified by construction (see the module docstring).
+    Every cover of the closure is one of the pairs, so the pairs whose
+    interval holds nothing else are exactly its covers.
+    """
     labels = tuple(labels)
-    n = len(labels)
-    adj = [0] * n
-    for a, b in cover_pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ParameterError(f"cover pair ({a}, {b}) out of range")
-        if a == b:
-            raise NotAPosetError(f"self-loop at {labels[a]}")
-        adj[a] |= 1 << b
-    rows = [1 << i | adj[i] for i in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = rows[i]
-            m = adj[i]
-            while m:
-                low = m & -m
-                acc |= rows[low.bit_length() - 1]
-                m ^= low
-            if acc != rows[i]:
-                rows[i] = acc
-                changed = True
-    # a cycle of covers makes the closure fail the antisymmetry check
-    return FiniteBoundedPoset(labels, tuple(rows), bottom, top)
+    above, below = _cover_links(labels, cover_pairs)
+    if len(set(labels)) != len(labels):
+        raise ParameterError("labels must be unique")
+    order = _topological_order(labels, above, below)
+    up = _close(above, reversed(order))
+    down = _close(below, order)
+    _check_bounds(labels, up, down, bottom, top)
+    covers: list[tuple[int, int]] = []
+    for a, uppers in enumerate(above):
+        covers.extend(
+            (a, b) for b in sorted(set(uppers)) if (up[a] & down[b]).bit_count() == 2
+        )
+    p = object.__new__(FiniteBoundedPoset)
+    # the axioms are proved above, so the pair-by-pair validation is skipped
+    p.__dict__.update(
+        labels=labels, leq=up, bottom=bottom, top=top, down=down, cover_pairs=tuple(covers)
+    )
+    return p
 
 
 def proper_part(p: FiniteBoundedPoset) -> ProperPart:
-    """Drop bottom and top; a one-element poset has an empty proper part."""
+    """Drop bottom and top; a one-element poset has an empty proper part.
+
+    The parent's covers that avoid the bounds are the proper part's covers,
+    since no interval between two proper elements holds a bound.
+    """
     bounds = sorted({p.bottom, p.top}, reverse=True)
-    keep = [i for i in range(len(p.labels)) if i not in bounds]
-    rows = []
-    for i in keep:
-        row = p.leq[i]
+
+    def drop(row: int) -> int:
         # delete bit t by shifting the bits above it down one place,
         # the higher bound first so the lower one keeps its position
         for t in bounds:
             row = (row & ((1 << t) - 1)) | ((row >> (t + 1)) << t)
-        rows.append(row)
+        return row
+
+    keep = [i for i in range(len(p.labels)) if i not in bounds]
+    position = {parent: pos for pos, parent in enumerate(keep)}
     return ProperPart(
         parent=p,
         parent_index=tuple(keep),
         labels=tuple(p.labels[i] for i in keep),
-        leq=tuple(rows),
+        leq=tuple(drop(p.leq[i]) for i in keep),
+        down=tuple(drop(p.down[i]) for i in keep),
+        cover_pairs=tuple(
+            (position[a], position[b])
+            for a, b in p.cover_pairs
+            if a in position and b in position
+        ),
     )
 
 
@@ -254,19 +363,12 @@ def beat_core(p: PosetLike) -> ProperPart:
     indexes into the bounded poset that p is (or is an induced subposet of).
     """
     n = len(p.labels)
-    up = p.leq
-    down = transpose(up, n)
+    up, down = p.leq, p.down
     live = (1 << n) - 1
 
     def has_extremum(strict: int, rows: Sequence[int]) -> bool:
-        # the extremum m of `strict` is the member whose closed row holds it all
-        m = strict
-        while m:
-            low = m & -m
-            if not strict & ~rows[low.bit_length() - 1]:
-                return True
-            m ^= low
-        return False
+        # the extremum of `strict` is the member whose closed row holds it all
+        return any(not strict & ~rows[j] for j in _bits(strict))
 
     changed = True
     while changed:
@@ -279,10 +381,15 @@ def beat_core(p: PosetLike) -> ProperPart:
             ):
                 live &= ~bit
                 changed = True
-    keep = [i for i in range(n) if live >> i & 1]
-    rows = tuple(
-        sum(1 << pos for pos, j in enumerate(keep) if up[i] >> j & 1) for i in keep
-    )
+    keep = _bits(live)
+    position = {j: pos for pos, j in enumerate(keep)}
+
+    def restrict(rows: Sequence[int]) -> tuple[int, ...]:
+        return tuple(
+            sum(1 << position[j] for j in _bits(rows[i] & live)) for i in keep
+        )
+
+    core_up = restrict(up)
     if isinstance(p, ProperPart):
         parent, parent_index = p.parent, tuple(p.parent_index[i] for i in keep)
     else:
@@ -291,7 +398,9 @@ def beat_core(p: PosetLike) -> ProperPart:
         parent=parent,
         parent_index=parent_index,
         labels=tuple(p.labels[i] for i in keep),
-        leq=rows,
+        leq=core_up,
+        down=restrict(down),
+        cover_pairs=_hasse(core_up),
     )
 
 
@@ -299,68 +408,63 @@ def product_with_two_chain(q: FiniteBoundedPoset) -> FiniteBoundedPoset:
     """The poset q x {0,1} with componentwise order.
 
     Element (a, s) has index a + s * len(q); (a, s) <= (b, t) iff a <= b
-    in q and s <= t.
+    in q and s <= t.  Its covers are q's in each layer plus (a, 0) < (a, 1).
     """
     n = len(q.labels)
-    labels = [f"({lbl},0)" for lbl in q.labels] + [f"({lbl},1)" for lbl in q.labels]
-    rows = []
-    for a in range(n):
-        rows.append(q.leq[a] | q.leq[a] << n)
-    for a in range(n):
-        rows.append(q.leq[a] << n)
-    return FiniteBoundedPoset(tuple(labels), tuple(rows), q.bottom, q.top + n)
+    labels = tuple(f"({lbl},0)" for lbl in q.labels) + tuple(f"({lbl},1)" for lbl in q.labels)
+    covers = (
+        q.cover_pairs
+        + tuple((a + n, b + n) for a, b in q.cover_pairs)
+        + tuple((a, a + n) for a in range(n))
+    )
+    return from_covers(labels, covers, q.bottom, q.top + n)
 
 
 def check_monotone(m: MonotoneMap) -> tuple[bool, list[tuple[int, int]]]:
-    """Exhaustively verify order preservation; returns (ok, violating pairs)."""
+    """Exhaustively verify order preservation; returns (ok, violating pairs).
+
+    A map into a transitive relation preserves every comparable pair iff it
+    preserves the covers, so the source's covers decide.  Only when one
+    fails are all comparable pairs walked, to list the violations.
+    """
+    target, images = m.target.leq, m.images
+    if all(target[images[a]] >> images[b] & 1 for a, b in m.source.cover_pairs):
+        return True, []
     violations = []
-    n = len(m.source.labels)
-    for i in range(n):
-        row = m.source.leq[i]
-        mm = row
-        while mm:
-            low = mm & -mm
-            j = low.bit_length() - 1
-            if not m.target.leq[m.images[i]] >> m.images[j] & 1:
-                violations.append((i, j))
-            mm ^= low
+    for i, row in enumerate(m.source.leq):
+        reach = target[images[i]]
+        violations.extend((i, j) for j in _bits(row) if not reach >> images[j] & 1)
     return not violations, violations
 
 
 def iter_chains(p: PosetLike) -> Iterator[tuple[int, ...]]:
     """All non-empty chains, each listed in increasing poset order."""
     n = len(p.labels)
-    strict_up = [p.leq[i] & ~(1 << i) for i in range(n)]
+    strict_up = [_bits(p.leq[i] & ~(1 << i)) for i in range(n)]
 
     def extend(chain: tuple[int, ...]):
         yield chain
-        m = strict_up[chain[-1]]
-        while m:
-            low = m & -m
-            yield from extend(chain + (low.bit_length() - 1,))
-            m ^= low
+        for j in strict_up[chain[-1]]:
+            yield from extend(chain + (j,))
 
     for start in range(n):
         yield from extend((start,))
 
 
+def _bottom_up(down: Sequence[int]) -> list[int]:
+    # an element's down-set is a proper superset of the down-set of every
+    # element below it, so sorting by size is a linear extension
+    return sorted(range(len(down)), key=lambda i: down[i].bit_count())
+
+
 def count_chains(p: PosetLike) -> int:
     """Number of non-empty chains, without enumerating them."""
-    n = len(p.labels)
-    # strict down-set of each element, as a column bitset
-    below = [col & ~(1 << j) for j, col in enumerate(transpose(p.leq, n))]
-    ending = [0] * n
-    # j < i makes below[j] a proper subset of below[i], so sorting by size
-    # visits every element after all elements below it
-    for i in sorted(range(n), key=lambda i: below[i].bit_count()):
-        # chains ending at i extend chains ending strictly below i
-        total = 1
-        m = below[i]
-        while m:
-            low = m & -m
-            total += ending[low.bit_length() - 1]
-            m ^= low
-        ending[i] = total
+    down = p.down
+    ending = [0] * len(down)
+    for i in _bottom_up(down):
+        # chains ending at i are i alone or i on top of a chain ending
+        # strictly below i
+        ending[i] = 1 + sum(map(ending.__getitem__, _bits(down[i] & ~(1 << i))))
     return sum(ending)
 
 
@@ -371,16 +475,10 @@ def chain_f_vector(p: PosetLike) -> tuple[int, ...]:
     the order complex.  It runs the down-set recursion of count_chains with
     one count per chain size.
     """
-    n = len(p.labels)
-    below = [col & ~(1 << j) for j, col in enumerate(transpose(p.leq, n))]
-    ending: list[list[int]] = [[] for _ in range(n)]
-    for i in sorted(range(n), key=lambda i: below[i].bit_count()):
-        lower = []
-        m = below[i]
-        while m:
-            low = m & -m
-            lower.append(ending[low.bit_length() - 1])
-            m ^= low
+    down = p.down
+    ending: list[list[int]] = [[] for _ in down]
+    for i in _bottom_up(down):
+        lower = map(ending.__getitem__, _bits(down[i] & ~(1 << i)))
         # a chain ending at i is i alone or i on top of a chain ending below i
         ending[i] = [1, *map(sum, zip_longest(*lower, fillvalue=0))]
     return tuple(map(sum, zip_longest(*ending, fillvalue=0)))

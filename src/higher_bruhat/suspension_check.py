@@ -13,11 +13,14 @@ consequence is certified separately by the homology module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .errors import ConditionViolationError, ParameterError
 from .posets import (
     FiniteBoundedPoset,
     MonotoneMap,
+    _bits,
     check_monotone,
     count_chains,
     product_with_two_chain,
@@ -120,20 +123,17 @@ def check_conditions(inst: DissectionInstance) -> ConditionReport:
 
     conditions = []
 
-    # green elements form a down-set
+    # green elements form a down-set: nothing red lies below the union of
+    # the green down-sets; a failure names the first green element in
+    # index order with the lowest red element below it
     witness = None
-    down = p.down_sets()
-    for y in sorted(green):
-        m = down[y]
-        while m:
-            low = m & -m
-            x = low.bit_length() - 1
-            if x not in green:
-                witness = f"{lbl[x]} <= {lbl[y]} with {lbl[y]} green but {lbl[x]} red"
-                break
-            m ^= low
-        if witness:
-            break
+    down = p.down
+    red = ((1 << len(lbl)) - 1) & ~sum(1 << y for y in green)
+    if reduce(or_, (down[y] for y in green), 0) & red:
+        y = next(y for y in sorted(green) if down[y] & red)
+        stray = down[y] & red
+        x = (stray & -stray).bit_length() - 1
+        witness = f"{lbl[x]} <= {lbl[y]} with {lbl[y]} green but {lbl[x]} red"
     conditions.append(Check("green_is_down_set", witness is None, witness))
 
     # f composed with i and with j is the identity on Q
@@ -270,8 +270,7 @@ def carrier_cone_check(inst: DissectionInstance) -> CarrierReport:
     A failure names the pair as the chain a<b (or a, when a = b).
     """
     p = inst.p
-    down = p.down_sets()
-    up = p.leq
+    up, down = p.leq, p.down
     bounds = (p.bottom, p.top)
     proper_mask = ((1 << len(p.labels)) - 1) & ~(1 << p.bottom | 1 << p.top)
 
@@ -284,11 +283,7 @@ def carrier_cone_check(inst: DissectionInstance) -> CarrierReport:
         if a in bounds:
             continue
         lo = inst.i.images[inst.f.images[a]]
-        m = up[a] & proper_mask
-        while m:
-            low = m & -m
-            b = low.bit_length() - 1
-            m ^= low
+        for b in _bits(up[a] & proper_mask):
             pairs += 1
             hi = inst.j.images[inst.f.images[b]]
             apex = None

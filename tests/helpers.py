@@ -12,6 +12,7 @@ from math import gcd
 from higher_bruhat import __version__
 from higher_bruhat.bruhat import OrderKind, enumerate_bruhat, to_poset
 from higher_bruhat.complexes import SimplicialComplex, from_facets
+from higher_bruhat.errors import NotAPosetError, NotBoundedError, ParameterError
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
 from higher_bruhat.posets import (
     FiniteBoundedPoset,
@@ -164,22 +165,145 @@ def naive_label(u):
     return "{" + ",".join(str(m) for m in u.members()) + "}"
 
 
+def naive_covers(p):
+    """Pairs a < b with nothing strictly between, one triple at a time."""
+    n = len(p.labels)
+    return tuple(
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b
+        and p.le(a, b)
+        and not any(c not in (a, b) and p.le(a, c) and p.le(c, b) for c in range(n))
+    )
+
+
 def naive_proper_part(p):
     """The proper part of p, re-indexing every surviving pair one at a time."""
     keep = [i for i in range(len(p.labels)) if i not in (p.bottom, p.top)]
     rows = []
+    cols = []
     for i in keep:
-        row = 0
+        row = col = 0
         for pos, j in enumerate(keep):
             if p.leq[i] >> j & 1:
                 row |= 1 << pos
+            if p.leq[j] >> i & 1:
+                col |= 1 << pos
         rows.append(row)
+        cols.append(col)
+    position = {parent: pos for pos, parent in enumerate(keep)}
     return ProperPart(
         parent=p,
         parent_index=tuple(keep),
         labels=tuple(p.labels[i] for i in keep),
         leq=tuple(rows),
+        down=tuple(cols),
+        cover_pairs=tuple(
+            (position[a], position[b])
+            for a, b in naive_covers(p)
+            if a in position and b in position
+        ),
     )
+
+
+# The routes below are the library's former per-bit and pair-walk routes,
+# kept verbatim as oracles for the certified, cover-based ones.
+
+
+def bitwise_transpose(rows, width):
+    """Column bitsets of a bit matrix, one lowest set bit at a time."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        m = row
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= 1 << i
+            m ^= low
+    return tuple(cols)
+
+
+def pair_walk_validate(labels, leq, bottom, top):
+    """Raise unless the rows are a bounded partial order, pair by pair."""
+    n = len(labels)
+    if len(leq) != n:
+        raise ParameterError("labels and relation rows differ in length")
+    if len(set(labels)) != n:
+        raise ParameterError("labels must be unique")
+    full = (1 << n) - 1
+    for i, row in enumerate(leq):
+        if row & ~full:
+            raise ParameterError(f"row {i} references elements out of range")
+        if not row >> i & 1:
+            raise NotAPosetError(f"relation is not reflexive at {labels[i]}")
+    for i, (row, col) in enumerate(zip(leq, bitwise_transpose(leq, n))):
+        both = row & col & ~(1 << i)
+        if both:
+            j = (both & -both).bit_length() - 1
+            raise NotAPosetError(
+                f"relation is not antisymmetric on {labels[i]}, {labels[j]}"
+            )
+    for i in range(n):
+        row = leq[i]
+        m = row
+        while m:
+            low = m & -m
+            j = low.bit_length() - 1
+            if leq[j] & ~row:
+                raise NotAPosetError(f"relation is not transitive through {labels[j]}")
+            m ^= low
+    if not 0 <= bottom < n or not 0 <= top < n:
+        raise NotBoundedError("bottom/top index out of range")
+    if leq[bottom] != full:
+        raise NotBoundedError(f"{labels[bottom]} is not below every element")
+    for i in range(n):
+        if not leq[i] >> top & 1:
+            raise NotBoundedError(f"{labels[top]} is not above every element")
+
+
+def pair_walk_check_monotone(m):
+    """(ok, violating pairs) from every comparable pair of the source."""
+    violations = []
+    for i in range(len(m.source.labels)):
+        mm = m.source.leq[i]
+        while mm:
+            low = mm & -mm
+            j = low.bit_length() - 1
+            if not m.target.leq[m.images[i]] >> m.images[j] & 1:
+                violations.append((i, j))
+            mm ^= low
+    return not violations, violations
+
+
+def size_sorted_count_chains(p):
+    """Non-empty chains, by the down-set recursion over transposed rows."""
+    n = len(p.labels)
+    below = [col & ~(1 << j) for j, col in enumerate(bitwise_transpose(p.leq, n))]
+    ending = [0] * n
+    for i in sorted(range(n), key=lambda i: below[i].bit_count()):
+        total = 1
+        m = below[i]
+        while m:
+            low = m & -m
+            total += ending[low.bit_length() - 1]
+            m ^= low
+        ending[i] = total
+    return sum(ending)
+
+
+def bitwise_green_witness(p, green):
+    """The green_is_down_set witness, one green element and one bit at a time."""
+    down = bitwise_transpose(p.leq, len(p.labels))
+    for y in sorted(green):
+        m = down[y]
+        while m:
+            low = m & -m
+            x = low.bit_length() - 1
+            if x not in green:
+                lx, ly = p.labels[x], p.labels[y]
+                return f"{lx} <= {ly} with {ly} green but {lx} red"
+            m ^= low
+    return None
 
 
 def naive_beat_points(p):
@@ -204,8 +328,8 @@ def full_route_report(n, k, kind):
     degree.  It builds the same dict as the command's --out report.
     """
     params = GroundParams(n, k)
-    order = enumerate_bruhat(params, kind=OrderKind(kind))
-    complex_ = order_complex(proper_part(to_poset(order)))
+    order = enumerate_bruhat(params)
+    complex_ = order_complex(proper_part(to_poset(order, OrderKind(kind))))
     homology = reduced_homology(complex_)
     target = n - k - 2
     return {

@@ -40,17 +40,17 @@ _orders = {}
 _posets = {}
 
 
-def order(n, k, kind=OrderKind.SINGLE_STEP, method="bfs"):
-    key = (n, k, kind, method)
+def order(n, k, method="bfs"):
+    key = (n, k, method)
     if key not in _orders:
-        _orders[key] = enumerate_bruhat(GroundParams(n, k), kind=kind, method=method)
+        _orders[key] = enumerate_bruhat(GroundParams(n, k), method=method)
     return _orders[key]
 
 
 def poset(n, k, kind):
     key = (n, k, kind)
     if key not in _posets:
-        _posets[key] = to_poset(order(n, k, kind))
+        _posets[key] = to_poset(order(n, k), kind)
     return _posets[key]
 
 
@@ -69,7 +69,7 @@ def test_criterion_1_base_case():
         for k in range(1, 5):
             o = order(k + 1, k)
             assert len(o) == 2
-            pp = proper_part(to_poset(o))
+            pp = proper_part(to_poset(o, OrderKind.SINGLE_STEP))
             assert len(pp) == 0
             report = reduced_homology(order_complex(pp))
             assert is_sphere_homology(report, -1)

@@ -25,10 +25,10 @@ from higher_bruhat.subsets import ConsistentSet, GroundParams, complement
 ORDER_CACHE = {}
 
 
-def order(n, k, kind=OrderKind.SINGLE_STEP, method="bfs"):
-    key = (n, k, kind, method)
+def order(n, k, method="bfs"):
+    key = (n, k, method)
     if key not in ORDER_CACHE:
-        ORDER_CACHE[key] = enumerate_bruhat(GroundParams(n, k), kind=kind, method=method)
+        ORDER_CACHE[key] = enumerate_bruhat(GroundParams(n, k), method=method)
     return ORDER_CACHE[key]
 
 
@@ -205,8 +205,8 @@ class TestLevelMaps:
 
     def test_maps_preserve_both_orders(self):
         for kind in OrderKind:
-            big = order(4, 1, kind)
-            small = order(3, 1, kind)
+            big = order(4, 1)
+            small = order(3, 1)
             for u in big.elements:
                 for v in big.elements:
                     if kind is OrderKind.INCLUSION:
@@ -320,14 +320,14 @@ class TestBuildup:
 
 class TestToPoset:
     def test_base_case_is_two_chain(self):
-        p = to_poset(order(2, 1))
+        p = to_poset(order(2, 1), OrderKind.SINGLE_STEP)
         assert len(p) == 2
         assert p.le(0, 1) and not p.le(1, 0)
         assert p.bottom == 0 and p.top == 1
 
     def test_three_one_is_hexagon(self):
         # weak order on S3: 6 elements, 6 cover edges, two chains meeting at ends
-        p = to_poset(order(3, 1))
+        p = to_poset(order(3, 1), OrderKind.SINGLE_STEP)
         assert len(p) == 6
         covers = p.covers()
         assert len(covers) == 6
@@ -336,14 +336,12 @@ class TestToPoset:
         assert len(atoms) == 2 and len(coatoms) == 2
 
     def test_kinds_agree_at_small_scale(self):
-        ss = to_poset(order(4, 1, OrderKind.SINGLE_STEP))
-        inc = to_poset(order(4, 1, OrderKind.INCLUSION))
+        ss = to_poset(order(4, 1), OrderKind.SINGLE_STEP)
+        inc = to_poset(order(4, 1), OrderKind.INCLUSION)
         assert ss.leq == inc.leq
 
     def test_single_step_relation_contained_in_inclusion(self):
-        o_ss = order(4, 1, OrderKind.SINGLE_STEP)
-        o_inc = order(4, 1, OrderKind.INCLUSION)
-        p_ss = to_poset(o_ss)
-        p_inc = to_poset(o_inc)
+        p_ss = to_poset(order(4, 1), OrderKind.SINGLE_STEP)
+        p_inc = to_poset(order(4, 1), OrderKind.INCLUSION)
         for i in range(len(p_ss)):
             assert p_ss.leq[i] & ~p_inc.leq[i] == 0

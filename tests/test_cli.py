@@ -5,8 +5,8 @@ import sys
 import pytest
 
 from helpers import full_route_report
-from higher_bruhat import bruhat, cli
-from higher_bruhat.bruhat import BruhatOrder, enumerate_bruhat, to_poset
+from higher_bruhat import bruhat, cli, posets
+from higher_bruhat.bruhat import BruhatOrder, OrderKind, enumerate_bruhat, to_poset
 from higher_bruhat.cli import main
 from higher_bruhat.instance_io import load_instance
 from higher_bruhat.subsets import GroundParams
@@ -190,6 +190,21 @@ class TestVerifySphericityCommand:
         ) + "\n"
         assert out.read_bytes() == expected.encode("utf-8")
 
+    def test_refusal_never_transposes(self, monkeypatch, capsys):
+        # the certified build keeps down rows, so refusing B(10,7) needs no
+        # transpose of the relation
+        def transpose(*args):
+            raise AssertionError("transpose called")
+
+        monkeypatch.setattr(posets, "transpose", transpose)
+        assert main(["verify-sphericity", "--bruhat", "10", "7", "single_step"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: order complex would have 129607437876061324519997441 simplices, "
+            "over the budget of 500000\n"
+        )
+
     def test_homology_runs_on_the_core_only(self, monkeypatch, capsys):
         sizes = []
         build = cli.order_complex
@@ -235,7 +250,7 @@ class TestCompareOrdersCommand:
         # no instance small enough for a test has differing pairs, so drop a
         # cover from B(4,1): single-step reach loses pairs, inclusion keeps them
         full = enumerate_bruhat(GroundParams(4, 1))
-        thinned = BruhatOrder(full.params, full.kind, full.elements, full.covers[1:])
+        thinned = BruhatOrder(full.params, full.elements, full.covers[1:])
         monkeypatch.setattr(cli, "enumerate_bruhat", lambda *args, **kwargs: thinned)
         out = tmp_path / "report.json"
         assert main(["compare-orders", "4", "1", "--out", str(out)]) == 0
@@ -265,7 +280,7 @@ class TestExportCommand:
                      "--format", "json", "--out", str(out)]) == 0
         loaded = load_instance(str(out))
         rebuilt = loaded.resolve_poset()
-        direct = to_poset(enumerate_bruhat(GroundParams(3, 1)))
+        direct = to_poset(enumerate_bruhat(GroundParams(3, 1)), OrderKind.SINGLE_STEP)
         assert rebuilt == direct
         assert loaded.q is not None and len(loaded.q.labels) == 2
 

@@ -11,7 +11,7 @@ from helpers import (
     random_complex,
     snf_by_minor_gcds,
 )
-from higher_bruhat.bruhat import enumerate_bruhat, to_poset
+from higher_bruhat.bruhat import OrderKind, enumerate_bruhat, to_poset
 from higher_bruhat.complexes import (
     SimplicialComplex,
     from_facets,
@@ -84,7 +84,11 @@ class TestBoundaryMatrices:
     def test_boundary_squares_to_zero(self):
         rng = random.Random(2)
         complexes = [RP2, HOLLOW_TRIANGLE, SOLID_TRIANGLE]
-        complexes.append(order_complex(proper_part(to_poset(enumerate_bruhat(GroundParams(4, 1))))))
+        complexes.append(
+            order_complex(
+                proper_part(to_poset(enumerate_bruhat(GroundParams(4, 1)), OrderKind.SINGLE_STEP))
+            )
+        )
         complexes += [random_complex(rng) for _ in range(10)]
         for cx in complexes:
             mats = boundary_matrices(cx)
@@ -228,9 +232,9 @@ class TestSuspension:
     def test_matches_doubled_poset_construction(self):
         rng = random.Random(23)
         posets = [
-            to_poset(enumerate_bruhat(GroundParams(2, 1))),
-            to_poset(enumerate_bruhat(GroundParams(3, 1))),
-            to_poset(enumerate_bruhat(GroundParams(4, 2))),
+            to_poset(enumerate_bruhat(GroundParams(2, 1)), OrderKind.SINGLE_STEP),
+            to_poset(enumerate_bruhat(GroundParams(3, 1)), OrderKind.SINGLE_STEP),
+            to_poset(enumerate_bruhat(GroundParams(4, 2)), OrderKind.SINGLE_STEP),
         ]
         posets += [random_bounded_poset(rng) for _ in range(5)]
         for q in posets:

@@ -6,12 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bitwise_transpose,
     homology_dict,
     naive_beat_points,
+    naive_cover_pairs,
+    naive_covers,
     naive_proper_part,
+    pair_walk_check_monotone,
+    pair_walk_validate,
     random_bounded_poset,
+    size_sorted_count_chains,
 )
-from higher_bruhat.bruhat import dissection_instance, enumerate_bruhat, to_poset
+from higher_bruhat import posets
+from higher_bruhat.bruhat import (
+    BruhatOrder,
+    OrderKind,
+    dissection_instance,
+    enumerate_bruhat,
+    to_poset,
+)
 from higher_bruhat.errors import NotAPosetError, NotBoundedError, ParameterError
 from higher_bruhat.homology import reduced_homology
 from higher_bruhat.posets import (
@@ -95,7 +108,7 @@ class TestFromCovers:
             from_covers(["a", "b"], [(0, 5)], 0, 1)
 
     def test_matches_bruhat_poset(self):
-        target = to_poset(enumerate_bruhat(GroundParams(3, 1)))
+        target = to_poset(enumerate_bruhat(GroundParams(3, 1)), OrderKind.SINGLE_STEP)
         rebuilt = from_covers(target.labels, target.covers(), target.bottom, target.top)
         assert rebuilt == target
 
@@ -192,7 +205,7 @@ class TestProperPart:
         assert proper_part(p) == naive_proper_part(p)
 
     def test_bruhat_three_one(self):
-        pp = proper_part(to_poset(enumerate_bruhat(GroundParams(3, 1))))
+        pp = proper_part(to_poset(enumerate_bruhat(GroundParams(3, 1)), OrderKind.SINGLE_STEP))
         assert len(pp) == 4
         strict = [
             (i, j)
@@ -242,7 +255,7 @@ class TestOrderComplex:
         assert cx.f_vector() == (4,)
 
     def test_two_disjoint_edges(self):
-        pp = proper_part(to_poset(enumerate_bruhat(GroundParams(3, 1))))
+        pp = proper_part(to_poset(enumerate_bruhat(GroundParams(3, 1)), OrderKind.SINGLE_STEP))
         cx = order_complex(pp)
         assert cx.f_vector() == (4, 2)
 
@@ -264,7 +277,7 @@ class TestOrderComplex:
             assert count_chains(p) == sum(cx.f_vector())
 
     def test_monotone_image_of_chain_is_chain(self):
-        inst = dissection_instance(enumerate_bruhat(GroundParams(3, 1)))
+        inst = dissection_instance(enumerate_bruhat(GroundParams(3, 1)), OrderKind.SINGLE_STEP)
         cx = order_complex(inst.p)
         for fs in cx.faces:
             for face in fs:
@@ -385,3 +398,149 @@ class TestCheckMonotone:
             MonotoneMap(p, p, (0,))
         with pytest.raises(ParameterError):
             MonotoneMap(p, p, (0, 5))
+
+
+def random_map(rng, source, target, monotone):
+    """Images for a map source -> target; monotone ones factor through a chain.
+
+    x -> (size of the down-set of x) is monotone into a chain, and the
+    chain maps monotonically onto any chain of the target.
+    """
+    if not monotone:
+        return tuple(rng.randrange(len(target)) for _ in range(len(source)))
+    steps = [target.bottom]
+    while steps[-1] != target.top:
+        steps.append(rng.choice(naive_up_covers(target, steps[-1])))
+    sizes = sorted({col.bit_count() for col in source.down})
+    rank = {size: min(r * len(steps) // len(sizes), len(steps) - 1) for r, size in enumerate(sizes)}
+    return tuple(steps[rank[col.bit_count()]] for col in source.down)
+
+
+def naive_up_covers(p, a):
+    return [b for x, b in naive_covers(p) if x == a]
+
+
+class TestCertifiedAgainstPairWalk:
+    """The certified, cover-based routes against the former pair-walk ones."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_random_posets(self, seed):
+        rng = random.Random(seed)
+        p = random_bounded_poset(rng)
+        # index order is not a linear extension here, so from_covers sorts
+        q = shuffled(p, rng)
+        rebuilt = from_covers(q.labels, q.covers(), q.bottom, q.top)
+        for poset in (p, q, rebuilt):
+            n = len(poset)
+            pair_walk_validate(poset.labels, poset.leq, poset.bottom, poset.top)
+            assert poset.down == bitwise_transpose(poset.leq, n)
+            assert poset.covers() == naive_covers(poset)
+            pp = proper_part(poset)
+            assert pp.down == bitwise_transpose(pp.leq, len(pp))
+            for part in (poset, pp):
+                assert count_chains(part) == size_sorted_count_chains(part)
+                assert chain_f_vector(part) == order_complex(part).f_vector()
+        assert rebuilt == q and rebuilt.down == q.down
+        # every comparable pair, some twice: from_covers keeps only the covers
+        pairs = [(a, b) for a in range(len(q)) for b in range(len(q)) if a != b and q.le(a, b)]
+        pairs += rng.sample(pairs, len(pairs) // 3)
+        rng.shuffle(pairs)
+        redundant = from_covers(q.labels, pairs, q.bottom, q.top)
+        assert redundant == q and redundant.down == q.down
+        assert redundant.covers() == naive_covers(q)
+        target = random_bounded_poset(rng)
+        for source in (p, q, proper_part(p)):
+            for monotone in (True, False):
+                images = random_map(rng, source, target, monotone)
+                m = MonotoneMap(source, target, images)
+                assert check_monotone(m) == pair_walk_check_monotone(m)
+                if monotone:
+                    assert check_monotone(m)[0]
+            # one image moved off a monotone map: a short violation list
+            images = list(random_map(rng, source, target, True))
+            if images:
+                images[rng.randrange(len(images))] = rng.randrange(len(target))
+            m = MonotoneMap(source, target, tuple(images))
+            assert check_monotone(m) == pair_walk_check_monotone(m)
+
+    def test_product_with_two_chain_matches_pair_walk(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            p = product_with_two_chain(shuffled(random_bounded_poset(rng), rng))
+            pair_walk_validate(p.labels, p.leq, p.bottom, p.top)
+            assert p.down == bitwise_transpose(p.leq, len(p))
+            assert p.covers() == naive_covers(p)
+            assert from_relation(p.labels, p.leq) == p
+
+    @pytest.mark.parametrize(
+        "n,k", [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 2), (6, 3), (7, 3)]
+    )
+    def test_bruhat_ladder_matches_validated_rows(self, n, k, monkeypatch):
+        order = enumerate_bruhat(GroundParams(n, k))
+        labels = tuple(str(u) for u in order.elements)
+        # on the ladder the inclusion rows equal the single-step rows, so
+        # the inclusion order reuses the cover certificate
+        rows = order.reach()
+        assert order.inclusion() == rows
+        validated = from_relation(labels, rows, bottom=0, top=len(labels) - 1)
+        monkeypatch.setattr(posets, "from_relation", None)
+        for kind in OrderKind:
+            certified = to_poset(order, kind)
+            assert certified == validated
+            assert certified.down == validated.down
+            assert certified.covers() == validated.covers() == order.covers
+        if len(order) <= 1000:
+            p = certified
+            pair_walk_validate(p.labels, p.leq, p.bottom, p.top)
+            assert p.down == bitwise_transpose(p.leq, len(p))
+            assert p.covers() == naive_cover_pairs(order)
+
+    def test_inclusion_falls_back_to_validation_where_orders_differ(self):
+        # dropping a cover a < b, where a has another upper cover and b
+        # another lower one, keeps the single-step order bounded but loses
+        # a <= b from it; inclusion keeps every pair
+        full = enumerate_bruhat(GroundParams(4, 1))
+        uppers = [a for a, _ in full.covers]
+        lowers = [b for _, b in full.covers]
+        drop = next(
+            (a, b) for a, b in full.covers if uppers.count(a) > 1 and lowers.count(b) > 1
+        )
+        thinned = BruhatOrder(
+            full.params, full.elements, tuple(c for c in full.covers if c != drop)
+        )
+        assert not to_poset(thinned, OrderKind.SINGLE_STEP).le(*drop)
+        assert thinned.inclusion() != thinned.reach()
+        p = to_poset(thinned, OrderKind.INCLUSION)
+        assert p.leq == thinned.inclusion()
+        assert p.covers() == to_poset(full, OrderKind.SINGLE_STEP).covers()
+
+
+class TestFromCoversCertificate:
+    def test_down_going_covers_build_the_same_poset(self):
+        # c2 < c1 < c0: every cover goes down in index
+        p = from_covers(["c0", "c1", "c2"], [(2, 1), (1, 0)], 2, 0)
+        assert p.leq == (0b001, 0b011, 0b111)
+        assert p.down == (0b111, 0b110, 0b100)
+
+    @pytest.mark.parametrize(
+        "covers",
+        [
+            [(0, 1), (1, 0)],
+            [(0, 1), (1, 2), (2, 1), (2, 3)],
+            [(0, 2), (2, 1), (1, 3), (3, 2)],
+        ],
+        ids=["two-cycle", "ascending-cycle-with-a-down-cover", "cycle-off-the-bottom"],
+    )
+    def test_cycles_raise(self, covers):
+        labels = [f"e{i}" for i in range(4)]
+        with pytest.raises(NotAPosetError, match="cycle"):
+            from_covers(labels, covers, 0, 3)
+
+    def test_down_going_self_loop_raises(self):
+        with pytest.raises(NotAPosetError, match="self-loop at b"):
+            from_covers(["a", "b", "c"], [(2, 1), (1, 1), (1, 0)], 2, 0)
+
+    def test_unbounded_down_going_covers_raise(self):
+        with pytest.raises(NotBoundedError):
+            from_covers(["a", "b", "c"], [(2, 1), (2, 0)], 2, 0)

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import chain_carrier_failures
+from helpers import bitwise_green_witness, chain_carrier_failures
 from higher_bruhat.bruhat import (
     OrderKind,
     dissection_instance,
@@ -31,9 +31,7 @@ INSTANCE_CACHE = {}
 def bruhat_instance(n, k, kind=OrderKind.SINGLE_STEP):
     key = (n, k, kind)
     if key not in INSTANCE_CACHE:
-        INSTANCE_CACHE[key] = dissection_instance(
-            enumerate_bruhat(GroundParams(n, k), kind=kind)
-        )
+        INSTANCE_CACHE[key] = dissection_instance(enumerate_bruhat(GroundParams(n, k)), kind)
     return INSTANCE_CACHE[key]
 
 
@@ -103,6 +101,24 @@ class TestCheckConditions:
         assert "green_is_down_set" in failed
         down_set = next(c for c in report.conditions if c.name == "green_is_down_set")
         assert down_set.witness is not None
+
+    def test_down_set_witness_matches_bitwise_scan(self):
+        # recolor each element of B(5,2) in turn; a failure names the first
+        # green element with the lowest red element below it
+        inst = bruhat_instance(5, 2)
+        failures = 0
+        for x in range(len(inst.p.labels)):
+            recolored = DissectionInstance(
+                p=inst.p, q=inst.q, green=inst.green ^ {x},
+                f=inst.f, i=inst.i, j=inst.j,
+            )
+            check = check_conditions(recolored).conditions[0]
+            assert check.name == "green_is_down_set"
+            expected = bitwise_green_witness(inst.p, recolored.green)
+            assert check.witness == expected
+            assert check.passed == (expected is None)
+            failures += not check.passed
+        assert failures > 0
 
     def test_one_element_target_fails_precondition(self):
         p = from_covers(["a", "b"], [(0, 1)], 0, 1)
