@@ -47,7 +47,6 @@ from .homology import (
 from .posets import (
     FiniteBoundedPoset,
     MonotoneMap,
-    ProperPart,
     check_monotone,
     from_covers,
     from_relation,

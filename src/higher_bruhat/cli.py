@@ -50,12 +50,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _write_text(blob: str, out: str) -> None:
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(blob)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out}: {exc.strerror}")
+
+
 def _write_report(report: dict, out: str | None) -> None:
-    if out is None:
-        return
-    blob = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(blob)
+    if out is not None:
+        blob = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        _write_text(blob, out)
 
 
 def _parse_bruhat_args(values) -> tuple[GroundParams, OrderKind]:
@@ -188,19 +194,20 @@ def cmd_check_lemma(ns) -> int:
 def cmd_verify_sphericity(ns) -> int:
     params, kind = _parse_bruhat_args(ns.bruhat)
     order = enumerate_bruhat(params, max_subsets=ns.max_subsets)
-    pp = proper_part(to_poset(order, kind))
+    p = to_poset(order, kind)
+    pp = proper_part(p)
     # count chains before any work that grows with them
-    upcoming = 1 + count_chains(pp)
+    upcoming = 1 + count_chains(p, pp)
     if upcoming > ns.max_simplices:
         raise ResourceLimitError(
             f"order complex would have {upcoming} simplices, over the budget "
             f"of {ns.max_simplices}"
         )
-    f_vector = chain_f_vector(pp)
+    f_vector = chain_f_vector(p, pp)
     # beat points do not change the homotopy type, so the core's homology
     # is the proper part's; degrees above the core's dimension read 0
-    core = beat_core(pp)
-    homology = reduced_homology(order_complex(core), max_simplices=ns.max_simplices)
+    core = beat_core(p, pp)
+    homology = reduced_homology(order_complex(p, core), max_simplices=ns.max_simplices)
     target = params.n - params.k - 2
     sphere = is_sphere_homology(homology, target)
     num_simplices = 1 + sum(f_vector)
@@ -227,7 +234,10 @@ def cmd_verify_sphericity(ns) -> int:
     _write_report(report, ns.out)
     print(f"B({params.n},{params.k}) under {kind.value}:")
     print(f"  proper-part order complex: {num_simplices} simplices")
-    print(f"  homology computed on the beat-point core: {len(core)} of {len(pp)} points")
+    print(
+        f"  homology computed on the beat-point core: {core.bit_count()} of "
+        f"{pp.bit_count()} points"
+    )
     for entry in report["homology"]:
         torsion = entry["torsion"]
         extra = f" torsion {torsion}" if torsion else ""
@@ -338,8 +348,7 @@ def cmd_export(ns) -> int:
     if ns.out is None:
         sys.stdout.write(blob)
     else:
-        with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(blob)
+        _write_text(blob, ns.out)
     return EXIT_PASS
 
 

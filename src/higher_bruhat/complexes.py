@@ -70,22 +70,10 @@ def verify_closed(x: SimplicialComplex) -> bool:
 
 
 def make_complex(
-    num_vertices: int,
-    faces: Iterable[Sequence[int]] | Sequence[Sequence[Sequence[int]]],
-    *,
-    close: bool = False,
+    num_vertices: int, faces: Iterable[Sequence[int]], *, close: bool = False
 ) -> SimplicialComplex:
-    """Build a complex from faces, verifying (or generating) downward closure.
-
-    `faces` may be a flat iterable of faces or a per-dimension nesting.
-    """
-    flat: list[Sequence[int]] = []
-    for entry in faces:
-        if entry and isinstance(entry[0], (list, tuple)):
-            flat.extend(entry)  # per-dimension nesting
-        else:
-            flat.append(tuple(entry))
-    by_dim = _normalize(num_vertices, flat)
+    """Build a complex from faces, verifying (or generating) downward closure."""
+    by_dim = _normalize(num_vertices, faces)
     if close:
         for d in range(len(by_dim) - 1, 0, -1):
             for face in by_dim[d]:

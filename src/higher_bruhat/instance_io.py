@@ -99,7 +99,7 @@ class LoadedInstance:
                 if lbl not in table:
                     raise ParameterError(f"map {name} is not total: missing {lbl!r}")
                 img = table[lbl]
-                if img not in target_pos:
+                if not isinstance(img, str) or img not in target_pos:
                     raise ParameterError(f"map {name} sends {lbl!r} to unknown {img!r}")
                 images.append(target_pos[img])
             return MonotoneMap(source, target, tuple(images))
@@ -128,16 +128,17 @@ def poset_from_doc(doc) -> FiniteBoundedPoset:
         raise ParameterError("labels must be a list of strings")
     if len(set(labels)) != len(labels):
         raise ParameterError("labels must be unique")
+    if not isinstance(covers, list):
+        raise ParameterError("covers must be a list of label pairs")
     pos = {lbl: i for i, lbl in enumerate(labels)}
     pairs = []
     for pair in covers:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParameterError(f"malformed cover pair {pair!r}")
-        a, b = pair
-        if a not in pos or b not in pos:
+        if not all(isinstance(x, str) and x in pos for x in pair):
             raise ParameterError(f"cover pair {pair!r} references unknown labels")
-        pairs.append((pos[a], pos[b]))
-    if bottom not in pos or top not in pos:
+        pairs.append((pos[pair[0]], pos[pair[1]]))
+    if not all(isinstance(x, str) and x in pos for x in (bottom, top)):
         raise ParameterError("bottom/top must be existing labels")
     return from_covers(tuple(labels), pairs, pos[bottom], pos[top])
 

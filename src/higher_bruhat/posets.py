@@ -20,6 +20,12 @@ A FiniteBoundedPoset in hand is always certified, by one of two routes:
   against the transposed rows, transitivity through every comparable pair,
   and boundedness.  Its covers are read off the rows.
 
+An induced subposet is the pair (p, live): a bounded poset p and a
+bitset live of the indices of its elements that belong to the subposet.
+The proper part and the beat-point core are such masks.  The functions
+that read a subposet AND p's rows with live, so no row is copied or
+renumbered, and chains and cores are given as indices into p.
+
 Bit indices are read out of a row with one linear scan of its binary
 string, not one full-width operation per bit.
 """
@@ -30,16 +36,14 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat, zip_longest
 from operator import or_
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .complexes import SimplicialComplex, make_complex
 from .errors import NotAPosetError, NotBoundedError, ParameterError
 
 __all__ = [
     "FiniteBoundedPoset",
-    "ProperPart",
     "MonotoneMap",
-    "PosetLike",
     "from_covers",
     "from_relation",
     "proper_part",
@@ -162,37 +166,11 @@ class FiniteBoundedPoset:
 
 
 @dataclass(frozen=True)
-class ProperPart:
-    """An induced subposet of a bounded poset: its proper part, or a core of it.
-
-    Element i is parent element parent_index[i], and leq and down are the
-    restrictions of the parent's rows to those elements; cover_pairs are
-    the covers of the restricted relation, ascending.
-    """
-
-    parent: FiniteBoundedPoset
-    parent_index: tuple[int, ...]
-    labels: tuple[str, ...]
-    leq: tuple[int, ...]
-    down: tuple[int, ...] = field(repr=False, compare=False)
-    cover_pairs: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def le(self, i: int, j: int) -> bool:
-        return bool(self.leq[i] >> j & 1)
-
-
-PosetLike = Union[FiniteBoundedPoset, ProperPart]
-
-
-@dataclass(frozen=True)
 class MonotoneMap:
     """A map between posets given by per-element target indices."""
 
-    source: PosetLike
-    target: PosetLike
+    source: FiniteBoundedPoset
+    target: FiniteBoundedPoset
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -323,48 +301,23 @@ def from_covers(
     return p
 
 
-def proper_part(p: FiniteBoundedPoset) -> ProperPart:
-    """Drop bottom and top; a one-element poset has an empty proper part.
+def proper_part(p: FiniteBoundedPoset) -> int:
+    """The mask of p's elements other than its bounds.
 
-    The parent's covers that avoid the bounds are the proper part's covers,
-    since no interval between two proper elements holds a bound.
+    A one-element poset has an empty proper part.
     """
-    bounds = sorted({p.bottom, p.top}, reverse=True)
-
-    def drop(row: int) -> int:
-        # delete bit t by shifting the bits above it down one place,
-        # the higher bound first so the lower one keeps its position
-        for t in bounds:
-            row = (row & ((1 << t) - 1)) | ((row >> (t + 1)) << t)
-        return row
-
-    keep = [i for i in range(len(p.labels)) if i not in bounds]
-    position = {parent: pos for pos, parent in enumerate(keep)}
-    return ProperPart(
-        parent=p,
-        parent_index=tuple(keep),
-        labels=tuple(p.labels[i] for i in keep),
-        leq=tuple(drop(p.leq[i]) for i in keep),
-        down=tuple(drop(p.down[i]) for i in keep),
-        cover_pairs=tuple(
-            (position[a], position[b])
-            for a, b in p.cover_pairs
-            if a in position and b in position
-        ),
-    )
+    return ((1 << len(p.labels)) - 1) & ~(1 << p.bottom | 1 << p.top)
 
 
-def beat_core(p: PosetLike) -> ProperPart:
-    """Delete beat points until none is left (Stong, 1966).
+def beat_core(p: FiniteBoundedPoset, live: int) -> int:
+    """Delete beat points of the subposet live until none is left (Stong, 1966).
 
     A beat point is a point whose strict down-set has a maximum or whose
     strict up-set has a minimum.  Deleting one keeps the homotopy type of
-    the order complex, so the core has the same homology as p.  The result
-    indexes into the bounded poset that p is (or is an induced subposet of).
+    the order complex, so the core has the same homology as live.  The
+    result is the mask of the surviving points.
     """
-    n = len(p.labels)
     up, down = p.leq, p.down
-    live = (1 << n) - 1
 
     def has_extremum(strict: int, rows: Sequence[int]) -> bool:
         # the extremum of `strict` is the member whose closed row holds it all
@@ -373,7 +326,7 @@ def beat_core(p: PosetLike) -> ProperPart:
     changed = True
     while changed:
         changed = False
-        for i in range(n):
+        for i in _bits(live):
             bit = 1 << i
             if live & bit and (
                 has_extremum(down[i] & live & ~bit, down)
@@ -381,27 +334,7 @@ def beat_core(p: PosetLike) -> ProperPart:
             ):
                 live &= ~bit
                 changed = True
-    keep = _bits(live)
-    position = {j: pos for pos, j in enumerate(keep)}
-
-    def restrict(rows: Sequence[int]) -> tuple[int, ...]:
-        return tuple(
-            sum(1 << position[j] for j in _bits(rows[i] & live)) for i in keep
-        )
-
-    core_up = restrict(up)
-    if isinstance(p, ProperPart):
-        parent, parent_index = p.parent, tuple(p.parent_index[i] for i in keep)
-    else:
-        parent, parent_index = p, tuple(keep)
-    return ProperPart(
-        parent=parent,
-        parent_index=parent_index,
-        labels=tuple(p.labels[i] for i in keep),
-        leq=core_up,
-        down=restrict(down),
-        cover_pairs=_hasse(core_up),
-    )
+    return live
 
 
 def product_with_two_chain(q: FiniteBoundedPoset) -> FiniteBoundedPoset:
@@ -437,39 +370,39 @@ def check_monotone(m: MonotoneMap) -> tuple[bool, list[tuple[int, int]]]:
     return not violations, violations
 
 
-def iter_chains(p: PosetLike) -> Iterator[tuple[int, ...]]:
-    """All non-empty chains, each listed in increasing poset order."""
-    n = len(p.labels)
-    strict_up = [_bits(p.leq[i] & ~(1 << i)) for i in range(n)]
+def iter_chains(p: FiniteBoundedPoset, live: int) -> Iterator[tuple[int, ...]]:
+    """All non-empty chains of live, each listed in increasing poset order."""
+    members = _bits(live)
+    strict_up = {i: _bits(p.leq[i] & live & ~(1 << i)) for i in members}
 
     def extend(chain: tuple[int, ...]):
         yield chain
         for j in strict_up[chain[-1]]:
             yield from extend(chain + (j,))
 
-    for start in range(n):
+    for start in members:
         yield from extend((start,))
 
 
-def _bottom_up(down: Sequence[int]) -> list[int]:
+def _bottom_up(p: FiniteBoundedPoset, live: int) -> list[int]:
     # an element's down-set is a proper superset of the down-set of every
     # element below it, so sorting by size is a linear extension
-    return sorted(range(len(down)), key=lambda i: down[i].bit_count())
+    return sorted(_bits(live), key=lambda i: p.down[i].bit_count())
 
 
-def count_chains(p: PosetLike) -> int:
-    """Number of non-empty chains, without enumerating them."""
+def count_chains(p: FiniteBoundedPoset, live: int) -> int:
+    """Number of non-empty chains of live, without enumerating them."""
     down = p.down
     ending = [0] * len(down)
-    for i in _bottom_up(down):
+    for i in _bottom_up(p, live):
         # chains ending at i are i alone or i on top of a chain ending
         # strictly below i
-        ending[i] = 1 + sum(map(ending.__getitem__, _bits(down[i] & ~(1 << i))))
+        ending[i] = 1 + sum(map(ending.__getitem__, _bits(down[i] & live & ~(1 << i))))
     return sum(ending)
 
 
-def chain_f_vector(p: PosetLike) -> tuple[int, ...]:
-    """Non-empty chains counted by size, without enumerating them.
+def chain_f_vector(p: FiniteBoundedPoset, live: int) -> tuple[int, ...]:
+    """Non-empty chains of live counted by size, without enumerating them.
 
     Entry d counts the chains of d + 1 elements, so this is the f-vector of
     the order complex.  It runs the down-set recursion of count_chains with
@@ -477,19 +410,18 @@ def chain_f_vector(p: PosetLike) -> tuple[int, ...]:
     """
     down = p.down
     ending: list[list[int]] = [[] for _ in down]
-    for i in _bottom_up(down):
-        lower = map(ending.__getitem__, _bits(down[i] & ~(1 << i)))
+    for i in _bottom_up(p, live):
+        lower = map(ending.__getitem__, _bits(down[i] & live & ~(1 << i)))
         # a chain ending at i is i alone or i on top of a chain ending below i
         ending[i] = [1, *map(sum, zip_longest(*lower, fillvalue=0))]
     return tuple(map(sum, zip_longest(*ending, fillvalue=0)))
 
 
-def order_complex(p: PosetLike) -> SimplicialComplex:
-    """The simplicial complex whose simplices are the chains of p."""
-    faces_by_dim: list[list[tuple[int, ...]]] = []
-    for chain in iter_chains(p):
-        d = len(chain) - 1
-        while len(faces_by_dim) <= d:
-            faces_by_dim.append([])
-        faces_by_dim[d].append(tuple(sorted(chain)))
-    return make_complex(len(p.labels), faces_by_dim)
+def order_complex(p: FiniteBoundedPoset, live: int) -> SimplicialComplex:
+    """The simplicial complex whose simplices are the chains of live.
+
+    Vertex v is the v-th member of live in index order.
+    """
+    position = {i: v for v, i in enumerate(_bits(live))}
+    chains = iter_chains(p, live)
+    return make_complex(len(position), (tuple(map(position.__getitem__, c)) for c in chains))

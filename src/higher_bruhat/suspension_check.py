@@ -187,44 +187,47 @@ def check_conditions(inst: DissectionInstance) -> ConditionReport:
 def build_proof_maps(inst: DissectionInstance) -> tuple[MonotoneMap, MonotoneMap]:
     """Construct and verify the comparison maps between the proper parts.
 
-    g sends a green x to (f(x), 0) and a red x to (f(x), 1) in the proper
-    part of Q x {0,1}; h sends (a, 0) to i(a) and (a, 1) to j(a) back in
-    the proper part of P.  Raises ConditionViolationError if either map
-    leaves the proper parts, fails monotonicity, or g o h is not the
-    identity.  Assumes check_conditions passes; on broken instances the
-    first violated obligation is reported.
+    g sends a green proper x to (f(x), 0) and a red proper x to (f(x), 1)
+    in Q x {0,1}; h sends a proper (a, 0) to i(a) and a proper (a, 1) to
+    j(a) back in P.  Both are maps between the bounded posets that send
+    bounds to bounds, so a map is monotone iff its restriction to the
+    proper parts is: a pair involving a bound never violates.  Raises
+    ConditionViolationError if either map sends a proper element to a
+    bound, fails monotonicity, or g o h is not the identity on the proper
+    part.  Assumes check_conditions passes; on broken instances the first
+    violated obligation is reported.
     """
     p, q = inst.p, inst.q
     nq = len(q.labels)
     doubled = product_with_two_chain(q)
-    pp = proper_part(p)
-    pz = proper_part(doubled)
-    pp_pos = {parent: pos for pos, parent in enumerate(pp.parent_index)}
-    pz_pos = {parent: pos for pos, parent in enumerate(pz.parent_index)}
+    bounds_p, bounds_z = (p.bottom, p.top), (doubled.bottom, doubled.top)
 
-    g_images = []
-    for parent in pp.parent_index:
-        side = 0 if parent in inst.green else 1
-        z = inst.f.images[parent] + side * nq
-        if z not in pz_pos:
+    g_images = [0] * len(p.labels)
+    g_images[p.bottom], g_images[p.top] = bounds_z
+    for x in _bits(proper_part(p)):
+        side = 0 if x in inst.green else 1
+        z = inst.f.images[x] + side * nq
+        if z in bounds_z:
             raise ConditionViolationError(
-                f"g is not well-defined: {p.labels[parent]} maps to the bound "
+                f"g is not well-defined: {p.labels[x]} maps to the bound "
                 f"{doubled.labels[z]}"
             )
-        g_images.append(pz_pos[z])
-    g = MonotoneMap(pp, pz, tuple(g_images))
+        g_images[x] = z
+    g = MonotoneMap(p, doubled, tuple(g_images))
 
-    h_images = []
-    for parent in pz.parent_index:
-        a, side = parent % nq, parent // nq
+    h_images = [0] * len(doubled.labels)
+    h_images[doubled.bottom], h_images[doubled.top] = bounds_p
+    proper_z = _bits(proper_part(doubled))
+    for z in proper_z:
+        a, side = z % nq, z // nq
         x = (inst.i if side == 0 else inst.j).images[a]
-        if x not in pp_pos:
+        if x in bounds_p:
             raise ConditionViolationError(
-                f"h is not well-defined: {doubled.labels[parent]} maps to the bound "
+                f"h is not well-defined: {doubled.labels[z]} maps to the bound "
                 f"{p.labels[x]}"
             )
-        h_images.append(pp_pos[x])
-    h = MonotoneMap(pz, pp, tuple(h_images))
+        h_images[z] = x
+    h = MonotoneMap(doubled, p, tuple(h_images))
 
     for name, m in (("g", g), ("h", h)):
         ok, violations = check_monotone(m)
@@ -234,10 +237,10 @@ def build_proof_maps(inst: DissectionInstance) -> tuple[MonotoneMap, MonotoneMap
                 f"{name} is not order-preserving on {m.source.labels[x]} <= "
                 f"{m.source.labels[y]}"
             )
-    for z in range(len(pz.labels)):
+    for z in proper_z:
         if g.images[h.images[z]] != z:
             raise ConditionViolationError(
-                f"g(h({pz.labels[z]})) != {pz.labels[z]}"
+                f"g(h({doubled.labels[z]})) != {doubled.labels[z]}"
             )
     return g, h
 
@@ -272,18 +275,16 @@ def carrier_cone_check(inst: DissectionInstance) -> CarrierReport:
     p = inst.p
     up, down = p.leq, p.down
     bounds = (p.bottom, p.top)
-    proper_mask = ((1 << len(p.labels)) - 1) & ~(1 << p.bottom | 1 << p.top)
+    proper = proper_part(p)
 
     def chain(a: int, b: int) -> str:
         return p.labels[a] if a == b else f"{p.labels[a]}<{p.labels[b]}"
 
     failures = []
     pairs = 0
-    for a in range(len(p.labels)):
-        if a in bounds:
-            continue
+    for a in _bits(proper):
         lo = inst.i.images[inst.f.images[a]]
-        for b in _bits(up[a] & proper_mask):
+        for b in _bits(up[a] & proper):
             pairs += 1
             hi = inst.j.images[inst.f.images[b]]
             apex = None
@@ -294,12 +295,12 @@ def carrier_cone_check(inst: DissectionInstance) -> CarrierReport:
             if apex is None:
                 failures.append(f"chain {chain(a, b)}: neither carrier endpoint is proper")
                 continue
-            carrier = up[lo] & down[hi] & proper_mask
+            carrier = up[lo] & down[hi] & proper
             if not carrier >> apex & 1:
                 failures.append(
                     f"chain {chain(a, b)}: apex {p.labels[apex]} outside its carrier"
                 )
-    total = count_chains(proper_part(p))
+    total = count_chains(p, proper)
     return CarrierReport(
         total_chains=total,
         chains_checked=total,

@@ -16,7 +16,6 @@ from higher_bruhat.errors import NotAPosetError, NotBoundedError, ParameterError
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
 from higher_bruhat.posets import (
     FiniteBoundedPoset,
-    ProperPart,
     from_covers,
     iter_chains,
     order_complex,
@@ -178,33 +177,25 @@ def naive_covers(p):
     )
 
 
-def naive_proper_part(p):
-    """The proper part of p, re-indexing every surviving pair one at a time."""
-    keep = [i for i in range(len(p.labels)) if i not in (p.bottom, p.top)]
-    rows = []
-    cols = []
-    for i in keep:
-        row = col = 0
-        for pos, j in enumerate(keep):
-            if p.leq[i] >> j & 1:
-                row |= 1 << pos
-            if p.leq[j] >> i & 1:
-                col |= 1 << pos
-        rows.append(row)
-        cols.append(col)
-    position = {parent: pos for pos, parent in enumerate(keep)}
-    return ProperPart(
-        parent=p,
-        parent_index=tuple(keep),
-        labels=tuple(p.labels[i] for i in keep),
-        leq=tuple(rows),
-        down=tuple(cols),
-        cover_pairs=tuple(
-            (position[a], position[b])
-            for a, b in naive_covers(p)
-            if a in position and b in position
-        ),
-    )
+def members(live):
+    """The indices in the mask live, ascending, one bit at a time."""
+    return [i for i in range(live.bit_length()) if live >> i & 1]
+
+
+def proper_part_complex(p):
+    """The order complex of the proper part of p."""
+    return order_complex(p, proper_part(p))
+
+
+def naive_chains(p, live):
+    """Every non-empty subset of live that p totally orders, ascending by index."""
+    points = members(live)
+    return [
+        subset
+        for size in range(1, len(points) + 1)
+        for subset in itertools.combinations(points, size)
+        if all(p.le(a, b) or p.le(b, a) for a, b in itertools.combinations(subset, 2))
+    ]
 
 
 # The routes below are the library's former per-bit and pair-walk routes,
@@ -275,12 +266,12 @@ def pair_walk_check_monotone(m):
     return not violations, violations
 
 
-def size_sorted_count_chains(p):
-    """Non-empty chains, by the down-set recursion over transposed rows."""
+def size_sorted_count_chains(p, live):
+    """Non-empty chains of live, by the down-set recursion over transposed rows."""
     n = len(p.labels)
-    below = [col & ~(1 << j) for j, col in enumerate(bitwise_transpose(p.leq, n))]
+    below = [col & live & ~(1 << j) for j, col in enumerate(bitwise_transpose(p.leq, n))]
     ending = [0] * n
-    for i in sorted(range(n), key=lambda i: below[i].bit_count()):
+    for i in sorted(members(live), key=lambda i: below[i].bit_count()):
         total = 1
         m = below[i]
         while m:
@@ -306,13 +297,14 @@ def bitwise_green_witness(p, green):
     return None
 
 
-def naive_beat_points(p):
-    """Points whose strict down-set has a maximum or strict up-set a minimum."""
-    n = len(p.labels)
+def naive_beat_points(p, live):
+    """Points of live whose strict down-set in live has a maximum or whose
+    strict up-set in live has a minimum."""
+    points = members(live)
     beats = []
-    for x in range(n):
-        below = [y for y in range(n) if y != x and p.le(y, x)]
-        above = [y for y in range(n) if y != x and p.le(x, y)]
+    for x in points:
+        below = [y for y in points if y != x and p.le(y, x)]
+        above = [y for y in points if y != x and p.le(x, y)]
         if any(all(p.le(y, m) for y in below) for m in below) or any(
             all(p.le(m, y) for y in above) for m in above
         ):
@@ -329,7 +321,7 @@ def full_route_report(n, k, kind):
     """
     params = GroundParams(n, k)
     order = enumerate_bruhat(params)
-    complex_ = order_complex(proper_part(to_poset(order, OrderKind(kind))))
+    complex_ = proper_part_complex(to_poset(order, OrderKind(kind)))
     homology = reduced_homology(complex_)
     target = n - k - 2
     return {
@@ -366,10 +358,9 @@ def chain_carrier_failures(inst):
     """
     p = inst.p
     bounds = (p.bottom, p.top)
-    pp = proper_part(p)
     failures = set()
-    for chain in iter_chains(pp):
-        least, greatest = pp.parent_index[chain[0]], pp.parent_index[chain[-1]]
+    for chain in iter_chains(p, proper_part(p)):
+        least, greatest = chain[0], chain[-1]
         lo = inst.i.images[inst.f.images[least]]
         hi = inst.j.images[inst.f.images[greatest]]
         name = p.labels[least]

@@ -9,7 +9,7 @@ import random
 import time
 from math import comb, factorial
 
-from helpers import homology_dict, random_bounded_poset, random_complex
+from helpers import homology_dict, proper_part_complex, random_bounded_poset, random_complex
 from higher_bruhat.bruhat import (
     OrderKind,
     buildup_sequence,
@@ -26,7 +26,7 @@ from higher_bruhat.bruhat import (
 from higher_bruhat.cli import main
 from higher_bruhat.complexes import suspension
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
-from higher_bruhat.posets import order_complex, product_with_two_chain, proper_part
+from higher_bruhat.posets import product_with_two_chain, proper_part
 from higher_bruhat.subsets import (
     GroundParams,
     complement,
@@ -69,9 +69,9 @@ def test_criterion_1_base_case():
         for k in range(1, 5):
             o = order(k + 1, k)
             assert len(o) == 2
-            pp = proper_part(to_poset(o, OrderKind.SINGLE_STEP))
-            assert len(pp) == 0
-            report = reduced_homology(order_complex(pp))
+            p = to_poset(o, OrderKind.SINGLE_STEP)
+            assert proper_part(p) == 0
+            report = reduced_homology(proper_part_complex(p))
             assert is_sphere_homology(report, -1)
         assert time.perf_counter() - start < 1.0
 
@@ -83,7 +83,7 @@ def test_criterion_2_sphericity():
         start = time.perf_counter()
         for n, k in SPHERICITY_INSTANCES:
             for kind in OrderKind:
-                complex_ = order_complex(proper_part(poset(n, k, kind)))
+                complex_ = proper_part_complex(poset(n, k, kind))
                 report = reduced_homology(complex_)
                 target = n - k - 2
                 assert is_sphere_homology(report, target), (n, k, kind)
@@ -188,10 +188,10 @@ def test_criterion_7_suspension_identity():
         q_posets += [random_bounded_poset(rng, max_elements=10) for _ in range(10)]
         for q in q_posets:
             via_product = reduced_homology(
-                order_complex(proper_part(product_with_two_chain(q)))
+                proper_part_complex(product_with_two_chain(q))
             )
             via_suspension = reduced_homology(
-                suspension(order_complex(proper_part(q)))
+                suspension(proper_part_complex(q))
             )
             assert homology_dict(via_product) == homology_dict(via_suspension)
 

@@ -1,0 +1,30 @@
+"""The benchmark's tracer wraps library methods by name; a rename breaks it."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = """
+import contextlib, io
+from spans import Tracer
+from higher_bruhat.cli import main
+Tracer().install()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify-sphericity", "--bruhat", "4", "1", "single_step"]) == 0
+    assert main(["check-lemma", "--bruhat", "4", "1", "single_step"]) == 0
+"""
+
+
+def test_tracer_installs_and_traces_a_run():
+    path = os.pathsep.join(os.path.join(ROOT, d) for d in ("bench", "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

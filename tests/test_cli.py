@@ -125,6 +125,37 @@ class TestCheckLemmaCommand:
         wrong_schema.write_text('{"schema": 99}', encoding="utf-8")
         assert main(["check-lemma", "--instance", str(wrong_schema)]) == 3
 
+    @pytest.mark.parametrize(
+        "field,in_poset_block",
+        [("covers", True), ("cover_entry", True), ("bottom", True), ("map_image", False)],
+    )
+    def test_malformed_instance_fields_exit_3(self, field, in_poset_block, tmp_path, capsys):
+        source = tmp_path / "instance.json"
+        assert main(["export", "--bruhat", "3", "1", "single_step",
+                     "--format", "json", "--out", str(source)]) == 0
+        doc = read_json(source)
+        if field == "covers":
+            doc["P"]["covers"] = 5
+        elif field == "cover_entry":
+            a, b = doc["P"]["covers"][0]
+            doc["P"]["covers"][0] = [[a], b]
+        elif field == "bottom":
+            doc["P"]["bottom"] = [doc["P"]["bottom"]]
+        else:
+            label, image = next(iter(doc["maps"]["f"].items()))
+            doc["maps"]["f"][label] = [image]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        commands = [["check-lemma", "--instance", str(bad)]]
+        if in_poset_block:
+            # export reads the poset blocks but passes the maps through
+            commands.append(["export", "--instance", str(bad), "--format", "json"])
+        for argv in commands:
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+
     def test_instance_without_maps_exit_3(self, tmp_path):
         source = tmp_path / "poset_only.json"
         assert main(["export", "--bruhat", "2", "1", "single_step",
@@ -209,9 +240,9 @@ class TestVerifySphericityCommand:
         sizes = []
         build = cli.order_complex
 
-        def recording(p):
-            sizes.append(len(p))
-            return build(p)
+        def recording(p, live):
+            sizes.append(live.bit_count())
+            return build(p, live)
 
         monkeypatch.setattr(cli, "order_complex", recording)
         assert main(["verify-sphericity", "--bruhat", "4", "1", "single_step"]) == 0
@@ -321,6 +352,24 @@ class TestExportCommand:
                      "--format", "dot", "--out", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
         assert text.count("palegreen") == 3 and text.count("lightpink") == 3
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "4", "1"],
+            ["export", "--bruhat", "4", "1", "single_step", "--format", "dot"],
+        ],
+        ids=["enumerate", "export"],
+    )
+    def test_exit_3(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.out"
+        assert main(argv + ["--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert not out.exists()
 
 
 class TestDeterminism:

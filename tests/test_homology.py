@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import (
     dense_matmul,
     homology_dict,
+    proper_part_complex,
     random_bounded_poset,
     random_complex,
     snf_by_minor_gcds,
@@ -26,7 +27,7 @@ from higher_bruhat.homology import (
     reduced_homology,
     smith_normal_form,
 )
-from higher_bruhat.posets import order_complex, product_with_two_chain, proper_part
+from higher_bruhat.posets import product_with_two_chain
 from higher_bruhat.subsets import GroundParams
 
 EMPTY = make_complex(0, [])
@@ -85,8 +86,8 @@ class TestBoundaryMatrices:
         rng = random.Random(2)
         complexes = [RP2, HOLLOW_TRIANGLE, SOLID_TRIANGLE]
         complexes.append(
-            order_complex(
-                proper_part(to_poset(enumerate_bruhat(GroundParams(4, 1)), OrderKind.SINGLE_STEP))
+            proper_part_complex(
+                to_poset(enumerate_bruhat(GroundParams(4, 1)), OrderKind.SINGLE_STEP)
             )
         )
         complexes += [random_complex(rng) for _ in range(10)]
@@ -238,8 +239,8 @@ class TestSuspension:
         ]
         posets += [random_bounded_poset(rng) for _ in range(5)]
         for q in posets:
-            via_product = reduced_homology(order_complex(proper_part(product_with_two_chain(q))))
-            via_suspension = reduced_homology(suspension(order_complex(proper_part(q))))
+            via_product = reduced_homology(proper_part_complex(product_with_two_chain(q)))
+            via_suspension = reduced_homology(suspension(proper_part_complex(q)))
             assert homology_dict(via_product) == homology_dict(via_suspension)
 
 

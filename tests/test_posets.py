@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from helpers import (
     bitwise_transpose,
     homology_dict,
+    members,
     naive_beat_points,
+    naive_chains,
     naive_cover_pairs,
     naive_covers,
-    naive_proper_part,
     pair_walk_check_monotone,
     pair_walk_validate,
     random_bounded_poset,
@@ -75,6 +76,11 @@ def chain_poset(n):
     return from_covers(labels, [(i, i + 1) for i in range(n - 1)], 0, n - 1)
 
 
+def whole(p):
+    """The mask of every element of p."""
+    return (1 << len(p)) - 1
+
+
 def diamond_poset(middle):
     labels = ["bot"] + [f"m{i}" for i in range(middle)] + ["top"]
     covers = [(0, i) for i in range(1, middle + 1)]
@@ -88,7 +94,7 @@ class TestFromCovers:
     def test_two_chain(self):
         p = chain_poset(2)
         assert p.le(0, 1) and not p.le(1, 0)
-        assert len(proper_part(p)) == 0
+        assert proper_part(p) == 0
 
     def test_cycle_rejected(self):
         with pytest.raises(NotAPosetError):
@@ -190,29 +196,33 @@ class TestFromRelation:
 
 class TestProperPart:
     def test_chains(self):
-        assert len(proper_part(chain_poset(2))) == 0
-        assert len(proper_part(chain_poset(3))) == 1
+        assert proper_part(chain_poset(2)) == 0
+        assert proper_part(chain_poset(3)) == 0b010
 
     def test_one_element_poset(self):
         p = FiniteBoundedPoset(("x",), (0b1,), 0, 0)
-        assert len(proper_part(p)) == 0
-        assert proper_part(p) == naive_proper_part(p)
+        assert proper_part(p) == 0
 
     @pytest.mark.parametrize("seed", range(30))
     def test_interior_bounds_match_pairwise(self, seed):
         rng = random.Random(seed)
         p = shuffled(random_bounded_poset(rng), rng)
-        assert proper_part(p) == naive_proper_part(p)
+        assert members(proper_part(p)) == [
+            i for i in range(len(p)) if not (p.le(i, p.bottom) or p.le(p.top, i))
+        ]
+
+    def test_reads_no_row(self):
+        # the bounds alone decide the mask
+        p = random_bounded_poset(random.Random(3))
+        bare = object.__new__(FiniteBoundedPoset)
+        bare.__dict__.update(labels=p.labels, bottom=p.bottom, top=p.top)
+        assert proper_part(bare) == proper_part(p)
 
     def test_bruhat_three_one(self):
-        pp = proper_part(to_poset(enumerate_bruhat(GroundParams(3, 1)), OrderKind.SINGLE_STEP))
+        p = to_poset(enumerate_bruhat(GroundParams(3, 1)), OrderKind.SINGLE_STEP)
+        pp = members(proper_part(p))
         assert len(pp) == 4
-        strict = [
-            (i, j)
-            for i in range(4)
-            for j in range(4)
-            if i != j and pp.le(i, j)
-        ]
+        strict = [(i, j) for i in pp for j in pp if i != j and p.le(i, j)]
         assert len(strict) == 2  # two disjoint two-chains
 
 
@@ -222,9 +232,8 @@ class TestProductWithTwoChain:
         assert len(p) == 4
         assert sorted(p.labels) == ["(c0,0)", "(c0,1)", "(c1,0)", "(c1,1)"]
         # Boolean lattice: the two middle elements are incomparable
-        pp = proper_part(p)
-        assert len(pp) == 2
-        assert not pp.le(0, 1) and not pp.le(1, 0)
+        a, b = members(proper_part(p))
+        assert not p.le(a, b) and not p.le(b, a)
 
     def test_doubles_size(self):
         rng = random.Random(3)
@@ -246,39 +255,42 @@ class TestProductWithTwoChain:
 
 class TestOrderComplex:
     def test_empty_proper_part(self):
-        cx = order_complex(proper_part(chain_poset(2)))
+        p = chain_poset(2)
+        cx = order_complex(p, proper_part(p))
         assert cx.dim == -1
         assert cx.f_vector() == ()
 
     def test_antichain(self):
-        cx = order_complex(proper_part(diamond_poset(4)))
+        p = diamond_poset(4)
+        cx = order_complex(p, proper_part(p))
         assert cx.f_vector() == (4,)
 
     def test_two_disjoint_edges(self):
-        pp = proper_part(to_poset(enumerate_bruhat(GroundParams(3, 1)), OrderKind.SINGLE_STEP))
-        cx = order_complex(pp)
+        p = to_poset(enumerate_bruhat(GroundParams(3, 1)), OrderKind.SINGLE_STEP)
+        cx = order_complex(p, proper_part(p))
         assert cx.f_vector() == (4, 2)
 
     def test_full_chain_gives_simplex(self):
-        cx = order_complex(chain_poset(4))
+        p = chain_poset(4)
+        cx = order_complex(p, whole(p))
         assert cx.f_vector() == (4, 6, 4, 1)
 
     def test_f_vector_counts_chains(self):
         rng = random.Random(11)
         for _ in range(10):
             p = random_bounded_poset(rng)
-            cx = order_complex(p)
+            cx = order_complex(p, whole(p))
             by_len = {}
-            for chain in iter_chains(p):
+            for chain in iter_chains(p, whole(p)):
                 by_len[len(chain)] = by_len.get(len(chain), 0) + 1
             assert cx.f_vector() == tuple(
                 by_len.get(d + 1, 0) for d in range(cx.dim + 1)
             )
-            assert count_chains(p) == sum(cx.f_vector())
+            assert count_chains(p, whole(p)) == sum(cx.f_vector())
 
     def test_monotone_image_of_chain_is_chain(self):
         inst = dissection_instance(enumerate_bruhat(GroundParams(3, 1)), OrderKind.SINGLE_STEP)
-        cx = order_complex(inst.p)
+        cx = order_complex(inst.p, whole(inst.p))
         for fs in cx.faces:
             for face in fs:
                 image = sorted(set(inst.f.images[v] for v in face))
@@ -303,32 +315,10 @@ def with_new_bound(p, above):
 
 
 class TestBeatCore:
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
-    def test_core_of_random_proper_part(self, seed):
-        p = random_bounded_poset(random.Random(seed), max_elements=12)
-        pp = proper_part(p)
-        core = beat_core(pp)
-        assert homology_dict(reduced_homology(order_complex(core))) == homology_dict(
-            reduced_homology(order_complex(pp))
-        )
-        assert naive_beat_points(core) == []
-        # an induced subposet of pp, indexed into the bounded poset p
-        assert core.parent is p
-        assert set(core.parent_index) <= set(pp.parent_index)
-        for a, pa in enumerate(core.parent_index):
-            assert core.labels[a] == p.labels[pa]
-            for b, pb in enumerate(core.parent_index):
-                assert core.le(a, b) == p.le(pa, pb)
-        assert chain_f_vector(pp) == order_complex(pp).f_vector()
-        assert chain_f_vector(p) == order_complex(p).f_vector()
-
     def test_boolean_lattice_is_its_own_core(self):
-        pp = proper_part(boolean_lattice(3))
-        core = beat_core(pp)
-        assert len(core) == 6
-        assert core.parent_index == pp.parent_index
-        assert core.leq == pp.leq
+        p = boolean_lattice(3)
+        pp = proper_part(p)
+        assert beat_core(p, pp) == pp
 
     def test_hanging_beat_points_are_deleted(self):
         # 2^[3] with two points hung between the bottom and the atom {1},
@@ -343,29 +333,63 @@ class TestBeatCore:
             0,
             7,
         )
-        core = beat_core(proper_part(p))
-        assert len(core) == 6
-        assert naive_beat_points(core) == []
+        core = beat_core(p, proper_part(p))
+        assert core == proper_part(b)
+        assert naive_beat_points(p, core) == []
 
     def test_chain_collapses_to_a_point(self):
         for n in range(3, 7):
-            assert len(beat_core(proper_part(chain_poset(n)))) == 1
+            p = chain_poset(n)
+            assert beat_core(p, proper_part(p)).bit_count() == 1
 
     def test_proper_part_with_a_bound_collapses_to_a_point(self):
         rng = random.Random(17)
         for _ in range(20):
             p = random_bounded_poset(rng)
             for above in (True, False):
-                core = beat_core(proper_part(with_new_bound(p, above)))
-                assert len(core) == 1
-            assert len(beat_core(p)) == 1
+                extended = with_new_bound(p, above)
+                assert beat_core(extended, proper_part(extended)).bit_count() == 1
+            assert beat_core(p, whole(p)).bit_count() == 1
 
     def test_empty_proper_part(self):
-        pp = proper_part(chain_poset(2))
-        core = beat_core(pp)
-        assert len(core) == 0
-        assert core.parent_index == ()
-        assert list(chain_f_vector(pp)) == []
+        p = chain_poset(2)
+        assert beat_core(p, proper_part(p)) == 0
+        assert chain_f_vector(p, proper_part(p)) == ()
+
+
+class TestMaskKernels:
+    """The mask kernels against brute force over subsets of live."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_random_subposets(self, seed):
+        rng = random.Random(seed)
+        plain = random_bounded_poset(rng, max_elements=12)
+        for p in (plain, shuffled(plain, rng)):
+            n = len(p)
+            subset = sum(1 << i for i in range(n) if rng.random() < 0.5)
+            for live in (proper_part(p), subset, whole(p)):
+                chains = naive_chains(p, live)
+                listed = list(iter_chains(p, live))
+                assert all(p.le(a, b) for c in listed for a, b in zip(c, c[1:]))
+                assert sorted(tuple(sorted(c)) for c in listed) == sorted(chains)
+                assert count_chains(p, live) == len(chains)
+                sizes = [len(c) for c in chains]
+                assert chain_f_vector(p, live) == tuple(
+                    sizes.count(d) for d in range(1, max(sizes, default=0) + 1)
+                )
+                cx = order_complex(p, live)
+                position = {i: v for v, i in enumerate(members(live))}
+                assert cx.num_vertices == live.bit_count()
+                assert {face for faces in cx.faces for face in faces} == {
+                    tuple(position[i] for i in c) for c in chains
+                }
+                core = beat_core(p, live)
+                assert core & ~live == 0
+                assert naive_beat_points(p, core) == []
+                assert homology_dict(
+                    reduced_homology(order_complex(p, core))
+                ) == homology_dict(reduced_homology(cx))
 
 
 class TestMaximalChains:
@@ -373,9 +397,8 @@ class TestMaximalChains:
         rng = random.Random(5)
         for _ in range(10):
             p = random_bounded_poset(rng)
-            assert count_chains(p) == len(list(iter_chains(p)))
-            pp = proper_part(p)
-            assert count_chains(pp) == len(list(iter_chains(pp)))
+            for live in (whole(p), proper_part(p)):
+                assert count_chains(p, live) == len(list(iter_chains(p, live)))
 
 
 class TestCheckMonotone:
@@ -436,11 +459,9 @@ class TestCertifiedAgainstPairWalk:
             pair_walk_validate(poset.labels, poset.leq, poset.bottom, poset.top)
             assert poset.down == bitwise_transpose(poset.leq, n)
             assert poset.covers() == naive_covers(poset)
-            pp = proper_part(poset)
-            assert pp.down == bitwise_transpose(pp.leq, len(pp))
-            for part in (poset, pp):
-                assert count_chains(part) == size_sorted_count_chains(part)
-                assert chain_f_vector(part) == order_complex(part).f_vector()
+            for live in (whole(poset), proper_part(poset)):
+                assert count_chains(poset, live) == size_sorted_count_chains(poset, live)
+                assert chain_f_vector(poset, live) == order_complex(poset, live).f_vector()
         assert rebuilt == q and rebuilt.down == q.down
         # every comparable pair, some twice: from_covers keeps only the covers
         pairs = [(a, b) for a in range(len(q)) for b in range(len(q)) if a != b and q.le(a, b)]
@@ -450,7 +471,7 @@ class TestCertifiedAgainstPairWalk:
         assert redundant == q and redundant.down == q.down
         assert redundant.covers() == naive_covers(q)
         target = random_bounded_poset(rng)
-        for source in (p, q, proper_part(p)):
+        for source in (p, q):
             for monotone in (True, False):
                 images = random_map(rng, source, target, monotone)
                 m = MonotoneMap(source, target, images)

@@ -14,6 +14,7 @@ from higher_bruhat.posets import (
     MonotoneMap,
     from_covers,
     iter_chains,
+    product_with_two_chain,
     proper_part,
 )
 from higher_bruhat.subsets import GroundParams
@@ -157,9 +158,18 @@ class TestBuildProofMaps:
     def test_three_one_maps(self):
         inst = bruhat_instance(3, 1)
         g, h = build_proof_maps(inst)
-        assert len(g.source.labels) == 4   # proper part of B(3,1)
-        assert len(h.source.labels) == 2   # proper part of B(2,1) x 2
-        assert [g.images[h.images[z]] for z in range(2)] == [0, 1]
+        doubled = product_with_two_chain(inst.q)
+        assert g.source == h.target == inst.p   # B(3,1), 4 proper elements
+        assert h.source == g.target == doubled  # B(2,1) x 2, 2 proper elements
+        assert proper_part(doubled) == 0b0110
+        # bounds go to bounds and proper elements to proper elements
+        for m in (g, h):
+            assert m.images[m.source.bottom] == m.target.bottom
+            assert m.images[m.source.top] == m.target.top
+            source_pp, target_pp = proper_part(m.source), proper_part(m.target)
+            for x, image in enumerate(m.images):
+                assert (source_pp >> x & 1) == (target_pp >> image & 1)
+        assert [g.images[h.images[z]] for z in range(4)] == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("n,k", [(4, 1), (4, 2)])
     @pytest.mark.parametrize("kind", list(OrderKind))
@@ -203,7 +213,7 @@ class TestCarrierConeCheck:
         inst = bruhat_instance(n, k, kind)
         report = carrier_cone_check(inst)
         assert report.chains_checked == report.total_chains
-        assert report.total_chains == len(list(iter_chains(proper_part(inst.p))))
+        assert report.total_chains == len(list(iter_chains(inst.p, proper_part(inst.p))))
         assert report.all_cones
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3)])
@@ -220,7 +230,9 @@ class TestCarrierConeCheck:
         assert set(report.failures) == chain_carrier_failures(inst)
         assert report.all_cones == (variant is None)
         pp = proper_part(inst.p)
-        assert report.pairs_checked == sum(row.bit_count() for row in pp.leq)
+        assert report.pairs_checked == sum(
+            (inst.p.leq[a] & pp).bit_count() for a in range(len(inst.p)) if pp >> a & 1
+        )
 
     def test_swapped_sections_break_cones(self):
         report = carrier_cone_check(swap_sections(bruhat_instance(3, 1)))
