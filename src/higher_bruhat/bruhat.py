@@ -1,12 +1,14 @@
 """Higher Bruhat orders B(n,k) and the structure maps between levels.
 
-An order is grown from the empty family one cardinality at a time, from
-per-packet tables of the members each segment blocks.  The brute-force
-oracle decides membership by scanning every member bitset against every
-packet and must find the same families at every level.  Both relations
-(single-step inclusion and ordinary inclusion) live on the same element
-set; single-step comparability is reachability in the digraph of
-single-member additions.
+An order is grown from the empty family one cardinality at a time.  Each
+level is held as member columns, and a neighbour rule on every packet
+gives the column of families that can take each member.  Every emitted
+family is then certified against the packet segments by the segment
+kernel, which the brute-force oracle also runs over all bitsets, in
+chunks, to decide membership on its own; it must find the same families.
+Both relations (single-step inclusion and ordinary inclusion) live on the
+same element set; single-step comparability is reachability in the
+digraph of single-member additions.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, getitem, or_
+from operator import and_
 
 from . import posets
 from .errors import (
@@ -29,7 +31,10 @@ from .subsets import (
     ConsistentSet,
     GroundParams,
     KSubset,
+    _CHUNK,
+    _certified,
     _packet_checks,
+    _segment_columns,
     colex_rank,
     complement,
     enumerate_subsets,
@@ -113,94 +118,96 @@ class BruhatOrder:
     def inclusion(self) -> tuple[int, ...]:
         """Row bitsets of ordinary inclusion of member families.
 
-        Row i is the AND, over the members of element i, of the column
-        bitset of elements containing that member.
+        Row i is the AND, over the members of element i, of the member
+        column of the elements.
         """
-        containing = posets.transpose(
+        containing = posets._columns(
             [u.bits for u in self.elements], self.params.num_members
         )
         everything = (1 << len(self.elements)) - 1
-        rows = []
-        for u in self.elements:
-            row = everything
-            m = u.bits
-            while m:
-                low = m & -m
-                row &= containing[low.bit_length() - 1]
-                m ^= low
-            rows.append(row)
-        return tuple(rows)
+        return tuple(
+            reduce(and_, map(containing.__getitem__, posets._bits(u.bits)), everything)
+            for u in self.elements
+        )
 
 
 def _bruteforce_bits(params: GroundParams) -> list[int]:
-    checks = _packet_checks(params.n, params.k)
-    out = []
-    for bits in range(1 << params.num_members):
-        for c in checks:
-            if (bits & c.mask) not in c.segments:
-                break
-        else:
-            out.append(bits)
-    return out
+    """Every consistent bitset of the order's width, ascending.
 
-
-def _blocking_tables(n: int, k: int) -> tuple[tuple[dict[int, int], ...], tuple[int, ...]]:
-    """Per packet, a table from its current segment to the members it blocks.
-
-    A consistent family meets each packet in a segment; the table maps that
-    segment to the packet members outside it whose addition would leave a
-    non-segment.  Returned with the packet masks, in packet order.
+    The segment kernel runs over all 2^W bitsets in chunks of _CHUNK
+    consecutive values (one chunk of 2^W when that is smaller).  A chunk
+    starts at a multiple of its size, so its member columns are
+    arithmetic: bit x of the values runs in blocks of 2^x zeros and 2^x
+    ones for x below log2 of the size, and is constant above it.
     """
-    tables = []
-    masks = []
-    for c in _packet_checks(n, k):
-        table = {}
-        for segment in c.segments:
-            blocked = 0
-            m = c.mask & ~segment
-            while m:
-                low = m & -m
-                if segment | low not in c.segments:
-                    blocked |= low
-                m ^= low
-            table[segment] = blocked
-        tables.append(table)
-        masks.append(c.mask)
-    return tuple(tables), tuple(masks)
+    width = params.num_members
+    low = min(width, _CHUNK.bit_length() - 1)
+    size = 1 << low
+    full = (1 << size) - 1
+    periodic = [
+        full // ((1 << (2 << x)) - 1) * (((1 << (1 << x)) - 1) << (1 << x))
+        for x in range(low)
+    ]
+    out = []
+    for start in range(0, 1 << width, size):
+        cols = periodic + [full if start >> x & 1 else 0 for x in range(low, width)]
+        ok = full
+        for _, passing in _segment_columns(cols, full, params.n, params.k):
+            ok &= passing
+        out.extend(start + f for f in posets._bits(ok))
+    return out
 
 
 def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, int]]]:
     """Elements in (cardinality, bits) order and covers in (i, j) order.
 
     The order grows one cardinality at a time from the empty family.  A
-    family's addable mask holds the members whose addition keeps every
-    packet a segment; the next level is the sorted set of one-member
-    growths, and the covers out of a level are read off the same masks
-    once the next level has its indices.
+    level is held as member columns (bit f of column x is set iff family
+    f holds member x), and the addable column of x, built with the
+    neighbour rule below, has bit f set iff f + x is consistent.  The
+    next level is the sorted set of one-member growths, read member by
+    member into per-family lists; the covers out of a level are read off
+    those lists once the next level has its indices.
+
+    Neighbour rule.  Let a packet have members m_1 < ... < m_r in lex
+    order (r >= 2) and let f be consistent with m_t not in f.  Then
+    f + m_t meets the packet in a segment iff m_{t-1} or m_{t+1} is in f
+    (1 < t < r); m_2 is in f or m_r is not (t = 1); m_{r-1} is in f or
+    m_1 is not (t = r).  Proof: f meets the packet in a segment S without
+    m_t, so S is empty, a proper prefix m_1..m_s or a proper suffix
+    m_{r-s+1}..m_r.  If S is empty, {m_t} is a segment iff t is 1 or r,
+    and the rule agrees: no neighbour is in f, and neither is m_r or m_1.
+    If S is a proper prefix, then t > s, and S + m_t is a segment iff
+    t = s + 1, since the only suffix holding m_1 is the whole packet,
+    which S + m_t is only when t = s + 1 = r.  The rule agrees: m_{t-1}
+    is in f iff t = s + 1, m_{t+1} never is, and m_1 is in f.  The proper
+    suffix is the mirror image, with m_{t+1}, t = r - s and m_r.
     """
-    tables, masks = _blocking_tables(params.n, params.k)
-    full = params.full_bits
-
-    def addable(bits: int) -> int:
-        segments = map(and_, itertools.repeat(bits), masks)
-        return full & ~bits & ~reduce(or_, map(getitem, tables, segments), 0)
-
+    width = params.num_members
+    packets = [c.members for c in _packet_checks(params.n, params.k)]
     elements: list[int] = []
     covers: list[tuple[int, int]] = []
     level = [0]
     while level:
-        growths = []
-        for bits, add in zip(level, map(addable, level)):
-            row = []
-            while add:
-                low = add & -add
-                row.append(bits | low)
-                add ^= low
-            growths.append(row)
-        upper = sorted(set(itertools.chain.from_iterable(growths)))
+        cols = posets._columns(level, width)
+        full = (1 << len(level)) - 1
+        absent = [full ^ col for col in cols]
+        add = list(absent)
+        for m in packets:
+            add[m[0]] &= cols[m[1]] | absent[m[-1]]
+            add[m[-1]] &= cols[m[-2]] | absent[m[0]]
+            for prev, mid, nxt in zip(m, m[1:], m[2:]):
+                add[mid] &= cols[prev] | cols[nxt]
+        growths: list[list[int]] = [[] for _ in level]
+        for x, col in enumerate(add):
+            bit = 1 << x
+            for f in posets._bits(col):
+                growths[f].append(level[f] | bit)
+        flat = list(itertools.chain.from_iterable(growths))
+        upper = sorted(set(flat))
         pos = {bits: j for j, bits in enumerate(upper, len(elements) + len(level))}
-        for i, row in enumerate(growths, len(elements)):
-            covers.extend(zip(itertools.repeat(i), map(pos.__getitem__, row)))
+        tails = map(itertools.repeat, itertools.count(len(elements)), map(len, growths))
+        covers.extend(zip(itertools.chain.from_iterable(tails), map(pos.__getitem__, flat)))
         elements.extend(level)
         level = upper
     return elements, covers
@@ -213,10 +220,12 @@ def enumerate_bruhat(
 ) -> BruhatOrder:
     """Enumerate B(n,k); method is "bfs" or "bruteforce" (an oracle pair).
 
-    Both grow the order level by level from addable masks, which also give
-    the covers.  "bruteforce" then decides membership by scanning every
-    bitset against every packet, and raises InvariantError unless the scan
-    finds the same families.
+    Both grow the order level by level from addable columns, which also
+    give the covers.  "bruteforce" then decides membership by scanning
+    every bitset against every packet, and raises InvariantError unless
+    the scan finds the same families.  The grown families are certified
+    against every packet before they become elements; a failure raises
+    InvariantError.
     """
     if method not in ("bfs", "bruteforce"):
         raise ParameterError(f"unknown enumeration method {method!r}")
@@ -237,8 +246,7 @@ def enumerate_bruhat(
                 f"brute-force scan and addable-mask growth disagree: the scan finds "
                 f"{len(scanned)} families, the growth {len(found)}"
             )
-    elements = tuple(ConsistentSet(params, b) for b in found)
-    return BruhatOrder(params, elements, tuple(covers))
+    return BruhatOrder(params, _certified(params, found), tuple(covers))
 
 
 def leq_inclusion(u: ConsistentSet, v: ConsistentSet) -> bool:

@@ -80,6 +80,22 @@ def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def _columns(rows: Sequence[int], width: int) -> list[int]:
+    """transpose(rows, width) by one stride scan, for narrow matrices.
+
+    In the rows' binary strings, joined last row first, the characters at
+    stride width from position width - 1 - j spell column j, last row
+    first.  The joined string takes a byte per matrix entry, so this suits
+    many rows of few columns, such as families over their members, and not
+    a square relation.  Every row must fit in width bits.
+    """
+    if not rows:
+        return [0] * width
+    spec = f"0{width}b"
+    joined = "".join([format(row, spec) for row in reversed(rows)])
+    return [int(joined[width - 1 - j::width], 2) for j in range(width)]
+
+
 def _hasse(up: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Covers of a transitive relation given by its up rows, ascending.
 

@@ -4,16 +4,22 @@ Ground-set elements are 1-based throughout.  The canonical index of a
 subset is its colexicographic rank, which does not depend on the size of
 the ground set: a subset of [n-1] keeps its rank when the ground set grows
 to [n].  All member families are stored as bitsets indexed by that rank.
+
+A list of families can also be held as member columns, one bitset per
+member with bit f set iff family f holds it; the segment kernel checks
+every family of such a list against a packet with a few whole-column ANDs.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from .errors import InconsistentSetError, InvariantError, ParameterError
+from .posets import _bits, _columns
 
 __all__ = [
     "GroundParams",
@@ -156,15 +162,18 @@ class _PacketCheck:
     """One packet compiled to bit level: mask plus every legal intersection."""
 
     base: tuple[int, ...]
+    members: tuple[int, ...]
     mask: int
     segments: frozenset[int]
 
 
 @lru_cache(maxsize=None)
 def _packet_checks(n: int, k: int) -> tuple[_PacketCheck, ...]:
+    """Every packet of B(n,k), its members as colex ranks in lex order."""
     checks = []
     for base in itertools.combinations(range(1, n + 1), k + 2):
-        bits = [1 << colex_rank(m) for m in sorted(itertools.combinations(base, k + 1))]
+        members = tuple(colex_rank(m) for m in sorted(itertools.combinations(base, k + 1)))
+        bits = [1 << x for x in members]
         mask = 0
         for b in bits:
             mask |= b
@@ -177,8 +186,36 @@ def _packet_checks(n: int, k: int) -> tuple[_PacketCheck, ...]:
         for b in reversed(bits[1:]):
             acc |= b
             segments.add(acc)
-        checks.append(_PacketCheck(base, mask, frozenset(segments)))
+        checks.append(_PacketCheck(base, members, mask, frozenset(segments)))
     return tuple(checks)
+
+
+# Families per pass of the segment kernel, so that a member column holds at
+# most this many bits.
+_CHUNK = 1 << 16
+
+
+def _segment_columns(
+    cols: Sequence[int], full: int, n: int, k: int
+) -> Iterator[tuple[_PacketCheck, int]]:
+    """Per packet, the column of the families that meet it in a segment.
+
+    Straight from the definition: a family passes a packet iff its
+    intersection with the packet is one of the packet's segments, and the
+    families with a given intersection are the AND, over the packet's
+    members, of the member's column or of its complement.  Yields
+    (check, passing column) over families given by member columns, all
+    families at once; full has one bit per family.
+    """
+    comps = [full ^ col for col in cols]
+    for c in _packet_checks(n, k):
+        passing = 0
+        for segment in c.segments:
+            hit = full
+            for x in c.members:
+                hit &= cols[x] if segment >> x & 1 else comps[x]
+            passing |= hit
+        yield c, passing
 
 
 def _bits_of(members, params: GroundParams) -> int:
@@ -218,13 +255,14 @@ def violating_packets(members, params: GroundParams) -> list[Packet]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsistentSet:
     """An element of a higher Bruhat order.
 
     A family of (k+1)-subsets of [n] meeting every packet in a segment,
     stored as a bitset over colex ranks.  Consistency is verified at
-    construction, so a ConsistentSet in hand is always certified.
+    construction, or in bulk by _certified for the families of an
+    enumeration, so a ConsistentSet in hand is always certified.
     """
 
     params: GroundParams
@@ -263,14 +301,47 @@ class ConsistentSet:
         return bool(self.bits >> colex_rank(elems) & 1)
 
     def __str__(self) -> str:
-        names = _member_names(self.params.n, self.params.member_size)
-        out = []
-        m = self.bits
-        while m:
-            low = m & -m
-            out.append(names[low.bit_length() - 1])
-            m ^= low
-        return "{" + ",".join(out) + "}"
+        return _label(self.params, self.bits)
+
+
+def _label(params: GroundParams, bits: int) -> str:
+    """The str() of a member family, from the cached member names."""
+    names = _member_names(params.n, params.member_size)
+    return "{" + ",".join(map(names.__getitem__, _bits(bits))) + "}"
+
+
+def _certified(params: GroundParams, families: Sequence[int]) -> tuple[ConsistentSet, ...]:
+    """ConsistentSets of families checked in bulk against every packet.
+
+    The families are checked by the segment kernel, _CHUNK of them at a
+    time over their member columns, and the sets are then built without
+    re-running the check one family at a time.  A family that fails a
+    packet was produced by a faulty enumeration, so it raises
+    InvariantError naming the family and the packet.
+    """
+    width = params.num_members
+    if families and not 0 <= min(families) <= max(families) <= params.full_bits:
+        raise InvariantError(f"enumeration emitted a bitset out of range for {params}")
+    for start in range(0, len(families), _CHUNK):
+        chunk = families[start:start + _CHUNK]
+        full = (1 << len(chunk)) - 1
+        for c, passing in _segment_columns(_columns(chunk, width), full, params.n, params.k):
+            failing = full ^ passing
+            if failing:
+                bad = chunk[(failing & -failing).bit_length() - 1]
+                raise InvariantError(
+                    f"enumeration emitted {_label(params, bad)}, which is inconsistent "
+                    f"on the packet with base {c.base}"
+                )
+    new = ConsistentSet.__new__
+    setattr_ = object.__setattr__
+    out = []
+    for bits in families:
+        u = new(ConsistentSet)
+        setattr_(u, "params", params)
+        setattr_(u, "bits", bits)
+        out.append(u)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,9 @@ the same answers.
 """
 
 import itertools
+from functools import reduce
 from math import gcd
+from operator import and_, getitem, or_
 
 from higher_bruhat import __version__
 from higher_bruhat.bruhat import OrderKind, enumerate_bruhat, to_poset
@@ -21,7 +23,7 @@ from higher_bruhat.posets import (
     order_complex,
     proper_part,
 )
-from higher_bruhat.subsets import GroundParams
+from higher_bruhat.subsets import GroundParams, _packet_checks
 from higher_bruhat.suspension_check import HOMOTOPY_DISCLAIMER
 
 
@@ -212,6 +214,78 @@ def bitwise_transpose(rows, width):
             cols[low.bit_length() - 1] |= 1 << i
             m ^= low
     return tuple(cols)
+
+
+def per_bitset_bruteforce_bits(params):
+    """Every consistent bitset, testing each bitset against each packet in turn."""
+    checks = _packet_checks(params.n, params.k)
+    out = []
+    for bits in range(1 << params.num_members):
+        for c in checks:
+            if (bits & c.mask) not in c.segments:
+                break
+        else:
+            out.append(bits)
+    return out
+
+
+def blocking_tables(n, k):
+    """Per packet, a table from its current segment to the members it blocks.
+
+    A consistent family meets each packet in a segment; the table maps that
+    segment to the packet members outside it whose addition would leave a
+    non-segment.  Returned with the packet masks, in packet order.
+    """
+    tables = []
+    masks = []
+    for c in _packet_checks(n, k):
+        table = {}
+        for segment in c.segments:
+            blocked = 0
+            m = c.mask & ~segment
+            while m:
+                low = m & -m
+                if segment | low not in c.segments:
+                    blocked |= low
+                m ^= low
+            table[segment] = blocked
+        tables.append(table)
+        masks.append(c.mask)
+    return tuple(tables), tuple(masks)
+
+
+def table_grow(params):
+    """Elements in (cardinality, bits) order and covers in (i, j) order.
+
+    Each family's addable mask is read from the per-packet blocking tables,
+    one family at a time.
+    """
+    tables, masks = blocking_tables(params.n, params.k)
+    full = params.full_bits
+
+    def addable(bits):
+        segments = map(and_, itertools.repeat(bits), masks)
+        return full & ~bits & ~reduce(or_, map(getitem, tables, segments), 0)
+
+    elements = []
+    covers = []
+    level = [0]
+    while level:
+        growths = []
+        for bits, add in zip(level, map(addable, level)):
+            row = []
+            while add:
+                low = add & -add
+                row.append(bits | low)
+                add ^= low
+            growths.append(row)
+        upper = sorted(set(itertools.chain.from_iterable(growths)))
+        pos = {bits: j for j, bits in enumerate(upper, len(elements) + len(level))}
+        for i, row in enumerate(growths, len(elements)):
+            covers.extend(zip(itertools.repeat(i), map(pos.__getitem__, row)))
+        elements.extend(level)
+        level = upper
+    return elements, covers
 
 
 def pair_walk_validate(labels, leq, bottom, top):

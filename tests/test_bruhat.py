@@ -1,9 +1,17 @@
 import itertools
+import re
 from math import comb, factorial
 
 import pytest
 
-from helpers import inversion_family, naive_cover_pairs, naive_inclusion_rows, naive_label
+from helpers import (
+    inversion_family,
+    naive_cover_pairs,
+    naive_inclusion_rows,
+    naive_label,
+    per_bitset_bruteforce_bits,
+    table_grow,
+)
 from higher_bruhat import bruhat
 from higher_bruhat.bruhat import (
     OrderKind,
@@ -20,9 +28,19 @@ from higher_bruhat.bruhat import (
     to_poset,
 )
 from higher_bruhat.errors import InvariantError, ParameterError, ResourceLimitError
-from higher_bruhat.subsets import ConsistentSet, GroundParams, complement
+from higher_bruhat.subsets import ConsistentSet, GroundParams, KSubset, complement
 
 ORDER_CACHE = {}
+
+# Every B(n,k) with n <= 7, and the larger rungs the CLI tests reach.
+GROWTH_CASES = [(n, k) for n in range(1, 8) for k in range(n)] + [
+    (8, 4), (10, 7), (9, 7), (8, 6),
+]
+# Every B(n,k) with n <= 7 the brute-force limit admits, and one-packet
+# orders of 16, 17, 20 and 21 members, on both sides of the 2^16 chunk.
+SCAN_CASES = [(n, k) for n in range(1, 8) for k in range(n) if comb(n, k + 1) <= 21] + [
+    (16, 14), (17, 15), (20, 18), (21, 19),
+]
 
 
 def order(n, k, method="bfs"):
@@ -93,6 +111,56 @@ class TestEnumeration:
         )
         with pytest.raises(InvariantError, match="finds 5 families, the growth 6"):
             enumerate_bruhat(GroundParams(3, 1), method="bruteforce")
+
+    @pytest.mark.parametrize("n,k", GROWTH_CASES)
+    def test_sliced_growth_matches_table_growth(self, n, k):
+        params = GroundParams(n, k)
+        assert bruhat._grow(params) == table_grow(params)
+
+    @pytest.mark.parametrize("n,k", SCAN_CASES)
+    def test_sliced_scan_matches_per_bitset_scan(self, n, k):
+        params = GroundParams(n, k)
+        assert bruhat._bruteforce_bits(params) == per_bitset_bruteforce_bits(params)
+
+    def test_scan_cases_straddle_the_chunk(self):
+        widths = {comb(n, k + 1) for n, k in SCAN_CASES}
+        assert {16, 17, 20, 21} <= widths
+
+    def test_inconsistent_growth_raises(self, monkeypatch):
+        grow = bruhat._grow
+
+        def flipped(params):
+            elements, covers = grow(params)
+            # {1,2,4} alone meets the packet of {1,2,3,4} in its second member
+            elements[0] ^= 1 << KSubset((1, 2, 4)).rank
+            return elements, covers
+
+        monkeypatch.setattr(bruhat, "_grow", flipped)
+        message = "emitted {{1,2,4}}, which is inconsistent on the packet with base (1, 2, 3, 4)"
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            enumerate_bruhat(GroundParams(6, 2))
+
+    def test_out_of_range_growth_raises(self, monkeypatch):
+        grow = bruhat._grow
+
+        def widened(params):
+            elements, covers = grow(params)
+            elements[-1] |= 1 << params.num_members
+            return elements, covers
+
+        monkeypatch.setattr(bruhat, "_grow", widened)
+        with pytest.raises(InvariantError, match="out of range"):
+            enumerate_bruhat(GroundParams(4, 1))
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 2)])
+    def test_batch_built_elements_match_single_constructions(self, n, k):
+        for u in order(n, k).elements:
+            single = ConsistentSet(u.params, u.bits)
+            assert u == single
+            assert hash(u) == hash(single)
+            assert str(u) == str(single)
+            assert repr(u) == repr(single)
+            assert not hasattr(u, "__dict__")
 
     def test_weak_order_counts_and_inversion_sets(self):
         for n in range(2, 6):

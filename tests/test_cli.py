@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from math import factorial
 
 import pytest
 
@@ -9,7 +10,7 @@ from higher_bruhat import bruhat, cli, posets
 from higher_bruhat.bruhat import BruhatOrder, OrderKind, enumerate_bruhat, to_poset
 from higher_bruhat.cli import main
 from higher_bruhat.instance_io import load_instance
-from higher_bruhat.subsets import GroundParams
+from higher_bruhat.subsets import GroundParams, KSubset
 
 
 def read_json(path):
@@ -45,6 +46,30 @@ class TestEnumerateCommand:
         monkeypatch.setattr(bruhat, "_bruteforce_bits", lambda params: scan(params)[:-1])
         assert main(["enumerate", "4", "1", "--method", "both"]) == 1
         assert "disagree" in capsys.readouterr().err
+
+    def test_inconsistent_growth_is_exit_1(self, monkeypatch, capsys):
+        grow = bruhat._grow
+
+        def flipped(params):
+            elements, covers = grow(params)
+            elements[0] ^= 1 << KSubset((1, 2, 4)).rank
+            return elements, covers
+
+        monkeypatch.setattr(bruhat, "_grow", flipped)
+        assert main(["enumerate", "6", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: enumeration emitted {{1,2,4}}")
+
+    def test_seven_one_bruteforce_rung(self, tmp_path):
+        # the largest brute-force rung under the default limit: 2^21 bitsets
+        out = tmp_path / "report.json"
+        assert main(["enumerate", "7", "1", "--method", "both", "--out", str(out)]) == 0
+        report = read_json(out)
+        assert report["count"] == factorial(7)
+        assert report["oracle_match"] is True
 
     def test_eight_four_scale_rung(self, tmp_path, monkeypatch):
         built = []

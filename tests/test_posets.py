@@ -443,6 +443,23 @@ def naive_up_covers(p, a):
     return [b for x, b in naive_covers(p) if x == a]
 
 
+class TestColumns:
+    """The stride-scan columns against the per-bit transpose."""
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 63, 64, 65])
+    def test_random_rows(self, width):
+        rng = random.Random(width)
+        for count in (0, 1, 2, 9, 200):
+            rows = [rng.getrandbits(width) for _ in range(count)]
+            expected = bitwise_transpose(rows, width)
+            assert posets._columns(rows, width) == list(expected)
+            assert posets.transpose(rows, width) == expected
+
+    def test_zero_and_full_rows(self):
+        rows = [0, (1 << 64) - 1, 1, 1 << 63, 0]
+        assert posets._columns(rows, 64) == list(bitwise_transpose(rows, 64))
+
+
 class TestCertifiedAgainstPairWalk:
     """The certified, cover-based routes against the former pair-walk ones."""
 

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from helpers import naive_colex_subsets, naive_is_consistent
 from higher_bruhat.errors import InconsistentSetError, InvariantError, ParameterError
+from higher_bruhat.posets import _columns
 from higher_bruhat.subsets import (
     ConsistentSet,
     GroundParams,
     KSubset,
+    _segment_columns,
     complement,
     enumerate_subsets,
     find_interval,
@@ -147,6 +149,33 @@ class TestIsConsistent:
         params = GroundParams(n, k)
         assert is_consistent(family, params) == naive_is_consistent(family, n, k)
         assert is_consistent(family, params) == (not violating_packets(family, params))
+
+
+class TestSegmentKernel:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_is_consistent_on_random_bitsets(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=7))
+        k = data.draw(st.integers(min_value=0, max_value=n - 1))
+        params = GroundParams(n, k)
+        subs = [s.elements for s in enumerate_subsets(n, k + 1)]
+        bitsets = data.draw(st.lists(st.integers(0, params.full_bits), max_size=40))
+        families = [[subs[i] for i in range(len(subs)) if bits >> i & 1] for bits in bitsets]
+        violated = [
+            {p.base.elements for p in violating_packets(family, params)}
+            for family in families
+        ]
+        full = (1 << len(bitsets)) - 1
+        ok = full
+        for check, passing in _segment_columns(
+            _columns(bitsets, params.num_members), full, n, k
+        ):
+            ok &= passing
+            for f, bases in enumerate(violated):
+                assert bool(passing >> f & 1) == (check.base not in bases)
+        for f, family in enumerate(families):
+            assert bool(ok >> f & 1) == is_consistent(family, params)
+            assert bool(ok >> f & 1) == naive_is_consistent(family, n, k)
 
 
 class TestViolatingPackets:
