@@ -2,10 +2,11 @@
 
 An order is grown from the empty family one cardinality at a time.  Each
 level is held as member columns, and a neighbour rule on every packet
-gives the column of families that can take each member.  Every emitted
-family is then certified against the packet segments by the segment
-kernel, which the brute-force oracle also runs over all bitsets, in
-chunks, to decide membership on its own; it must find the same families.
+gives the column of families that can take each member.  Each level is
+certified against the packet segments by the segment kernel before the
+next one grows.  The brute-force oracle runs the same kernel over all
+bitsets, in chunks, to decide membership on its own; it must find the
+same families.
 Both relations (single-step inclusion and ordinary inclusion) live on the
 same element set; single-step comparability is reachability in the
 digraph of single-member additions.
@@ -31,8 +32,8 @@ from .subsets import (
     ConsistentSet,
     GroundParams,
     KSubset,
-    _CHUNK,
-    _certified,
+    _certified_sets,
+    _label,
     _packet_checks,
     _segment_columns,
     colex_rank,
@@ -63,6 +64,10 @@ __all__ = [
 
 DEFAULT_BFS_LIMIT = 64
 DEFAULT_BRUTEFORCE_LIMIT = 24
+
+# Bitsets per pass of the brute-force scan, so that a member column holds
+# at most this many bits.
+_CHUNK = 1 << 16
 
 
 class OrderKind(enum.Enum):
@@ -118,17 +123,27 @@ class BruhatOrder:
     def inclusion(self) -> tuple[int, ...]:
         """Row bitsets of ordinary inclusion of member families.
 
-        Row i is the AND, over the members of element i, of the member
-        column of the elements.
+        The families containing that of b are those containing the family
+        of a lower cover a of b and the member that b adds, so row b is
+        row a ANDed with that member's column of the elements: one AND per
+        element.  A cover is used only when its lower family lies inside
+        the upper one, so the rows never depend on the covers being right.
+        An element with no such cover, such as the empty family, starts
+        from every element and ANDs the columns of all its members.
         """
-        containing = posets._columns(
-            [u.bits for u in self.elements], self.params.num_members
-        )
-        everything = (1 << len(self.elements)) - 1
-        return tuple(
-            reduce(and_, map(containing.__getitem__, posets._bits(u.bits)), everything)
-            for u in self.elements
-        )
+        bits = [u.bits for u in self.elements]
+        containing = posets._columns(bits, self.params.num_members)
+        everything = (1 << len(bits)) - 1
+        first_cover = {b: a for a, b in reversed(self.covers)}
+        rows: list[int] = []
+        for b, family in enumerate(bits):
+            a = first_cover.get(b, b)
+            if a < b and not bits[a] & ~family:
+                row, added = rows[a], family ^ bits[a]
+            else:
+                row, added = everything, family
+            rows.append(reduce(and_, map(containing.__getitem__, posets._bits(added)), row))
+        return tuple(rows)
 
 
 def _bruteforce_bits(params: GroundParams) -> list[int]:
@@ -158,16 +173,38 @@ def _bruteforce_bits(params: GroundParams) -> list[int]:
     return out
 
 
+def _addable(cols: list[int], absent: list[int], packets: list[tuple[int, ...]]) -> list[int]:
+    """Per member x, the column of the families of a level that can take x.
+
+    cols and absent are the level's member columns and their complements,
+    and packets holds each packet's members in lex order.  The result
+    applies the neighbour rule of _grow to every packet.
+    """
+    add = list(absent)
+    for m in packets:
+        add[m[0]] &= cols[m[1]] | absent[m[-1]]
+        add[m[-1]] &= cols[m[-2]] | absent[m[0]]
+        for prev, mid, nxt in zip(m, m[1:], m[2:]):
+            add[mid] &= cols[prev] | cols[nxt]
+    return add
+
+
 def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, int]]]:
     """Elements in (cardinality, bits) order and covers in (i, j) order.
 
     The order grows one cardinality at a time from the empty family.  A
     level is held as member columns (bit f of column x is set iff family
-    f holds member x), and the addable column of x, built with the
-    neighbour rule below, has bit f set iff f + x is consistent.  The
-    next level is the sorted set of one-member growths, read member by
-    member into per-family lists; the covers out of a level are read off
-    those lists once the next level has its indices.
+    f holds member x), and the addable column of x, built by _addable
+    with the neighbour rule below, has bit f set iff f + x is consistent.
+    The next level is the sorted set of one-member growths, read member
+    by member into per-family lists; the covers out of a level are read
+    off those lists once the next level has its indices.
+
+    Before a level is grown, the segment kernel certifies it on the same
+    columns, straight from the definition of consistency and apart from
+    the neighbour rule.  A family that fails a packet raises
+    InvariantError naming the family and the packet, at the first level
+    that holds one, so a faulty rule stops before its levels grow large.
 
     Neighbour rule.  Let a packet have members m_1 < ... < m_r in lex
     order (r >= 2) and let f be consistent with m_t not in f.  Then
@@ -191,13 +228,15 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, int]]]:
     while level:
         cols = posets._columns(level, width)
         full = (1 << len(level)) - 1
-        absent = [full ^ col for col in cols]
-        add = list(absent)
-        for m in packets:
-            add[m[0]] &= cols[m[1]] | absent[m[-1]]
-            add[m[-1]] &= cols[m[-2]] | absent[m[0]]
-            for prev, mid, nxt in zip(m, m[1:], m[2:]):
-                add[mid] &= cols[prev] | cols[nxt]
+        for c, passing in _segment_columns(cols, full, params.n, params.k):
+            failing = full ^ passing
+            if failing:
+                bad = level[(failing & -failing).bit_length() - 1]
+                raise InvariantError(
+                    f"enumeration emitted {_label(params, bad)}, which is inconsistent "
+                    f"on the packet with base {c.base}"
+                )
+        add = _addable(cols, [full ^ col for col in cols], packets)
         growths: list[list[int]] = [[] for _ in level]
         for x, col in enumerate(add):
             bit = 1 << x
@@ -223,8 +262,8 @@ def enumerate_bruhat(
     Both grow the order level by level from addable columns, which also
     give the covers.  "bruteforce" then decides membership by scanning
     every bitset against every packet, and raises InvariantError unless
-    the scan finds the same families.  The grown families are certified
-    against every packet before they become elements; a failure raises
+    the scan finds the same families.  The growth certifies every level
+    against every packet before it grows the next; a failure raises
     InvariantError.
     """
     if method not in ("bfs", "bruteforce"):
@@ -246,7 +285,7 @@ def enumerate_bruhat(
                 f"brute-force scan and addable-mask growth disagree: the scan finds "
                 f"{len(scanned)} families, the growth {len(found)}"
             )
-    return BruhatOrder(params, _certified(params, found), tuple(covers))
+    return BruhatOrder(params, _certified_sets(params, found), tuple(covers))
 
 
 def leq_inclusion(u: ConsistentSet, v: ConsistentSet) -> bool:

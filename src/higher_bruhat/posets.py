@@ -407,14 +407,29 @@ def _bottom_up(p: FiniteBoundedPoset, live: int) -> list[int]:
 
 
 def count_chains(p: FiniteBoundedPoset, live: int) -> int:
-    """Number of non-empty chains of live, without enumerating them."""
+    """Number of non-empty chains of live, without enumerating them.
+
+    The chains ending at i are i alone or i on top of a chain ending
+    strictly below i, so their number e_i is 1 plus the sum of e_j over
+    the members j of live below i.  The counts are held as bit planes:
+    plane t is the mask of the members counted so far whose e_j has bit t
+    set, so the sum is the sum over t of popcount(plane_t & down[i]) << t,
+    one AND and one popcount per plane.  The planes hold only members
+    that come before i in a linear extension, so down[i] needs no mask.
+    """
     down = p.down
-    ending = [0] * len(down)
+    planes: list[int] = []
+    total = 0
     for i in _bottom_up(p, live):
-        # chains ending at i are i alone or i on top of a chain ending
-        # strictly below i
-        ending[i] = 1 + sum(map(ending.__getitem__, _bits(down[i] & live & ~(1 << i))))
-    return sum(ending)
+        e = 1
+        for t, count in enumerate(map(int.bit_count, map(down[i].__and__, planes))):
+            e += count << t
+        total += e
+        bit = 1 << i
+        planes.extend(repeat(0, e.bit_length() - len(planes)))
+        for t in _bits(e):
+            planes[t] |= bit
+    return total
 
 
 def chain_f_vector(p: FiniteBoundedPoset, live: int) -> tuple[int, ...]:

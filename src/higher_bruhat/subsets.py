@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import InconsistentSetError, InvariantError, ParameterError
-from .posets import _bits, _columns
+from .posets import _bits
 
 __all__ = [
     "GroundParams",
@@ -190,11 +190,6 @@ def _packet_checks(n: int, k: int) -> tuple[_PacketCheck, ...]:
     return tuple(checks)
 
 
-# Families per pass of the segment kernel, so that a member column holds at
-# most this many bits.
-_CHUNK = 1 << 16
-
-
 def _segment_columns(
     cols: Sequence[int], full: int, n: int, k: int
 ) -> Iterator[tuple[_PacketCheck, int]]:
@@ -261,8 +256,8 @@ class ConsistentSet:
 
     A family of (k+1)-subsets of [n] meeting every packet in a segment,
     stored as a bitset over colex ranks.  Consistency is verified at
-    construction, or in bulk by _certified for the families of an
-    enumeration, so a ConsistentSet in hand is always certified.
+    construction, or in bulk by the enumeration that emits the family, so
+    a ConsistentSet in hand is always certified.
     """
 
     params: GroundParams
@@ -310,29 +305,18 @@ def _label(params: GroundParams, bits: int) -> str:
     return "{" + ",".join(map(names.__getitem__, _bits(bits))) + "}"
 
 
-def _certified(params: GroundParams, families: Sequence[int]) -> tuple[ConsistentSet, ...]:
-    """ConsistentSets of families checked in bulk against every packet.
+def _certified_sets(
+    params: GroundParams, families: Sequence[int]
+) -> tuple[ConsistentSet, ...]:
+    """ConsistentSets of families that an enumeration has certified.
 
-    The families are checked by the segment kernel, _CHUNK of them at a
-    time over their member columns, and the sets are then built without
-    re-running the check one family at a time.  A family that fails a
-    packet was produced by a faulty enumeration, so it raises
-    InvariantError naming the family and the packet.
+    The enumeration checks its families in bulk with the segment kernel,
+    so the sets are built without re-running the check one family at a
+    time.  Only the range is checked here: a bitset out of range was
+    produced by a faulty enumeration and raises InvariantError.
     """
-    width = params.num_members
     if families and not 0 <= min(families) <= max(families) <= params.full_bits:
         raise InvariantError(f"enumeration emitted a bitset out of range for {params}")
-    for start in range(0, len(families), _CHUNK):
-        chunk = families[start:start + _CHUNK]
-        full = (1 << len(chunk)) - 1
-        for c, passing in _segment_columns(_columns(chunk, width), full, params.n, params.k):
-            failing = full ^ passing
-            if failing:
-                bad = chunk[(failing & -failing).bit_length() - 1]
-                raise InvariantError(
-                    f"enumeration emitted {_label(params, bad)}, which is inconsistent "
-                    f"on the packet with base {c.base}"
-                )
     new = ConsistentSet.__new__
     setattr_ = object.__setattr__
     out = []

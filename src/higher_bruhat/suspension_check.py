@@ -268,38 +268,34 @@ def carrier_cone_check(inst: DissectionInstance) -> CarrierReport:
     carrier element can be incomparable to the apex, since the apex is
     either i(f(min s)), below the whole carrier, or j(f(max s)), above it.
     The carrier depends on s only through its least and greatest
-    elements, and every comparable pair a <= b is itself a chain, so
-    checking each comparable pair of the proper part covers every chain.
-    A failure names the pair as the chain a<b (or a, when a = b).
+    elements, and every comparable pair a <= b is itself a chain, so the
+    chains are covered by the comparable pairs of the proper part.
+
+    A pair a <= b decides through its fibre class (f(a), f(b)) alone, so
+    each class is decided once.  One pass over the proper a builds, for
+    each c in Q, fibre[c], the proper elements with f(a) = c, and
+    above[c], the union of their up rows within the proper part.  A class
+    (c, d) is realised by some pair iff above[c] meets fibre[d].  A
+    monotone f realises only classes with c <= d, so d runs over the up
+    row of c in Q.  Every member of above[c] lies in some fibre[d]; if
+    one lies outside the fibres of that row, f is not monotone and a
+    realised class was not tested.  Then, and when a tested class fails,
+    the comparable pairs are walked to list the failures, each named as
+    the chain a<b (or a, when a = b).  Otherwise every realised class, and
+    so every pair and every chain, has a coned carrier.  pairs_checked
+    counts the pairs as the popcounts of the same up rows.
     """
-    p = inst.p
-    up, down = p.leq, p.down
-    bounds = (p.bottom, p.top)
+    p, q, f = inst.p, inst.q, inst.f.images
     proper = proper_part(p)
-
-    def chain(a: int, b: int) -> str:
-        return p.labels[a] if a == b else f"{p.labels[a]}<{p.labels[b]}"
-
-    failures = []
+    fibre = [0] * len(q.labels)
+    above = [0] * len(q.labels)
     pairs = 0
     for a in _bits(proper):
-        lo = inst.i.images[inst.f.images[a]]
-        for b in _bits(up[a] & proper):
-            pairs += 1
-            hi = inst.j.images[inst.f.images[b]]
-            apex = None
-            if lo not in bounds:
-                apex = lo
-            elif hi not in bounds:
-                apex = hi
-            if apex is None:
-                failures.append(f"chain {chain(a, b)}: neither carrier endpoint is proper")
-                continue
-            carrier = up[lo] & down[hi] & proper
-            if not carrier >> apex & 1:
-                failures.append(
-                    f"chain {chain(a, b)}: apex {p.labels[apex]} outside its carrier"
-                )
+        row = p.leq[a] & proper
+        fibre[f[a]] |= 1 << a
+        above[f[a]] |= row
+        pairs += row.bit_count()
+    failures = [] if _classes_cone(inst, fibre, above) else _pair_failures(inst, proper)
     total = count_chains(p, proper)
     return CarrierReport(
         total_chains=total,
@@ -308,3 +304,46 @@ def carrier_cone_check(inst: DissectionInstance) -> CarrierReport:
         failures=tuple(failures),
         notes=(HOMOTOPY_DISCLAIMER,),
     )
+
+
+def _cone_failure(p: FiniteBoundedPoset, lo: int, hi: int) -> str | None:
+    """Why the carrier from lo to hi is not a cone, or None when it is.
+
+    The apex is lo when lo is proper, else hi when hi is.  Being proper,
+    it lies in the carrier iff lo <= apex <= hi, that is iff lo <= hi.
+    """
+    bounds = (p.bottom, p.top)
+    if lo in bounds and hi in bounds:
+        return "neither carrier endpoint is proper"
+    if not p.le(lo, hi):
+        apex = hi if lo in bounds else lo
+        return f"apex {p.labels[apex]} outside its carrier"
+    return None
+
+
+def _classes_cone(inst: DissectionInstance, fibre: list[int], above: list[int]) -> bool:
+    """True iff every realised fibre class is tested and has a coned carrier."""
+    p, q, i, j = inst.p, inst.q, inst.i.images, inst.j.images
+    for c, reach in enumerate(above):
+        tested = 0
+        for d in _bits(q.leq[c]):
+            if reach & fibre[d] and _cone_failure(p, i[c], j[d]):
+                return False
+            tested |= fibre[d]
+        if reach & ~tested:
+            return False
+    return True
+
+
+def _pair_failures(inst: DissectionInstance, proper: int) -> list[str]:
+    """The carrier failures of the comparable proper pairs of P, pair by pair."""
+    p, f, i, j = inst.p, inst.f.images, inst.i.images, inst.j.images
+    failures = []
+    for a in _bits(proper):
+        lo = i[f[a]]
+        for b in _bits(p.leq[a] & proper):
+            why = _cone_failure(p, lo, j[f[b]])
+            if why:
+                chain = p.labels[a] if a == b else f"{p.labels[a]}<{p.labels[b]}"
+                failures.append(f"chain {chain}: {why}")
+    return failures

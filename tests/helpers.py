@@ -147,6 +147,27 @@ def naive_inclusion_rows(order):
     return tuple(rows)
 
 
+def member_column_inclusion_rows(order):
+    """Inclusion relation rows of a Bruhat order, as ANDs of member columns.
+
+    Column x holds the elements whose family contains member x, read one
+    element at a time; row i is the AND of the columns of i's members.
+    """
+    everything = (1 << len(order.elements)) - 1
+    columns = [
+        sum(1 << j for j, v in enumerate(order.elements) if v.bits >> x & 1)
+        for x in range(order.params.num_members)
+    ]
+    rows = []
+    for u in order.elements:
+        row = everything
+        for x in range(order.params.num_members):
+            if u.bits >> x & 1:
+                row &= columns[x]
+        rows.append(row)
+    return tuple(rows)
+
+
 def naive_cover_pairs(order):
     """Cover pairs of a Bruhat order, probing every one-member growth of every element."""
     index = {u.bits: i for i, u in enumerate(order.elements)}

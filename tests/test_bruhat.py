@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     inversion_family,
+    member_column_inclusion_rows,
     naive_cover_pairs,
     naive_inclusion_rows,
     naive_label,
@@ -14,6 +15,7 @@ from helpers import (
 )
 from higher_bruhat import bruhat
 from higher_bruhat.bruhat import (
+    BruhatOrder,
     OrderKind,
     admissible_permutation,
     buildup_sequence,
@@ -127,15 +129,16 @@ class TestEnumeration:
         assert {16, 17, 20, 21} <= widths
 
     def test_inconsistent_growth_raises(self, monkeypatch):
-        grow = bruhat._grow
+        addable = bruhat._addable
+        rank = KSubset((1, 2, 4)).rank
 
-        def flipped(params):
-            elements, covers = grow(params)
+        def admits_124(cols, absent, packets):
             # {1,2,4} alone meets the packet of {1,2,3,4} in its second member
-            elements[0] ^= 1 << KSubset((1, 2, 4)).rank
-            return elements, covers
+            add = addable(cols, absent, packets)
+            add[rank] = absent[rank]
+            return add
 
-        monkeypatch.setattr(bruhat, "_grow", flipped)
+        monkeypatch.setattr(bruhat, "_addable", admits_124)
         message = "emitted {{1,2,4}}, which is inconsistent on the packet with base (1, 2, 3, 4)"
         with pytest.raises(InvariantError, match=re.escape(message)):
             enumerate_bruhat(GroundParams(6, 2))
@@ -234,10 +237,29 @@ class TestOrderRelations:
         with pytest.raises(ParameterError):
             leq_single_step(fam(4, 1), fam(4, 1), o)
 
-    @pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 1), (6, 2)])
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in range(1, 8) for k in range(n)] + [(8, 5)]
+    )
     def test_inclusion_rows_match_pairwise_containment(self, n, k):
+        # rows from one cover per element against ANDs over every member,
+        # and against every pair where the pairs are few enough
         o = order(n, k)
-        assert o.inclusion() == naive_inclusion_rows(o)
+        rows = o.inclusion()
+        assert rows == member_column_inclusion_rows(o)
+        if len(o) <= 1000:
+            assert rows == naive_inclusion_rows(o)
+
+    def test_inclusion_rows_ignore_covers_that_are_not_inclusions(self):
+        o = order(5, 2)
+        # a reversed cover, a self-loop and a cover between incomparable
+        # families: none may serve as the base of a row
+        incomparable = next(
+            (a, b) for a in range(len(o)) for b in range(a + 1, len(o))
+            if o.elements[a].bits & ~o.elements[b].bits
+        )
+        bogus = [(5, 3), (4, 4), incomparable]
+        tampered = BruhatOrder(o.params, o.elements, tuple(bogus) + o.covers)
+        assert tampered.inclusion() == naive_inclusion_rows(o)
 
 
 class TestLevelMaps:

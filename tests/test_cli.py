@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from math import factorial
 
 import pytest
@@ -48,20 +49,45 @@ class TestEnumerateCommand:
         assert "disagree" in capsys.readouterr().err
 
     def test_inconsistent_growth_is_exit_1(self, monkeypatch, capsys):
-        grow = bruhat._grow
+        addable = bruhat._addable
+        rank = KSubset((1, 2, 4)).rank
 
-        def flipped(params):
-            elements, covers = grow(params)
-            elements[0] ^= 1 << KSubset((1, 2, 4)).rank
-            return elements, covers
+        def admits_124(cols, absent, packets):
+            add = addable(cols, absent, packets)
+            add[rank] = absent[rank]
+            return add
 
-        monkeypatch.setattr(bruhat, "_grow", flipped)
+        monkeypatch.setattr(bruhat, "_addable", admits_124)
         assert main(["enumerate", "6", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: enumeration emitted {{1,2,4}}")
+
+    def test_faulty_growth_rule_stops_at_its_first_bad_level(self, monkeypatch, capsys):
+        # the neighbour rule with its end cases swapped never blocks an end
+        # member, so it admits inconsistent families from the second level
+        # on; each level is certified before the next grows, so B(8,4)
+        # fails fast instead of growing past every consistent family
+        def swapped_ends(cols, absent, packets):
+            add = list(absent)
+            for m in packets:
+                add[m[0]] &= cols[m[-2]] | absent[m[0]]
+                add[m[-1]] &= cols[m[1]] | absent[m[-1]]
+                for prev, mid, nxt in zip(m, m[1:], m[2:]):
+                    add[mid] &= cols[prev] | cols[nxt]
+            return add
+
+        monkeypatch.setattr(bruhat, "_addable", swapped_ends)
+        start = time.perf_counter()
+        assert main(["enumerate", "8", "4"]) == 1
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: enumeration emitted ")
 
     def test_seven_one_bruteforce_rung(self, tmp_path):
         # the largest brute-force rung under the default limit: 2^21 bitsets

@@ -401,6 +401,37 @@ class TestMaximalChains:
                 assert count_chains(p, live) == len(list(iter_chains(p, live)))
 
 
+class TestBitPlaneChainCount:
+    """The bit-plane chain count against the pair-by-pair sum and the listing."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_random_posets(self, seed):
+        rng = random.Random(seed)
+        plain = random_bounded_poset(rng, max_elements=12)
+        for p in (plain, shuffled(plain, rng)):
+            n = len(p)
+            point = 1 << rng.randrange(n)
+            subset = sum(1 << i for i in range(n) if rng.random() < 0.5)
+            for live in (0, point, subset, whole(p)):
+                listed = len(list(iter_chains(p, live)))
+                assert size_sorted_count_chains(p, live) == listed
+                assert count_chains(p, live) == listed
+
+    @pytest.mark.parametrize(
+        "n,k", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 1), (6, 3), (6, 2)]
+    )
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    def test_bruhat_ladder(self, n, k, kind):
+        # B(6,2) has ~10^11 chains, so its counts run through 37 planes
+        p = to_poset(enumerate_bruhat(GroundParams(n, k)), kind)
+        for live in (proper_part(p), whole(p)):
+            count = count_chains(p, live)
+            assert count == size_sorted_count_chains(p, live)
+            if count < 200_000:
+                assert count == len(list(iter_chains(p, live)))
+
+
 class TestCheckMonotone:
     def test_identity_and_constant(self):
         p = chain_poset(3)

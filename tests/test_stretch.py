@@ -3,7 +3,8 @@
 B(6,2) is enumerable (908 elements) but its proper part has ~10^11
 chains: the sphericity route must refuse it before attempting the order
 complex, while the carrier pass still covers every chain, because it
-checks the 50,598 comparable pairs that bound them.
+decides the fibre classes of the 50,598 comparable pairs that bound them.
+The same pass decides B(7,3) and B(7,2), with ~10^21 and ~10^23 chains.
 B(5,1) certifies in well under a second, because homology runs on the
 14-point beat-point core of its 118-point proper part.  The cross-check
 against Smith normal form on the whole order complex takes ~30 s and only
@@ -41,6 +42,27 @@ def test_six_two_carrier_check_is_exhaustive(tmp_path):
     assert carrier["failures"] == []
     assert carrier["pairs_checked"] == 50_598
     assert carrier["chains_checked"] == carrier["total_chains"] == 99_888_984_062
+
+
+@pytest.mark.parametrize(
+    "n,k,kind,pairs,chains",
+    [
+        (7, 3, "single_step", 1_985_826, 4_718_007_841_307_777_744_894),
+        (7, 3, "inclusion", 1_985_826, 4_718_007_841_307_777_744_894),
+        (7, 2, "single_step", 10_959_978, 114_438_064_833_722_181_633_536),
+    ],
+)
+def test_seven_rung_carrier_check_is_exhaustive(tmp_path, n, k, kind, pairs, chains):
+    # the carrier check decides per fibre class, so B(7,2) takes seconds;
+    # the pair and chain totals were recorded from the per-pair walk
+    out = tmp_path / "report.json"
+    assert main(["check-lemma", "--bruhat", str(n), str(k), kind, "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["all_pass"] is True
+    carrier = report["carrier"]
+    assert carrier["failures"] == []
+    assert carrier["pairs_checked"] == pairs
+    assert carrier["chains_checked"] == carrier["total_chains"] == chains
 
 
 def test_six_two_orders_coincide_report(tmp_path):

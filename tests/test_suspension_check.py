@@ -1,6 +1,7 @@
 import pytest
 
 from helpers import bitwise_green_witness, chain_carrier_failures
+from higher_bruhat import suspension_check
 from higher_bruhat.bruhat import (
     OrderKind,
     dissection_instance,
@@ -28,6 +29,14 @@ from higher_bruhat.suspension_check import (
 
 INSTANCE_CACHE = {}
 
+# Instances whose Q has an element off its bounds with one upper cover;
+# both orders of B(5,2) are the same poset.
+MUTANT_CASES = [
+    (4, 1, OrderKind.SINGLE_STEP),
+    (4, 1, OrderKind.INCLUSION),
+    (5, 2, OrderKind.SINGLE_STEP),
+]
+
 
 def bruhat_instance(n, k, kind=OrderKind.SINGLE_STEP):
     key = (n, k, kind)
@@ -49,6 +58,88 @@ def i_for_j(inst):
         p=inst.p, q=inst.q, green=inst.green,
         f=inst.f, i=inst.i, j=inst.i,
     )
+
+
+def one_upper_cover(q):
+    """The first c0 of Q off its bottom whose one upper cover c1 is not its top."""
+    uppers = {}
+    for a, b in q.covers():
+        uppers.setdefault(a, []).append(b)
+    return next(
+        (c, ups[0]) for c, ups in sorted(uppers.items())
+        if c != q.bottom and len(ups) == 1 and ups != [q.top]
+    )
+
+
+def diagonal_class_fails(inst):
+    """i sends c0 to i(c1), where c1 is the one upper cover of c0 in Q.
+
+    Every d >= c0 other than c0 lies above c1, and then i(c1) <= j(c1) <=
+    j(d); but i(c1) <= j(c0) would give c1 <= c0 under f.  So of the
+    fibre classes, exactly (c0, c0) loses its cone.
+    """
+    c0, c1 = one_upper_cover(inst.q)
+    images = list(inst.i.images)
+    images[c0] = images[c1]
+    return DissectionInstance(
+        p=inst.p, q=inst.q, green=inst.green,
+        f=inst.f, i=MonotoneMap(inst.q, inst.p, tuple(images)), j=inst.j,
+    ), (c0, c0)
+
+
+def off_diagonal_class_fails(inst):
+    """i sends c0 to j(c0), and j sends its upper cover c1 to i(c1).
+
+    A realised class (c, d) keeps its cone iff i(c) <= j(d).  That
+    holds on the diagonal, and off it wherever one side is unchanged, by
+    the monotonicity of i and j; but j(c0) <= i(c1) would put a member
+    containing n into a family without one.  So of the fibre classes,
+    exactly (c0, c1) loses its cone.
+    """
+    c0, c1 = one_upper_cover(inst.q)
+    i_images, j_images = list(inst.i.images), list(inst.j.images)
+    i_images[c0] = inst.j.images[c0]
+    j_images[c1] = inst.i.images[c1]
+    return DissectionInstance(
+        p=inst.p, q=inst.q, green=inst.green, f=inst.f,
+        i=MonotoneMap(inst.q, inst.p, tuple(i_images)),
+        j=MonotoneMap(inst.q, inst.p, tuple(j_images)),
+    ), (c0, c1)
+
+
+def non_monotone_f(inst):
+    """f sends the first proper a0 that has a proper b > a0 with f(b) not
+    above some proper c of Q to that c.
+
+    The classes (c, d) with d >= c keep their cones, but the class
+    (c, f(b)) is realised outside the up row of c in Q and loses its
+    cone, so only the coverage guard can find it.
+    """
+    p, q = inst.p, inst.q
+    pp, qp = proper_part(p), proper_part(q)
+    a0, c = next(
+        (a, c) for a in range(len(p)) if pp >> a & 1
+        for c in range(len(q)) if qp >> c & 1
+        if any(b != a and pp >> b & 1 and not q.le(c, inst.f.images[b])
+               for b in range(len(p)) if p.le(a, b))
+    )
+    images = list(inst.f.images)
+    images[a0] = c
+    return DissectionInstance(
+        p=p, q=q, green=inst.green,
+        f=MonotoneMap(p, q, tuple(images)), i=inst.i, j=inst.j,
+    )
+
+
+def failing_pairs(p, failures):
+    """The (min, max) index pairs that the failures name."""
+    index = {label: x for x, label in enumerate(p.labels)}
+    pairs = set()
+    for failure in failures:
+        name = failure[len("chain "):failure.index(": ")]
+        least, _, greatest = name.partition("<")
+        pairs.add((index[least], index[greatest or least]))
+    return pairs
 
 
 def swap_colors(inst):
@@ -233,6 +324,45 @@ class TestCarrierConeCheck:
         assert report.pairs_checked == sum(
             (inst.p.leq[a] & pp).bit_count() for a in range(len(inst.p)) if pp >> a & 1
         )
+
+    @pytest.mark.parametrize("n,k,kind", MUTANT_CASES)
+    @pytest.mark.parametrize("mutant", [diagonal_class_fails, off_diagonal_class_fails])
+    def test_exactly_one_failing_class(self, n, k, kind, mutant):
+        inst, (c, d) = mutant(bruhat_instance(n, k, kind))
+        report = carrier_cone_check(inst)
+        assert set(report.failures) == chain_carrier_failures(inst)
+        f = inst.f.images
+        pp = proper_part(inst.p)
+        in_class = {
+            (a, b) for a in range(len(inst.p)) for b in range(len(inst.p))
+            if pp >> a & 1 and pp >> b & 1 and inst.p.le(a, b)
+            and (f[a], f[b]) == (c, d)
+        }
+        assert in_class
+        assert failing_pairs(inst.p, report.failures) == in_class
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 1), (6, 3), (6, 2)])
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    def test_valid_instances_are_decided_by_fibre_classes(self, n, k, kind, monkeypatch):
+        def no_walk(inst, proper):
+            raise AssertionError("a valid instance walked its pairs")
+
+        monkeypatch.setattr(suspension_check, "_pair_failures", no_walk)
+        report = carrier_cone_check(bruhat_instance(n, k, kind))
+        assert report.all_cones
+
+    @pytest.mark.parametrize("n,k,kind", MUTANT_CASES)
+    def test_non_monotone_f_falls_back_to_the_pairs(self, n, k, kind):
+        inst = non_monotone_f(bruhat_instance(n, k, kind))
+        assert not check_conditions(inst).all_pass
+        report = carrier_cone_check(inst)
+        assert not report.all_cones
+        assert set(report.failures) == chain_carrier_failures(inst)
+        # every failing pair lies in a class outside Q's order, which the
+        # fibre classes tested do not reach
+        f = inst.f.images
+        for a, b in failing_pairs(inst.p, report.failures):
+            assert not inst.q.le(f[a], f[b])
 
     def test_swapped_sections_break_cones(self):
         report = carrier_cone_check(swap_sections(bruhat_instance(3, 1)))
