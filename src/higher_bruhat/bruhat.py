@@ -18,13 +18,14 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_
 
 from . import posets
 from .errors import (
     InconsistentSetError,
     InvariantError,
+    NotAPosetError,
     ParameterError,
     ResourceLimitError,
 )
@@ -32,7 +33,6 @@ from .subsets import (
     ConsistentSet,
     GroundParams,
     KSubset,
-    _certified_sets,
     _label,
     _packet_checks,
     _segment_columns,
@@ -78,33 +78,48 @@ class OrderKind(enum.Enum):
 class BruhatOrder:
     """All consistent families of (k+1)-subsets of [n], with cover digraph.
 
-    Elements are sorted by (cardinality, bitset value), which is a linear
-    extension of both order relations.  Instances are immutable after
-    construction; the reachability closure is computed on first use.
+    The families are the enumeration's certified bitsets, sorted by
+    (cardinality, bitset value), which is a linear extension of both order
+    relations.  Instances are immutable after construction; the families
+    as ConsistentSets, their index and the reachability closure are
+    computed on first use.
     """
 
     def __init__(
         self,
         params: GroundParams,
-        elements: tuple[ConsistentSet, ...],
+        bits: tuple[int, ...],
         covers: tuple[tuple[int, int], ...],
     ):
         self.params = params
-        self.elements = elements
+        self.bits = bits
         self.covers = covers
-        self._index = {u.bits: i for i, u in enumerate(elements)}
         self._reach: tuple[int, ...] | None = None
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.bits)
+
+    @cached_property
+    def elements(self) -> tuple[ConsistentSet, ...]:
+        """The families as ConsistentSets, each checked as it is built."""
+        return tuple(ConsistentSet(self.params, b) for b in self.bits)
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return {b: i for i, b in enumerate(self.bits)}
 
     @property
     def bottom(self) -> ConsistentSet:
-        return self.elements[0]
+        return ConsistentSet(self.params, self.bits[0])
 
     @property
     def top(self) -> ConsistentSet:
-        return self.elements[-1]
+        return ConsistentSet(self.params, self.bits[-1])
+
+    def green(self) -> frozenset[int]:
+        """Indices of the green families (see is_green): top bit clear."""
+        top = 1 << (self.params.num_members - 1)
+        return frozenset(i for i, b in enumerate(self.bits) if not b & top)
 
     def index_of(self, u: ConsistentSet) -> int:
         if u.params != self.params:
@@ -117,7 +132,12 @@ class BruhatOrder:
     def reach(self) -> tuple[int, ...]:
         """Row bitsets of single-step reachability along the cover digraph."""
         if self._reach is None:
-            self._reach = posets.reach_rows(self.elements, self.covers)
+            try:
+                self._reach = posets.reach_rows(self.bits, self.covers)
+            except NotAPosetError:
+                # raise the same error again, naming families, not bitsets
+                posets.reach_rows([_label(self.params, b) for b in self.bits], self.covers)
+                raise
         return self._reach
 
     def inclusion(self) -> tuple[int, ...]:
@@ -131,7 +151,7 @@ class BruhatOrder:
         An element with no such cover, such as the empty family, starts
         from every element and ANDs the columns of all its members.
         """
-        bits = [u.bits for u in self.elements]
+        bits = self.bits
         containing = posets._columns(bits, self.params.num_members)
         everything = (1 << len(bits)) - 1
         first_cover = {b: a for a, b in reversed(self.covers)}
@@ -252,6 +272,21 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, int]]]:
     return elements, covers
 
 
+def _check_width(params: GroundParams, method: str, max_subsets: int | None) -> None:
+    """Refuse an order whose member count exceeds the method's limit."""
+    if method not in ("bfs", "bruteforce"):
+        raise ParameterError(f"unknown enumeration method {method!r}")
+    limit = max_subsets
+    if limit is None:
+        limit = DEFAULT_BFS_LIMIT if method == "bfs" else DEFAULT_BRUTEFORCE_LIMIT
+    width = params.num_members
+    if width > limit:
+        raise ResourceLimitError(
+            f"C({params.n},{params.k + 1}) = {width} members exceeds the {method} "
+            f"limit of {limit}"
+        )
+
+
 def enumerate_bruhat(
     params: GroundParams,
     method: str = "bfs",
@@ -266,18 +301,10 @@ def enumerate_bruhat(
     against every packet before it grows the next; a failure raises
     InvariantError.
     """
-    if method not in ("bfs", "bruteforce"):
-        raise ParameterError(f"unknown enumeration method {method!r}")
-    limit = max_subsets
-    if limit is None:
-        limit = DEFAULT_BFS_LIMIT if method == "bfs" else DEFAULT_BRUTEFORCE_LIMIT
-    width = params.num_members
-    if width > limit:
-        raise ResourceLimitError(
-            f"C({params.n},{params.k + 1}) = {width} members exceeds the {method} "
-            f"limit of {limit}"
-        )
+    _check_width(params, method, max_subsets)
     found, covers = _grow(params)
+    if not 0 <= min(found) <= max(found) <= params.full_bits:
+        raise InvariantError(f"enumeration emitted a bitset out of range for {params}")
     if method == "bruteforce":
         scanned = sorted(_bruteforce_bits(params), key=lambda b: (b.bit_count(), b))
         if scanned != found:
@@ -285,7 +312,7 @@ def enumerate_bruhat(
                 f"brute-force scan and addable-mask growth disagree: the scan finds "
                 f"{len(scanned)} families, the growth {len(found)}"
             )
-    return BruhatOrder(params, _certified_sets(params, found), tuple(covers))
+    return BruhatOrder(params, tuple(found), tuple(covers))
 
 
 def leq_inclusion(u: ConsistentSet, v: ConsistentSet) -> bool:
@@ -457,7 +484,7 @@ def to_poset(order: BruhatOrder, kind: OrderKind) -> posets.FiniteBoundedPoset:
     rows equal the single-step rows; otherwise its rows go through
     from_relation's full validation.
     """
-    labels = tuple(str(u) for u in order.elements)
+    labels = tuple(_label(order.params, b) for b in order.bits)
     top = len(labels) - 1
     p = posets.from_covers(labels, order.covers, 0, top)
     if kind is OrderKind.INCLUSION:
@@ -467,33 +494,38 @@ def to_poset(order: BruhatOrder, kind: OrderKind) -> posets.FiniteBoundedPoset:
     return p
 
 
-def dissection_instance(
-    order: BruhatOrder, kind: OrderKind, suborder: BruhatOrder | None = None
-):
+def dissection_instance(order: BruhatOrder, kind: OrderKind):
     """The structure maps of the level descent, packaged for condition checking.
 
     Builds P from the order and Q from the order one ground-set size down,
     both under the relation of the given kind, colors elements green/red,
-    and tabulates the three maps.
+    and tabulates the three maps.  On bitsets, f (map_f) is a mask, i
+    (map_i) the identity and j (map_j) an OR with the members holding n.
     """
     from .suspension_check import DissectionInstance
 
     params = order.params
     _require_level_above_base(params)
-    if suborder is None:
-        suborder = enumerate_bruhat(GroundParams(params.n - 1, params.k))
-    if suborder.params != GroundParams(params.n - 1, params.k):
-        raise ParameterError("suborder must live one ground-set size down")
+    small = GroundParams(params.n - 1, params.k)
+    suborder = enumerate_bruhat(small)
     p = to_poset(order, kind)
     q = to_poset(suborder, kind)
-    f_images = tuple(suborder.index_of(map_f(u)) for u in order.elements)
-    i_images = tuple(order.index_of(map_i(v)) for v in suborder.elements)
-    j_images = tuple(order.index_of(map_j(v)) for v in suborder.elements)
-    green = frozenset(i for i, u in enumerate(order.elements) if is_green(u))
+    index, sub_index = order._index, suborder._index
+    added = params.full_bits ^ small.full_bits
+    try:
+        f_images = tuple(sub_index[b & small.full_bits] for b in order.bits)
+        i_images = tuple(index[b] for b in suborder.bits)
+        j_images = tuple(index[b | added] for b in suborder.bits)
+    except KeyError as exc:
+        # colex ranks do not depend on n, so params names a family of either order
+        raise InvariantError(
+            f"a structure map sends a family to {_label(params, exc.args[0])}, "
+            "which was not enumerated"
+        )
     return DissectionInstance(
         p=p,
         q=q,
-        green=green,
+        green=order.green(),
         f=posets.MonotoneMap(p, q, f_images),
         i=posets.MonotoneMap(q, p, i_images),
         j=posets.MonotoneMap(q, p, j_images),

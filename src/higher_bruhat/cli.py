@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import groupby
 
 from . import __version__
 from .bruhat import (
     OrderKind,
+    _check_width,
     dissection_instance,
     enumerate_bruhat,
-    is_green,
     to_poset,
 )
 from .errors import InvariantError, ParameterError, ResourceLimitError
@@ -27,8 +28,8 @@ from .instance_io import (
     load_instance,
     poset_to_doc,
 )
-from .posets import beat_core, chain_f_vector, count_chains, order_complex, proper_part
-from .subsets import GroundParams
+from .posets import _bits, beat_core, chain_f_vector, count_chains, order_complex, proper_part
+from .subsets import GroundParams, _label
 from .suspension_check import (
     HOMOTOPY_DISCLAIMER,
     build_proof_maps,
@@ -97,24 +98,15 @@ def _check_to_dict(check) -> dict:
 
 def cmd_enumerate(ns) -> int:
     params = GroundParams(ns.n, ns.k)
-    methods = ["bfs", "bruteforce"] if ns.method == "both" else [ns.method]
-    orders = [
-        enumerate_bruhat(params, method=m, max_subsets=ns.max_subsets)
-        for m in methods
-    ]
-    order = orders[0]
-    oracle_match = None
-    if len(orders) == 2:
-        oracle_match = [u.bits for u in orders[0].elements] == [
-            u.bits for u in orders[1].elements
-        ]
-    histogram: list[list[int]] = []
-    for u in order.elements:
-        card = len(u)
-        if histogram and histogram[-1][0] == card:
-            histogram[-1][1] += 1
-        else:
-            histogram.append([card, 1])
+    method = ns.method
+    if method == "both":
+        # the growth's limit is checked first; "bruteforce" grows the order
+        # and raises InvariantError unless its scan finds the same families
+        _check_width(params, "bfs", ns.max_subsets)
+        method = "bruteforce"
+    order = enumerate_bruhat(params, method=method, max_subsets=ns.max_subsets)
+    cards = groupby(b.bit_count() for b in order.bits)
+    histogram = [[card, len(list(run))] for card, run in cards]
     report = {
         "version": __version__,
         "command": "enumerate",
@@ -124,18 +116,16 @@ def cmd_enumerate(ns) -> int:
         "count": len(order),
         "by_cardinality": histogram,
     }
-    if oracle_match is not None:
-        report["oracle_match"] = oracle_match
+    if ns.method == "both":
+        report["oracle_match"] = True
     if ns.elements:
-        report["elements"] = [str(u) for u in order.elements]
+        report["elements"] = [_label(params, b) for b in order.bits]
     _write_report(report, ns.out)
     print(f"B({params.n},{params.k}): {len(order)} consistent families")
     for card, count in histogram:
         print(f"  cardinality {card}: {count}")
-    if oracle_match is not None:
-        print(f"oracle match (bfs vs bruteforce): {oracle_match}")
-    if oracle_match is False:
-        raise InvariantError("bfs and bruteforce enumerations disagree")
+    if ns.method == "both":
+        print("oracle match (bfs vs bruteforce): True")
     return EXIT_PASS
 
 
@@ -256,13 +246,11 @@ def cmd_compare_orders(ns) -> int:
     inclusion = order.inclusion()
     single_step_pairs = sum(row.bit_count() - 1 for row in reach)
     inclusion_pairs = sum(row.bit_count() - 1 for row in inclusion)
-    differing = []
-    for i, u in enumerate(order.elements):
-        m = inclusion[i] & ~reach[i]
-        while m:
-            low = m & -m
-            differing.append([str(u), str(order.elements[low.bit_length() - 1])])
-            m ^= low
+    differing = [
+        [_label(params, order.bits[i]), _label(params, order.bits[j])]
+        for i in range(n)
+        for j in _bits(inclusion[i] & ~reach[i])
+    ]
     report = {
         "version": __version__,
         "command": "compare_orders",
@@ -301,19 +289,13 @@ def cmd_export(ns) -> int:
         if params.n >= params.k + 2:
             inst = dissection_instance(order, kind)
             p = inst.p
-            green_labels = [p.labels[i] for i in sorted(inst.green)]
             doc = instance_to_doc(inst)
         else:
             # base case n = k+1: no level below, export the bare poset
             p = to_poset(order, kind)
-            green_labels = [
-                p.labels[i] for i, u in enumerate(order.elements) if is_green(u)
-            ]
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "P": poset_to_doc(p),
-                "green": green_labels,
-            }
+            doc = {"schema": SCHEMA_VERSION, "P": poset_to_doc(p)}
+        green_labels = [p.labels[i] for i in sorted(order.green())]
+        doc["green"] = green_labels
     else:
         loaded = load_instance(ns.instance)
         p = loaded.resolve_poset(max_subsets=ns.max_subsets)

@@ -166,7 +166,7 @@ def parse_instance_doc(doc) -> LoadedInstance:
             n, k = block["n"], block["k"]
         except KeyError as missing:
             raise ParameterError(f"bruhat block lacks key {missing}")
-        if not isinstance(n, int) or not isinstance(k, int):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n, k)):
             raise ParameterError("bruhat n and k must be integers")
         kind_name = block.get("order", "single_step")
         try:
@@ -197,6 +197,8 @@ def load_instance(path: str) -> LoadedInstance:
             doc = json.load(fh)
     except OSError as exc:
         raise ParameterError(f"cannot read instance file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"instance file is not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise ParameterError(f"instance file is not valid JSON: {exc}")
     return parse_instance_doc(doc)

@@ -214,6 +214,8 @@ def from_relation(
     labels = tuple(labels)
     leq = tuple(leq)
     n = len(labels)
+    if len(leq) != n:
+        raise ParameterError("labels and relation rows differ in length")
     full = (1 << n) - 1
     if bottom is None:
         bottoms = [i for i in range(n) if leq[i] == full]

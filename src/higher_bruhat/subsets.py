@@ -256,8 +256,7 @@ class ConsistentSet:
 
     A family of (k+1)-subsets of [n] meeting every packet in a segment,
     stored as a bitset over colex ranks.  Consistency is verified at
-    construction, or in bulk by the enumeration that emits the family, so
-    a ConsistentSet in hand is always certified.
+    construction, so a ConsistentSet in hand is always certified.
     """
 
     params: GroundParams
@@ -303,29 +302,6 @@ def _label(params: GroundParams, bits: int) -> str:
     """The str() of a member family, from the cached member names."""
     names = _member_names(params.n, params.member_size)
     return "{" + ",".join(map(names.__getitem__, _bits(bits))) + "}"
-
-
-def _certified_sets(
-    params: GroundParams, families: Sequence[int]
-) -> tuple[ConsistentSet, ...]:
-    """ConsistentSets of families that an enumeration has certified.
-
-    The enumeration checks its families in bulk with the segment kernel,
-    so the sets are built without re-running the check one family at a
-    time.  Only the range is checked here: a bitset out of range was
-    produced by a faulty enumeration and raises InvariantError.
-    """
-    if families and not 0 <= min(families) <= max(families) <= params.full_bits:
-        raise InvariantError(f"enumeration emitted a bitset out of range for {params}")
-    new = ConsistentSet.__new__
-    setattr_ = object.__setattr__
-    out = []
-    for bits in families:
-        u = new(ConsistentSet)
-        setattr_(u, "params", params)
-        setattr_(u, "bits", bits)
-        out.append(u)
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,7 @@ from higher_bruhat.bruhat import (
     OrderKind,
     admissible_permutation,
     buildup_sequence,
+    dissection_instance,
     dual_buildup_sequence,
     enumerate_bruhat,
     is_green,
@@ -29,7 +30,13 @@ from higher_bruhat.bruhat import (
     map_j,
     to_poset,
 )
-from higher_bruhat.errors import InvariantError, ParameterError, ResourceLimitError
+from higher_bruhat.errors import (
+    InconsistentSetError,
+    InvariantError,
+    NotAPosetError,
+    ParameterError,
+    ResourceLimitError,
+)
 from higher_bruhat.subsets import ConsistentSet, GroundParams, KSubset, complement
 
 ORDER_CACHE = {}
@@ -157,8 +164,13 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 2)])
     def test_batch_built_elements_match_single_constructions(self, n, k):
-        for u in order(n, k).elements:
-            single = ConsistentSet(u.params, u.bits)
+        o = enumerate_bruhat(GroundParams(n, k))
+        # the families are built on first access, from the certified bitsets
+        assert "elements" not in vars(o)
+        assert len(o.elements) == len(o) == len(o.bits)
+        assert o.elements is o.elements
+        for u, bits in zip(o.elements, o.bits):
+            single = ConsistentSet(o.params, bits)
             assert u == single
             assert hash(u) == hash(single)
             assert str(u) == str(single)
@@ -199,9 +211,17 @@ class TestEnumeration:
             enumerate_bruhat(GroundParams(3, 1), method="magic")
 
     def test_bottom_and_top(self):
-        o = order(4, 2)
+        o = enumerate_bruhat(GroundParams(4, 2))
         assert o.bottom.bits == 0
         assert o.top.bits == o.params.full_bits
+        assert "elements" not in vars(o)
+
+    def test_hand_built_order_checks_its_families_on_access(self):
+        # {1,2,4} alone is inconsistent on the packet of {1,2,3,4}
+        bad = BruhatOrder(GroundParams(4, 2), (0, 1 << KSubset((1, 2, 4)).rank), ())
+        assert len(bad) == 2
+        with pytest.raises(InconsistentSetError):
+            bad.elements
 
 
 class TestOrderRelations:
@@ -258,7 +278,7 @@ class TestOrderRelations:
             if o.elements[a].bits & ~o.elements[b].bits
         )
         bogus = [(5, 3), (4, 4), incomparable]
-        tampered = BruhatOrder(o.params, o.elements, tuple(bogus) + o.covers)
+        tampered = BruhatOrder(o.params, o.bits, tuple(bogus) + o.covers)
         assert tampered.inclusion() == naive_inclusion_rows(o)
 
 
@@ -406,6 +426,51 @@ class TestBuildup:
                 added = b.bits & ~a.bits
                 assert added.bit_count() == 1
             assert leq_single_step(u, seq.steps[-1], o)
+
+
+class TestDissectionInstance:
+    @pytest.mark.parametrize(
+        "n,k", [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 2)]
+    )
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    def test_maps_and_colors_match_the_family_maps(self, n, k, kind):
+        big, small = order(n, k), order(n - 1, k)
+        inst = dissection_instance(big, kind)
+        assert inst.f.images == tuple(small.index_of(map_f(u)) for u in big.elements)
+        assert inst.i.images == tuple(big.index_of(map_i(v)) for v in small.elements)
+        assert inst.j.images == tuple(big.index_of(map_j(v)) for v in small.elements)
+        assert inst.green == frozenset(i for i, u in enumerate(big.elements) if is_green(u))
+
+    def test_image_outside_the_target_raises(self, monkeypatch):
+        # B(3,1) with {{1,2},{1,3}} swapped for the inconsistent {{1,2},{2,3}}:
+        # the restriction of some element of B(4,1) is no longer found
+        real = order(3, 1)
+        swapped = tuple(5 if b == 3 else b for b in real.bits)
+        fake = BruhatOrder(real.params, swapped, real.covers)
+        monkeypatch.setattr(bruhat, "enumerate_bruhat", lambda params: fake)
+        message = "sends a family to {{1,2},{1,3}}, which was not enumerated"
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            dissection_instance(order(4, 1), OrderKind.SINGLE_STEP)
+
+
+class TestReach:
+    def test_success_renders_no_label_and_builds_no_family(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a label or a family was built")
+
+        monkeypatch.setattr(bruhat, "_label", refuse)
+        monkeypatch.setattr(ConsistentSet, "__post_init__", refuse)
+        o = enumerate_bruhat(GroundParams(5, 2))
+        assert len(o.reach()) == len(o)
+
+    def test_errors_name_the_family(self):
+        o = order(3, 1)
+        loop = BruhatOrder(o.params, o.bits, ((1, 1),) + o.covers)
+        with pytest.raises(NotAPosetError, match=re.escape("self-loop at {{1,2}}")):
+            loop.reach()
+        cycle = BruhatOrder(o.params, o.bits, ((2, 0),) + o.covers)
+        with pytest.raises(NotAPosetError, match=re.escape("at or below {}")):
+            cycle.reach()
 
 
 class TestToPoset:

@@ -11,7 +11,7 @@ from higher_bruhat import bruhat, cli, posets
 from higher_bruhat.bruhat import BruhatOrder, OrderKind, enumerate_bruhat, to_poset
 from higher_bruhat.cli import main
 from higher_bruhat.instance_io import load_instance
-from higher_bruhat.subsets import GroundParams, KSubset
+from higher_bruhat.subsets import ConsistentSet, GroundParams, KSubset
 
 
 def read_json(path):
@@ -41,6 +41,33 @@ class TestEnumerateCommand:
         assert report["count"] == 8
         assert len(report["elements"]) == 8
         assert report["elements"][0] == "{}"
+
+    def test_both_runs_one_bruteforce_enumeration(self, monkeypatch, capsys):
+        calls = []
+
+        def recording(params, method="bfs", max_subsets=None):
+            calls.append(method)
+            return enumerate_bruhat(params, method=method, max_subsets=max_subsets)
+
+        monkeypatch.setattr(cli, "enumerate_bruhat", recording)
+        assert main(["enumerate", "5", "2", "--method", "both"]) == 0
+        assert calls == ["bruteforce"]
+        assert capsys.readouterr().out.endswith("oracle match (bfs vs bruteforce): True\n")
+
+    @pytest.mark.parametrize(
+        "argv,limit",
+        [
+            (["8", "3"], "bfs limit of 64"),
+            (["7", "2"], "bruteforce limit of 24"),
+            (["6", "2", "--max-subsets", "10"], "bfs limit of 10"),
+        ],
+    )
+    def test_both_refusal_names_the_first_limit_exceeded(self, argv, limit, capsys):
+        assert main(["enumerate", *argv, "--method", "both"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"exceeds the {limit}\n")
+        assert captured.err.count("\n") == 1
 
     def test_oracle_disagreement_is_exit_1(self, monkeypatch, capsys):
         scan = bruhat._bruteforce_bits
@@ -207,6 +234,21 @@ class TestCheckLemmaCommand:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "Traceback" not in err
 
+    def test_non_utf8_file_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"schema": 1, "P": "\u00e9"}'.encode("latin-1"))
+        assert main(["check-lemma", "--instance", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: instance file is not UTF-8") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n,k", [(True, 0), (3, False)])
+    def test_boolean_bruhat_parameters_exit_3(self, n, k, tmp_path, capsys):
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps({"schema": 1, "bruhat": {"n": n, "k": k}}), encoding="utf-8")
+        assert main(["check-lemma", "--instance", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: bruhat n and k must be integers\n"
+
     def test_instance_without_maps_exit_3(self, tmp_path):
         source = tmp_path / "poset_only.json"
         assert main(["export", "--bruhat", "2", "1", "single_step",
@@ -332,7 +374,7 @@ class TestCompareOrdersCommand:
         # no instance small enough for a test has differing pairs, so drop a
         # cover from B(4,1): single-step reach loses pairs, inclusion keeps them
         full = enumerate_bruhat(GroundParams(4, 1))
-        thinned = BruhatOrder(full.params, full.elements, full.covers[1:])
+        thinned = BruhatOrder(full.params, full.bits, full.covers[1:])
         monkeypatch.setattr(cli, "enumerate_bruhat", lambda *args, **kwargs: thinned)
         out = tmp_path / "report.json"
         assert main(["compare-orders", "4", "1", "--out", str(out)]) == 0
@@ -403,6 +445,25 @@ class TestExportCommand:
                      "--format", "dot", "--out", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
         assert text.count("palegreen") == 3 and text.count("lightpink") == 3
+
+
+class TestNoFamilyObjects:
+    """The commands work on the enumeration's certified bitsets alone."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "8", "4"],
+            ["compare-orders", "7", "3"],
+            ["check-lemma", "--bruhat", "6", "2", "inclusion"],
+            ["verify-sphericity", "--bruhat", "5", "1", "single_step"],
+        ],
+    )
+    def test_no_consistent_set_is_built(self, argv, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(ConsistentSet, "__post_init__", lambda self: built.append(self))
+        assert main(argv) == 0
+        assert built == []
 
 
 class TestUnwritableOut:

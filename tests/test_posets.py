@@ -193,6 +193,11 @@ class TestFromRelation:
         with pytest.raises(ParameterError):
             from_relation(("a", "a"), (0b11, 0b10))
 
+    @pytest.mark.parametrize("rows", [(0b11,), (0b111, 0b110, 0b100)])
+    def test_row_count_must_match_labels(self, rows):
+        with pytest.raises(ParameterError, match="labels and relation rows differ in length"):
+            from_relation(("a", "b"), rows)
+
 
 class TestProperPart:
     def test_chains(self):
@@ -576,7 +581,7 @@ class TestCertifiedAgainstPairWalk:
             (a, b) for a, b in full.covers if uppers.count(a) > 1 and lowers.count(b) > 1
         )
         thinned = BruhatOrder(
-            full.params, full.elements, tuple(c for c in full.covers if c != drop)
+            full.params, full.bits, tuple(c for c in full.covers if c != drop)
         )
         assert not to_poset(thinned, OrderKind.SINGLE_STEP).le(*drop)
         assert thinned.inclusion() != thinned.reach()
