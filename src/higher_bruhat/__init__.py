@@ -1,31 +1,17 @@
 """Higher Bruhat orders, order complexes, and exact homology certificates.
 
 The library enumerates the higher Bruhat orders B(n,k) under single-step
-inclusion and under ordinary inclusion, mechanically checks the five
-suspension conditions on dissected bounded posets, and certifies sphere
+inclusion and under ordinary inclusion, checks the five suspension
+conditions on dissected bounded posets exhaustively, and certifies sphere
 homology of proper-part order complexes by exact integer Smith normal
-form.
+form on their beat-point cores.  It holds only what the certifier runs:
+the paper's constructive proofs of the conditions (admissible
+permutations, build-up chains, interval descent, the suspension of a
+complex) live in the test suite, as oracles.
 """
 
-from .bruhat import (
-    AdmissiblePermutation,
-    BruhatOrder,
-    BuildupSequence,
-    OrderKind,
-    admissible_permutation,
-    buildup_sequence,
-    dissection_instance,
-    dual_buildup_sequence,
-    enumerate_bruhat,
-    is_green,
-    leq_inclusion,
-    leq_single_step,
-    map_f,
-    map_i,
-    map_j,
-    to_poset,
-)
-from .complexes import SimplicialComplex, from_facets, make_complex, suspension
+from .bruhat import BruhatOrder, OrderKind, dissection_instance, enumerate_bruhat, to_poset
+from .complexes import SimplicialComplex, make_complex
 from .errors import (
     ConditionViolationError,
     InconsistentSetError,
@@ -59,10 +45,7 @@ from .subsets import (
     GroundParams,
     KSubset,
     Packet,
-    complement,
     enumerate_subsets,
-    find_interval,
-    internal_gaps,
     is_consistent,
     packet_of,
     violating_packets,

@@ -15,47 +15,18 @@ digraph of single-member additions.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
 
 from . import posets
-from .errors import (
-    InconsistentSetError,
-    InvariantError,
-    NotAPosetError,
-    ParameterError,
-    ResourceLimitError,
-)
-from .subsets import (
-    ConsistentSet,
-    GroundParams,
-    KSubset,
-    _label,
-    _packet_checks,
-    _segment_columns,
-    colex_rank,
-    complement,
-    enumerate_subsets,
-)
+from .errors import InvariantError, NotAPosetError, ParameterError, ResourceLimitError
+from .subsets import ConsistentSet, GroundParams, _label, _packet_checks, _segment_columns
 
 __all__ = [
     "OrderKind",
     "BruhatOrder",
-    "AdmissiblePermutation",
-    "BuildupSequence",
     "enumerate_bruhat",
-    "leq_inclusion",
-    "leq_single_step",
-    "map_f",
-    "map_i",
-    "map_j",
-    "is_green",
-    "admissible_permutation",
-    "buildup_sequence",
-    "dual_buildup_sequence",
     "to_poset",
     "dissection_instance",
     "DEFAULT_BFS_LIMIT",
@@ -117,17 +88,13 @@ class BruhatOrder:
         return ConsistentSet(self.params, self.bits[-1])
 
     def green(self) -> frozenset[int]:
-        """Indices of the green families (see is_green): top bit clear."""
+        """Indices of the green families, those without the member {n-k..n}.
+
+        That member is the colex-largest, so a family is green iff its top
+        bit is clear.
+        """
         top = 1 << (self.params.num_members - 1)
         return frozenset(i for i, b in enumerate(self.bits) if not b & top)
-
-    def index_of(self, u: ConsistentSet) -> int:
-        if u.params != self.params:
-            raise ParameterError(f"element has params {u.params}, order has {self.params}")
-        try:
-            return self._index[u.bits]
-        except KeyError:
-            raise ParameterError(f"{u} is not an element of this order")
 
     def reach(self) -> tuple[int, ...]:
         """Row bitsets of single-step reachability along the cover digraph."""
@@ -315,165 +282,11 @@ def enumerate_bruhat(
     return BruhatOrder(params, tuple(found), tuple(covers))
 
 
-def leq_inclusion(u: ConsistentSet, v: ConsistentSet) -> bool:
-    """Ordinary containment of member families."""
-    if u.params != v.params:
-        raise ParameterError(f"parameter mismatch: {u.params} vs {v.params}")
-    return u.bits & ~v.bits == 0
-
-
-def leq_single_step(u: ConsistentSet, v: ConsistentSet, order: BruhatOrder) -> bool:
-    """True iff v is reachable from u by single consistent additions."""
-    i = order.index_of(u)
-    j = order.index_of(v)
-    return bool(order.reach()[i] >> j & 1)
-
-
 def _require_level_above_base(params: GroundParams) -> None:
     if params.n < params.k + 2:
         raise ParameterError(
             f"maps between levels need n >= k+2, got n={params.n}, k={params.k}"
         )
-
-
-def map_f(u: ConsistentSet) -> ConsistentSet:
-    """Forget the members containing n; lands one ground-set size down.
-
-    Colex ranks are stable under shrinking the ground set, so this is a
-    plain mask on the bitset.
-    """
-    _require_level_above_base(u.params)
-    small = GroundParams(u.params.n - 1, u.params.k)
-    try:
-        return ConsistentSet(small, u.bits & small.full_bits)
-    except InconsistentSetError as exc:  # pragma: no cover - impossible
-        raise InvariantError(f"restriction of a consistent family inconsistent: {exc}")
-
-
-def map_i(v: ConsistentSet) -> ConsistentSet:
-    """Reinterpret a family over [n-1] as one over [n] (same members)."""
-    big = GroundParams(v.params.n + 1, v.params.k)
-    try:
-        return ConsistentSet(big, v.bits)
-    except InconsistentSetError as exc:  # pragma: no cover - impossible
-        raise InvariantError(f"ground-set extension became inconsistent: {exc}")
-
-
-def map_j(v: ConsistentSet) -> ConsistentSet:
-    """Extend a family over [n-1] by every (k+1)-subset containing n."""
-    big = GroundParams(v.params.n + 1, v.params.k)
-    added = big.full_bits ^ v.params.full_bits
-    try:
-        return ConsistentSet(big, v.bits | added)
-    except InconsistentSetError as exc:  # pragma: no cover - impossible
-        raise InvariantError(f"saturated extension became inconsistent: {exc}")
-
-
-def is_green(u: ConsistentSet) -> bool:
-    """True iff the interval {n-k, ..., n} is absent from the family.
-
-    That interval is the colex-largest member, so this is the top bit.
-    """
-    return not u.bits >> (u.params.num_members - 1) & 1
-
-
-@dataclass(frozen=True)
-class AdmissiblePermutation:
-    """A linear order on all k-subsets of [m] that restricts to lex or
-    reverse-lex order on every packet, according to membership of the
-    packet base in the defining family."""
-
-    m: int
-    order: tuple[KSubset, ...]
-
-
-def admissible_permutation(v: ConsistentSet) -> AdmissiblePermutation:
-    """Topologically sort the k-subsets of [m] under the packet constraints.
-
-    For each (k+1)-subset Q of [m], the k-subsets of Q are chained in lex
-    order when Q belongs to the family and in reverse-lex order otherwise.
-    Ties are broken by smallest colex rank.
-    """
-    m = v.params.n
-    k = v.params.k
-    nodes = enumerate_subsets(m, k)
-    n_nodes = len(nodes)
-    succ: list[list[int]] = [[] for _ in range(n_nodes)]
-    indegree = [0] * n_nodes
-    for q in itertools.combinations(range(1, m + 1), k + 1):
-        members = sorted(itertools.combinations(q, k))
-        if KSubset(q) not in v:
-            members.reverse()
-        ranks = [colex_rank(t) for t in members]
-        for a, b in zip(ranks, ranks[1:]):
-            succ[a].append(b)
-            indegree[b] += 1
-    ready = [i for i in range(n_nodes) if indegree[i] == 0]
-    heapq.heapify(ready)
-    out = []
-    while ready:
-        i = heapq.heappop(ready)
-        out.append(nodes[i])
-        for j in succ[i]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                heapq.heappush(ready, j)
-    if len(out) != n_nodes:
-        raise InvariantError(
-            "packet precedence constraints are cyclic; the family is corrupted"
-        )
-    return AdmissiblePermutation(m, tuple(out))
-
-
-@dataclass(frozen=True)
-class BuildupSequence:
-    """A chain of consistent families each adding one member containing n."""
-
-    steps: tuple[ConsistentSet, ...]
-
-
-def buildup_sequence(u: ConsistentSet) -> BuildupSequence:
-    """Grow u from its restriction by adding members containing n one at a time.
-
-    The additions are ordered by where their truncations appear in an
-    admissible permutation for the restriction; every intermediate family
-    is consistency-checked, and a failure raises InvariantError because
-    the construction is guaranteed to stay consistent.
-    """
-    _require_level_above_base(u.params)
-    restricted = map_f(u)
-    alpha = admissible_permutation(restricted)
-    position = {sub.elements: pos for pos, sub in enumerate(alpha.order)}
-    additions = [
-        member
-        for member in u.members()
-        if member.elements[-1] == u.params.n
-    ]
-    additions.sort(key=lambda member: position[member.elements[:-1]])
-    steps = [map_i(restricted)]
-    bits = steps[0].bits
-    for member in additions:
-        bits |= 1 << member.rank
-        try:
-            steps.append(ConsistentSet(u.params, bits))
-        except InconsistentSetError as exc:
-            raise InvariantError(
-                f"build-up for {u} hit an inconsistent intermediate adding {member}: {exc}"
-            )
-    if steps[-1].bits != u.bits:  # pragma: no cover - impossible
-        raise InvariantError("build-up did not terminate at the input family")
-    return BuildupSequence(tuple(steps))
-
-
-def dual_buildup_sequence(u: ConsistentSet) -> BuildupSequence:
-    """A single-addition chain from u up to its saturated extension target.
-
-    Obtained by complementing, building up, and complementing back; the
-    result witnesses comparability of u with map_j(map_f(u)).
-    """
-    forward = buildup_sequence(complement(u))
-    steps = tuple(complement(s) for s in reversed(forward.steps))
-    return BuildupSequence(steps)
 
 
 def to_poset(order: BruhatOrder, kind: OrderKind) -> posets.FiniteBoundedPoset:
@@ -499,8 +312,12 @@ def dissection_instance(order: BruhatOrder, kind: OrderKind):
 
     Builds P from the order and Q from the order one ground-set size down,
     both under the relation of the given kind, colors elements green/red,
-    and tabulates the three maps.  On bitsets, f (map_f) is a mask, i
-    (map_i) the identity and j (map_j) an OR with the members holding n.
+    and tabulates the three maps: f forgets the members holding n, i keeps
+    a family as it is, and j adds every member holding n.  Colex ranks do
+    not depend on n, so on bitsets f is a mask, i the identity and j an OR.
+    check_conditions decides the lemma's hypotheses on these tables
+    exhaustively, so the paper's constructive proofs of them (admissible
+    permutations, build-up chains, interval descent) are not run.
     """
     from .suspension_check import DissectionInstance
 

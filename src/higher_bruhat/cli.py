@@ -24,6 +24,7 @@ from .errors import InvariantError, ParameterError, ResourceLimitError
 from .homology import DEFAULT_SIMPLEX_BUDGET, is_sphere_homology, reduced_homology
 from .instance_io import (
     SCHEMA_VERSION,
+    LoadedInstance,
     instance_to_doc,
     load_instance,
     poset_to_doc,
@@ -42,6 +43,12 @@ EXIT_CONDITION = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 3
 
+SPHERICITY_NOTE = (
+    "Certifies the exact reduced integer homology of the proper part's order "
+    "complex, computed on its beat-point core; homotopy equivalence to a "
+    "sphere is not certified."
+)
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors on exit code 3 instead of 2."""
@@ -49,6 +56,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _budget(text: str) -> int:
+    """The value of a budget flag: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def _write_text(blob: str, out: str) -> None:
@@ -219,7 +237,7 @@ def cmd_verify_sphericity(ns) -> int:
             }
             for d in range(-1, len(f_vector))
         ],
-        "notes": [HOMOTOPY_DISCLAIMER],
+        "notes": [SPHERICITY_NOTE],
     }
     _write_report(report, ns.out)
     print(f"B({params.n},{params.k}) under {kind.value}:")
@@ -234,7 +252,7 @@ def cmd_verify_sphericity(ns) -> int:
         print(f"  reduced homology degree {entry['degree']}: betti {entry['betti']}{extra}")
     verdict = "matches" if sphere else "DOES NOT match"
     print(f"  {verdict} the homology of a {target}-sphere")
-    print(f"  note: {HOMOTOPY_DISCLAIMER}")
+    print(f"  note: {SPHERICITY_NOTE}")
     return EXIT_PASS if sphere else EXIT_CONDITION
 
 
@@ -281,10 +299,12 @@ def _dot_quote(label: str) -> str:
 
 def cmd_export(ns) -> int:
     green_labels: list[str] | None = None
-    q_poset = None
-    maps_doc = None
     if ns.bruhat is not None:
-        params, kind = _parse_bruhat_args(ns.bruhat)
+        loaded = LoadedInstance(bruhat=_parse_bruhat_args(ns.bruhat))
+    else:
+        loaded = load_instance(ns.instance)
+    if loaded.bruhat is not None:
+        params, kind = loaded.bruhat
         order = enumerate_bruhat(params, max_subsets=ns.max_subsets)
         if params.n >= params.k + 2:
             inst = dissection_instance(order, kind)
@@ -297,8 +317,7 @@ def cmd_export(ns) -> int:
         green_labels = [p.labels[i] for i in sorted(order.green())]
         doc["green"] = green_labels
     else:
-        loaded = load_instance(ns.instance)
-        p = loaded.resolve_poset(max_subsets=ns.max_subsets)
+        p = loaded.p
         green = loaded.green_indices(p)
         if green is not None:
             green_labels = [p.labels[i] for i in sorted(green)]
@@ -363,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument(
         "--method", choices=["bfs", "bruteforce", "both"], default="bfs"
     )
-    p_enum.add_argument("--max-subsets", type=int, default=None,
+    p_enum.add_argument("--max-subsets", type=_budget, default=None,
                         help="override the member-count limit")
     p_enum.add_argument("--elements", action="store_true",
                         help="include the full element list in the report")
@@ -374,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check-lemma", help="check the suspension conditions on an instance"
     )
     _add_instance_arguments(p_check)
-    p_check.add_argument("--max-subsets", type=int, default=None)
+    p_check.add_argument("--max-subsets", type=_budget, default=None)
     p_check.add_argument("--out", metavar="FILE")
     p_check.set_defaults(handler=cmd_check_lemma)
 
@@ -384,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sphere.add_argument(
         "--bruhat", nargs=3, metavar=("N", "K", "ORDER"), required=True
     )
-    p_sphere.add_argument("--max-subsets", type=int, default=None)
-    p_sphere.add_argument("--max-simplices", type=int, default=DEFAULT_SIMPLEX_BUDGET)
+    p_sphere.add_argument("--max-subsets", type=_budget, default=None)
+    p_sphere.add_argument("--max-simplices", type=_budget, default=DEFAULT_SIMPLEX_BUDGET)
     p_sphere.add_argument("--out", metavar="FILE")
     p_sphere.set_defaults(handler=cmd_verify_sphericity)
 
@@ -394,14 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument("n", type=int)
     p_cmp.add_argument("k", type=int)
-    p_cmp.add_argument("--max-subsets", type=int, default=None)
+    p_cmp.add_argument("--max-subsets", type=_budget, default=None)
     p_cmp.add_argument("--out", metavar="FILE")
     p_cmp.set_defaults(handler=cmd_compare_orders)
 
     p_exp = sub.add_parser("export", help="export an instance as JSON or DOT")
     _add_instance_arguments(p_exp)
     p_exp.add_argument("--format", choices=["json", "dot"], required=True)
-    p_exp.add_argument("--max-subsets", type=int, default=None)
+    p_exp.add_argument("--max-subsets", type=_budget, default=None)
     p_exp.add_argument("--out", metavar="FILE")
     p_exp.set_defaults(handler=cmd_export)
 

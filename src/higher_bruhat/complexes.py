@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .errors import NotClosedError, ParameterError
 
-__all__ = ["SimplicialComplex", "make_complex", "from_facets", "suspension"]
+__all__ = ["SimplicialComplex", "make_complex"]
 
 
 @dataclass(frozen=True)
@@ -69,41 +69,13 @@ def verify_closed(x: SimplicialComplex) -> bool:
     return True
 
 
-def make_complex(
-    num_vertices: int, faces: Iterable[Sequence[int]], *, close: bool = False
-) -> SimplicialComplex:
-    """Build a complex from faces, verifying (or generating) downward closure."""
+def make_complex(num_vertices: int, faces: Iterable[Sequence[int]]) -> SimplicialComplex:
+    """Build a complex from faces, verifying downward closure."""
     by_dim = _normalize(num_vertices, faces)
-    if close:
-        for d in range(len(by_dim) - 1, 0, -1):
-            for face in by_dim[d]:
-                for t in range(len(face)):
-                    by_dim[d - 1].add(face[:t] + face[t + 1 :])
     complex_ = SimplicialComplex(
         num_vertices=num_vertices,
         faces=tuple(tuple(sorted(fs, key=lambda t: t[::-1])) for fs in by_dim),
     )
-    if not close and not verify_closed(complex_):
+    if not verify_closed(complex_):
         raise NotClosedError("simplex family is not closed under taking faces")
     return complex_
-
-
-def from_facets(num_vertices: int, facets: Iterable[Sequence[int]]) -> SimplicialComplex:
-    """The complex generated by the given facets."""
-    return make_complex(num_vertices, list(facets), close=True)
-
-
-def suspension(x: SimplicialComplex) -> SimplicialComplex:
-    """Join with two new apex points.
-
-    Every face sigma (including the empty simplex) contributes sigma+{a}
-    and sigma+{b}; no face contains both apexes.
-    """
-    a, b = x.num_vertices, x.num_vertices + 1
-    faces: list[tuple[int, ...]] = [(a,), (b,)]
-    for fs in x.faces:
-        for face in fs:
-            faces.append(face)
-            faces.append(face + (a,))
-            faces.append(face + (b,))
-    return make_complex(x.num_vertices + 2, faces)

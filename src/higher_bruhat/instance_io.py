@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .bruhat import OrderKind, dissection_instance, enumerate_bruhat, to_poset
+from .bruhat import OrderKind, dissection_instance, enumerate_bruhat
 from .errors import ParameterError
 from .posets import FiniteBoundedPoset, MonotoneMap, from_covers
 from .subsets import GroundParams
@@ -53,17 +53,7 @@ class LoadedInstance:
     green_labels: tuple[str, ...] | None = None
     map_tables: dict | None = None
 
-    def resolve_poset(self, max_subsets: int | None = None) -> FiniteBoundedPoset:
-        """The P poset, enumerating the Bruhat order when necessary."""
-        if self.bruhat is not None:
-            params, kind = self.bruhat
-            return to_poset(enumerate_bruhat(params, max_subsets=max_subsets), kind)
-        assert self.p is not None
-        return self.p
-
     def green_indices(self, p: FiniteBoundedPoset) -> frozenset[int] | None:
-        if self.bruhat is not None:
-            return None
         if self.green_labels is None:
             return None
         pos = {lbl: i for i, lbl in enumerate(p.labels)}

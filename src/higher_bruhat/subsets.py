@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import InconsistentSetError, InvariantError, ParameterError
+from .errors import InconsistentSetError, ParameterError
 from .posets import _bits
 
 __all__ = [
@@ -32,10 +32,6 @@ __all__ = [
     "packet_of",
     "is_consistent",
     "violating_packets",
-    "internal_gaps",
-    "interval_descent",
-    "find_interval",
-    "complement",
 ]
 
 
@@ -244,10 +240,16 @@ def violating_packets(members, params: GroundParams) -> list[Packet]:
     """The packets whose segment condition fails; empty iff is_consistent."""
     bits = _bits_of(members, params)
     return [
-        packet_of(KSubset(c.base))
+        _packet(c.base)
         for c in _packet_checks(params.n, params.k)
         if (bits & c.mask) not in c.segments
     ]
+
+
+@lru_cache(maxsize=None)
+def _packet(base: tuple[int, ...]) -> Packet:
+    """The packet of a base, built once."""
+    return packet_of(KSubset(base))
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,69 +310,3 @@ def _label(params: GroundParams, bits: int) -> str:
 def _member_names(n: int, size: int) -> tuple[str, ...]:
     """str() of every size-subset of [n], indexed by colex rank."""
     return tuple(str(s) for s in enumerate_subsets(n, size))
-
-
-def internal_gaps(subset: KSubset, n: int) -> list[int]:
-    """Elements of [n] strictly between min and max of the subset but not in it."""
-    if len(subset) == 0:
-        raise ParameterError("internal gaps are undefined for the empty subset")
-    elems = subset.elements
-    if elems[-1] > n:
-        raise ParameterError(f"{subset} is not a subset of [{n}]")
-    present = set(elems)
-    return [j for j in range(elems[0] + 1, elems[-1]) if j not in present]
-
-
-def interval_descent(family: ConsistentSet) -> list[KSubset]:
-    """Gap-filling descent from the least member to a gap-free member.
-
-    Start at the member with the smallest colex rank.  While the tracked
-    member I has internal gaps, fill the smallest gap j, form the packet
-    base I + {j}, and move to base minus min(I) or base minus max(I) --
-    consistency guarantees one of them is present, and either one has
-    strictly fewer internal gaps.  base minus min(I) is preferred when
-    both are present.  Returns the whole descent chain; the last entry is
-    an interval.
-    """
-    if family.bits == 0:
-        raise ParameterError("the empty family contains no interval")
-    n = family.params.n
-    low = family.bits & -family.bits
-    current = KSubset(subset_of_rank(low.bit_length() - 1, family.params.member_size))
-    trace = [current]
-    gaps = internal_gaps(current, n)
-    while gaps:
-        j = gaps[0]
-        base = tuple(sorted(current.elements + (j,)))
-        drop_min = KSubset(base[1:])
-        drop_max = KSubset(base[:-1])
-        if drop_min in family:
-            nxt = drop_min
-        elif drop_max in family:
-            nxt = drop_max
-        else:
-            raise InvariantError(
-                f"descent stuck at {current}: neither {drop_min} nor {drop_max} present; "
-                "input family is corrupted"
-            )
-        next_gaps = internal_gaps(nxt, n)
-        if len(next_gaps) >= len(gaps):
-            raise InvariantError(
-                f"descent failed to reduce gap count at {current} -> {nxt}"
-            )
-        current, gaps = nxt, next_gaps
-        trace.append(current)
-    return trace
-
-
-def find_interval(family: ConsistentSet) -> KSubset:
-    """Some member with no internal gaps; every non-empty consistent family has one."""
-    return interval_descent(family)[-1]
-
-
-def complement(family: ConsistentSet) -> ConsistentSet:
-    """The complementary family; consistent because prefixes and suffixes swap."""
-    try:
-        return ConsistentSet(family.params, family.bits ^ family.params.full_bits)
-    except InconsistentSetError as exc:  # pragma: no cover - mathematically impossible
-        raise InvariantError(f"complement of a consistent family came out inconsistent: {exc}")

@@ -11,9 +11,11 @@ from functools import reduce
 from math import gcd
 from operator import and_, getitem, or_
 
+from constructions import from_facets
 from higher_bruhat import __version__
 from higher_bruhat.bruhat import OrderKind, enumerate_bruhat, to_poset
-from higher_bruhat.complexes import SimplicialComplex, from_facets
+from higher_bruhat.cli import SPHERICITY_NOTE
+from higher_bruhat.complexes import SimplicialComplex
 from higher_bruhat.errors import NotAPosetError, NotBoundedError, ParameterError
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
 from higher_bruhat.posets import (
@@ -24,7 +26,6 @@ from higher_bruhat.posets import (
     proper_part,
 )
 from higher_bruhat.subsets import GroundParams, _packet_checks
-from higher_bruhat.suspension_check import HOMOTOPY_DISCLAIMER
 
 
 def naive_colex_subsets(n, r):
@@ -437,7 +438,7 @@ def full_route_report(n, k, kind):
             }
             for d in homology.degrees()
         ],
-        "notes": [HOMOTOPY_DISCLAIMER],
+        "notes": [SPHERICITY_NOTE],
     }
 
 

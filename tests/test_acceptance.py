@@ -9,30 +9,25 @@ import random
 import time
 from math import comb, factorial
 
-from helpers import homology_dict, proper_part_complex, random_bounded_poset, random_complex
-from higher_bruhat.bruhat import (
-    OrderKind,
+from constructions import (
     buildup_sequence,
+    complement,
     dual_buildup_sequence,
-    enumerate_bruhat,
+    internal_gaps,
+    interval_descent,
     is_green,
     leq_inclusion,
-    leq_single_step,
     map_f,
     map_i,
     map_j,
-    to_poset,
+    suspension,
 )
+from helpers import homology_dict, proper_part_complex, random_bounded_poset, random_complex
+from higher_bruhat.bruhat import OrderKind, enumerate_bruhat, to_poset
 from higher_bruhat.cli import main
-from higher_bruhat.complexes import suspension
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
 from higher_bruhat.posets import product_with_two_chain, proper_part
-from higher_bruhat.subsets import (
-    GroundParams,
-    complement,
-    internal_gaps,
-    interval_descent,
-)
+from higher_bruhat.subsets import GroundParams
 
 SPHERICITY_INSTANCES = [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3), (6, 4)]
 
@@ -152,20 +147,21 @@ def test_criterion_6_buildup_witnesses():
     def check():
         for n, k in SPHERICITY_INSTANCES:
             o = order(n, k)
-            for u in o.elements:
+            reach = o.reach()
+            for i, u in enumerate(o.elements):
                 seq = buildup_sequence(u)
-                assert seq.steps[0] == map_i(map_f(u))
-                assert seq.steps[-1] == u
-                for a, b in zip(seq.steps, seq.steps[1:]):
+                assert seq[0] == map_i(map_f(u))
+                assert seq[-1] == u
+                for a, b in zip(seq, seq[1:]):
                     assert (b.bits & ~a.bits).bit_count() == 1
-                assert leq_single_step(seq.steps[0], u, o)
+                assert reach[o._index[seq[0].bits]] >> i & 1
 
                 dual = dual_buildup_sequence(u)
-                assert dual.steps[0] == u
-                assert dual.steps[-1] == map_j(map_f(u))
-                for a, b in zip(dual.steps, dual.steps[1:]):
+                assert dual[0] == u
+                assert dual[-1] == map_j(map_f(u))
+                for a, b in zip(dual, dual[1:]):
                     assert (b.bits & ~a.bits).bit_count() == 1
-                assert leq_single_step(u, dual.steps[-1], o)
+                assert reach[i] >> o._index[dual[-1].bits] & 1
 
     verdict(6, "build-up witnesses for the sandwich condition", check)
 
@@ -209,7 +205,7 @@ def test_criterion_8_containment_and_duality():
                 for j in range(size):
                     if reach[i] >> j & 1:
                         assert leq_inclusion(elements[i], elements[j])
-            comp_index = {u.bits: o.index_of(complement(u)) for u in elements}
+            comp_index = {u.bits: o._index[complement(u).bits] for u in elements}
             for i, u in enumerate(elements):
                 cu = complement(u)
                 assert complement(cu) == u

@@ -403,7 +403,7 @@ class TestExportCommand:
         assert main(["export", "--bruhat", "3", "1", "single_step",
                      "--format", "json", "--out", str(out)]) == 0
         loaded = load_instance(str(out))
-        rebuilt = loaded.resolve_poset()
+        rebuilt = loaded.p
         direct = to_poset(enumerate_bruhat(GroundParams(3, 1)), OrderKind.SINGLE_STEP)
         assert rebuilt == direct
         assert loaded.q is not None and len(loaded.q.labels) == 2
@@ -436,6 +436,23 @@ class TestExportCommand:
                      "--format", "json", "--out", str(second)]) == 0
         assert read_json(first)["P"] == read_json(second)["P"]
 
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bruhat_block_exports_as_bruhat_flag(self, n, kind, fmt, tmp_path):
+        source = tmp_path / "source.json"
+        source.write_text(
+            json.dumps({"schema": 1, "bruhat": {"n": n, "k": 1, "order": kind}}),
+            encoding="utf-8",
+        )
+        direct = tmp_path / "direct.out"
+        via_file = tmp_path / "via_file.out"
+        assert main(["export", "--bruhat", str(n), "1", kind,
+                     "--format", fmt, "--out", str(direct)]) == 0
+        assert main(["export", "--instance", str(source),
+                     "--format", fmt, "--out", str(via_file)]) == 0
+        assert via_file.read_bytes() == direct.read_bytes()
+
     def test_dot_coloring_from_file_green_list(self, tmp_path):
         source = tmp_path / "instance.json"
         assert main(["export", "--bruhat", "3", "1", "inclusion",
@@ -464,6 +481,39 @@ class TestNoFamilyObjects:
         monkeypatch.setattr(ConsistentSet, "__post_init__", lambda self: built.append(self))
         assert main(argv) == 0
         assert built == []
+
+
+class TestNegativeBudgets:
+    """A negative budget is a usage error, refused while the flags are parsed."""
+
+    def assert_usage_error(self, capsys, flag, value):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert captured.err.count("error:") == 1
+        assert captured.err.endswith(
+            f": error: argument {flag}: must be a non-negative integer, got {value}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "4", "1"],
+            ["check-lemma", "--bruhat", "3", "1", "single_step"],
+            ["verify-sphericity", "--bruhat", "3", "1", "inclusion"],
+            ["compare-orders", "4", "1"],
+            ["export", "--bruhat", "3", "1", "single_step", "--format", "json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_max_subsets(self, argv, capsys):
+        assert main(argv + ["--max-subsets", "-1"]) == 3
+        self.assert_usage_error(capsys, "--max-subsets", -1)
+
+    def test_max_simplices(self, capsys):
+        assert main(["verify-sphericity", "--bruhat", "3", "1", "inclusion",
+                     "--max-simplices", "-5"]) == 3
+        self.assert_usage_error(capsys, "--max-simplices", -5)
 
 
 class TestUnwritableOut:

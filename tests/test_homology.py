@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constructions import from_facets, suspension
 from helpers import (
     dense_matmul,
     homology_dict,
@@ -13,12 +14,7 @@ from helpers import (
     snf_by_minor_gcds,
 )
 from higher_bruhat.bruhat import OrderKind, enumerate_bruhat, to_poset
-from higher_bruhat.complexes import (
-    SimplicialComplex,
-    from_facets,
-    make_complex,
-    suspension,
-)
+from higher_bruhat.complexes import SimplicialComplex, make_complex
 from higher_bruhat.errors import NotClosedError, ParameterError, ResourceLimitError
 from higher_bruhat.homology import (
     IntegerMatrix,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constructions import complement, internal_gaps, interval_descent
 from helpers import naive_colex_subsets, naive_is_consistent
 from higher_bruhat.errors import InconsistentSetError, InvariantError, ParameterError
 from higher_bruhat.posets import _columns
@@ -12,11 +13,7 @@ from higher_bruhat.subsets import (
     GroundParams,
     KSubset,
     _segment_columns,
-    complement,
     enumerate_subsets,
-    find_interval,
-    internal_gaps,
-    interval_descent,
     is_consistent,
     packet_of,
     subset_of_rank,
@@ -241,17 +238,17 @@ class TestInternalGaps:
 class TestFindInterval:
     def test_already_an_interval(self):
         u = fam(GroundParams(3, 1), (1, 2))
-        assert find_interval(u).elements == (1, 2)
+        assert interval_descent(u)[-1].elements == (1, 2)
 
     def test_consistent_star_family(self):
         u = fam(GroundParams(4, 1), (1, 2), (1, 3), (1, 4))
-        found = find_interval(u)
+        found = interval_descent(u)[-1]
         assert found.elements == (1, 2)
         assert internal_gaps(found, 4) == []
 
     def test_empty_family_rejected(self):
         with pytest.raises(ParameterError):
-            find_interval(fam(GroundParams(3, 1)))
+            interval_descent(fam(GroundParams(3, 1)))
 
     def test_descent_strictly_decreases_gaps(self):
         u = fam(GroundParams(5, 1), (1, 5), (1, 4), (1, 3), (1, 2), (2, 5), (2, 4), (2, 3))
@@ -269,7 +266,7 @@ class TestFindInterval:
         object.__setattr__(corrupt, "params", params)
         object.__setattr__(corrupt, "bits", bits)
         with pytest.raises(InvariantError):
-            find_interval(corrupt)
+            interval_descent(corrupt)
 
 
 class TestComplement:

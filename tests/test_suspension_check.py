@@ -1,13 +1,12 @@
 import pytest
 
+from constructions import is_green, map_f
 from helpers import bitwise_green_witness, chain_carrier_failures
 from higher_bruhat import suspension_check
 from higher_bruhat.bruhat import (
     OrderKind,
     dissection_instance,
     enumerate_bruhat,
-    is_green,
-    map_f,
 )
 from higher_bruhat.errors import ConditionViolationError, ParameterError
 from higher_bruhat.posets import (
