@@ -13,22 +13,10 @@ import sys
 from itertools import groupby
 
 from . import __version__
-from .bruhat import (
-    OrderKind,
-    _check_width,
-    dissection_instance,
-    enumerate_bruhat,
-    to_poset,
-)
+from .bruhat import _check_width, enumerate_bruhat, to_poset
 from .errors import InvariantError, ParameterError, ResourceLimitError
 from .homology import DEFAULT_SIMPLEX_BUDGET, is_sphere_homology, reduced_homology
-from .instance_io import (
-    SCHEMA_VERSION,
-    LoadedInstance,
-    instance_to_doc,
-    load_instance,
-    poset_to_doc,
-)
+from .instance_io import LoadedInstance, load_instance, parse_bruhat_block
 from .posets import _bits, beat_core, chain_f_vector, count_chains, order_complex, proper_part
 from .subsets import GroundParams, _label
 from .suspension_check import (
@@ -83,31 +71,21 @@ def _write_report(report: dict, out: str | None) -> None:
         _write_text(blob, out)
 
 
-def _parse_bruhat_args(values) -> tuple[GroundParams, OrderKind]:
-    n_str, k_str, order_str = values
+def _bruhat_block(values) -> dict:
+    """--bruhat N K ORDER as the bruhat block of an instance file."""
+    n_str, k_str, order = values
     try:
-        n, k = int(n_str), int(k_str)
+        return {"n": int(n_str), "k": int(k_str), "order": order}
     except ValueError:
         raise ParameterError(f"bruhat n and k must be integers, got {n_str!r}, {k_str!r}")
-    try:
-        kind = OrderKind(order_str)
-    except ValueError:
-        raise ParameterError(
-            f"unknown order kind {order_str!r}; use single_step or inclusion"
-        )
-    return GroundParams(n, k), kind
 
 
-def _load_dissection(ns):
-    if ns.bruhat is not None:
-        params, kind = _parse_bruhat_args(ns.bruhat)
-        order = enumerate_bruhat(params, max_subsets=ns.max_subsets)
-        inst = dissection_instance(order, kind)
-        source = {"bruhat": {"n": params.n, "k": params.k, "order": kind.value}}
-        return inst, source
-    loaded = load_instance(ns.instance)
-    inst = loaded.resolve_dissection(max_subsets=ns.max_subsets)
-    return inst, {"file": ns.instance}
+def _load_instance(ns) -> tuple[LoadedInstance, dict]:
+    """The instance that --instance or --bruhat names, and its report entry."""
+    if ns.instance is not None:
+        return load_instance(ns.instance), {"file": ns.instance}
+    block = _bruhat_block(ns.bruhat)
+    return LoadedInstance(bruhat=parse_bruhat_block(block)), {"bruhat": block}
 
 
 def _check_to_dict(check) -> dict:
@@ -148,7 +126,8 @@ def cmd_enumerate(ns) -> int:
 
 
 def cmd_check_lemma(ns) -> int:
-    inst, source = _load_dissection(ns)
+    loaded, source = _load_instance(ns)
+    inst = loaded.resolve_dissection(max_subsets=ns.max_subsets)
     condition_report = check_conditions(inst)
     report = {
         "version": __version__,
@@ -200,7 +179,7 @@ def cmd_check_lemma(ns) -> int:
 
 
 def cmd_verify_sphericity(ns) -> int:
-    params, kind = _parse_bruhat_args(ns.bruhat)
+    params, kind = parse_bruhat_block(_bruhat_block(ns.bruhat))
     order = enumerate_bruhat(params, max_subsets=ns.max_subsets)
     p = to_poset(order, kind)
     pp = proper_part(p)
@@ -298,51 +277,21 @@ def _dot_quote(label: str) -> str:
 
 
 def cmd_export(ns) -> int:
-    green_labels: list[str] | None = None
-    if ns.bruhat is not None:
-        loaded = LoadedInstance(bruhat=_parse_bruhat_args(ns.bruhat))
-    else:
-        loaded = load_instance(ns.instance)
-    if loaded.bruhat is not None:
-        params, kind = loaded.bruhat
-        order = enumerate_bruhat(params, max_subsets=ns.max_subsets)
-        if params.n >= params.k + 2:
-            inst = dissection_instance(order, kind)
-            p = inst.p
-            doc = instance_to_doc(inst)
-        else:
-            # base case n = k+1: no level below, export the bare poset
-            p = to_poset(order, kind)
-            doc = {"schema": SCHEMA_VERSION, "P": poset_to_doc(p)}
-        green_labels = [p.labels[i] for i in sorted(order.green())]
-        doc["green"] = green_labels
-    else:
-        p = loaded.p
-        green = loaded.green_indices(p)
-        if green is not None:
-            green_labels = [p.labels[i] for i in sorted(green)]
-        doc = {"schema": SCHEMA_VERSION, "P": poset_to_doc(p)}
-        if loaded.q is not None:
-            doc["Q"] = poset_to_doc(loaded.q)
-        if green_labels is not None:
-            doc["green"] = green_labels
-        if loaded.map_tables is not None:
-            doc["maps"] = loaded.map_tables
-
+    loaded, _ = _load_instance(ns)
+    doc = loaded.to_doc(ns.max_subsets)
     if ns.format == "json":
         blob = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     else:
+        green = set(doc["green"]) if "green" in doc else None
         lines = ["digraph poset {", "  rankdir=BT;"]
-        green_set = set(green_labels or [])
-        for lbl in p.labels:
-            if green_labels is None:
+        for lbl in doc["P"]["labels"]:
+            if green is None:
                 lines.append(f"  {_dot_quote(lbl)};")
-            elif lbl in green_set:
-                lines.append(f"  {_dot_quote(lbl)} [style=filled, fillcolor=palegreen];")
             else:
-                lines.append(f"  {_dot_quote(lbl)} [style=filled, fillcolor=lightpink];")
-        for a, b in p.covers():
-            lines.append(f"  {_dot_quote(p.labels[a])} -> {_dot_quote(p.labels[b])};")
+                color = "palegreen" if lbl in green else "lightpink"
+                lines.append(f"  {_dot_quote(lbl)} [style=filled, fillcolor={color}];")
+        for a, b in doc["P"]["covers"]:
+            lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)};")
         lines.append("}")
         blob = "\n".join(lines) + "\n"
 

@@ -11,12 +11,14 @@ Schema version 1.  A document either spells out the pieces explicitly:
       "maps": {"f": {"a": "qa", ...}, "i": {...}, "j": {...}}   # optional
     }
 
-or names a Bruhat order by parameters:
+or names a Bruhat order by parameters, in a bruhat block that stands
+alone (the command line's --bruhat N K ORDER is the same block inline):
 
     {"schema": 1, "bruhat": {"n": 4, "k": 1, "order": "single_step"}}
 
-Labels must be unique; covers and maps refer to labels.  Exported
-documents are byte-deterministic for a fixed input and library version.
+schema is the integer 1.  Labels must be unique; covers and maps refer to
+labels.  Exported documents are byte-deterministic for a fixed input and
+library version.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .bruhat import OrderKind, dissection_instance, enumerate_bruhat
+from .bruhat import OrderKind, dissection_instance, enumerate_bruhat, to_poset
 from .errors import ParameterError
 from .posets import FiniteBoundedPoset, MonotoneMap, from_covers
 from .subsets import GroundParams
@@ -33,6 +35,7 @@ from .suspension_check import DissectionInstance
 __all__ = [
     "SCHEMA_VERSION",
     "LoadedInstance",
+    "parse_bruhat_block",
     "parse_instance_doc",
     "load_instance",
     "poset_to_doc",
@@ -53,10 +56,11 @@ class LoadedInstance:
     green_labels: tuple[str, ...] | None = None
     map_tables: dict | None = None
 
-    def green_indices(self, p: FiniteBoundedPoset) -> frozenset[int] | None:
+    def green_indices(self) -> frozenset[int] | None:
+        """Indices in P of the green labels, or None without a green list."""
         if self.green_labels is None:
             return None
-        pos = {lbl: i for i, lbl in enumerate(p.labels)}
+        pos = {lbl: i for i, lbl in enumerate(self.p.labels)}
         out = set()
         for lbl in self.green_labels:
             if lbl not in pos:
@@ -77,8 +81,6 @@ class LoadedInstance:
         if not self.map_tables or set(self.map_tables) != {"f", "i", "j"}:
             raise ParameterError("instance needs label maps f, i and j")
         p, q = self.p, self.q
-        green = self.green_indices(p)
-        assert green is not None
         p_pos = {lbl: i for i, lbl in enumerate(p.labels)}
         q_pos = {lbl: i for i, lbl in enumerate(q.labels)}
 
@@ -97,11 +99,34 @@ class LoadedInstance:
         return DissectionInstance(
             p=p,
             q=q,
-            green=green,
+            green=self.green_indices(),
             f=table_to_map("f", p, q, q_pos),
             i=table_to_map("i", q, p, p_pos),
             j=table_to_map("j", q, p, p_pos),
         )
+
+    def to_doc(self, max_subsets: int | None = None) -> dict:
+        """The explicit document of this instance, as export writes it.
+
+        A Bruhat instance in the base case n = k+1 has no level below, so
+        its document holds P and green alone.
+        """
+        if self.bruhat is None:
+            p, q, green, maps = self.p, self.q, self.green_indices(), self.map_tables
+        else:
+            params, kind = self.bruhat
+            order = enumerate_bruhat(params, max_subsets=max_subsets)
+            if params.n >= params.k + 2:
+                return instance_to_doc(dissection_instance(order, kind))
+            p, q, green, maps = to_poset(order, kind), None, order.green(), None
+        doc = {"schema": SCHEMA_VERSION, "P": poset_to_doc(p)}
+        if q is not None:
+            doc["Q"] = poset_to_doc(q)
+        if green is not None:
+            doc["green"] = [p.labels[i] for i in sorted(green)]
+        if maps is not None:
+            doc["maps"] = maps
+        return doc
 
 
 def poset_from_doc(doc) -> FiniteBoundedPoset:
@@ -142,28 +167,37 @@ def poset_to_doc(p: FiniteBoundedPoset) -> dict:
     }
 
 
+def parse_bruhat_block(block) -> tuple[GroundParams, OrderKind]:
+    """The parameters and order kind that a bruhat block names."""
+    if not isinstance(block, dict):
+        raise ParameterError("bruhat block must be an object")
+    try:
+        n, k = block["n"], block["k"]
+    except KeyError as missing:
+        raise ParameterError(f"bruhat block lacks key {missing}")
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n, k)):
+        raise ParameterError("bruhat n and k must be integers")
+    kind_name = block.get("order", "single_step")
+    try:
+        kind = OrderKind(kind_name)
+    except ValueError:
+        raise ParameterError(f"unknown order kind {kind_name!r}; use single_step or inclusion")
+    return GroundParams(n, k), kind
+
+
 def parse_instance_doc(doc) -> LoadedInstance:
     if not isinstance(doc, dict):
         raise ParameterError("instance document must be a JSON object")
     schema = doc.get("schema")
-    if schema != SCHEMA_VERSION:
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ParameterError(f"unsupported schema {schema!r}, expected {SCHEMA_VERSION}")
     if "bruhat" in doc:
-        block = doc["bruhat"]
-        if not isinstance(block, dict):
-            raise ParameterError("bruhat block must be an object")
-        try:
-            n, k = block["n"], block["k"]
-        except KeyError as missing:
-            raise ParameterError(f"bruhat block lacks key {missing}")
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n, k)):
-            raise ParameterError("bruhat n and k must be integers")
-        kind_name = block.get("order", "single_step")
-        try:
-            kind = OrderKind(kind_name)
-        except ValueError:
-            raise ParameterError(f"unknown order kind {kind_name!r}")
-        return LoadedInstance(bruhat=(GroundParams(n, k), kind))
+        extra = [name for name in ("P", "Q", "green", "maps") if name in doc]
+        if extra:
+            raise ParameterError(
+                f"a bruhat block stands alone, but the document also has {', '.join(extra)}"
+            )
+        return LoadedInstance(bruhat=parse_bruhat_block(doc["bruhat"]))
     if "P" not in doc:
         raise ParameterError("instance document needs a P block or a bruhat block")
     p = poset_from_doc(doc["P"])

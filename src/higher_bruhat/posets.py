@@ -16,9 +16,9 @@ A FiniteBoundedPoset in hand is always certified, by one of two routes:
   bound.  Input pairs whose interval holds a third element are dropped,
   so cover_pairs holds exactly the covers.
 - from_relation, like calling the class directly, takes relation rows
-  from outside and validates them pair by pair: reflexivity, antisymmetry
-  against the transposed rows, transitivity through every comparable pair,
-  and boundedness.  Its covers are read off the rows.
+  from outside and validates them: reflexivity, antisymmetry against the
+  transposed rows, transitivity and boundedness.  One OR of strict rows
+  per row decides transitivity and yields the covers.
 
 An induced subposet is the pair (p, live): a bounded poset p and a
 bitset live of the indices of its elements that belong to the subposet.
@@ -96,16 +96,22 @@ def _columns(rows: Sequence[int], width: int) -> list[int]:
     return [int(joined[width - 1 - j::width], 2) for j in range(width)]
 
 
-def _hasse(up: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """Covers of a transitive relation given by its up rows, ascending.
+def _hasse(labels: Sequence[str], up: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Covers of a reflexive, antisymmetric relation given by its up rows,
+    ascending; NotAPosetError if the relation is not transitive.
 
-    The covers of i are the members of its strict up-set that lie strictly
-    above none of its other members.
+    beyond is the union of the strict up-sets of the elements strictly
+    above i.  The relation is transitive iff every strict up-set holds its
+    beyond, and then the covers of i are its strict up-set minus beyond.
     """
     strict = [row & ~(1 << i) for i, row in enumerate(up)]
     out: list[tuple[int, int]] = []
     for i, row in enumerate(strict):
-        beyond = reduce(or_, map(strict.__getitem__, _bits(row)), 0)
+        members = _bits(row)
+        beyond = reduce(or_, map(strict.__getitem__, members), 0)
+        if beyond & ~row:
+            j = next(j for j in members if strict[j] & ~row)
+            raise NotAPosetError(f"relation is not transitive through {labels[j]}")
         out.extend(zip(repeat(i), _bits(row & ~beyond)))
     return tuple(out)
 
@@ -159,16 +165,10 @@ class FiniteBoundedPoset:
                 raise NotAPosetError(
                     f"relation is not antisymmetric on {labels[i]}, {labels[j]}"
                 )
-        for row in up:
-            # the row holds itself, so it is closed iff the union of its
-            # members' rows adds nothing
-            members = _bits(row)
-            if reduce(or_, map(up.__getitem__, members)) != row:
-                j = next(j for j in members if up[j] & ~row)
-                raise NotAPosetError(f"relation is not transitive through {labels[j]}")
+        cover_pairs = _hasse(labels, up)
         _check_bounds(labels, up, down, self.bottom, self.top)
         object.__setattr__(self, "down", down)
-        object.__setattr__(self, "cover_pairs", _hasse(up))
+        object.__setattr__(self, "cover_pairs", cover_pairs)
 
     def __len__(self) -> int:
         return len(self.labels)

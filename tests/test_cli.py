@@ -249,6 +249,33 @@ class TestCheckLemmaCommand:
         err = capsys.readouterr().err
         assert err == "error: bruhat n and k must be integers\n"
 
+    @pytest.mark.parametrize("schema", [True, 1.0, "1"])
+    def test_schema_must_be_the_integer_one(self, schema, tmp_path, capsys):
+        bad = tmp_path / "schema.json"
+        bad.write_text(
+            json.dumps({"schema": schema, "bruhat": {"n": 3, "k": 1}}), encoding="utf-8"
+        )
+        for argv in (["check-lemma", "--instance", str(bad)],
+                     ["export", "--instance", str(bad), "--format", "json"]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err == f"error: unsupported schema {schema!r}, expected 1\n"
+
+    @pytest.mark.parametrize("block", ["P", "Q", "green", "maps"])
+    def test_bruhat_block_stands_alone(self, block, tmp_path, capsys):
+        source = tmp_path / "instance.json"
+        assert main(["export", "--bruhat", "3", "1", "single_step",
+                     "--format", "json", "--out", str(source)]) == 0
+        doc = {"schema": 1, "bruhat": {"n": 4, "k": 1, "order": "single_step"},
+               block: read_json(source)[block]}
+        bad = tmp_path / "mixed.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["check-lemma", "--instance", str(bad)],
+                     ["export", "--instance", str(bad), "--format", "json"]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err == f"error: a bruhat block stands alone, but the document also has {block}\n"
+
     def test_instance_without_maps_exit_3(self, tmp_path):
         source = tmp_path / "poset_only.json"
         assert main(["export", "--bruhat", "2", "1", "single_step",
@@ -273,6 +300,45 @@ class TestCheckLemmaCommand:
         out = tmp_path / "report.json"
         assert main(["check-lemma", "--instance", str(source), "--out", str(out)]) == 0
         assert read_json(out)["all_pass"] is True
+
+
+class TestInstanceRoutes:
+    """--bruhat N K ORDER is the inline form of a file's bruhat block."""
+
+    def test_check_lemma_reports_differ_only_in_instance(self, tmp_path):
+        source = tmp_path / "b52.json"
+        source.write_text(
+            json.dumps({"schema": 1, "bruhat": {"n": 5, "k": 2, "order": "inclusion"}}),
+            encoding="utf-8",
+        )
+        direct = tmp_path / "direct.json"
+        via_file = tmp_path / "via_file.json"
+        assert main(["check-lemma", "--bruhat", "5", "2", "inclusion",
+                     "--out", str(direct)]) == 0
+        assert main(["check-lemma", "--instance", str(source), "--out", str(via_file)]) == 0
+        first, second = read_json(direct), read_json(via_file)
+        assert first.pop("instance") == {"bruhat": {"n": 5, "k": 2, "order": "inclusion"}}
+        assert second.pop("instance") == {"file": str(source)}
+        assert first == second
+
+    def test_bad_order_kind_reads_the_same_on_every_route(self, tmp_path, capsys):
+        source = tmp_path / "sideways.json"
+        source.write_text(
+            json.dumps({"schema": 1, "bruhat": {"n": 3, "k": 1, "order": "sideways"}}),
+            encoding="utf-8",
+        )
+        routes = [
+            ["check-lemma", "--bruhat", "3", "1", "sideways"],
+            ["verify-sphericity", "--bruhat", "3", "1", "sideways"],
+            ["export", "--bruhat", "3", "1", "sideways", "--format", "json"],
+            ["check-lemma", "--instance", str(source)],
+            ["export", "--instance", str(source), "--format", "dot"],
+        ]
+        for argv in routes:
+            assert main(argv) == 3
+            assert capsys.readouterr().err == (
+                "error: unknown order kind 'sideways'; use single_step or inclusion\n"
+            )
 
 
 class TestVerifySphericityCommand:

@@ -184,6 +184,30 @@ class TestFromRelation:
         with pytest.raises(NotAPosetError):
             from_relation(("a", "b", "c"), rows, bottom=0, top=2)
 
+    def test_transitivity_witness_matches_pair_walk(self):
+        # upper-triangular reflexive rows are antisymmetric, so the first
+        # failure either route finds is of transitivity or of a bound
+        rng = random.Random(11)
+        failed = 0
+        for _ in range(80):
+            n = rng.randrange(2, 9)
+            labels = tuple(f"e{i}" for i in range(n))
+            rows = tuple(
+                1 << i | sum(1 << j for j in range(i + 1, n) if rng.random() < 0.4)
+                for i in range(n)
+            )
+            try:
+                pair_walk_validate(labels, rows, 0, n - 1)
+            except (NotAPosetError, NotBoundedError) as exc:
+                failed += isinstance(exc, NotAPosetError)
+                with pytest.raises(type(exc)) as info:
+                    FiniteBoundedPoset(labels, rows, 0, n - 1)
+                assert str(info.value) == str(exc)
+            else:
+                p = FiniteBoundedPoset(labels, rows, 0, n - 1)
+                assert p.covers() == naive_covers(p)
+        assert failed >= 20
+
     def test_no_bottom(self):
         rows = (0b101, 0b110, 0b100)  # two minimal elements a, b
         with pytest.raises(NotBoundedError):
