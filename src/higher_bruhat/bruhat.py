@@ -2,7 +2,9 @@
 
 An order is grown from the empty family one cardinality at a time.  Each
 level is held as member columns, and a neighbour rule on every packet
-gives the column of families that can take each member.  Each level is
+gives the column of families that can take each member; the next level
+is read straight off these addable columns, which the order keeps, so
+its covers are built only when something reads them.  Each level is
 certified against the packet segments by the segment kernel before the
 next one grows.  The brute-force oracle runs the same kernel over all
 bitsets, in chunks, to decide membership on its own; it must find the
@@ -51,20 +53,23 @@ class BruhatOrder:
 
     The families are the enumeration's certified bitsets, sorted by
     (cardinality, bitset value), which is a linear extension of both order
-    relations.  Instances are immutable after construction; the families
-    as ConsistentSets, their index and the reachability closure are
-    computed on first use.
+    relations.  There is one level per cardinality 0, 1, ..., C(n,k+1),
+    and addable holds, for each level in turn, the index of its first
+    family and its addable columns: bit f of column x is set iff the
+    level's family f takes member x.  Instances are immutable after
+    construction; the covers, the families as ConsistentSets, their index
+    and the reachability closure are computed on first use.
     """
 
     def __init__(
         self,
         params: GroundParams,
         bits: tuple[int, ...],
-        covers: tuple[tuple[int, int], ...],
+        addable: tuple[tuple[int, tuple[int, ...]], ...],
     ):
         self.params = params
         self.bits = bits
-        self.covers = covers
+        self.addable = addable
         self._reach: tuple[int, ...] | None = None
 
     def __len__(self) -> int:
@@ -78,6 +83,38 @@ class BruhatOrder:
     @cached_property
     def _index(self) -> dict[int, int]:
         return {b: i for i, b in enumerate(self.bits)}
+
+    def _levels(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        """(start, end, addable columns) of each level, lowest first."""
+        ends = [start for start, _ in self.addable[1:]] + [len(self.bits)]
+        return [(start, end, add) for (start, add), end in zip(self.addable, ends)]
+
+    def level_sizes(self) -> list[int]:
+        """The number of families of each cardinality 0, 1, ..., in turn."""
+        return [end - start for start, end, _ in self._levels()]
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """The single-member additions (i, j), in (i, j) order.
+
+        Bit f of a level's addable column x is the cover from the level's
+        family f to that family plus x.  A family's growths are collected
+        member by member, so they come in ascending j: adding x to
+        families without it keeps their order.
+        """
+        bits, index = self.bits, self._index
+        covers: list[tuple[int, int]] = []
+        for start, end, add in self._levels():
+            level = bits[start:end]
+            # one int object per lower index, shared by all its covers
+            lower = list(range(start, end))
+            growths: list[list[tuple[int, int]]] = [[] for _ in level]
+            for x, col in enumerate(add):
+                bit = 1 << x
+                for f in posets._bits(col):
+                    growths[f].append((lower[f], index[level[f] | bit]))
+            covers.extend(itertools.chain.from_iterable(growths))
+        return tuple(covers)
 
     @property
     def bottom(self) -> ConsistentSet:
@@ -176,16 +213,16 @@ def _addable(cols: list[int], absent: list[int], packets: list[tuple[int, ...]])
     return add
 
 
-def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, int]]]:
-    """Elements in (cardinality, bits) order and covers in (i, j) order.
+def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]]:
+    """Elements in (cardinality, bits) order and each level's addable columns.
 
     The order grows one cardinality at a time from the empty family.  A
     level is held as member columns (bit f of column x is set iff family
     f holds member x), and the addable column of x, built by _addable
     with the neighbour rule below, has bit f set iff f + x is consistent.
-    The next level is the sorted set of one-member growths, read member
-    by member into per-family lists; the covers out of a level are read
-    off those lists once the next level has its indices.
+    The next level is the sorted set of one-member growths, read off the
+    addable columns.  Each level's start and addable columns are kept, so
+    BruhatOrder.covers can read the covers off them later.
 
     Before a level is grown, the segment kernel certifies it on the same
     columns, straight from the definition of consistency and apart from
@@ -210,7 +247,7 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, int]]]:
     width = params.num_members
     packets = [c.members for c in _packet_checks(params.n, params.k)]
     elements: list[int] = []
-    covers: list[tuple[int, int]] = []
+    levels: list[tuple[int, tuple[int, ...]]] = []
     level = [0]
     while level:
         cols = posets._columns(level, width)
@@ -224,19 +261,12 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, int]]]:
                     f"on the packet with base {c.base}"
                 )
         add = _addable(cols, [full ^ col for col in cols], packets)
-        growths: list[list[int]] = [[] for _ in level]
-        for x, col in enumerate(add):
-            bit = 1 << x
-            for f in posets._bits(col):
-                growths[f].append(level[f] | bit)
-        flat = list(itertools.chain.from_iterable(growths))
-        upper = sorted(set(flat))
-        pos = {bits: j for j, bits in enumerate(upper, len(elements) + len(level))}
-        tails = map(itertools.repeat, itertools.count(len(elements)), map(len, growths))
-        covers.extend(zip(itertools.chain.from_iterable(tails), map(pos.__getitem__, flat)))
+        levels.append((len(elements), tuple(add)))
         elements.extend(level)
-        level = upper
-    return elements, covers
+        level = sorted(
+            {level[f] | 1 << x for x, col in enumerate(add) for f in posets._bits(col)}
+        )
+    return elements, levels
 
 
 def _check_width(params: GroundParams, method: str, max_subsets: int | None) -> None:
@@ -261,15 +291,15 @@ def enumerate_bruhat(
 ) -> BruhatOrder:
     """Enumerate B(n,k); method is "bfs" or "bruteforce" (an oracle pair).
 
-    Both grow the order level by level from addable columns, which also
-    give the covers.  "bruteforce" then decides membership by scanning
-    every bitset against every packet, and raises InvariantError unless
-    the scan finds the same families.  The growth certifies every level
-    against every packet before it grows the next; a failure raises
-    InvariantError.
+    Both grow the order level by level from addable columns, which the
+    order keeps to give its covers on first use.  "bruteforce" then
+    decides membership by scanning every bitset against every packet, and
+    raises InvariantError unless the scan finds the same families.  The
+    growth certifies every level against every packet before it grows the
+    next; a failure raises InvariantError.
     """
     _check_width(params, method, max_subsets)
-    found, covers = _grow(params)
+    found, levels = _grow(params)
     if not 0 <= min(found) <= max(found) <= params.full_bits:
         raise InvariantError(f"enumeration emitted a bitset out of range for {params}")
     if method == "bruteforce":
@@ -279,7 +309,7 @@ def enumerate_bruhat(
                 f"brute-force scan and addable-mask growth disagree: the scan finds "
                 f"{len(scanned)} families, the growth {len(found)}"
             )
-    return BruhatOrder(params, tuple(found), tuple(covers))
+    return BruhatOrder(params, tuple(found), tuple(levels))
 
 
 def _require_level_above_base(params: GroundParams) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import groupby
 
 from . import __version__
 from .bruhat import _check_width, enumerate_bruhat, to_poset
@@ -101,8 +100,7 @@ def cmd_enumerate(ns) -> int:
         _check_width(params, "bfs", ns.max_subsets)
         method = "bruteforce"
     order = enumerate_bruhat(params, method=method, max_subsets=ns.max_subsets)
-    cards = groupby(b.bit_count() for b in order.bits)
-    histogram = [[card, len(list(run))] for card, run in cards]
+    histogram = [[card, size] for card, size in enumerate(order.level_sizes())]
     report = {
         "version": __version__,
         "command": "enumerate",
@@ -245,8 +243,9 @@ def cmd_compare_orders(ns) -> int:
     inclusion_pairs = sum(row.bit_count() - 1 for row in inclusion)
     differing = [
         [_label(params, order.bits[i]), _label(params, order.bits[j])]
-        for i in range(n)
-        for j in _bits(inclusion[i] & ~reach[i])
+        for i, (inc, r) in enumerate(zip(inclusion, reach))
+        if inc != r
+        for j in _bits(inc & ~r)
     ]
     report = {
         "version": __version__,

@@ -16,9 +16,10 @@ alone (the command line's --bruhat N K ORDER is the same block inline):
 
     {"schema": 1, "bruhat": {"n": 4, "k": 1, "order": "single_step"}}
 
-schema is the integer 1.  Labels must be unique; covers and maps refer to
-labels.  Exported documents are byte-deterministic for a fixed input and
-library version.
+schema is the integer 1.  A bruhat block takes the keys n, k and order
+(default single_step) and no other.  Labels must be unique; covers and
+maps refer to labels.  Exported documents are byte-deterministic for a
+fixed input and library version.
 """
 
 from __future__ import annotations
@@ -80,6 +81,16 @@ class LoadedInstance:
             raise ParameterError("instance needs a green list")
         if not self.map_tables or set(self.map_tables) != {"f", "i", "j"}:
             raise ParameterError("instance needs label maps f, i and j")
+        green = self.green_indices()
+        f, i, j = self._label_maps()
+        return DissectionInstance(p=self.p, q=self.q, green=green, f=f, i=i, j=j)
+
+    def _label_maps(self) -> tuple[MonotoneMap, MonotoneMap, MonotoneMap]:
+        """The maps f, i and j of the label tables.
+
+        A table that misses a label of its source, or sends one to a label
+        its target does not have, raises ParameterError.
+        """
         p, q = self.p, self.q
         p_pos = {lbl: i for i, lbl in enumerate(p.labels)}
         q_pos = {lbl: i for i, lbl in enumerate(q.labels)}
@@ -96,23 +107,23 @@ class LoadedInstance:
                 images.append(target_pos[img])
             return MonotoneMap(source, target, tuple(images))
 
-        return DissectionInstance(
-            p=p,
-            q=q,
-            green=self.green_indices(),
-            f=table_to_map("f", p, q, q_pos),
-            i=table_to_map("i", q, p, p_pos),
-            j=table_to_map("j", q, p, p_pos),
+        return (
+            table_to_map("f", p, q, q_pos),
+            table_to_map("i", q, p, p_pos),
+            table_to_map("j", q, p, p_pos),
         )
 
     def to_doc(self, max_subsets: int | None = None) -> dict:
         """The explicit document of this instance, as export writes it.
 
         A Bruhat instance in the base case n = k+1 has no level below, so
-        its document holds P and green alone.
+        its document holds P and green alone.  Complete map tables (f, i
+        and j, with P and Q) are checked as resolve_dissection checks them.
         """
         if self.bruhat is None:
             p, q, green, maps = self.p, self.q, self.green_indices(), self.map_tables
+            if q is not None and maps is not None and set(maps) == {"f", "i", "j"}:
+                self._label_maps()
         else:
             params, kind = self.bruhat
             order = enumerate_bruhat(params, max_subsets=max_subsets)
@@ -171,6 +182,9 @@ def parse_bruhat_block(block) -> tuple[GroundParams, OrderKind]:
     """The parameters and order kind that a bruhat block names."""
     if not isinstance(block, dict):
         raise ParameterError("bruhat block must be an object")
+    unknown = sorted(set(block) - {"n", "k", "order"})
+    if unknown:
+        raise ParameterError(f"bruhat block has unknown key {unknown[0]!r}; use n, k and order")
     try:
         n, k = block["n"], block["k"]
     except KeyError as missing:

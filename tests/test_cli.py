@@ -141,6 +141,8 @@ class TestEnumerateCommand:
         assert [card for card, _ in report["by_cardinality"]] == list(range(57))
         sizes = [count for _, count in report["by_cardinality"]]
         assert sizes == sizes[::-1]
+        # enumerate reads the level sizes, never the covers
+        assert "covers" not in vars(built[0])
         # observed, with no published source
         assert len(built[0].covers) == 289_408
 
@@ -203,11 +205,8 @@ class TestCheckLemmaCommand:
         wrong_schema.write_text('{"schema": 99}', encoding="utf-8")
         assert main(["check-lemma", "--instance", str(wrong_schema)]) == 3
 
-    @pytest.mark.parametrize(
-        "field,in_poset_block",
-        [("covers", True), ("cover_entry", True), ("bottom", True), ("map_image", False)],
-    )
-    def test_malformed_instance_fields_exit_3(self, field, in_poset_block, tmp_path, capsys):
+    @pytest.mark.parametrize("field", ["covers", "cover_entry", "bottom", "map_image"])
+    def test_malformed_instance_fields_exit_3(self, field, tmp_path, capsys):
         source = tmp_path / "instance.json"
         assert main(["export", "--bruhat", "3", "1", "single_step",
                      "--format", "json", "--out", str(source)]) == 0
@@ -224,11 +223,8 @@ class TestCheckLemmaCommand:
             doc["maps"]["f"][label] = [image]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
-        commands = [["check-lemma", "--instance", str(bad)]]
-        if in_poset_block:
-            # export reads the poset blocks but passes the maps through
-            commands.append(["export", "--instance", str(bad), "--format", "json"])
-        for argv in commands:
+        for argv in (["check-lemma", "--instance", str(bad)],
+                     ["export", "--instance", str(bad), "--format", "json"]):
             assert main(argv) == 3
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
@@ -248,6 +244,47 @@ class TestCheckLemmaCommand:
         assert main(["check-lemma", "--instance", str(bad)]) == 3
         err = capsys.readouterr().err
         assert err == "error: bruhat n and k must be integers\n"
+
+    @pytest.mark.parametrize(
+        "block,key",
+        [({"n": 4, "k": 1, "ordr": "inclusion"}, "ordr"),
+         ({"n": 4, "kind": "x", "k": 1, "ordr": "y"}, "kind")],
+    )
+    def test_unknown_bruhat_key_exit_3(self, block, key, tmp_path, capsys):
+        # a misspelt order key must not fall back to single_step
+        bad = tmp_path / "misspelt.json"
+        bad.write_text(json.dumps({"schema": 1, "bruhat": block}), encoding="utf-8")
+        for argv in (["check-lemma", "--instance", str(bad)],
+                     ["export", "--instance", str(bad), "--format", "json"]):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == (
+                f"error: bruhat block has unknown key {key!r}; use n, k and order\n"
+            )
+
+    @pytest.mark.parametrize("fault", ["unknown_image", "missing_label"])
+    def test_export_checks_map_tables(self, fault, tmp_path, capsys):
+        # export refuses the map tables that check-lemma refuses, with the
+        # same message, instead of writing a file check-lemma cannot read
+        source = tmp_path / "instance.json"
+        assert main(["export", "--bruhat", "4", "1", "single_step",
+                     "--format", "json", "--out", str(source)]) == 0
+        doc = read_json(source)
+        label = next(iter(doc["maps"]["f"]))
+        if fault == "unknown_image":
+            doc["maps"]["f"][label] = "nowhere"
+            message = f"error: map f sends {label!r} to unknown 'nowhere'\n"
+        else:
+            del doc["maps"]["f"][label]
+            message = f"error: map f is not total: missing {label!r}\n"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        reexport = tmp_path / "reexport.json"
+        for argv in (["check-lemma", "--instance", str(bad)],
+                     ["export", "--instance", str(bad), "--format", "json", "--out", str(reexport)],
+                     ["export", "--instance", str(bad), "--format", "dot"]):
+            assert main(argv) == 3
+            assert capsys.readouterr() == ("", message)
+        assert not reexport.exists()
 
     @pytest.mark.parametrize("schema", [True, 1.0, "1"])
     def test_schema_must_be_the_integer_one(self, schema, tmp_path, capsys):
@@ -440,7 +477,8 @@ class TestCompareOrdersCommand:
         # no instance small enough for a test has differing pairs, so drop a
         # cover from B(4,1): single-step reach loses pairs, inclusion keeps them
         full = enumerate_bruhat(GroundParams(4, 1))
-        thinned = BruhatOrder(full.params, full.bits, full.covers[1:])
+        thinned = BruhatOrder(full.params, full.bits, full.addable)
+        thinned.covers = full.covers[1:]
         monkeypatch.setattr(cli, "enumerate_bruhat", lambda *args, **kwargs: thinned)
         out = tmp_path / "report.json"
         assert main(["compare-orders", "4", "1", "--out", str(out)]) == 0
