@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import and_
 
 from . import posets
@@ -326,14 +326,17 @@ def to_poset(order: BruhatOrder, kind: OrderKind) -> posets.FiniteBoundedPoset:
     construction.  The inclusion order reuses that certificate when its
     rows equal the single-step rows; otherwise its rows go through
     from_relation's full validation.
+
+    Element i is labelled _label(params, bits[i]), rendered when the
+    poset's labels are first read and then kept.  The bitsets are
+    distinct and _label is injective, so the labels are unique unchecked.
     """
-    labels = tuple(_label(order.params, b) for b in order.bits)
-    top = len(labels) - 1
-    p = posets.from_covers(labels, order.covers, 0, top)
+    top = len(order) - 1
+    p = posets.from_covers(order.bits, order.covers, 0, top, render=partial(_label, order.params))
     if kind is OrderKind.INCLUSION:
         rows = order.inclusion()
         if rows != p.leq:
-            return posets.from_relation(labels, rows, bottom=0, top=top)
+            return posets.from_relation(p.labels, rows, bottom=0, top=top)
     return p
 
 

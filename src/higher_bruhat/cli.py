@@ -16,7 +16,7 @@ from .bruhat import _check_width, enumerate_bruhat, to_poset
 from .errors import InvariantError, ParameterError, ResourceLimitError
 from .homology import DEFAULT_SIMPLEX_BUDGET, is_sphere_homology, reduced_homology
 from .instance_io import LoadedInstance, load_instance, parse_bruhat_block
-from .posets import _bits, beat_core, chain_f_vector, count_chains, order_complex, proper_part
+from .posets import OverLimit, _bits, beat_core, chain_f_vector, order_complex, proper_part
 from .subsets import GroundParams, _label
 from .suspension_check import (
     HOMOTOPY_DISCLAIMER,
@@ -181,14 +181,16 @@ def cmd_verify_sphericity(ns) -> int:
     order = enumerate_bruhat(params, max_subsets=ns.max_subsets)
     p = to_poset(order, kind)
     pp = proper_part(p)
-    # count chains before any work that grows with them
-    upcoming = 1 + count_chains(p, pp)
-    if upcoming > ns.max_simplices:
+    # count chains before any work that grows with them, and no further than
+    # the budget: the complex has 1 + sum(f_vector) simplices, the empty one
+    # included
+    f_vector = chain_f_vector(p, pp, ns.max_simplices - 1)
+    if isinstance(f_vector, OverLimit):
         raise ResourceLimitError(
-            f"order complex would have {upcoming} simplices, over the budget "
-            f"of {ns.max_simplices}"
+            f"order complex has more than {ns.max_simplices} simplices (budget "
+            f"{ns.max_simplices}; counting stopped after {f_vector.visited} of "
+            f"{pp.bit_count()} points)"
         )
-    f_vector = chain_f_vector(p, pp)
     # beat points do not change the homotopy type, so the core's homology
     # is the proper part's; degrees above the core's dimension read 0
     core = beat_core(p, pp)

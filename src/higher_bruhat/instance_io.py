@@ -117,13 +117,14 @@ class LoadedInstance:
         """The explicit document of this instance, as export writes it.
 
         A Bruhat instance in the base case n = k+1 has no level below, so
-        its document holds P and green alone.  Complete map tables (f, i
-        and j, with P and Q) are checked as resolve_dissection checks them.
+        its document holds P and green alone.  Map tables are written only
+        when resolve_dissection accepts them, so check-lemma can read every
+        exported file that has maps; it raises ParameterError otherwise.
         """
         if self.bruhat is None:
             p, q, green, maps = self.p, self.q, self.green_indices(), self.map_tables
-            if q is not None and maps is not None and set(maps) == {"f", "i", "j"}:
-                self._label_maps()
+            if maps is not None:
+                self.resolve_dissection()
         else:
             params, kind = self.bruhat
             order = enumerate_bruhat(params, max_subsets=max_subsets)

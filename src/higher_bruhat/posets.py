@@ -28,15 +28,20 @@ renumbered, and chains and cores are given as indices into p.
 
 Bit indices are read out of a row with one linear scan of its binary
 string, not one full-width operation per bit.
+
+Labels serve reports and error messages only.  from_covers can take
+distinct keys and an injective renderer in their place; the poset then
+renders its labels on their first read and keeps them, so a route that
+prints no label renders none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from itertools import repeat, zip_longest
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexes import SimplicialComplex, make_complex
 from .errors import NotAPosetError, NotBoundedError, ParameterError
@@ -53,6 +58,7 @@ __all__ = [
     "check_monotone",
     "count_chains",
     "chain_f_vector",
+    "OverLimit",
     "iter_chains",
     "reach_rows",
     "transpose",
@@ -117,16 +123,17 @@ def _hasse(labels: Sequence[str], up: Sequence[int]) -> tuple[tuple[int, int], .
 
 
 def _check_bounds(
-    labels: tuple[str, ...], up: Sequence[int], down: Sequence[int], bottom: int, top: int
+    name: Callable[[int], object], up: Sequence[int], down: Sequence[int], bottom: int, top: int
 ) -> None:
-    n = len(labels)
+    """Refuse bounds that are out of range or not bounds; name(i) labels element i."""
+    n = len(up)
     if not 0 <= bottom < n or not 0 <= top < n:
         raise NotBoundedError("bottom/top index out of range")
     full = (1 << n) - 1
     if up[bottom] != full:
-        raise NotBoundedError(f"{labels[bottom]} is not below every element")
+        raise NotBoundedError(f"{name(bottom)} is not below every element")
     if down[top] != full:
-        raise NotBoundedError(f"{labels[top]} is not above every element")
+        raise NotBoundedError(f"{name(top)} is not above every element")
 
 
 @dataclass(frozen=True)
@@ -134,7 +141,8 @@ class FiniteBoundedPoset:
     """A finite poset with a least and a greatest element.
 
     Calling the class validates the relation rows as from_relation does;
-    from_covers builds a poset certified by construction.
+    from_covers builds a poset certified by construction.  Equality reads
+    the labels last, so posets whose rows differ render none.
     """
 
     labels: tuple[str, ...]
@@ -166,12 +174,29 @@ class FiniteBoundedPoset:
                     f"relation is not antisymmetric on {labels[i]}, {labels[j]}"
                 )
         cover_pairs = _hasse(labels, up)
-        _check_bounds(labels, up, down, self.bottom, self.top)
+        _check_bounds(labels.__getitem__, up, down, self.bottom, self.top)
         object.__setattr__(self, "down", down)
         object.__setattr__(self, "cover_pairs", cover_pairs)
 
+    def __getattr__(self, name: str):
+        # reached only while labels given as a renderer (see from_covers)
+        # are unread; setdefault keeps the first rendering, so every read,
+        # concurrent ones included, returns the same tuple
+        if name == "labels" and "_render" in self.__dict__:
+            render, keys = self.__dict__["_render"]
+            return self.__dict__.setdefault("labels", tuple(map(render, keys)))
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.leq, self.bottom, self.top) == (other.leq, other.bottom, other.top)
+            and self.labels == other.labels
+        )
+
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.leq)
 
     def le(self, i: int, j: int) -> bool:
         return bool(self.leq[i] >> j & 1)
@@ -190,9 +215,9 @@ class MonotoneMap:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.images) != len(self.source.labels):
+        if len(self.images) != len(self.source):
             raise ParameterError("image table does not cover the source")
-        n_target = len(self.target.labels)
+        n_target = len(self.target)
         for i, img in enumerate(self.images):
             if not 0 <= img < n_target:
                 raise ParameterError(f"image of {self.source.labels[i]} is out of range")
@@ -233,24 +258,23 @@ def from_relation(
 
 
 def _cover_links(
-    labels: Sequence[object], cover_pairs: Iterable[tuple[int, int]]
+    n: int, name: Callable[[int], object], cover_pairs: Iterable[tuple[int, int]]
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """Upper and lower neighbours of each element in the cover digraph."""
-    n = len(labels)
+    """Upper and lower neighbours of each of n elements in the cover digraph."""
     above: list[list[int]] = [[] for _ in range(n)]
     below: list[list[int]] = [[] for _ in range(n)]
     for a, b in cover_pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise ParameterError(f"cover pair ({a}, {b}) out of range")
         if a == b:
-            raise NotAPosetError(f"self-loop at {labels[a]}")
+            raise NotAPosetError(f"self-loop at {name(a)}")
         above[a].append(b)
         below[b].append(a)
     return above, below
 
 
 def _topological_order(
-    labels: Sequence[object], above: list[list[int]], below: list[list[int]]
+    name: Callable[[int], object], above: list[list[int]], below: list[list[int]]
 ) -> list[int]:
     """A Kahn sort of the cover digraph; a cycle raises NotAPosetError."""
     indegree = [len(preds) for preds in below]
@@ -260,9 +284,9 @@ def _topological_order(
             indegree[j] -= 1
             if not indegree[j]:
                 order.append(j)
-    if len(order) < len(labels):
+    if len(order) < len(above):
         stuck = next(i for i, d in enumerate(indegree) if d)
-        raise NotAPosetError(f"covers contain a cycle at or below {labels[stuck]}")
+        raise NotAPosetError(f"covers contain a cycle at or below {name(stuck)}")
     return order
 
 
@@ -282,30 +306,40 @@ def reach_rows(
     labels name the elements in error messages; a cycle raises
     NotAPosetError.
     """
-    above, below = _cover_links(labels, cover_pairs)
-    return _close(above, reversed(_topological_order(labels, above, below)))
+    name = labels.__getitem__
+    above, below = _cover_links(len(labels), name, cover_pairs)
+    return _close(above, reversed(_topological_order(name, above, below)))
 
 
 def from_covers(
-    labels: Sequence[str],
+    labels: Sequence[object],
     cover_pairs: Iterable[tuple[int, int]],
     bottom: int,
     top: int,
+    render: Callable[[object], str] | None = None,
 ) -> FiniteBoundedPoset:
     """Build a bounded poset as the reflexive-transitive closure of covers.
 
     The result is certified by construction (see the module docstring).
     Every cover of the closure is one of the pairs, so the pairs whose
     interval holds nothing else are exactly its covers.
+
+    Without render, labels are the elements' labels, which must be unique
+    strings.  With render, labels are distinct keys and element i is
+    labelled render(labels[i]): the poset renders its labels on their
+    first read and keeps them.  The caller vouches that render is
+    injective on the keys, which stands in for the uniqueness check.
     """
-    labels = tuple(labels)
-    above, below = _cover_links(labels, cover_pairs)
-    if len(set(labels)) != len(labels):
+    keys = tuple(labels)
+    n = len(keys)
+    name = keys.__getitem__ if render is None else lambda i: render(keys[i])
+    above, below = _cover_links(n, name, cover_pairs)
+    if render is None and len(set(keys)) != n:
         raise ParameterError("labels must be unique")
-    order = _topological_order(labels, above, below)
+    order = _topological_order(name, above, below)
     up = _close(above, reversed(order))
     down = _close(below, order)
-    _check_bounds(labels, up, down, bottom, top)
+    _check_bounds(name, up, down, bottom, top)
     covers: list[tuple[int, int]] = []
     for a, uppers in enumerate(above):
         covers.extend(
@@ -313,9 +347,11 @@ def from_covers(
         )
     p = object.__new__(FiniteBoundedPoset)
     # the axioms are proved above, so the pair-by-pair validation is skipped
-    p.__dict__.update(
-        labels=labels, leq=up, bottom=bottom, top=top, down=down, cover_pairs=tuple(covers)
-    )
+    p.__dict__.update(leq=up, bottom=bottom, top=top, down=down, cover_pairs=tuple(covers))
+    if render is None:
+        p.__dict__["labels"] = keys
+    else:
+        p.__dict__["_render"] = (render, keys)
     return p
 
 
@@ -324,7 +360,7 @@ def proper_part(p: FiniteBoundedPoset) -> int:
 
     A one-element poset has an empty proper part.
     """
-    return ((1 << len(p.labels)) - 1) & ~(1 << p.bottom | 1 << p.top)
+    return ((1 << len(p)) - 1) & ~(1 << p.bottom | 1 << p.top)
 
 
 def beat_core(p: FiniteBoundedPoset, live: int) -> int:
@@ -358,17 +394,22 @@ def beat_core(p: FiniteBoundedPoset, live: int) -> int:
 def product_with_two_chain(q: FiniteBoundedPoset) -> FiniteBoundedPoset:
     """The poset q x {0,1} with componentwise order.
 
-    Element (a, s) has index a + s * len(q); (a, s) <= (b, t) iff a <= b
-    in q and s <= t.  Its covers are q's in each layer plus (a, 0) < (a, 1).
+    Element (a, s) has index a + s * len(q) and label "(a,s)", rendered
+    from q's labels on first read; (a, s) <= (b, t) iff a <= b in q and
+    s <= t.  Its covers are q's in each layer plus (a, 0) < (a, 1).
     """
-    n = len(q.labels)
-    labels = tuple(f"({lbl},0)" for lbl in q.labels) + tuple(f"({lbl},1)" for lbl in q.labels)
+    n = len(q)
     covers = (
         q.cover_pairs
         + tuple((a + n, b + n) for a, b in q.cover_pairs)
         + tuple((a, a + n) for a in range(n))
     )
-    return from_covers(labels, covers, q.bottom, q.top + n)
+    return from_covers(range(2 * n), covers, q.bottom, q.top + n, render=partial(_pair_label, q))
+
+
+def _pair_label(q: FiniteBoundedPoset, z: int) -> str:
+    """The label of element z of q x {0,1}."""
+    return f"({q.labels[z % len(q)]},{z // len(q)})"
 
 
 def check_monotone(m: MonotoneMap) -> tuple[bool, list[tuple[int, int]]]:
@@ -434,19 +475,40 @@ def count_chains(p: FiniteBoundedPoset, live: int) -> int:
     return total
 
 
-def chain_f_vector(p: FiniteBoundedPoset, live: int) -> tuple[int, ...]:
+@dataclass(frozen=True)
+class OverLimit:
+    """chain_f_vector's answer when its count passed the limit after visited points."""
+
+    visited: int
+
+
+def chain_f_vector(
+    p: FiniteBoundedPoset, live: int, limit: int | None = None
+) -> tuple[int, ...] | OverLimit:
     """Non-empty chains of live counted by size, without enumerating them.
 
     Entry d counts the chains of d + 1 elements, so this is the f-vector of
     the order complex.  It runs the down-set recursion of count_chains with
-    one count per chain size.
+    one count per chain size, over the points of live bottom up.
+
+    With a limit, the count stops at the first point whose chains take
+    the running total past limit, and returns OverLimit.  The total only
+    grows, so that happens exactly when the full count exceeds limit.
+    Every count kept is at most limit, so a point costs one sum per chain
+    size over the points below it, of numbers of at most log2(limit) bits.
     """
+    if limit is not None and limit < 0:
+        return OverLimit(0)
     down = p.down
     ending: list[list[int]] = [[] for _ in down]
-    for i in _bottom_up(p, live):
+    total = 0
+    for visited, i in enumerate(_bottom_up(p, live), 1):
         lower = map(ending.__getitem__, _bits(down[i] & live & ~(1 << i)))
         # a chain ending at i is i alone or i on top of a chain ending below i
         ending[i] = [1, *map(sum, zip_longest(*lower, fillvalue=0))]
+        total += sum(ending[i])
+        if limit is not None and total > limit:
+            return OverLimit(visited)
     return tuple(map(sum, zip_longest(*ending, fillvalue=0)))
 
 

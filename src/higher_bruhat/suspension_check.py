@@ -72,7 +72,7 @@ class DissectionInstance:
         if self.j.source != self.q or self.j.target != self.p:
             raise ParameterError("j must map Q to P")
         for g in self.green:
-            if not 0 <= g < len(self.p.labels):
+            if not 0 <= g < len(self.p):
                 raise ParameterError(f"green index {g} out of range")
 
 
@@ -97,11 +97,12 @@ class ConditionReport:
 
 
 def check_conditions(inst: DissectionInstance) -> ConditionReport:
-    """Exhaustively verify the five conditions plus structural preconditions."""
+    """Exhaustively verify the five conditions plus structural preconditions.
+
+    Labels are read only to write a witness, so a pass renders none.
+    """
     p, q = inst.p, inst.q
     green = inst.green
-    lbl = p.labels
-    qlbl = q.labels
 
     pre = [
         Check("p_bounded", True),
@@ -109,14 +110,14 @@ def check_conditions(inst: DissectionInstance) -> ConditionReport:
         Check(
             "q_nondegenerate",
             q.bottom != q.top,
-            None if q.bottom != q.top else f"bottom and top of Q coincide at {qlbl[q.bottom]}",
+            None if q.bottom != q.top else f"bottom and top of Q coincide at {q.labels[q.bottom]}",
         ),
     ]
     for name, m in (("f_monotone", inst.f), ("i_monotone", inst.i), ("j_monotone", inst.j)):
         ok, violations = check_monotone(m)
-        src = m.source.labels
         witness = None
         if not ok:
+            src = m.source.labels
             x, y = violations[0]
             witness = f"{src[x]} <= {src[y]} but images are incomparable or reversed"
         pre.append(Check(name, ok, witness))
@@ -128,56 +129,57 @@ def check_conditions(inst: DissectionInstance) -> ConditionReport:
     # index order with the lowest red element below it
     witness = None
     down = p.down
-    red = ((1 << len(lbl)) - 1) & ~sum(1 << y for y in green)
+    red = ((1 << len(p)) - 1) & ~sum(1 << y for y in green)
     if reduce(or_, (down[y] for y in green), 0) & red:
         y = next(y for y in sorted(green) if down[y] & red)
         stray = down[y] & red
         x = (stray & -stray).bit_length() - 1
+        lbl = p.labels
         witness = f"{lbl[x]} <= {lbl[y]} with {lbl[y]} green but {lbl[x]} red"
     conditions.append(Check("green_is_down_set", witness is None, witness))
 
     # f composed with i and with j is the identity on Q
     witness = None
-    for a in range(len(qlbl)):
+    for a in range(len(q)):
         if inst.f.images[inst.i.images[a]] != a:
-            witness = f"f(i({qlbl[a]})) != {qlbl[a]}"
+            witness = f"f(i({q.labels[a]})) != {q.labels[a]}"
             break
         if inst.f.images[inst.j.images[a]] != a:
-            witness = f"f(j({qlbl[a]})) != {qlbl[a]}"
+            witness = f"f(j({q.labels[a]})) != {q.labels[a]}"
             break
     conditions.append(Check("compositions_identity", witness is None, witness))
 
     # image of i is green, image of j is red
     witness = None
-    for a in range(len(qlbl)):
+    for a in range(len(q)):
         if inst.i.images[a] not in green:
-            witness = f"i({qlbl[a]}) = {lbl[inst.i.images[a]]} is red"
+            witness = f"i({q.labels[a]}) = {p.labels[inst.i.images[a]]} is red"
             break
         if inst.j.images[a] in green:
-            witness = f"j({qlbl[a]}) = {lbl[inst.j.images[a]]} is green"
+            witness = f"j({q.labels[a]}) = {p.labels[inst.j.images[a]]} is green"
             break
     conditions.append(Check("images_two_colored", witness is None, witness))
 
     # i(f(x)) <= x <= j(f(x)) for every x
     witness = None
-    for x in range(len(lbl)):
+    for x in range(len(p)):
         a = inst.f.images[x]
         if not p.le(inst.i.images[a], x):
-            witness = f"i(f({lbl[x]})) is not below {lbl[x]}"
+            witness = f"i(f({p.labels[x]})) is not below {p.labels[x]}"
             break
         if not p.le(x, inst.j.images[a]):
-            witness = f"j(f({lbl[x]})) is not above {lbl[x]}"
+            witness = f"j(f({p.labels[x]})) is not above {p.labels[x]}"
             break
     conditions.append(Check("sandwich", witness is None, witness))
 
     # fiber over bottom of Q is red off the bottom of P; dually at the top
     witness = None
-    for x in range(len(lbl)):
+    for x in range(len(p)):
         if inst.f.images[x] == q.bottom and x != p.bottom and x in green:
-            witness = f"{lbl[x]} is green in the fiber over the bottom of Q"
+            witness = f"{p.labels[x]} is green in the fiber over the bottom of Q"
             break
         if inst.f.images[x] == q.top and x != p.top and x not in green:
-            witness = f"{lbl[x]} is red in the fiber over the top of Q"
+            witness = f"{p.labels[x]} is red in the fiber over the top of Q"
             break
     conditions.append(Check("extreme_fibers", witness is None, witness))
 
@@ -198,11 +200,11 @@ def build_proof_maps(inst: DissectionInstance) -> tuple[MonotoneMap, MonotoneMap
     violated obligation is reported.
     """
     p, q = inst.p, inst.q
-    nq = len(q.labels)
+    nq = len(q)
     doubled = product_with_two_chain(q)
     bounds_p, bounds_z = (p.bottom, p.top), (doubled.bottom, doubled.top)
 
-    g_images = [0] * len(p.labels)
+    g_images = [0] * len(p)
     g_images[p.bottom], g_images[p.top] = bounds_z
     for x in _bits(proper_part(p)):
         side = 0 if x in inst.green else 1
@@ -215,7 +217,7 @@ def build_proof_maps(inst: DissectionInstance) -> tuple[MonotoneMap, MonotoneMap
         g_images[x] = z
     g = MonotoneMap(p, doubled, tuple(g_images))
 
-    h_images = [0] * len(doubled.labels)
+    h_images = [0] * len(doubled)
     h_images[doubled.bottom], h_images[doubled.top] = bounds_p
     proper_z = _bits(proper_part(doubled))
     for z in proper_z:
@@ -287,8 +289,8 @@ def carrier_cone_check(inst: DissectionInstance) -> CarrierReport:
     """
     p, q, f = inst.p, inst.q, inst.f.images
     proper = proper_part(p)
-    fibre = [0] * len(q.labels)
-    above = [0] * len(q.labels)
+    fibre = [0] * len(q)
+    above = [0] * len(q)
     pairs = 0
     for a in _bits(proper):
         row = p.leq[a] & proper

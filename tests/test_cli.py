@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -6,12 +7,20 @@ from math import factorial
 
 import pytest
 
-from helpers import full_route_report
-from higher_bruhat import bruhat, cli, posets
-from higher_bruhat.bruhat import BruhatOrder, OrderKind, enumerate_bruhat, to_poset
+from helpers import full_route_report, naive_label
+from higher_bruhat import bruhat, cli, posets, subsets
+from higher_bruhat.bruhat import (
+    BruhatOrder,
+    OrderKind,
+    dissection_instance,
+    enumerate_bruhat,
+    to_poset,
+)
 from higher_bruhat.cli import main
-from higher_bruhat.instance_io import load_instance
+from higher_bruhat.instance_io import instance_to_doc, load_instance
+from higher_bruhat.posets import MonotoneMap, count_chains, from_covers, proper_part
 from higher_bruhat.subsets import ConsistentSet, GroundParams, KSubset
+from higher_bruhat.suspension_check import DissectionInstance
 
 
 def read_json(path):
@@ -286,6 +295,30 @@ class TestCheckLemmaCommand:
             assert capsys.readouterr() == ("", message)
         assert not reexport.exists()
 
+    @pytest.mark.parametrize("cut", ["maps", "maps_and_q", "q"])
+    def test_export_refuses_maps_that_check_lemma_refuses(self, cut, tmp_path, capsys):
+        # any maps object is written only as check-lemma would read it: a
+        # table cut down to one bad image, or maps without Q
+        source = tmp_path / "instance.json"
+        assert main(["export", "--bruhat", "3", "1", "single_step",
+                     "--format", "json", "--out", str(source)]) == 0
+        doc = read_json(source)
+        message = "error: instance needs label maps f, i and j\n"
+        if cut.startswith("maps"):
+            doc["maps"] = {"f": {next(iter(doc["maps"]["f"])): "nowhere"}}
+        if cut.endswith("q"):
+            del doc["Q"]
+            message = "error: instance needs both P and Q poset blocks\n"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        reexport = tmp_path / "reexport.json"
+        for argv in (["check-lemma", "--instance", str(bad)],
+                     ["export", "--instance", str(bad), "--format", "json", "--out", str(reexport)],
+                     ["export", "--instance", str(bad), "--format", "dot"]):
+            assert main(argv) == 3
+            assert capsys.readouterr() == ("", message)
+        assert not reexport.exists()
+
     @pytest.mark.parametrize("schema", [True, 1.0, "1"])
     def test_schema_must_be_the_integer_one(self, schema, tmp_path, capsys):
         bad = tmp_path / "schema.json"
@@ -428,9 +461,50 @@ class TestVerifySphericityCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: order complex would have 129607437876061324519997441 simplices, "
-            "over the budget of 500000\n"
+            "error: order complex has more than 500000 simplices (budget 500000; "
+            "counting stopped after 250 of 3562 points)\n"
         )
+
+    def test_refusal_counts_only_up_to_the_budget(self, monkeypatch, capsys):
+        # one bounded recursion decides the budget: the full chain count
+        # (~1.3 * 10^26 chains) is never taken
+        def count_chains(*args):
+            raise AssertionError("count_chains called")
+
+        monkeypatch.setattr(posets, "count_chains", count_chains)
+        assert "count_chains" not in vars(cli)
+        assert main(["verify-sphericity", "--bruhat", "10", "7", "single_step"]) == 2
+        err = capsys.readouterr().err
+        stopped = re.search(r"counting stopped after (\d+) of (\d+) points\)\n$", err)
+        visited, points = map(int, stopped.groups())
+        assert points == 3562 and visited < 1000
+
+    @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
+    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2)])
+    def test_budget_admits_exactly_the_counted_complex(self, n, k, kind, tmp_path, capsys):
+        # a budget admits the input iff it holds 1 + the proper part's chain
+        # count, the empty simplex included, as when the count came first
+        out = tmp_path / "report.json"
+        argv = ["verify-sphericity", "--bruhat", str(n), str(k), kind]
+        assert main(argv + ["--out", str(out)]) == 0
+        total = read_json(out)["num_simplices"]
+        p = to_poset(enumerate_bruhat(GroundParams(n, k)), OrderKind(kind))
+        pp = proper_part(p)
+        assert total == 1 + count_chains(p, pp)
+        capsys.readouterr()
+        points = pp.bit_count()
+        # the count stops before the first point on a negative limit, at the
+        # first point on 0 and at the last one a chain below the total
+        visited = {0: 0, 1: 1, total - 1: points}
+        for budget in (0, 1, total - 1, total):
+            refused = budget < total
+            assert main(argv + ["--max-simplices", str(budget)]) == (2 if refused else 0)
+            err = capsys.readouterr().err
+            assert err == (
+                f"error: order complex has more than {budget} simplices (budget {budget}; "
+                f"counting stopped after {visited[budget]} of {points} points)\n"
+                if refused else ""
+            )
 
     def test_homology_runs_on_the_core_only(self, monkeypatch, capsys):
         sizes = []
@@ -566,6 +640,84 @@ class TestExportCommand:
                      "--format", "dot", "--out", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
         assert text.count("palegreen") == 3 and text.count("lightpink") == 3
+
+
+class TestLabelsOnlyWhenRead:
+    """A poset built from an order renders its labels on first read, once."""
+
+    @pytest.fixture
+    def no_label(self, monkeypatch):
+        def render(*args):
+            raise AssertionError("a label was rendered")
+
+        for module in (subsets, bruhat, cli):
+            monkeypatch.setattr(module, "_label", render)
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["verify-sphericity", "--bruhat", "5", "2", "single_step"], 0),
+            (["verify-sphericity", "--bruhat", "5", "2", "inclusion"], 0),
+            (["verify-sphericity", "--bruhat", "10", "7", "single_step"], 2),
+            (["check-lemma", "--bruhat", "5", "2", "single_step"], 0),
+            (["check-lemma", "--bruhat", "5", "2", "inclusion"], 0),
+        ],
+        ids=lambda a: " ".join(a) if isinstance(a, list) else str(a),
+    )
+    def test_route_renders_no_label(self, argv, code, no_label, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) == code
+
+    def test_export_renders_labels(self, no_label):
+        with pytest.raises(AssertionError, match="a label was rendered"):
+            main(["export", "--bruhat", "3", "1", "single_step", "--format", "json"])
+
+    def test_labels_render_once(self, monkeypatch):
+        params = GroundParams(4, 1)
+        order = enumerate_bruhat(params)
+        rendered = []
+
+        def render(params, bits):
+            rendered.append(bits)
+            return naive_label(ConsistentSet(params, bits))
+
+        monkeypatch.setattr(bruhat, "_label", render)
+        p = to_poset(order, OrderKind.SINGLE_STEP)
+        assert rendered == []
+        first = p.labels
+        assert p.labels is first
+        assert rendered == list(order.bits)
+        eager = from_covers(first, order.covers, 0, len(order) - 1)
+        assert eager.labels == first
+        fresh = to_poset(order, OrderKind.SINGLE_STEP)
+        assert fresh == eager and eager == fresh
+        assert fresh.labels == first
+
+    @pytest.mark.parametrize(
+        "n,k,kind", [(3, 1, "single_step"), (4, 1, "inclusion"), (5, 2, "single_step")]
+    )
+    def test_export_matches_eager_labels(self, n, k, kind, tmp_path):
+        # the export of labels rendered on read is byte for byte the export
+        # of the same instance with every label rendered up front
+        out = tmp_path / "instance.json"
+        assert main(["export", "--bruhat", str(n), str(k), kind,
+                     "--format", "json", "--out", str(out)]) == 0
+        inst = dissection_instance(enumerate_bruhat(GroundParams(n, k)), OrderKind(kind))
+
+        def eager(poset, params):
+            order = enumerate_bruhat(params)
+            labels = [naive_label(ConsistentSet(params, b)) for b in order.bits]
+            return from_covers(labels, poset.cover_pairs, poset.bottom, poset.top)
+
+        p, q = eager(inst.p, GroundParams(n, k)), eager(inst.q, GroundParams(n - 1, k))
+        assert p == inst.p and q == inst.q
+        expected = instance_to_doc(DissectionInstance(
+            p=p, q=q, green=inst.green,
+            f=MonotoneMap(p, q, inst.f.images),
+            i=MonotoneMap(q, p, inst.i.images),
+            j=MonotoneMap(q, p, inst.j.images),
+        ))
+        blob = json.dumps(expected, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert out.read_bytes() == blob.encode("utf-8")
 
 
 class TestNoFamilyObjects:

@@ -31,6 +31,7 @@ from higher_bruhat.homology import reduced_homology
 from higher_bruhat.posets import (
     FiniteBoundedPoset,
     MonotoneMap,
+    OverLimit,
     beat_core,
     chain_f_vector,
     check_monotone,
@@ -241,10 +242,11 @@ class TestProperPart:
         ]
 
     def test_reads_no_row(self):
-        # the bounds alone decide the mask
+        # the bounds and the number of rows alone decide the mask: the bare
+        # poset has no labels, and any operation on one of its rows raises
         p = random_bounded_poset(random.Random(3))
         bare = object.__new__(FiniteBoundedPoset)
-        bare.__dict__.update(labels=p.labels, bottom=p.bottom, top=p.top)
+        bare.__dict__.update(leq=(None,) * len(p), bottom=p.bottom, top=p.top)
         assert proper_part(bare) == proper_part(p)
 
     def test_bruhat_three_one(self):
@@ -404,8 +406,14 @@ class TestMaskKernels:
                 assert sorted(tuple(sorted(c)) for c in listed) == sorted(chains)
                 assert count_chains(p, live) == len(chains)
                 sizes = [len(c) for c in chains]
-                assert chain_f_vector(p, live) == tuple(
-                    sizes.count(d) for d in range(1, max(sizes, default=0) + 1)
+                f_vector = tuple(sizes.count(d) for d in range(1, max(sizes, default=0) + 1))
+                assert chain_f_vector(p, live) == f_vector
+                # the bounded count gives the same vector up to its limit and
+                # stops only once the last point is counted, one below it
+                total = len(chains)
+                assert chain_f_vector(p, live, total) == f_vector
+                assert chain_f_vector(p, live, total - 1) == OverLimit(
+                    live.bit_count() if total else 0
                 )
                 cx = order_complex(p, live)
                 position = {i: v for v, i in enumerate(members(live))}
@@ -459,6 +467,27 @@ class TestBitPlaneChainCount:
             assert count == size_sorted_count_chains(p, live)
             if count < 200_000:
                 assert count == len(list(iter_chains(p, live)))
+            f_vector = chain_f_vector(p, live)
+            assert sum(f_vector) == count
+            assert chain_f_vector(p, live, count) == f_vector
+            assert chain_f_vector(p, live, count - 1) == OverLimit(live.bit_count())
+
+
+class TestBoundedChainCount:
+    """chain_f_vector with a limit stops as soon as its count passes it."""
+
+    @pytest.mark.parametrize("limit", [0, 1, 10, 10_000, 500_000])
+    def test_stops_at_the_first_point_over(self, limit):
+        # B(6,2) has ~10^11 chains in its proper part; the count stops at the
+        # first point, bottom up, whose chains take the total past the limit
+        p = to_poset(enumerate_bruhat(GroundParams(6, 2)), OrderKind.SINGLE_STEP)
+        pp = proper_part(p)
+        over = chain_f_vector(p, pp, limit)
+        assert isinstance(over, OverLimit)
+        order = sorted(members(pp), key=lambda i: p.down[i].bit_count())
+        counted = sum(1 << i for i in order[: over.visited])
+        assert count_chains(p, counted) > limit
+        assert count_chains(p, counted & ~(1 << order[over.visited - 1])) <= limit
 
 
 class TestCheckMonotone:
