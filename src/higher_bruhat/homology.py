@@ -8,7 +8,6 @@ integers; no floating point enters the certified path.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import gcd
 
@@ -111,138 +110,85 @@ def _divisibility_chain(values: list[int]) -> list[int]:
     return ds
 
 
+def _add_line(lines, cross, dst: int, src: int, factor: int) -> None:
+    """lines[dst] += factor * lines[src], mirrored into the crossing lines.
+
+    With (rows, cols) this is a row operation, with (cols, rows) a column one.
+    """
+    ldst = lines[dst]
+    for j, v in lines[src].items():
+        nv = ldst.get(j, 0) + factor * v
+        if nv:
+            ldst[j] = cross[j][dst] = nv
+        else:
+            del ldst[j], cross[j][dst]
+
+
+def _clear(lines, cross, i: int, j: int) -> None:
+    """Reduce the other entries of cross[j] modulo the pivot lines[i][j]."""
+    v = lines[i][j]
+    for i2, x in list(cross[j].items()):
+        if i2 != i and (q := x // v):
+            _add_line(lines, cross, i2, i, -q)
+
+
 def smith_normal_form(m: IntegerMatrix) -> tuple[tuple[int, ...], int]:
     """Invariant factors d1 | d2 | ... and the rank, by sparse elimination.
 
-    Pivots of magnitude 1 are preferred and chosen by a lazily maintained
-    Markowitz cost (fill-in estimate); when none exists, the smallest
-    nonzero entry is gcd-reduced against its row and column until it
-    divides both, then eliminated.  Each elimination is a unimodular
-    row/column operation, so the multiset of pivots is diagonal-equivalent
-    to the input and normalizes to the invariant factors.
+    Unit sweep: the columns are swept in index order, and in each column
+    that holds a +-1 the pivot is the unit whose row has the fewest
+    entries, which bounds the fill-in by that row's length.  Row
+    operations clear the column; the pivot row and column are then
+    dropped, since column operations would clear the rest of the row
+    without touching any other row.  The sweep repeats until no unit
+    entry is left.  Only then is the smallest entry gcd-reduced against
+    its column and row: a remainder is a smaller entry and sends the
+    search back to the sweep, and once the entry divides both it is
+    dropped as a pivot.
+
+    Every step is a unimodular row or column operation, so the matrix is
+    equivalent to the diagonal of its pivots, and invariant factors do not
+    depend on the order of reduction.  A unit divides every other pivot,
+    so only the non-unit pivots go through the divisibility normalisation.
     """
     rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
+    cols: dict[int, dict[int, int]] = {}
     for r, c, v in m.entries:
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
+        rows.setdefault(r, {})[c] = cols.setdefault(c, {})[r] = v
 
-    heap: list[tuple[int, int, int]] = []
-    for r, rr in rows.items():
-        for c, v in rr.items():
-            if v in (1, -1):
-                heap.append(((len(rr) - 1) * (len(cols[c]) - 1), r, c))
-    heapq.heapify(heap)
+    def drop(r: int, c: int) -> None:
+        for cc in rows.pop(r):
+            del cols[cc][r]
+        del cols[c]
 
-    def push_if_unit(r: int, c: int, v: int) -> None:
-        if v in (1, -1):
-            heapq.heappush(heap, ((len(rows[r]) - 1) * (len(cols[c]) - 1), r, c))
-
-    def add_row_multiple(dst: int, src: int, factor: int) -> None:
-        """row[dst] += factor * row[src]"""
-        rdst = rows.setdefault(dst, {})
-        for c, v in rows[src].items():
-            nv = rdst.get(c, 0) + factor * v
-            if nv:
-                rdst[c] = nv
-                cols.setdefault(c, set()).add(dst)
-                push_if_unit(dst, c, nv)
-            elif c in rdst:
-                del rdst[c]
-                cols[c].discard(dst)
-
-    def add_col_multiple(dst: int, src: int, factor: int) -> None:
-        """col[dst] += factor * col[src]"""
-        for r in list(cols.get(src, ())):
-            v = rows[r][src]
-            nv = rows[r].get(dst, 0) + factor * v
-            if nv:
-                rows[r][dst] = nv
-                cols.setdefault(dst, set()).add(r)
-                push_if_unit(r, dst, nv)
-            elif dst in rows[r]:
-                del rows[r][dst]
-                cols[dst].discard(r)
-
-    def remove_pivot(r: int, c: int) -> None:
-        for cc in rows[r]:
-            cols[cc].discard(r)
-        del rows[r]
-        for rr in list(cols.get(c, ())):
-            rows[rr].pop(c, None)
-        cols.pop(c, None)
-
-    def eliminate(r: int, c: int) -> None:
-        v = rows[r][c]
-        for r2 in list(cols[c]):
-            if r2 == r:
-                continue
-            add_row_multiple(r2, r, -(rows[r2][c] // v))
-        remove_pivot(r, c)
-
-    def smallest_entry() -> tuple[int, int] | None:
-        best = None
-        for r, rr in rows.items():
-            for c, v in rr.items():
-                if best is None or abs(v) < abs(best[2]):
-                    best = (r, c, v)
-                    if abs(v) == 1:
-                        return (r, c)
-        return None if best is None else (best[0], best[1])
-
-    def prepare_nonunit_pivot() -> tuple[int, int] | None:
-        """Reduce until some entry divides its whole row and column."""
-        while True:
-            found = smallest_entry()
-            if found is None:
-                return None
-            r, c = found
-            v = rows[r][c]
-            if v in (1, -1):
-                return (r, c)
-            reduced = False
-            for r2 in list(cols[c]):
-                if r2 == r:
-                    continue
-                q = rows[r2][c] // v
-                if q:
-                    add_row_multiple(r2, r, -q)
-                if rows.get(r2, {}).get(c):
-                    reduced = True  # remainder survives; a smaller entry exists
-            for c2 in list(rows[r]):
-                if c2 == c:
-                    continue
-                q = rows[r][c2] // v
-                if q:
-                    add_col_multiple(c2, c, -q)
-                if rows[r].get(c2):
-                    reduced = True
-            if not reduced:
-                return (r, c)
-
-    pivots: list[int] = []
+    units = 0
+    others: list[int] = []
     while True:
-        pivot = None
-        while heap:
-            cost, r, c = heapq.heappop(heap)
-            v = rows.get(r, {}).get(c)
-            if v not in (1, -1):
-                continue
-            actual = (len(rows[r]) - 1) * (len(cols[c]) - 1)
-            if actual > cost:
-                heapq.heappush(heap, (actual, r, c))
-                continue
-            pivot = (r, c)
+        swept = False
+        for c in sorted(cols):
+            unit_rows = [r for r, v in cols.get(c, {}).items() if v in (1, -1)]
+            if unit_rows:
+                r = min(unit_rows, key=lambda r: len(rows[r]))
+                _clear(rows, cols, r, c)
+                drop(r, c)
+                units += 1
+                swept = True
+        if swept:
+            continue
+        smallest = min(
+            ((abs(v), r, c) for r, rr in rows.items() for c, v in rr.items()),
+            default=None,
+        )
+        if smallest is None:
             break
-        if pivot is None:
-            pivot = prepare_nonunit_pivot()
-            if pivot is None:
-                break
-        r, c = pivot
-        pivots.append(abs(rows[r][c]))
-        eliminate(r, c)
+        v, r, c = smallest
+        _clear(rows, cols, r, c)
+        _clear(cols, rows, c, r)
+        if len(rows[r]) == len(cols[c]) == 1:
+            others.append(v)
+            drop(r, c)
 
-    return tuple(_divisibility_chain(pivots)), len(pivots)
+    return (1,) * units + tuple(_divisibility_chain(others)), units + len(others)
 
 
 @dataclass(frozen=True)
@@ -271,10 +217,10 @@ class HomologyReport:
         return ()
 
     def euler_from_betti(self) -> int:
-        return sum((-1) ** d * b for d, b in zip(self.degrees(), self.betti))
+        return sum(-b if d % 2 else b for d, b in zip(self.degrees(), self.betti))
 
     def euler_from_faces(self) -> int:
-        return sum((-1) ** d * f for d, f in zip(self.degrees(), self.face_counts))
+        return sum(-f if d % 2 else f for d, f in zip(self.degrees(), self.face_counts))
 
 
 def reduced_homology(

@@ -13,6 +13,7 @@ from helpers import (
     random_complex,
     snf_by_minor_gcds,
 )
+from higher_bruhat import homology
 from higher_bruhat.bruhat import OrderKind, enumerate_bruhat, to_poset
 from higher_bruhat.complexes import SimplicialComplex, make_complex
 from higher_bruhat.errors import NotClosedError, ParameterError, ResourceLimitError
@@ -39,6 +40,20 @@ RP2 = from_facets(
         [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5],
     ],
 )
+# an identity block beside a block whose invariant factors are 2 and 6
+MIXED_BLOCKS = IntegerMatrix.from_dense(
+    [[int(r == c) for c in range(50)] + [0, 0] for r in range(50)]
+    + [[0] * 50 + [2, 4], [0] * 50 + [4, 2]]
+)
+
+
+@st.composite
+def sparse_dense_matrices(draw, max_side=9):
+    """Mostly-zero integer matrices that mix units with non-unit entries."""
+    values = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, -4, 6])
+    rows = draw(st.integers(min_value=1, max_value=max_side))
+    cols = draw(st.integers(min_value=1, max_value=max_side))
+    return [[draw(values) for _ in range(cols)] for _ in range(rows)]
 
 
 class TestComplexConstruction:
@@ -133,6 +148,38 @@ class TestSmithNormalForm:
     def test_matches_minor_gcd_oracle(self, dense):
         assert smith_normal_form(IntegerMatrix.from_dense(dense)) == snf_by_minor_gcds(dense)
 
+    def test_identity_block_beside_torsion_block(self):
+        assert smith_normal_form(MIXED_BLOCKS) == ((1,) * 50 + (2, 6), 52)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_invariant_under_row_and_column_permutations(self, data):
+        dense = data.draw(sparse_dense_matrices())
+        row_order = data.draw(st.permutations(range(len(dense))))
+        col_order = data.draw(st.permutations(range(len(dense[0]))))
+        permuted = [[dense[r][c] for c in col_order] for r in row_order]
+        expected = smith_normal_form(IntegerMatrix.from_dense(dense))
+        assert smith_normal_form(IntegerMatrix.from_dense(permuted)) == expected
+        if len(dense) <= 6 and len(dense[0]) <= 6:
+            assert expected == snf_by_minor_gcds(dense)
+
+    def test_unit_pivots_skip_the_divisibility_chain(self, monkeypatch):
+        received = []
+        chain = homology._divisibility_chain
+
+        def recording(values):
+            received.append(list(values))
+            return chain(values)
+
+        monkeypatch.setattr(homology, "_divisibility_chain", recording)
+        b41 = to_poset(enumerate_bruhat(GroundParams(4, 1)), OrderKind.SINGLE_STEP)
+        mats = boundary_matrices(RP2) + boundary_matrices(proper_part_complex(b41))
+        mats += [MIXED_BLOCKS, IntegerMatrix.from_dense([[2, -1], [-1, 2]])]
+        for mat in mats:
+            smith_normal_form(mat)
+        assert [2] in received and [2, 6] in received and [3] in received
+        assert all(1 not in values for values in received)
+
     def test_matrix_validation(self):
         with pytest.raises(ParameterError):
             IntegerMatrix(1, 1, ((0, 0, 0),))
@@ -177,9 +224,11 @@ class TestReducedHomology:
 
     def test_euler_consistency(self):
         rng = random.Random(9)
-        for _ in range(15):
-            cx = random_complex(rng)
+        complexes = [EMPTY, HOLLOW_TRIANGLE] + [random_complex(rng) for _ in range(15)]
+        for cx in complexes:
             report = reduced_homology(cx)
+            assert type(report.euler_from_betti()) is int
+            assert type(report.euler_from_faces()) is int
             assert report.euler_from_betti() == report.euler_from_faces()
             assert report.euler_from_faces() == cx.reduced_euler()
 
