@@ -11,7 +11,10 @@ bitsets, in chunks, to decide membership on its own; it must find the
 same families.
 Both relations (single-step inclusion and ordinary inclusion) live on the
 same element set; single-step comparability is reachability in the
-digraph of single-member additions.
+digraph of single-member additions.  Every cover adds one member, so
+covers join consecutive levels, and reach is the level closure: the rows
+of a level are built from the rows of the level above alone, top level
+first, so only two levels of rows need be held at once.
 """
 
 from __future__ import annotations
@@ -20,15 +23,17 @@ import enum
 import itertools
 from functools import cached_property, partial, reduce
 from operator import and_
+from typing import Iterator
 
 from . import posets
-from .errors import InvariantError, NotAPosetError, ParameterError, ResourceLimitError
+from .errors import InvariantError, ParameterError, ResourceLimitError
 from .subsets import ConsistentSet, GroundParams, _label, _packet_checks, _segment_columns
 
 __all__ = [
     "OrderKind",
     "BruhatOrder",
     "enumerate_bruhat",
+    "compare_orders",
     "to_poset",
     "dissection_instance",
     "DEFAULT_BFS_LIMIT",
@@ -41,6 +46,10 @@ DEFAULT_BRUTEFORCE_LIMIT = 24
 # Bitsets per pass of the brute-force scan, so that a member column holds
 # at most this many bits.
 _CHUNK = 1 << 16
+
+
+# Byte b with its eight bits in reverse order, at index b.
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class OrderKind(enum.Enum):
@@ -56,9 +65,13 @@ class BruhatOrder:
     relations.  There is one level per cardinality 0, 1, ..., C(n,k+1),
     and addable holds, for each level in turn, the index of its first
     family and its addable columns: bit f of column x is set iff the
-    level's family f takes member x.  Instances are immutable after
-    construction; the covers, the families as ConsistentSets, their index
-    and the reachability closure are computed on first use.
+    level's family f takes member x.  Each such bit is a cover, from the
+    family to that family plus x in the next level, so covers join
+    consecutive levels.  up_levels closes reachability one level at a time
+    from these columns, and reach keeps that level closure in full.
+    Instances are immutable after construction; the covers, the families
+    as ConsistentSets, their index and the reach rows are computed on
+    first use.
     """
 
     def __init__(
@@ -133,15 +146,47 @@ class BruhatOrder:
         top = 1 << (self.params.num_members - 1)
         return frozenset(i for i, b in enumerate(self.bits) if not b & top)
 
+    def up_levels(self) -> Iterator[tuple[int, list[int]]]:
+        """Single-step up rows one level at a time, top level first.
+
+        Each step gives (start, rows), where rows[f] is the up row of family
+        start + f, and bit t of a row stands for family len(self) - 1 - t:
+        rows count down from the top, so a level's rows need no shift to
+        combine with those of the level above.  Every cover adds one member,
+        so a family's upper covers all lie in the level above, and its row
+        is its own bit ORed with their rows: one OR per bit of the level's
+        addable columns.  Only the level above is kept, so at most two
+        levels of rows are held at once.  Cardinality grows along every
+        cover, so the digraph has no cycle to report.
+        """
+        bits, top = self.bits, len(self.bits) - 1
+        above: dict[int, int] = {}
+        for start, end, add in reversed(self._levels()):
+            level = bits[start:end]
+            rows = [1 << top - i for i in range(start, end)]
+            for x, col in enumerate(add):
+                bit = 1 << x
+                for f in posets._bits(col):
+                    rows[f] |= above[level[f] | bit]
+            yield start, rows
+            above = dict(zip(level, rows))
+
     def reach(self) -> tuple[int, ...]:
-        """Row bitsets of single-step reachability along the cover digraph."""
+        """Up rows of single-step reachability: up_levels kept in full.
+
+        Row i has bit j set iff family j is reachable from family i.
+        """
         if self._reach is None:
-            try:
-                self._reach = posets.reach_rows(self.bits, self.covers)
-            except NotAPosetError:
-                # raise the same error again, naming families, not bitsets
-                posets.reach_rows([_label(self.params, b) for b in self.bits], self.covers)
-                raise
+            size = (len(self.bits) + 7) // 8
+            pad = 8 * size - len(self.bits)
+            levels = [rows for _, rows in self.up_levels()]
+            # reversing a top-counted row's bits, byte by byte, counts it from the bottom
+            self._reach = tuple(
+                int.from_bytes(row.to_bytes(size, "little").translate(_REVERSED_BYTES), "big")
+                >> pad
+                for rows in reversed(levels)
+                for row in rows
+            )
         return self._reach
 
     def inclusion(self) -> tuple[int, ...]:
@@ -168,6 +213,54 @@ class BruhatOrder:
                 row, added = everything, family
             rows.append(reduce(and_, map(containing.__getitem__, posets._bits(added)), row))
         return tuple(rows)
+
+
+def _inclusion_rows(level, containing: list[int], width: int) -> Iterator[int]:
+    """Inclusion up rows of one level's families, counted down from the top.
+
+    A family's row is the AND of its members' columns over the width
+    families at or above its level.  The families come in ascending bitset
+    order, so each shares its highest members with the one before: the
+    ANDs over those, taken highest member first, are kept and only the
+    rest are redone.
+    """
+    partial = [(1 << width) - 1]
+    prev = 0
+    for family in level:
+        low = (family ^ prev).bit_length()
+        del partial[1 + (family >> low).bit_count():]
+        for x in reversed(posets._bits(family & ((1 << low) - 1))):
+            partial.append(partial[-1] & containing[x])
+        yield partial[-1]
+        prev = family
+
+
+def compare_orders(order: BruhatOrder) -> tuple[int, int, list[tuple[int, int]]]:
+    """Both orders' comparable pairs, and the pairs under inclusion only.
+
+    Returns the number of comparable pairs a < b under single-step
+    inclusion, the number under inclusion, and the pairs of indices
+    (i, j) comparable under inclusion only, in (i, j) order.  Each
+    family's inclusion row is built next to its reach row from up_levels,
+    as the AND of its members' columns over the families at or above its
+    level, and both are dropped once their level is compared: at most two
+    levels of rows are held, never a whole relation.
+    """
+    n, bits = len(order), order.bits
+    # bit t of a column stands for family n - 1 - t, as in up_levels' rows
+    containing = posets._columns(bits[::-1], order.params.num_members)
+    single_step_pairs = inclusion_pairs = 0
+    by_level: list[list[tuple[int, int]]] = []
+    for start, reach in order.up_levels():
+        inclusion = _inclusion_rows(bits[start:start + len(reach)], containing, n - start)
+        pairs: list[tuple[int, int]] = []
+        for i, r, inc in zip(range(start, n), reach, inclusion):
+            single_step_pairs += r.bit_count() - 1
+            inclusion_pairs += inc.bit_count() - 1
+            if inc != r:
+                pairs.extend((i, n - 1 - t) for t in reversed(posets._bits(inc & ~r)))
+        by_level.append(pairs)
+    return single_step_pairs, inclusion_pairs, [p for pairs in reversed(by_level) for p in pairs]
 
 
 def _bruteforce_bits(params: GroundParams) -> list[int]:

@@ -12,11 +12,11 @@ import json
 import sys
 
 from . import __version__
-from .bruhat import _check_width, enumerate_bruhat, to_poset
+from .bruhat import _check_width, compare_orders, enumerate_bruhat, to_poset
 from .errors import InvariantError, ParameterError, ResourceLimitError
 from .homology import DEFAULT_SIMPLEX_BUDGET, is_sphere_homology, reduced_homology
 from .instance_io import LoadedInstance, load_instance, parse_bruhat_block
-from .posets import OverLimit, _bits, beat_core, chain_f_vector, order_complex, proper_part
+from .posets import OverLimit, beat_core, chain_f_vector, order_complex, proper_part
 from .subsets import GroundParams, _label
 from .suspension_check import (
     HOMOTOPY_DISCLAIMER,
@@ -239,15 +239,10 @@ def cmd_compare_orders(ns) -> int:
     params = GroundParams(ns.n, ns.k)
     order = enumerate_bruhat(params, max_subsets=ns.max_subsets)
     n = len(order)
-    reach = order.reach()
-    inclusion = order.inclusion()
-    single_step_pairs = sum(row.bit_count() - 1 for row in reach)
-    inclusion_pairs = sum(row.bit_count() - 1 for row in inclusion)
+    single_step_pairs, inclusion_pairs, inclusion_only = compare_orders(order)
     differing = [
         [_label(params, order.bits[i]), _label(params, order.bits[j])]
-        for i, (inc, r) in enumerate(zip(inclusion, reach))
-        if inc != r
-        for j in _bits(inc & ~r)
+        for i, j in inclusion_only
     ]
     report = {
         "version": __version__,

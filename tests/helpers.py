@@ -13,7 +13,7 @@ from operator import and_, getitem, or_
 
 from constructions import from_facets
 from higher_bruhat import __version__
-from higher_bruhat.bruhat import OrderKind, enumerate_bruhat, to_poset
+from higher_bruhat.bruhat import BruhatOrder, OrderKind, enumerate_bruhat, to_poset
 from higher_bruhat.cli import SPHERICITY_NOTE
 from higher_bruhat.complexes import SimplicialComplex
 from higher_bruhat.errors import NotAPosetError, NotBoundedError, ParameterError
@@ -181,6 +181,85 @@ def naive_cover_pairs(order):
             if j is not None:
                 covers.append((i, j))
     return tuple(covers)
+
+
+def addable_thinned(order, level, x, f):
+    """order with bit f of the level's addable column x cleared.
+
+    The cover from the level's family f to that family plus member x is
+    gone, and nothing else: covers, reach and compare-orders all read the
+    thinned columns.  Inclusion still holds the lost pair.
+    """
+    start, add = order.addable[level]
+    cols = list(add)
+    cols[x] &= ~(1 << f)
+    addable = order.addable[:level] + ((start, tuple(cols)),) + order.addable[level + 1:]
+    return BruhatOrder(order.params, order.bits, addable)
+
+
+def addable_bits(order):
+    """(level, x, f) of every set bit of every addable column: one per cover."""
+    return [
+        (level, x, f)
+        for level, (_, add) in enumerate(order.addable)
+        for x, col in enumerate(add)
+        for f in members(col)
+    ]
+
+
+def addable_cover(order, level, x, f):
+    """The cover (a, b) that bit f of the level's addable column x stands for."""
+    a = order.addable[level][0] + f
+    return a, order._index[order.bits[a] | 1 << x]
+
+
+def closure_reach_rows(order):
+    """Single-step up rows as the closure of order.covers, over the whole order.
+
+    The library's former route: a Kahn sort of the cover digraph, then each
+    element's bit ORed with the rows of its upper covers, in reverse
+    topological order.
+    """
+    n = len(order)
+    above = [[] for _ in range(n)]
+    indegree = [0] * n
+    for a, b in order.covers:
+        above[a].append(b)
+        indegree[b] += 1
+    topological = [i for i in range(n) if not indegree[i]]
+    for i in topological:
+        for j in above[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                topological.append(j)
+    assert len(topological) == n, "the cover digraph has a cycle"
+    rows = [0] * n
+    for i in reversed(topological):
+        rows[i] = reduce(or_, (rows[j] for j in above[i]), 1 << i)
+    return tuple(rows)
+
+
+def whole_relation_compare(order):
+    """compare-orders' counts and differing pairs, from two whole relations.
+
+    The library's former route: reach is closure_reach_rows and inclusion
+    is member_column_inclusion_rows, a subset test member by member (the
+    Bruhat tests check it against the pairwise subset test).
+    """
+    reach = closure_reach_rows(order)
+    inclusion = member_column_inclusion_rows(order)
+    differing = [
+        [naive_label(order.elements[i]), naive_label(order.elements[j])]
+        for i, (inc, row) in enumerate(zip(inclusion, reach))
+        for j in members(inc & ~row)
+    ]
+    return {
+        "count": len(order),
+        "comparable_pairs_single_step": sum(row.bit_count() - 1 for row in reach),
+        "comparable_pairs_inclusion": sum(row.bit_count() - 1 for row in inclusion),
+        "differing_pairs_count": len(differing),
+        "differing_pairs": differing,
+    }
 
 
 def naive_label(u):

@@ -16,8 +16,13 @@ from constructions import (
     map_j,
 )
 from helpers import (
+    addable_bits,
+    addable_cover,
+    addable_thinned,
+    closure_reach_rows,
     inversion_family,
     member_column_inclusion_rows,
+    members,
     naive_cover_pairs,
     naive_inclusion_rows,
     naive_label,
@@ -35,7 +40,6 @@ from higher_bruhat.bruhat import (
 from higher_bruhat.errors import (
     InconsistentSetError,
     InvariantError,
-    NotAPosetError,
     ParameterError,
     ResourceLimitError,
 )
@@ -467,16 +471,35 @@ class TestReach:
         o = enumerate_bruhat(GroundParams(5, 2))
         assert len(o.reach()) == len(o)
 
-    def test_errors_name_the_family(self):
-        o = order(3, 1)
-        loop = BruhatOrder(o.params, o.bits, o.addable)
-        loop.covers = ((1, 1),) + o.covers
-        with pytest.raises(NotAPosetError, match=re.escape("self-loop at {{1,2}}")):
-            loop.reach()
-        cycle = BruhatOrder(o.params, o.bits, o.addable)
-        cycle.covers = ((2, 0),) + o.covers
-        with pytest.raises(NotAPosetError, match=re.escape("at or below {}")):
-            cycle.reach()
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in range(1, 7) for k in range(n)] + [(7, 3)]
+    )
+    def test_level_kernel_matches_the_closure_of_the_covers(self, n, k):
+        o = enumerate_bruhat(GroundParams(n, k))
+        assert o.reach() == closure_reach_rows(o)
+
+    def test_levels_come_top_first_and_count_down_from_the_top(self):
+        o = order(5, 2)
+        reach, top = o.reach(), len(o) - 1
+        levels = list(o.up_levels())
+        assert [start for start, _ in levels] == [start for start, _ in reversed(o.addable)]
+        assert [len(rows) for _, rows in levels] == o.level_sizes()[::-1]
+        for start, rows in levels:
+            for i, row in enumerate(rows, start):
+                assert row == sum(1 << top - j for j in members(reach[i]))
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (5, 2), (5, 3)])
+    def test_thinned_addable_columns_match_the_closure(self, n, k):
+        # every mutant with one addable bit cleared: the lost cover is the
+        # only single-step path between its ends, which inclusion keeps
+        full = enumerate_bruhat(GroundParams(n, k))
+        for mutant in addable_bits(full):
+            thinned = addable_thinned(full, *mutant)
+            a, b = addable_cover(full, *mutant)
+            assert thinned.covers == tuple(c for c in full.covers if c != (a, b))
+            reach = thinned.reach()
+            assert reach == closure_reach_rows(thinned)
+            assert not reach[a] >> b & 1
 
 
 class TestToPoset:

@@ -1,16 +1,24 @@
 import json
+import random
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import factorial
 
 import pytest
 
-from helpers import full_route_report, naive_label
+from helpers import (
+    addable_bits,
+    addable_thinned,
+    closure_reach_rows,
+    full_route_report,
+    naive_label,
+    whole_relation_compare,
+)
 from higher_bruhat import bruhat, cli, posets, subsets
 from higher_bruhat.bruhat import (
-    BruhatOrder,
     OrderKind,
     dissection_instance,
     enumerate_bruhat,
@@ -548,16 +556,16 @@ class TestCompareOrdersCommand:
         assert report["differing_pairs_count"] == 0
 
     def test_lists_pairs_comparable_under_inclusion_only(self, tmp_path, monkeypatch):
-        # no instance small enough for a test has differing pairs, so drop a
-        # cover from B(4,1): single-step reach loses pairs, inclusion keeps them
+        # no instance small enough for a test has differing pairs, so clear
+        # the first addable bit of B(4,1): the cover it stands for is the
+        # only single-step path between its ends, and inclusion keeps it
         full = enumerate_bruhat(GroundParams(4, 1))
-        thinned = BruhatOrder(full.params, full.bits, full.addable)
-        thinned.covers = full.covers[1:]
+        thinned = addable_thinned(full, *addable_bits(full)[0])
         monkeypatch.setattr(cli, "enumerate_bruhat", lambda *args, **kwargs: thinned)
         out = tmp_path / "report.json"
         assert main(["compare-orders", "4", "1", "--out", str(out)]) == 0
         report = read_json(out)
-        reach = thinned.reach()
+        reach = closure_reach_rows(thinned)
         inclusion_pairs = 0
         differing = []
         for i, u in enumerate(thinned.elements):
@@ -573,6 +581,50 @@ class TestCompareOrdersCommand:
         )
         assert report["differing_pairs_count"] == len(differing)
         assert report["differing_pairs"] == differing
+
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in range(1, 7) for k in range(n)] + [(7, 3)]
+    )
+    def test_matches_the_whole_relation_route(self, n, k, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["compare-orders", str(n), str(k), "--out", str(out)]) == 0
+        report = read_json(out)
+        expected = whole_relation_compare(enumerate_bruhat(GroundParams(n, k)))
+        assert {key: report[key] for key in expected} == expected
+
+    @pytest.mark.parametrize(
+        "n,k,sample", [(4, 1, None), (4, 2, None), (5, 2, 25), (5, 3, None)]
+    )
+    def test_thinned_orders_match_the_whole_relation_route(
+        self, n, k, sample, tmp_path, monkeypatch
+    ):
+        full = enumerate_bruhat(GroundParams(n, k))
+        mutants = addable_bits(full)
+        if sample is not None:
+            mutants = random.Random(10 * n + k).sample(mutants, sample)
+        out = tmp_path / "report.json"
+        for mutant in mutants:
+            thinned = addable_thinned(full, *mutant)
+            monkeypatch.setattr(cli, "enumerate_bruhat", lambda *args, **kwargs: thinned)
+            assert main(["compare-orders", str(n), str(k), "--out", str(out)]) == 0
+            report, expected = read_json(out), whole_relation_compare(thinned)
+            assert expected["differing_pairs"]
+            assert {key: report[key] for key in expected} == expected
+
+    def test_holds_two_levels_of_rows_and_no_relation(self, monkeypatch, capsys):
+        # one whole relation on B(7,3) takes 7,686^2 / 8 bytes, about 7.4 MB;
+        # the kernel reads the addable columns, never the covers
+        order = enumerate_bruhat(GroundParams(7, 3))
+        monkeypatch.setattr(cli, "enumerate_bruhat", lambda *args, **kwargs: order)
+        tracemalloc.start()
+        try:
+            assert main(["compare-orders", "7", "3"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert "covers" not in vars(order) and order._reach is None
+        assert "the two orders coincide" in capsys.readouterr().out
 
 
 class TestExportCommand:

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    addable_bits,
+    addable_cover,
+    addable_thinned,
     bitwise_transpose,
     homology_dict,
     members,
@@ -20,7 +23,6 @@ from helpers import (
 )
 from higher_bruhat import posets
 from higher_bruhat.bruhat import (
-    BruhatOrder,
     OrderKind,
     dissection_instance,
     enumerate_bruhat,
@@ -624,17 +626,20 @@ class TestCertifiedAgainstPairWalk:
             assert p.covers() == naive_cover_pairs(order)
 
     def test_inclusion_falls_back_to_validation_where_orders_differ(self):
-        # dropping a cover a < b, where a has another upper cover and b
-        # another lower one, keeps the single-step order bounded but loses
-        # a <= b from it; inclusion keeps every pair
+        # clearing the addable bit of a cover a < b, where a has another
+        # upper cover and b another lower one, keeps the single-step order
+        # bounded but loses a <= b from it; inclusion keeps every pair
         full = enumerate_bruhat(GroundParams(4, 1))
         uppers = [a for a, _ in full.covers]
         lowers = [b for _, b in full.covers]
-        drop = next(
-            (a, b) for a, b in full.covers if uppers.count(a) > 1 and lowers.count(b) > 1
+        mutant = next(
+            m for m in addable_bits(full)
+            if uppers.count(addable_cover(full, *m)[0]) > 1
+            and lowers.count(addable_cover(full, *m)[1]) > 1
         )
-        thinned = BruhatOrder(full.params, full.bits, full.addable)
-        thinned.covers = tuple(c for c in full.covers if c != drop)
+        drop = addable_cover(full, *mutant)
+        thinned = addable_thinned(full, *mutant)
+        assert thinned.covers == tuple(c for c in full.covers if c != drop)
         assert not to_poset(thinned, OrderKind.SINGLE_STEP).le(*drop)
         assert thinned.inclusion() != thinned.reach()
         p = to_poset(thinned, OrderKind.INCLUSION)
@@ -662,6 +667,13 @@ class TestFromCoversCertificate:
         labels = [f"e{i}" for i in range(4)]
         with pytest.raises(NotAPosetError, match="cycle"):
             from_covers(labels, covers, 0, 3)
+
+    def test_rank_skipping_covers_are_kept_and_shortcuts_dropped(self):
+        # a < b < c < e and a < d < e: (d, e) joins ranks 1 and 3 yet is a
+        # cover; (a, c) joins ranks 0 and 2 through b and is not
+        pairs = [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4), (0, 2)]
+        p = from_covers(list("abcde"), pairs, 0, 4)
+        assert p.covers() == ((0, 1), (0, 3), (1, 2), (2, 4), (3, 4)) == naive_covers(p)
 
     def test_down_going_self_loop_raises(self):
         with pytest.raises(NotAPosetError, match="self-loop at b"):
