@@ -10,7 +10,14 @@ permutations, build-up chains, interval descent, the suspension of a
 complex) live in the test suite, as oracles.
 """
 
-from .bruhat import BruhatOrder, OrderKind, dissection_instance, enumerate_bruhat, to_poset
+from .bruhat import (
+    BruhatOrder,
+    OrderKind,
+    descent_conditions,
+    dissection_instance,
+    enumerate_bruhat,
+    to_poset,
+)
 from .complexes import SimplicialComplex, make_complex
 from .errors import (
     ConditionViolationError,

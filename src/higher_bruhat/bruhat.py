@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left
 from functools import cached_property, partial, reduce
-from operator import and_
+from operator import and_, or_
 from typing import Iterator
 
 from . import posets
-from .errors import InvariantError, ParameterError, ResourceLimitError
+from .errors import InvariantError, NotBoundedError, ParameterError, ResourceLimitError
 from .subsets import ConsistentSet, GroundParams, _label, _packet_checks, _segment_columns
+from .suspension_check import Check, ConditionReport, DissectionInstance
 
 __all__ = [
     "OrderKind",
@@ -36,6 +38,9 @@ __all__ = [
     "compare_orders",
     "to_poset",
     "dissection_instance",
+    "descent_conditions",
+    "PROVED_FROM",
+    "COLUMN_ROUTE_NOTE",
     "DEFAULT_BFS_LIMIT",
     "DEFAULT_BRUTEFORCE_LIMIT",
 ]
@@ -87,6 +92,20 @@ class BruhatOrder:
 
     def __len__(self) -> int:
         return len(self.bits)
+
+    def __contains__(self, family: int) -> bool:
+        """Whether the order holds the family, by bisection within its level.
+
+        Level c holds the families of cardinality c, in ascending bitset
+        order, so no index of all the families is built.
+        """
+        card = family.bit_count()
+        if card >= len(self.addable):
+            return False
+        lo = self.addable[card][0]
+        hi = self.addable[card + 1][0] if card + 1 < len(self.addable) else len(self.bits)
+        at = bisect_left(self.bits, family, lo, hi)
+        return at < hi and self.bits[at] == family
 
     @cached_property
     def elements(self) -> tuple[ConsistentSet, ...]:
@@ -433,38 +452,49 @@ def to_poset(order: BruhatOrder, kind: OrderKind) -> posets.FiniteBoundedPoset:
     return p
 
 
-def dissection_instance(order: BruhatOrder, kind: OrderKind):
+def _level_maps(params: GroundParams) -> tuple[GroundParams, int, int]:
+    """Q's parameters, the members f keeps, and the members j adds.
+
+    Colex ranks do not depend on n, so a family of B(n-1,k) is a bitset of
+    B(n,k) too: f keeps the members without n, i is the identity and j adds
+    every member holding n.
+    """
+    small = GroundParams(params.n - 1, params.k)
+    return small, small.full_bits, params.full_bits ^ small.full_bits
+
+
+def _not_enumerated(params: GroundParams, family: int) -> InvariantError:
+    # colex ranks do not depend on n, so params names a family of either order
+    return InvariantError(
+        f"a structure map sends a family to {_label(params, family)}, which was not enumerated"
+    )
+
+
+def dissection_instance(order: BruhatOrder, kind: OrderKind) -> DissectionInstance:
     """The structure maps of the level descent, packaged for condition checking.
 
     Builds P from the order and Q from the order one ground-set size down,
     both under the relation of the given kind, colors elements green/red,
-    and tabulates the three maps: f forgets the members holding n, i keeps
-    a family as it is, and j adds every member holding n.  Colex ranks do
-    not depend on n, so on bitsets f is a mask, i the identity and j an OR.
-    check_conditions decides the lemma's hypotheses on these tables
+    and tabulates the three maps of _level_maps: f forgets the members
+    holding n, i keeps a family as it is, and j adds every member holding
+    n.  check_conditions decides the lemma's hypotheses on these tables
     exhaustively, so the paper's constructive proofs of them (admissible
     permutations, build-up chains, interval descent) are not run.
+    descent_conditions decides the same hypotheses without the tables.
     """
-    from .suspension_check import DissectionInstance
-
     params = order.params
     _require_level_above_base(params)
-    small = GroundParams(params.n - 1, params.k)
+    small, kept, added = _level_maps(params)
     suborder = enumerate_bruhat(small)
     p = to_poset(order, kind)
     q = to_poset(suborder, kind)
     index, sub_index = order._index, suborder._index
-    added = params.full_bits ^ small.full_bits
     try:
-        f_images = tuple(sub_index[b & small.full_bits] for b in order.bits)
+        f_images = tuple(sub_index[b & kept] for b in order.bits)
         i_images = tuple(index[b] for b in suborder.bits)
         j_images = tuple(index[b | added] for b in suborder.bits)
     except KeyError as exc:
-        # colex ranks do not depend on n, so params names a family of either order
-        raise InvariantError(
-            f"a structure map sends a family to {_label(params, exc.args[0])}, "
-            "which was not enumerated"
-        )
+        raise _not_enumerated(params, exc.args[0])
     return DissectionInstance(
         p=p,
         q=q,
@@ -472,4 +502,205 @@ def dissection_instance(order: BruhatOrder, kind: OrderKind):
         f=posets.MonotoneMap(p, q, f_images),
         i=posets.MonotoneMap(q, p, i_images),
         j=posets.MonotoneMap(q, p, j_images),
+    )
+
+
+# What the column route's proof maps and carrier cones are proved from.
+PROVED_FROM = "the five conditions"
+
+COLUMN_ROUTE_NOTE = (
+    "Column route: once every image is an enumerated family, the preconditions "
+    "and green_is_down_set hold by proof; the proof maps and carrier cones are "
+    "proved from the five conditions, not built."
+)
+
+
+def _droppable(cols: list[int], absent: list[int], packets: list[tuple[int, ...]]) -> list[int]:
+    """Per member x, the column of the families of a level that can drop x.
+
+    Within a packet the complement of a segment is a segment, so a family
+    is consistent iff its complement is, and f minus x is the complement
+    of (the complement of f) plus x.  _addable on the complements' columns
+    therefore gives, for each x, the families holding x that stay
+    consistent without it.
+    """
+    return _addable(absent, cols, packets)
+
+
+def _check_top(order: BruhatOrder) -> None:
+    """Raise NotBoundedError, as to_poset does, unless the full family is the top.
+
+    The growth reaches every family from the empty one by single-member
+    additions, so the empty family is the bottom under both orders.  The
+    full family lies above every family under both orders iff it is the
+    top level's only family and each family below that level takes some
+    member.
+    """
+    *lower, (start, end, _) = order._levels()
+    grows = all(reduce(or_, add, 0) == (1 << e - s) - 1 for s, e, add in lower)
+    if not (grows and end - start == 1 and order.bits[start] == order.params.full_bits):
+        raise NotBoundedError(f"{_label(order.params, order.bits[-1])} is not above every element")
+
+
+def descent_conditions(order: BruhatOrder, kind: OrderKind) -> ConditionReport:
+    """The lemma's hypotheses on B(n,k) -> B(n-1,k), decided from member columns.
+
+    This is check_conditions on dissection_instance(order, kind), with the
+    same checks in the same order and the same verdicts, but no poset, no
+    relation row and no map table is built.  Q = B(n-1,k) is enumerated,
+    and f, i and j are the mask, identity and OR of _level_maps.  A failing
+    check's witness is worded as check_conditions words it.
+
+    Images.  Every f(x), i(a) and j(a) is looked up among the enumerated
+    families, in the order of dissection_instance's tables, and a miss
+    raises the same InvariantError.  The bounds are checked as to_poset
+    checks them (_check_top).
+
+    Proved from the images, so reported as passing:
+    - f, i and j are monotone.  Under inclusion each preserves inclusion.
+      Single-step order is the closure of the covers, and a cover adds one
+      member m.  f sends it to an equality (m holds n) or to the addition
+      of m between two families of Q; i and j send a cover of Q to the
+      addition of m between two families of P, as m is kept, not added.
+    - Q is nondegenerate: it holds the empty family and its full family,
+      which differ as n-1 >= k+1.
+    - green_is_down_set: a green family lacks the top member, and y <= x
+      under either order makes y a subfamily of x.
+
+    Decided by bit tests:
+    - compositions_identity and images_two_colored, per family of Q.
+    - extreme_fibers, per level: the fibre over Q's bottom (the empty
+      family) is the AND of the kept members' absent columns, the fibre
+      over Q's top (its full family) the AND of their columns.  Level 0
+      holds only P's bottom and the top level only P's top.
+    - sandwich, i(f(x)) <= x <= j(f(x)).  Under inclusion, x & kept lies
+      in x, and x lies in (x & kept) | added iff x holds no member outside
+      kept | added.  Under single-step, by induction on the number of
+      members to drop (to add), the lower half holds for every x iff each
+      family holding a dropped member has a lower cover dropping one, and
+      the upper half iff each family missing an added member, and holding
+      nothing outside kept | added, has an upper cover adding one; for the
+      converse, the last (first) step of a chain of single-member
+      additions from x & kept to x (from x to x | added) is such a cover.
+      The upper covers are the kept addable columns.  The lower covers are
+      the droppable columns (_droppable): x minus m is consistent, so the
+      growth holds it, since it reaches every consistent family (B(n,k)
+      has the empty family as its unique minimum under single-step, and
+      the brute-force oracle finds the same families).  A family that
+      fails a test fails the sandwich.  A family that fails the lower
+      half but passes its test has a lower cover that fails the lower
+      half, so the lowest family failing the lower half fails its test:
+      when only the lower half fails, the witness is the row route's.  An
+      upper failure names the lowest family that fails its test, though
+      a lower family may fail too, by reaching only such families.
+
+    Proved from the five conditions, so not built (check-lemma reports
+    both as passing when the conditions do):
+    - The proof maps g and h (build_proof_maps).  g(x) = (f(x), colour)
+      sends no proper x to a bound, by the extreme fibres, and is monotone
+      since f is and the red elements form an up-set.  h(a,0) = i(a) is
+      proper for a proper (a,0): i(a) at P's bottom would give a = f(i(a))
+      = f(bottom) = Q's bottom, as f is monotone and f(i(Q's bottom)) is
+      Q's bottom; and i(a) is green while P's top is red, lying above the
+      red j(a).  Dually h(a,1) = j(a).  h is monotone since i and j are,
+      and i(b) <= j(b) is the sandwich at i(b), as f(i(b)) = b.
+      g(h(a,s)) = (a,s) by the compositions and the images' colours.
+    - The carrier cones (carrier_cone_check).  For a proper chain from a
+      to b, i(f(a)) <= a <= b <= j(f(b)) by the sandwich, so the apex
+      lies in the carrier.  Both endpoints are bounds only when f(a) is
+      Q's bottom and f(b) Q's top; the extreme fibres then make a red and
+      b green, with a <= b, which the down-set forbids.
+    """
+    params = order.params
+    _require_level_above_base(params)
+    small, kept, added = _level_maps(params)
+    suborder = enumerate_bruhat(small)
+    _check_top(order)
+    _check_top(suborder)
+    in_q = set(suborder.bits)
+    missing = next(
+        itertools.chain(
+            (b & kept for b in order.bits if b & kept not in in_q),
+            (a for a in suborder.bits if a not in order),
+            (a | added for a in suborder.bits if a | added not in order),
+        ),
+        None,
+    )
+    if missing is not None:
+        raise _not_enumerated(params, missing)
+
+    # labels are rendered only for a witness
+    label, sub_label = partial(_label, params), partial(_label, small)
+    width, bits = params.num_members, order.bits
+    red = width - 1
+    compositions = next(
+        (
+            f"f({g}({sub_label(a)})) != {sub_label(a)}"
+            for a in suborder.bits
+            for g, image in (("i", a), ("j", a | added))
+            if image & kept != a
+        ),
+        None,
+    )
+    colours = next(
+        (
+            f"i({sub_label(a)}) = {label(a)} is red" if a >> red & 1
+            else f"j({sub_label(a)}) = {label(a | added)} is green"
+            for a in suborder.bits
+            if a >> red & 1 or not (a | added) >> red & 1
+        ),
+        None,
+    )
+
+    packets = [c.members for c in _packet_checks(params.n, params.k)]
+    kept_members = posets._bits(kept)
+    dropped = posets._bits(params.full_bits & ~kept)
+    gained = posets._bits(added)
+    stray = posets._bits(params.full_bits & ~kept & ~added)
+    single_step = kind is OrderKind.SINGLE_STEP
+
+    def union(columns: list[int], members: list[int]) -> int:
+        return reduce(or_, map(columns.__getitem__, members), 0)
+
+    def lowest(mask: int) -> int:
+        return (mask & -mask).bit_length() - 1
+
+    sandwich = fibres = None
+    for start, end, add in order._levels():
+        cols = posets._columns(bits[start:end], width)
+        full = (1 << end - start) - 1
+        absent = [full ^ col for col in cols]
+        below, above = 0, union(cols, stray)
+        if single_step:
+            drop = _droppable(cols, absent, packets)
+            below = union(cols, dropped) & ~union(drop, dropped)
+            above |= union(absent, gained) & ~union(add, gained)
+        if sandwich is None and below | above:
+            at = lowest(below | above)
+            x = label(bits[start + at])
+            sandwich = (
+                f"i(f({x})) is not below {x}" if below >> at & 1 else f"j(f({x})) is not above {x}"
+            )
+        green_low = reduce(and_, map(absent.__getitem__, kept_members), absent[red])
+        red_high = reduce(and_, map(cols.__getitem__, kept_members), cols[red])
+        miscoloured = (green_low if start else 0) | (red_high if end < len(bits) else 0)
+        if fibres is None and miscoloured:
+            at = lowest(miscoloured)
+            x = label(bits[start + at])
+            fibres = (
+                f"{x} is red in the fiber over the top of Q" if red_high >> at & 1
+                else f"{x} is green in the fiber over the bottom of Q"
+            )
+
+    proved = ("p_bounded", "q_bounded", "q_nondegenerate", "f_monotone", "i_monotone", "j_monotone")
+    decided = (
+        ("green_is_down_set", None),
+        ("compositions_identity", compositions),
+        ("images_two_colored", colours),
+        ("sandwich", sandwich),
+        ("extreme_fibers", fibres),
+    )
+    return ConditionReport(
+        tuple(Check(name, True) for name in proved),
+        tuple(Check(name, witness is None, witness) for name, witness in decided),
     )

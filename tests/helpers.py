@@ -521,6 +521,11 @@ def full_route_report(n, k, kind):
     }
 
 
+def condition_verdicts(report):
+    """(name, passed, witness) of every precondition and condition, in order."""
+    return [(c.name, c.passed, c.witness) for c in report.preconditions + report.conditions]
+
+
 def chain_carrier_failures(inst):
     """Carrier-cone failures found by walking every chain of the proper part of P.
 

@@ -23,11 +23,12 @@ from constructions import (
     suspension,
 )
 from helpers import homology_dict, proper_part_complex, random_bounded_poset, random_complex
-from higher_bruhat.bruhat import OrderKind, enumerate_bruhat, to_poset
+from higher_bruhat.bruhat import OrderKind, dissection_instance, enumerate_bruhat, to_poset
 from higher_bruhat.cli import main
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
 from higher_bruhat.posets import product_with_two_chain, proper_part
 from higher_bruhat.subsets import GroundParams
+from higher_bruhat.suspension_check import build_proof_maps, carrier_cone_check, check_conditions
 
 SPHERICITY_INSTANCES = [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3), (6, 4)]
 
@@ -101,12 +102,17 @@ def test_criterion_3_condition_checks(tmp_path):
                 assert code == 0, (n, k, kind)
                 report = json.loads(out.read_text(encoding="utf-8"))
                 assert report["all_pass"] is True
+                assert report["route"] == "columns"
                 assert report["proof_maps"]["passed"] is True
                 assert report["carrier"]["failures"] == []
-                assert (
-                    report["carrier"]["chains_checked"]
-                    == report["carrier"]["total_chains"]
-                )
+                # the CLI proves the proof maps and carrier from the
+                # conditions; the row route builds and checks them
+                inst = dissection_instance(order(n, k), kind)
+                assert check_conditions(inst).all_pass
+                build_proof_maps(inst)
+                carrier = carrier_cone_check(inst)
+                assert carrier.failures == ()
+                assert carrier.chains_checked == carrier.total_chains
 
     verdict(3, "suspension conditions and proof skeleton", check)
 

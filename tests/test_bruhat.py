@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from math import comb, factorial
 
@@ -20,19 +21,23 @@ from helpers import (
     addable_cover,
     addable_thinned,
     closure_reach_rows,
+    condition_verdicts,
     inversion_family,
     member_column_inclusion_rows,
     members,
+    naive_colex_subsets,
     naive_cover_pairs,
     naive_inclusion_rows,
+    naive_is_consistent,
     naive_label,
     per_bitset_bruteforce_bits,
     table_grow,
 )
-from higher_bruhat import bruhat
+from higher_bruhat import bruhat, posets
 from higher_bruhat.bruhat import (
     BruhatOrder,
     OrderKind,
+    descent_conditions,
     dissection_instance,
     enumerate_bruhat,
     to_poset,
@@ -40,10 +45,17 @@ from higher_bruhat.bruhat import (
 from higher_bruhat.errors import (
     InconsistentSetError,
     InvariantError,
+    NotBoundedError,
     ParameterError,
     ResourceLimitError,
 )
-from higher_bruhat.subsets import ConsistentSet, GroundParams, KSubset
+from higher_bruhat.subsets import (
+    ConsistentSet,
+    GroundParams,
+    KSubset,
+    _packet_checks,
+)
+from higher_bruhat.suspension_check import check_conditions
 
 ORDER_CACHE = {}
 
@@ -459,6 +471,89 @@ class TestDissectionInstance:
         message = "sends a family to {{1,2},{1,3}}, which was not enumerated"
         with pytest.raises(InvariantError, match=re.escape(message)):
             dissection_instance(order(4, 1), OrderKind.SINGLE_STEP)
+
+
+# Every level descent B(n,k) -> B(n-1,k) with n <= 7, but B(7,2) and B(7,3):
+# test_stretch.py compares those with the row runs it makes for the carrier.
+DESCENT_CASES = [
+    (n, k) for n in range(2, 8) for k in range(n - 1) if (n, k) not in ((7, 2), (7, 3))
+]
+
+
+class TestDescentConditions:
+    """The column route against the row route, its oracle."""
+
+    @pytest.mark.parametrize("n,k", DESCENT_CASES)
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    def test_matches_the_row_route(self, n, k, kind):
+        columns = descent_conditions(order(n, k), kind)
+        rows = check_conditions(dissection_instance(order(n, k), kind))
+        assert columns.all_pass is rows.all_pass is True
+        assert condition_verdicts(columns) == condition_verdicts(rows)
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (5, 1), (6, 3)])
+    def test_droppable_columns_match_consistency(self, n, k):
+        o = order(n, k)
+        width = o.params.num_members
+        names = naive_colex_subsets(n, k + 1)
+        packets = [c.members for c in _packet_checks(n, k)]
+        for start, end, _ in o._levels():
+            level = o.bits[start:end]
+            cols = posets._columns(level, width)
+            full = (1 << len(level)) - 1
+            drop = bruhat._droppable(cols, [full ^ c for c in cols], packets)
+            for x in range(width):
+                expected = [
+                    f for f, b in enumerate(level)
+                    if b >> x & 1
+                    and naive_is_consistent([names[y] for y in members(b ^ 1 << x)], n, k)
+                ]
+                assert members(drop[x]) == expected
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 4)])
+    def test_membership_is_the_set_of_families(self, n, k):
+        o = order(n, k)
+        held = set(o.bits)
+        everything = range(o.params.full_bits + 1)
+        probes = list(everything[: 1 << 12])
+        if len(everything) > len(probes):
+            probes += random.Random(n * 10 + k).sample(everything, 200)
+        assert all((b in o) is (b in held) for b in probes + list(o.bits))
+        assert o.params.full_bits + 1 not in o
+        assert (1 << o.params.num_members + 1) - 1 not in o
+
+    def test_image_outside_the_target_raises_as_on_rows(self, monkeypatch):
+        real = order(3, 1)
+        swapped = tuple(5 if b == 3 else b for b in real.bits)
+        fake = BruhatOrder(real.params, swapped, real.addable)
+        monkeypatch.setattr(bruhat, "enumerate_bruhat", lambda params: fake)
+        message = "sends a family to {{1,2},{1,3}}, which was not enumerated"
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            descent_conditions(order(4, 1), OrderKind.SINGLE_STEP)
+
+    def test_an_order_without_its_full_family_is_refused(self):
+        real = order(4, 1)
+        cut = BruhatOrder(real.params, real.bits[:-1], real.addable[:-1])
+        with pytest.raises(NotBoundedError, match=re.escape("is not above every element")):
+            descent_conditions(cut, OrderKind.INCLUSION)
+
+    def test_base_case_has_no_level_below(self):
+        with pytest.raises(ParameterError, match="need n >= k[+]2"):
+            descent_conditions(order(3, 2), OrderKind.SINGLE_STEP)
+
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    def test_builds_no_poset_row_index_or_chain_count(self, kind, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the column route built rows, a poset or an index")
+
+        for name in ("from_covers", "from_relation", "count_chains", "product_with_two_chain"):
+            monkeypatch.setattr(posets, name, refuse)
+        monkeypatch.setattr(bruhat, "to_poset", refuse)
+        for name in ("reach", "inclusion", "up_levels", "green"):
+            monkeypatch.setattr(BruhatOrder, name, refuse)
+        for name in ("covers", "_index", "elements"):
+            monkeypatch.setattr(BruhatOrder, name, property(refuse))
+        assert descent_conditions(enumerate_bruhat(GroundParams(6, 2)), kind).all_pass
 
 
 class TestReach:

@@ -19,6 +19,7 @@ from helpers import (
 )
 from higher_bruhat import bruhat, cli, posets, subsets
 from higher_bruhat.bruhat import (
+    COLUMN_ROUTE_NOTE,
     OrderKind,
     dissection_instance,
     enumerate_bruhat,
@@ -28,7 +29,12 @@ from higher_bruhat.cli import main
 from higher_bruhat.instance_io import instance_to_doc, load_instance
 from higher_bruhat.posets import MonotoneMap, count_chains, from_covers, proper_part
 from higher_bruhat.subsets import ConsistentSet, GroundParams, KSubset
-from higher_bruhat.suspension_check import DissectionInstance
+from higher_bruhat.suspension_check import (
+    HOMOTOPY_DISCLAIMER,
+    DissectionInstance,
+    build_proof_maps,
+    carrier_cone_check,
+)
 
 
 def read_json(path):
@@ -188,9 +194,17 @@ class TestCheckLemmaCommand:
         assert code == 0
         report = read_json(out)
         assert report["all_pass"] is True
-        assert report["proof_maps"] == {"error": None, "passed": True}
-        assert report["carrier"]["chains_checked"] == report["carrier"]["total_chains"]
-        assert report["carrier"]["failures"] == []
+        assert report["route"] == "columns"
+        assert report["notes"] == [HOMOTOPY_DISCLAIMER, COLUMN_ROUTE_NOTE]
+        proved = {"proved_from": "the five conditions"}
+        assert report["proof_maps"] == {"error": None, "passed": True, **proved}
+        assert report["carrier"] == {"failures": [], "notes": [HOMOTOPY_DISCLAIMER], **proved}
+        # the row route builds what the column route proves
+        inst = dissection_instance(enumerate_bruhat(GroundParams(4, 1)), OrderKind(order))
+        build_proof_maps(inst)
+        carrier = carrier_cone_check(inst)
+        assert carrier.chains_checked == carrier.total_chains
+        assert carrier.failures == ()
 
     def test_sampling_flags_are_gone(self):
         for flag in ("--max-chains", "--seed"):
@@ -377,7 +391,101 @@ class TestCheckLemmaCommand:
                      "--format", "json", "--out", str(source)]) == 0
         out = tmp_path / "report.json"
         assert main(["check-lemma", "--instance", str(source), "--out", str(out)]) == 0
-        assert read_json(out)["all_pass"] is True
+        report = read_json(out)
+        assert report["all_pass"] is True
+        assert report["route"] == "rows"
+        assert report["notes"] == [HOMOTOPY_DISCLAIMER]
+        assert report["carrier"]["chains_checked"] == report["carrier"]["total_chains"] == 6
+
+
+def first_failure(report):
+    return next(
+        (c["name"], c["witness"])
+        for c in report["preconditions"] + report["conditions"]
+        if not c["passed"]
+    )
+
+
+class TestColumnRouteMutants:
+    """Broken column inputs fail on the column route as the row route fails."""
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2)])
+    def test_cleared_droppable_bit_fails_the_sandwich(self, n, k, monkeypatch, tmp_path):
+        # every family holding one member with n can drop it; with that bit
+        # cleared, the family is the one that fails the lower half
+        order = enumerate_bruhat(GroundParams(n, k))
+        _, _, added = bruhat._level_maps(order.params)
+        labels = dissection_instance(order, OrderKind.SINGLE_STEP).p.labels
+        targets = [x for x, b in enumerate(order.bits) if (b & added).bit_count() == 1]
+        real = bruhat._droppable
+        for x in targets:
+            family = order.bits[x]
+            level = family.bit_count()
+            at = x - order.addable[level][0]
+            member = (family & added).bit_length() - 1
+            calls = []
+
+            def cleared(cols, absent, packets):
+                drop = real(cols, absent, packets)
+                if len(calls) == level:
+                    assert drop[member] >> at & 1
+                    drop[member] &= ~(1 << at)
+                calls.append(level)
+                return drop
+
+            monkeypatch.setattr(bruhat, "_droppable", cleared)
+            out = tmp_path / "report.json"
+            assert main(["check-lemma", "--bruhat", str(n), str(k), "single_step",
+                         "--out", str(out)]) == 1
+            report = read_json(out)
+            assert first_failure(report) == (
+                "sandwich", f"i(f({labels[x]})) is not below {labels[x]}"
+            )
+            assert [c["name"] for c in report["conditions"] if not c["passed"]] == ["sandwich"]
+            assert report["proof_maps"] == report["carrier"] == {"skipped": True}
+        assert len(targets) > 3
+
+    @pytest.mark.parametrize("n,k", [(3, 0), (5, 0), (4, 1)])
+    @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
+    def test_j_missing_an_added_member_fails_alike(self, n, k, kind, monkeypatch,
+                                                  tmp_path, capsys):
+        # on B(n,0), j then adds nothing and fails images_two_colored first;
+        # with k > 0, some j(a) is no longer a family, on both routes
+        real = bruhat._level_maps
+        _, _, added = real(GroundParams(n, k))
+        columns, source, rows = (tmp_path / name for name in ("c.json", "i.json", "r.json"))
+        for member in posets._bits(added):
+            def mutant(params, member=member):
+                small, kept, added = real(params)
+                return small, kept, added & ~(1 << member)
+
+            monkeypatch.setattr(bruhat, "_level_maps", mutant)
+            bruhat_argv = [str(n), str(k), kind]
+            column_run = self.run(
+                ["check-lemma", "--bruhat", *bruhat_argv, "--out", str(columns)], capsys
+            )
+            export_run = self.run(
+                ["export", "--bruhat", *bruhat_argv, "--format", "json", "--out", str(source)],
+                capsys,
+            )
+            if k > 0:
+                assert column_run == export_run
+                assert column_run[0] == 1 and "which was not enumerated" in column_run[1]
+                continue
+            assert export_run == (0, "")
+            row_run = self.run(["check-lemma", "--instance", str(source), "--out", str(rows)],
+                               capsys)
+            assert column_run == row_run == (1, "")
+            by_columns, by_rows = read_json(columns), read_json(rows)
+            assert first_failure(by_columns) == first_failure(by_rows)
+            assert first_failure(by_columns)[0] == "images_two_colored"
+            assert [
+                (c["name"], c["passed"]) for c in by_columns["preconditions"] + by_columns["conditions"]
+            ] == [(c["name"], c["passed"]) for c in by_rows["preconditions"] + by_rows["conditions"]]
 
 
 class TestInstanceRoutes:

@@ -2,9 +2,11 @@
 
 B(6,2) is enumerable (908 elements) but its proper part has ~10^11
 chains: the sphericity route must refuse it before attempting the order
-complex, while the carrier pass still covers every chain, because it
-decides the fibre classes of the 50,598 comparable pairs that bound them.
-The same pass decides B(7,3) and B(7,2), with ~10^21 and ~10^23 chains.
+complex, while the row route's carrier pass still covers every chain,
+because it decides the fibre classes of the 50,598 comparable pairs that
+bound them.  The same pass decides B(7,3) and B(7,2), with ~10^21 and
+~10^23 chains, and each of these row runs is the oracle of the column
+route that check-lemma takes on the same instance.
 B(5,1) certifies in well under a second, because homology runs on the
 14-point beat-point core of its 118-point proper part.  The cross-check
 against Smith normal form on the whole order complex takes ~30 s and only
@@ -16,10 +18,16 @@ import os
 
 import pytest
 
-from helpers import full_route_report
-from higher_bruhat.bruhat import enumerate_bruhat
+from helpers import condition_verdicts, full_route_report
+from higher_bruhat.bruhat import (
+    OrderKind,
+    descent_conditions,
+    dissection_instance,
+    enumerate_bruhat,
+)
 from higher_bruhat.cli import main
 from higher_bruhat.subsets import GroundParams
+from higher_bruhat.suspension_check import build_proof_maps, carrier_cone_check, check_conditions
 
 
 def test_six_two_enumerates():
@@ -32,16 +40,27 @@ def test_six_two_sphericity_refused_before_building(tmp_path):
     assert main(["verify-sphericity", "--bruhat", "6", "2", "single_step"]) == 2
 
 
-def test_six_two_carrier_check_is_exhaustive(tmp_path):
-    out = tmp_path / "report.json"
-    code = main(["check-lemma", "--bruhat", "6", "2", "single_step", "--out", str(out)])
-    assert code == 0
-    report = json.loads(out.read_text(encoding="utf-8"))
-    assert report["all_pass"] is True
-    carrier = report["carrier"]
-    assert carrier["failures"] == []
-    assert carrier["pairs_checked"] == 50_598
-    assert carrier["chains_checked"] == carrier["total_chains"] == 99_888_984_062
+def row_route(n, k, kind):
+    """The order and the row route's condition and carrier reports, by library calls.
+
+    check-lemma --bruhat decides on the column route and proves the proof
+    maps and the carrier; these pins build and count them on the rows.
+    """
+    order = enumerate_bruhat(GroundParams(n, k))
+    inst = dissection_instance(order, OrderKind(kind))
+    conditions = check_conditions(inst)
+    build_proof_maps(inst)
+    return order, conditions, carrier_cone_check(inst)
+
+
+def test_six_two_carrier_check_is_exhaustive():
+    order, conditions, carrier = row_route(6, 2, "single_step")
+    assert conditions.all_pass is True
+    assert carrier.failures == ()
+    assert carrier.pairs_checked == 50_598
+    assert carrier.chains_checked == carrier.total_chains == 99_888_984_062
+    columns = descent_conditions(order, OrderKind.SINGLE_STEP)
+    assert condition_verdicts(columns) == condition_verdicts(conditions)
 
 
 @pytest.mark.parametrize(
@@ -52,17 +71,23 @@ def test_six_two_carrier_check_is_exhaustive(tmp_path):
         (7, 2, "single_step", 10_959_978, 114_438_064_833_722_181_633_536),
     ],
 )
-def test_seven_rung_carrier_check_is_exhaustive(tmp_path, n, k, kind, pairs, chains):
+def test_seven_rung_carrier_check_is_exhaustive(n, k, kind, pairs, chains):
     # the carrier check decides per fibre class, so B(7,2) takes seconds;
     # the pair and chain totals were recorded from the per-pair walk
-    out = tmp_path / "report.json"
-    assert main(["check-lemma", "--bruhat", str(n), str(k), kind, "--out", str(out)]) == 0
-    report = json.loads(out.read_text(encoding="utf-8"))
-    assert report["all_pass"] is True
-    carrier = report["carrier"]
-    assert carrier["failures"] == []
-    assert carrier["pairs_checked"] == pairs
-    assert carrier["chains_checked"] == carrier["total_chains"] == chains
+    order, conditions, carrier = row_route(n, k, kind)
+    assert conditions.all_pass is True
+    assert carrier.failures == ()
+    assert carrier.pairs_checked == pairs
+    assert carrier.chains_checked == carrier.total_chains == chains
+    # the same row run is the column route's oracle on this rung.  B(7,2)
+    # has no row run under inclusion (it would add seconds), but
+    # compare-orders finds that its two orders coincide (10,984,675
+    # comparable pairs each), as do B(6,2)'s, and the map tables do not
+    # depend on the order, so this run decides that instance too
+    kinds = [kind, "inclusion"] if (n, k) == (7, 2) else [kind]
+    for other in kinds:
+        columns = descent_conditions(order, OrderKind(other))
+        assert condition_verdicts(columns) == condition_verdicts(conditions)
 
 
 def test_six_two_orders_coincide_report(tmp_path):
