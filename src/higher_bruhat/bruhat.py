@@ -1,14 +1,18 @@
 """Higher Bruhat orders B(n,k) and the structure maps between levels.
 
-An order is grown from the empty family one cardinality at a time.  Each
-level is held as member columns, and a neighbour rule on every packet
-gives the column of families that can take each member; the next level
-is read straight off these addable columns, which the order keeps, so
-its covers are built only when something reads them.  Each level is
-certified against the packet segments by the segment kernel before the
-next one grows.  The brute-force oracle runs the same kernel over all
-bitsets, in chunks, to decide membership on its own; it must find the
-same families.
+An order is grown from the empty family one cardinality at a time, up to
+its middle level.  Each level is held as member columns, and a neighbour
+rule on every packet gives the column of families that can take each
+member; the next level is read straight off these addable columns, which
+the order keeps, so its covers are built only when something reads them.
+The upper half is mirrored, not grown: complement keeps consistency,
+turns additions into removals and reverses the order within a level, so
+level W - c of W members is level c complemented and read backwards, and
+its addable columns are level c's droppable columns, bit-reversed.  Each
+level, grown or mirrored, is certified against the packet segments by
+the segment kernel before the next one is made.  The brute-force oracle
+runs the same kernel over all bitsets, in chunks, to decide membership on
+its own; it must find the same families.
 Both relations (single-step inclusion and ordinary inclusion) live on the
 same element set; single-step comparability is reachability in the
 digraph of single-member additions.  Every cover adds one member, so
@@ -55,6 +59,18 @@ _CHUNK = 1 << 16
 
 # Byte b with its eight bits in reverse order, at index b.
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reversed_bits(value: int, length: int) -> int:
+    """value's low length bits in reverse order; value must fit in them.
+
+    Bit i goes to bit length - 1 - i: little-endian bytes, each byte's
+    bits reversed, read big-endian, are the bits of all 8 * size
+    positions reversed, and the shift drops the padding.
+    """
+    size = (length + 7) // 8
+    flipped = int.from_bytes(value.to_bytes(size, "little").translate(_REVERSED_BYTES), "big")
+    return flipped >> 8 * size - length
 
 
 class OrderKind(enum.Enum):
@@ -196,15 +212,11 @@ class BruhatOrder:
         Row i has bit j set iff family j is reachable from family i.
         """
         if self._reach is None:
-            size = (len(self.bits) + 7) // 8
-            pad = 8 * size - len(self.bits)
+            n = len(self.bits)
             levels = [rows for _, rows in self.up_levels()]
-            # reversing a top-counted row's bits, byte by byte, counts it from the bottom
+            # reversing a top-counted row's bits counts it from the bottom
             self._reach = tuple(
-                int.from_bytes(row.to_bytes(size, "little").translate(_REVERSED_BYTES), "big")
-                >> pad
-                for rows in reversed(levels)
-                for row in rows
+                _reversed_bits(row, n) for rows in reversed(levels) for row in rows
             )
         return self._reach
 
@@ -325,20 +337,70 @@ def _addable(cols: list[int], absent: list[int], packets: list[tuple[int, ...]])
     return add
 
 
+def _certified_columns(params: GroundParams, level: list[int]) -> list[int]:
+    """The member columns of a level, once the segment kernel has passed them.
+
+    The kernel decides every family of the level on these columns,
+    straight from the definition of consistency and apart from the
+    neighbour rule and the mirror.  A family that fails a packet raises
+    InvariantError naming the level's first such family and the packet.
+    """
+    cols = posets._columns(level, params.num_members)
+    full = (1 << len(level)) - 1
+    for c, passing in _segment_columns(cols, full, params.n, params.k):
+        failing = full ^ passing
+        if failing:
+            bad = level[(failing & -failing).bit_length() - 1]
+            raise InvariantError(
+                f"enumeration emitted {_label(params, bad)}, which is inconsistent "
+                f"on the packet with base {c.base}"
+            )
+    return cols
+
+
+def _mirror(level: list[int], drop: list[int], full: int) -> tuple[list[int], tuple[int, ...]]:
+    """The complements of a level's families, and their addable columns.
+
+    The complements come in ascending order, so family g of the result is
+    the complement of family len(level) - 1 - g of the level, and the
+    addable column of x is the level's droppable column of x (drop)
+    bit-reversed over the level's length (see _grow).
+    """
+    return (
+        [full ^ f for f in reversed(level)],
+        tuple(_reversed_bits(col, len(level)) for col in drop),
+    )
+
+
 def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]]:
     """Elements in (cardinality, bits) order and each level's addable columns.
 
-    The order grows one cardinality at a time from the empty family.  A
-    level is held as member columns (bit f of column x is set iff family
-    f holds member x), and the addable column of x, built by _addable
-    with the neighbour rule below, has bit f set iff f + x is consistent.
-    The next level is the sorted set of one-member growths, read off the
-    addable columns.  Each level's start and addable columns are kept, so
-    BruhatOrder.covers can read the covers off them later.
+    The order grows one cardinality at a time from the empty family, up
+    to the middle level, of cardinality W // 2 for W members; the levels
+    above it are the complements of those below.  A level is held as
+    member columns (bit f of column x is set iff family f holds member
+    x), and the addable column of x, built by _addable with the neighbour
+    rule below, has bit f set iff f + x is consistent.  The next level is
+    the sorted set of one-member growths, read off the addable columns.
+    Each level's start and addable columns are kept, so
+    BruhatOrder.covers can read the covers off them later; each grown
+    level below the middle also keeps its droppable columns, _addable on
+    the columns and their complements swapped, until it is mirrored.
 
-    Before a level is grown, the segment kernel certifies it on the same
-    columns, straight from the definition of consistency and apart from
-    the neighbour rule.  A family that fails a packet raises
+    Mirror.  Complement, f -> full ^ f, is an involution on bitsets that
+    keeps consistency: within a packet the complement of a segment is a
+    segment.  It reverses covers, as f + x is the complement of (full ^ f)
+    minus x, and it reverses the bitset order within a level.  So level
+    W - c is level c complemented and read backwards, and its addable
+    column of x is the droppable column of x of level c, bit-reversed over
+    the level's length (_mirror).  Every consistent family of cardinality
+    W - c is the complement of one of cardinality c, which the growth
+    holds, so the upper levels are complete because the lower ones are.
+    Each mirrored level is read back from the elements, top level first.
+
+    Every level, grown or mirrored, is certified against the packets by
+    the segment kernel on its own columns (_certified_columns), so the
+    mirror is checked, not trusted.  A family that fails a packet raises
     InvariantError naming the family and the packet, at the first level
     that holds one, so a faulty rule stops before its levels grow large.
 
@@ -360,24 +422,27 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, .
     packets = [c.members for c in _packet_checks(params.n, params.k)]
     elements: list[int] = []
     levels: list[tuple[int, tuple[int, ...]]] = []
+    drops: list[list[int]] = []
     level = [0]
-    while level:
-        cols = posets._columns(level, width)
+    for c in range(width // 2 + 1):
+        if c:
+            level = sorted(
+                {level[f] | 1 << x for x, col in enumerate(add) for f in posets._bits(col)}
+            )
+        cols = _certified_columns(params, level)
         full = (1 << len(level)) - 1
-        for c, passing in _segment_columns(cols, full, params.n, params.k):
-            failing = full ^ passing
-            if failing:
-                bad = level[(failing & -failing).bit_length() - 1]
-                raise InvariantError(
-                    f"enumeration emitted {_label(params, bad)}, which is inconsistent "
-                    f"on the packet with base {c.base}"
-                )
-        add = _addable(cols, [full ^ col for col in cols], packets)
+        absent = [full ^ col for col in cols]
+        add = _addable(cols, absent, packets)
+        if 2 * c < width:
+            drops.append(_addable(absent, cols, packets))
         levels.append((len(elements), tuple(add)))
         elements.extend(level)
-        level = sorted(
-            {level[f] | 1 << x for x, col in enumerate(add) for f in posets._bits(col)}
-        )
+    bounds = [start for start, _ in levels] + [len(elements)]
+    for c in reversed(range(len(drops))):
+        upper, add = _mirror(elements[bounds[c]:bounds[c + 1]], drops.pop(), params.full_bits)
+        _certified_columns(params, upper)
+        levels.append((len(elements), add))
+        elements.extend(upper)
     return elements, levels
 
 
@@ -530,11 +595,12 @@ def _droppable(cols: list[int], absent: list[int], packets: list[tuple[int, ...]
 def _check_top(order: BruhatOrder) -> None:
     """Raise NotBoundedError, as to_poset does, unless the full family is the top.
 
-    The growth reaches every family from the empty one by single-member
-    additions, so the empty family is the bottom under both orders.  The
-    full family lies above every family under both orders iff it is the
-    top level's only family and each family below that level takes some
-    member.
+    The full family lies above every family under both orders iff it is
+    the top level's only family and each family below that level takes
+    some member.  Then the empty family is the bottom under both orders:
+    the growth reaches every family up to the middle level from it by
+    single-member additions, and a family above the middle has a lower
+    cover, as its complement takes some member.
     """
     *lower, (start, end, _) = order._levels()
     grows = all(reduce(or_, add, 0) == (1 << e - s) - 1 for s, e, add in lower)
@@ -584,15 +650,17 @@ def descent_conditions(order: BruhatOrder, kind: OrderKind) -> ConditionReport:
       additions from x & kept to x (from x to x | added) is such a cover.
       The upper covers are the kept addable columns.  The lower covers are
       the droppable columns (_droppable): x minus m is consistent, so the
-      growth holds it, since it reaches every consistent family (B(n,k)
-      has the empty family as its unique minimum under single-step, and
-      the brute-force oracle finds the same families).  A family that
-      fails a test fails the sandwich.  A family that fails the lower
-      half but passes its test has a lower cover that fails the lower
-      half, so the lowest family failing the lower half fails its test:
-      when only the lower half fails, the witness is the row route's.  An
-      upper failure names the lowest family that fails its test, though
-      a lower family may fail too, by reaching only such families.
+      enumeration holds it, since it holds every consistent family: the
+      growth reaches every one up to the middle level (B(n,k) has the
+      empty family as its unique minimum under single-step), the levels
+      above are their complements, and the brute-force oracle finds the
+      same families.  A family that fails a test fails the sandwich.  A
+      family that fails the lower half but passes its test has a lower
+      cover that fails the lower half, so the lowest family failing the
+      lower half fails its test: when only the lower half fails, the
+      witness is the row route's.  An upper failure names the lowest
+      family that fails its test, though a lower family may fail too, by
+      reaching only such families.
 
     Proved from the five conditions, so not built (check-lemma reports
     both as passing when the conditions do):

@@ -89,17 +89,19 @@ def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
 def _columns(rows: Sequence[int], width: int) -> list[int]:
     """transpose(rows, width) by one stride scan, for narrow matrices.
 
-    In the rows' binary strings, joined last row first, the characters at
-    stride width from position width - 1 - j spell column j, last row
-    first.  The joined string takes a byte per matrix entry, so this suits
-    many rows of few columns, such as families over their members, and not
-    a square relation.  Every row must fit in width bits.
+    Each row is ORed with a sentinel bit 1 << width, so bin() spells it
+    as "0b1" and then exactly width digits, with no format spec: joined
+    last row first, the strings have a fixed stride of width + 3, and the
+    characters at that stride from position width + 2 - j spell column j,
+    last row first.  The joined string takes a byte per matrix entry, so
+    this suits many rows of few columns, such as families over their
+    members, and not a square relation.  Every row must fit in width bits.
     """
     if not rows:
         return [0] * width
-    spec = f"0{width}b"
-    joined = "".join([format(row, spec) for row in reversed(rows)])
-    return [int(joined[width - 1 - j::width], 2) for j in range(width)]
+    joined = "".join(map(bin, map((1 << width).__or__, reversed(rows))))
+    stride = width + 3
+    return [int(joined[stride - 1 - j::stride], 2) for j in range(width)]
 
 
 def _hasse(labels: Sequence[str], up: Sequence[int]) -> tuple[tuple[int, int], ...]:

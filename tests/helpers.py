@@ -12,11 +12,11 @@ from math import gcd
 from operator import and_, getitem, or_
 
 from constructions import from_facets
-from higher_bruhat import __version__
-from higher_bruhat.bruhat import BruhatOrder, OrderKind, enumerate_bruhat, to_poset
+from higher_bruhat import __version__, posets
+from higher_bruhat.bruhat import BruhatOrder, OrderKind, _addable, enumerate_bruhat, to_poset
 from higher_bruhat.cli import SPHERICITY_NOTE
 from higher_bruhat.complexes import SimplicialComplex
-from higher_bruhat.errors import NotAPosetError, NotBoundedError, ParameterError
+from higher_bruhat.errors import InvariantError, NotAPosetError, NotBoundedError, ParameterError
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
 from higher_bruhat.posets import (
     FiniteBoundedPoset,
@@ -25,7 +25,7 @@ from higher_bruhat.posets import (
     order_complex,
     proper_part,
 )
-from higher_bruhat.subsets import GroundParams, _packet_checks
+from higher_bruhat.subsets import GroundParams, _label, _packet_checks, _segment_columns
 
 
 def naive_colex_subsets(n, r):
@@ -353,6 +353,38 @@ def blocking_tables(n, k):
         tables.append(table)
         masks.append(c.mask)
     return tuple(tables), tuple(masks)
+
+
+def all_levels_grow(params):
+    """Elements in (cardinality, bits) order and each level's addable columns.
+
+    The library's growth before it mirrored the upper half: every level,
+    up to the full family, is grown from the addable columns of the level
+    below and certified by the segment kernel, with no use of complements.
+    """
+    width = params.num_members
+    packets = [c.members for c in _packet_checks(params.n, params.k)]
+    elements: list[int] = []
+    levels: list[tuple[int, tuple[int, ...]]] = []
+    level = [0]
+    while level:
+        cols = posets._columns(level, width)
+        full = (1 << len(level)) - 1
+        for c, passing in _segment_columns(cols, full, params.n, params.k):
+            failing = full ^ passing
+            if failing:
+                bad = level[(failing & -failing).bit_length() - 1]
+                raise InvariantError(
+                    f"enumeration emitted {_label(params, bad)}, which is inconsistent "
+                    f"on the packet with base {c.base}"
+                )
+        add = _addable(cols, [full ^ col for col in cols], packets)
+        levels.append((len(elements), tuple(add)))
+        elements.extend(level)
+        level = sorted(
+            {level[f] | 1 << x for x, col in enumerate(add) for f in posets._bits(col)}
+        )
+    return elements, levels
 
 
 def table_grow(params):

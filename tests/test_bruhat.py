@@ -18,6 +18,7 @@ from constructions import (
 )
 from helpers import (
     addable_bits,
+    all_levels_grow,
     addable_cover,
     addable_thinned,
     closure_reach_rows,
@@ -53,6 +54,7 @@ from higher_bruhat.subsets import (
     ConsistentSet,
     GroundParams,
     KSubset,
+    _label,
     _packet_checks,
 )
 from higher_bruhat.suspension_check import check_conditions
@@ -146,6 +148,55 @@ class TestEnumeration:
         o = enumerate_bruhat(params)
         assert "covers" not in vars(o)
         assert (list(o.bits), list(o.covers)) == table_grow(params)
+
+    @pytest.mark.parametrize("n,k", GROWTH_CASES)
+    def test_mirrored_growth_matches_all_levels_growth(self, n, k):
+        params = GroundParams(n, k)
+        o = enumerate_bruhat(params)
+        elements, levels = all_levels_grow(params)
+        assert list(o.bits) == elements
+        assert list(o.addable) == levels
+        width, full = params.num_members, params.full_bits
+        by_card = [o.bits[start:end] for start, end, _ in o._levels()]
+        assert len(by_card) == width + 1
+        for c in range(width + 1):
+            assert list(by_card[width - c]) == [full ^ f for f in reversed(by_card[c])]
+
+    def test_growth_cases_have_odd_and_even_widths(self):
+        # an even width has a middle level that is its own mirror
+        assert {comb(n, k + 1) % 2 for n, k in GROWTH_CASES} == {0, 1}
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 2)])
+    def test_corrupted_mirrored_family_is_refused_by_the_kernel(self, n, k, monkeypatch):
+        # one inconsistent family in a mirrored level: the segment kernel,
+        # not the mirror, decides it, and names it
+        params = GroundParams(n, k)
+        held = set(enumerate_bruhat(params).bits)
+        width, full = params.num_members, params.full_bits
+        mirror = bruhat._mirror
+        corrupted = 0
+        for c in range(1, (width + 1) // 2):
+            bad = next(
+                (full ^ sum(1 << x for x in xs)
+                 for xs in itertools.combinations(range(width), c)
+                 if full ^ sum(1 << x for x in xs) not in held),
+                None,
+            )
+            if bad is None:
+                continue
+
+            def corrupting(level, drop, full, c=c, bad=bad):
+                upper, add = mirror(level, drop, full)
+                if upper[0].bit_count() == width - c:
+                    upper[len(upper) // 2] = bad
+                return upper, add
+
+            monkeypatch.setattr(bruhat, "_mirror", corrupting)
+            message = f"emitted {_label(params, bad)}, which is inconsistent on the packet"
+            with pytest.raises(InvariantError, match=re.escape(message)):
+                enumerate_bruhat(params)
+            corrupted += 1
+        assert corrupted >= 2
 
     @pytest.mark.parametrize("n,k", SCAN_CASES)
     def test_sliced_scan_matches_per_bitset_scan(self, n, k):
@@ -572,6 +623,14 @@ class TestReach:
     def test_level_kernel_matches_the_closure_of_the_covers(self, n, k):
         o = enumerate_bruhat(GroundParams(n, k))
         assert o.reach() == closure_reach_rows(o)
+
+    def test_reversed_bits_reverses_the_low_bits(self):
+        rng = random.Random(18)
+        for length in (1, 7, 8, 9, 63, 64, 65, 200):
+            for value in (0, 1, (1 << length) - 1, rng.getrandbits(length)):
+                expected = int(format(value, f"0{length}b")[::-1], 2)
+                assert bruhat._reversed_bits(value, length) == expected
+        assert bruhat._reversed_bits(0, 0) == 0
 
     def test_levels_come_top_first_and_count_down_from_the_top(self):
         o = order(5, 2)
