@@ -176,12 +176,10 @@ class TestEnumeration:
         mirror = bruhat._mirror
         corrupted = 0
         for c in range(1, (width + 1) // 2):
-            bad = next(
-                (full ^ sum(1 << x for x in xs)
-                 for xs in itertools.combinations(range(width), c)
-                 if full ^ sum(1 << x for x in xs) not in held),
-                None,
+            complements = (
+                full ^ sum(1 << x for x in xs) for xs in itertools.combinations(range(width), c)
             )
+            bad = next((b for b in complements if b not in held), None)
             if bad is None:
                 continue
 
