@@ -24,7 +24,7 @@ from .bruhat import (
 from .errors import InvariantError, ParameterError, ResourceLimitError
 from .homology import DEFAULT_SIMPLEX_BUDGET, is_sphere_homology, reduced_homology
 from .instance_io import LoadedInstance, load_instance, parse_bruhat_block
-from .posets import OverLimit, beat_core, chain_f_vector, order_complex, proper_part
+from .posets import beat_core, count_chains, order_complex, proper_part
 from .subsets import GroundParams, _label
 from .suspension_check import (
     HOMOTOPY_DISCLAIMER,
@@ -214,23 +214,20 @@ def cmd_verify_sphericity(ns) -> int:
     order = enumerate_bruhat(params, max_subsets=ns.max_subsets)
     p = to_poset(order, kind)
     pp = proper_part(p)
-    # count chains before any work that grows with them, and no further than
-    # the budget: the complex has 1 + sum(f_vector) simplices, the empty one
-    # included
-    f_vector = chain_f_vector(p, pp, ns.max_simplices - 1)
-    if isinstance(f_vector, OverLimit):
-        raise ResourceLimitError(
-            f"order complex has more than {ns.max_simplices} simplices (budget "
-            f"{ns.max_simplices}; counting stopped after {f_vector.visited} of "
-            f"{pp.bit_count()} points)"
-        )
     # beat points do not change the homotopy type, so the core's homology
-    # is the proper part's; degrees above the core's dimension read 0
+    # is the proper part's, and the budget bounds the core's complex: 1 +
+    # its chain count simplices, the empty one included, counted before
+    # the complex is built
     core = beat_core(p, pp)
+    core_simplices = 1 + count_chains(p, core)
+    if core_simplices > ns.max_simplices:
+        raise ResourceLimitError(
+            f"order complex of the beat-point core ({core.bit_count()} points) has "
+            f"{core_simplices} simplices, over the budget of {ns.max_simplices}"
+        )
     homology = reduced_homology(order_complex(p, core), max_simplices=ns.max_simplices)
     target = params.n - params.k - 2
     sphere = is_sphere_homology(homology, target)
-    num_simplices = 1 + sum(f_vector)
     report = {
         "version": __version__,
         "command": "verify_sphericity",
@@ -239,25 +236,27 @@ def cmd_verify_sphericity(ns) -> int:
         "order": kind.value,
         "sphere_dimension": target,
         "is_sphere": sphere,
-        "num_simplices": num_simplices,
-        "f_vector": list(f_vector),
+        "proper_part_points": pp.bit_count(),
+        "core_points": core.bit_count(),
+        "core_simplices": core_simplices,
+        # degrees above the core's dimension read 0
         "homology": [
             {
                 "degree": d,
                 "betti": homology.betti_at(d),
                 "torsion": list(homology.torsion_at(d)),
             }
-            for d in range(-1, len(f_vector))
+            for d in range(-1, max(target, homology.max_degree) + 1)
         ],
         "notes": [SPHERICITY_NOTE],
     }
     _write_report(report, ns.out)
     print(f"B({params.n},{params.k}) under {kind.value}:")
-    print(f"  proper-part order complex: {num_simplices} simplices")
     print(
         f"  homology computed on the beat-point core: {core.bit_count()} of "
         f"{pp.bit_count()} points"
     )
+    print(f"  core order complex: {core_simplices} simplices")
     for entry in report["homology"]:
         torsion = entry["torsion"]
         extra = f" torsion {torsion}" if torsion else ""
@@ -382,7 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--bruhat", nargs=3, metavar=("N", "K", "ORDER"), required=True
     )
     p_sphere.add_argument("--max-subsets", type=_budget, default=None)
-    p_sphere.add_argument("--max-simplices", type=_budget, default=DEFAULT_SIMPLEX_BUDGET)
+    p_sphere.add_argument(
+        "--max-simplices", type=_budget, default=DEFAULT_SIMPLEX_BUDGET,
+        help="budget for the simplices of the beat-point core's order complex, "
+             "the empty one included",
+    )
     p_sphere.add_argument("--out", metavar="FILE")
     p_sphere.set_defaults(handler=cmd_verify_sphericity)
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import repeat, zip_longest
+from itertools import repeat
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -58,8 +58,6 @@ __all__ = [
     "order_complex",
     "check_monotone",
     "count_chains",
-    "chain_f_vector",
-    "OverLimit",
     "iter_chains",
     "transpose",
 ]
@@ -372,23 +370,30 @@ def beat_core(p: FiniteBoundedPoset, live: int) -> int:
     strict up-set has a minimum.  Deleting one keeps the homotopy type of
     the order complex, so the core has the same homology as live.  The
     result is the mask of the surviving points.
+
+    p's index order must be a linear extension (a < b on every cover), as
+    it is for every poset that to_poset builds; ParameterError otherwise.
+    Then an element's index exceeds that of every element below it, so
+    the only candidate maximum of a strict down-set is its highest bit,
+    and the only candidate minimum of a strict up-set is its lowest bit:
+    one row test each.
     """
+    if any(a > b for a, b in p.cover_pairs):
+        raise ParameterError("beat_core needs an index order that is a linear extension")
     up, down = p.leq, p.down
-
-    def has_extremum(strict: int, rows: Sequence[int]) -> bool:
-        # the extremum of `strict` is the member whose closed row holds it all
-        return any(not strict & ~rows[j] for j in _bits(strict))
-
     changed = True
     while changed:
         changed = False
         for i in _bits(live):
             bit = 1 << i
-            if live & bit and (
-                has_extremum(down[i] & live & ~bit, down)
-                or has_extremum(up[i] & live & ~bit, up)
+            if not live & bit:
+                continue
+            below = down[i] & live ^ bit
+            above = up[i] & live ^ bit
+            if (below and not below & ~down[below.bit_length() - 1]) or (
+                above and not above & ~up[(above & -above).bit_length() - 1]
             ):
-                live &= ~bit
+                live ^= bit
                 changed = True
     return live
 
@@ -475,43 +480,6 @@ def count_chains(p: FiniteBoundedPoset, live: int) -> int:
         for t in _bits(e):
             planes[t] |= bit
     return total
-
-
-@dataclass(frozen=True)
-class OverLimit:
-    """chain_f_vector's answer when its count passed the limit after visited points."""
-
-    visited: int
-
-
-def chain_f_vector(
-    p: FiniteBoundedPoset, live: int, limit: int | None = None
-) -> tuple[int, ...] | OverLimit:
-    """Non-empty chains of live counted by size, without enumerating them.
-
-    Entry d counts the chains of d + 1 elements, so this is the f-vector of
-    the order complex.  It runs the down-set recursion of count_chains with
-    one count per chain size, over the points of live bottom up.
-
-    With a limit, the count stops at the first point whose chains take
-    the running total past limit, and returns OverLimit.  The total only
-    grows, so that happens exactly when the full count exceeds limit.
-    Every count kept is at most limit, so a point costs one sum per chain
-    size over the points below it, of numbers of at most log2(limit) bits.
-    """
-    if limit is not None and limit < 0:
-        return OverLimit(0)
-    down = p.down
-    ending: list[list[int]] = [[] for _ in down]
-    total = 0
-    for visited, i in enumerate(_bottom_up(p, live), 1):
-        lower = map(ending.__getitem__, _bits(down[i] & live & ~(1 << i)))
-        # a chain ending at i is i alone or i on top of a chain ending below i
-        ending[i] = [1, *map(sum, zip_longest(*lower, fillvalue=0))]
-        total += sum(ending[i])
-        if limit is not None and total > limit:
-            return OverLimit(visited)
-    return tuple(map(sum, zip_longest(*ending, fillvalue=0)))
 
 
 def order_complex(p: FiniteBoundedPoset, live: int) -> SimplicialComplex:

@@ -7,6 +7,7 @@ the same answers.
 """
 
 import itertools
+from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 from operator import and_, getitem, or_
@@ -489,6 +490,61 @@ def size_sorted_count_chains(p, live):
     return sum(ending)
 
 
+def any_beat_core(p, live):
+    """beat_core by its former route: each point is tested against every
+    member of its strict down-set and strict up-set, in any index order."""
+    up, down = p.leq, p.down
+
+    def has_extremum(strict, rows):
+        # the extremum of `strict` is the member whose closed row holds it all
+        return any(not strict & ~rows[j] for j in posets._bits(strict))
+
+    changed = True
+    while changed:
+        changed = False
+        for i in posets._bits(live):
+            bit = 1 << i
+            if live & bit and (
+                has_extremum(down[i] & live & ~bit, down)
+                or has_extremum(up[i] & live & ~bit, up)
+            ):
+                live &= ~bit
+                changed = True
+    return live
+
+
+@dataclass(frozen=True)
+class OverLimit:
+    """chain_f_vector's answer when its count passed the limit after visited points."""
+
+    visited: int
+
+
+def chain_f_vector(p, live, limit=None):
+    """Non-empty chains of live counted by size, without enumerating them:
+    the census that verify-sphericity once ran on the whole proper part.
+
+    Entry d counts the chains of d + 1 elements, so this is the f-vector of
+    the order complex.  It runs the down-set recursion of count_chains with
+    one count per chain size, over the points of live bottom up.  With a
+    limit, the count stops at the first point whose chains take the running
+    total past limit, and returns OverLimit.
+    """
+    if limit is not None and limit < 0:
+        return OverLimit(0)
+    down = p.down
+    ending = [[] for _ in down]
+    total = 0
+    for visited, i in enumerate(posets._bottom_up(p, live), 1):
+        lower = map(ending.__getitem__, posets._bits(down[i] & live & ~(1 << i)))
+        # a chain ending at i is i alone or i on top of a chain ending below i
+        ending[i] = [1, *map(sum, itertools.zip_longest(*lower, fillvalue=0))]
+        total += sum(ending[i])
+        if limit is not None and total > limit:
+            return OverLimit(visited)
+    return tuple(map(sum, itertools.zip_longest(*ending, fillvalue=0)))
+
+
 def bitwise_green_witness(p, green):
     """The green_is_down_set witness, one green element and one bit at a time."""
     down = bitwise_transpose(p.leq, len(p.labels))
@@ -520,17 +576,29 @@ def naive_beat_points(p, live):
 
 
 def full_route_report(n, k, kind):
-    """The verify-sphericity report computed on the whole proper part.
+    """The verify-sphericity report, its homology computed on the whole proper part.
 
     This is the route the command took before it moved to the beat-point
-    core: the order complex of every chain, then Smith normal form in every
-    degree.  It builds the same dict as the command's --out report.
+    core: Smith normal form on the order complex of every chain.  The core
+    fields come from the former any() route (any_beat_core) and a chain
+    listing; the core is unique up to isomorphism (Stong, 1966), so its
+    sizes do not depend on the route.  The whole complex is homotopy
+    equivalent to the core's, so its homology must vanish above the
+    degrees the report lists.  It builds the same dict as the command's
+    --out report.
     """
     params = GroundParams(n, k)
-    order = enumerate_bruhat(params)
-    complex_ = proper_part_complex(to_poset(order, OrderKind(kind)))
-    homology = reduced_homology(complex_)
+    p = to_poset(enumerate_bruhat(params), OrderKind(kind))
+    homology = reduced_homology(proper_part_complex(p))
+    core = any_beat_core(p, proper_part(p))
+    chains = naive_chains(p, core)
     target = n - k - 2
+    top = max(target, max(map(len, chains), default=0) - 1)
+    assert all(
+        not homology.betti_at(d) and not homology.torsion_at(d)
+        for d in homology.degrees()
+        if d > top
+    )
     return {
         "version": __version__,
         "command": "verify_sphericity",
@@ -539,15 +607,16 @@ def full_route_report(n, k, kind):
         "order": kind,
         "sphere_dimension": target,
         "is_sphere": is_sphere_homology(homology, target),
-        "num_simplices": complex_.num_simplices(),
-        "f_vector": list(complex_.f_vector()),
+        "proper_part_points": proper_part(p).bit_count(),
+        "core_points": core.bit_count(),
+        "core_simplices": 1 + len(chains),
         "homology": [
             {
                 "degree": d,
                 "betti": homology.betti_at(d),
                 "torsion": list(homology.torsion_at(d)),
             }
-            for d in homology.degrees()
+            for d in range(-1, top + 1)
         ],
         "notes": [SPHERICITY_NOTE],
     }

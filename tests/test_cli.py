@@ -1,6 +1,5 @@
 import json
 import random
-import re
 import subprocess
 import sys
 import time
@@ -12,8 +11,11 @@ import pytest
 from helpers import (
     addable_bits,
     addable_thinned,
+    any_beat_core,
+    chain_f_vector,
     closure_reach_rows,
     full_route_report,
+    naive_chains,
     naive_label,
     whole_relation_compare,
 )
@@ -544,7 +546,10 @@ class TestVerifySphericityCommand:
         assert code == 0
         report = read_json(out)
         assert report["sphere_dimension"] == -1
-        assert report["f_vector"] == []
+        assert (report["proper_part_points"], report["core_points"], report["core_simplices"]) == (
+            0, 0, 1
+        )
+        assert report["homology"] == [{"degree": -1, "betti": 1, "torsion": []}]
 
     def test_budget_exceeded_exit_2(self):
         assert main(["verify-sphericity", "--bruhat", "4", "1", "single_step",
@@ -567,60 +572,105 @@ class TestVerifySphericityCommand:
         assert out.read_bytes() == expected.encode("utf-8")
 
     def test_refusal_never_transposes(self, monkeypatch, capsys):
-        # the certified build keeps down rows, so refusing B(10,7) needs no
-        # transpose of the relation
+        # the certified build keeps down rows, so neither the verdict on
+        # B(10,7) nor its refusal needs a transpose of the relation
         def transpose(*args):
             raise AssertionError("transpose called")
 
         monkeypatch.setattr(posets, "transpose", transpose)
-        assert main(["verify-sphericity", "--bruhat", "10", "7", "single_step"]) == 2
+        argv = ["verify-sphericity", "--bruhat", "10", "7", "single_step"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--max-simplices", "10"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: order complex has more than 500000 simplices (budget 500000; "
-            "counting stopped after 250 of 3562 points)\n"
+            "error: order complex of the beat-point core (6 points) has 13 simplices, "
+            "over the budget of 10\n"
         )
 
-    def test_refusal_counts_only_up_to_the_budget(self, monkeypatch, capsys):
-        # one bounded recursion decides the budget: the full chain count
-        # (~1.3 * 10^26 chains) is never taken
-        def count_chains(*args):
-            raise AssertionError("count_chains called")
+    def test_refusal_counts_the_core_and_builds_no_complex(self, monkeypatch, capsys):
+        # one chain count on the core decides the budget, before any
+        # complex or boundary matrix exists
+        def build(*args, **kwargs):
+            raise AssertionError("a complex was built")
 
-        monkeypatch.setattr(posets, "count_chains", count_chains)
-        assert "count_chains" not in vars(cli)
-        assert main(["verify-sphericity", "--bruhat", "10", "7", "single_step"]) == 2
-        err = capsys.readouterr().err
-        stopped = re.search(r"counting stopped after (\d+) of (\d+) points\)\n$", err)
-        visited, points = map(int, stopped.groups())
-        assert points == 3562 and visited < 1000
+        counted = []
+        count = cli.count_chains
+
+        def recording(p, live):
+            counted.append(live.bit_count())
+            return count(p, live)
+
+        monkeypatch.setattr(cli, "order_complex", build)
+        monkeypatch.setattr(cli, "reduced_homology", build)
+        monkeypatch.setattr(cli, "count_chains", recording)
+        assert main(["verify-sphericity", "--bruhat", "6", "2", "single_step",
+                     "--max-simplices", "74"]) == 2
+        assert counted == [14]
+        assert capsys.readouterr().err == (
+            "error: order complex of the beat-point core (14 points) has 75 simplices, "
+            "over the budget of 74\n"
+        )
 
     @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
-    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2)])
+    @pytest.mark.parametrize("n,k", [(2, 1), (4, 1), (5, 2), (6, 2)])
     def test_budget_admits_exactly_the_counted_complex(self, n, k, kind, tmp_path, capsys):
-        # a budget admits the input iff it holds 1 + the proper part's chain
-        # count, the empty simplex included, as when the count came first
+        # a budget admits the input iff it holds the core's complex: 1 + the
+        # core's chain count, the empty simplex included.  The chains are
+        # listed here on the core of the any() route
         out = tmp_path / "report.json"
         argv = ["verify-sphericity", "--bruhat", str(n), str(k), kind]
         assert main(argv + ["--out", str(out)]) == 0
-        total = read_json(out)["num_simplices"]
+        report = read_json(out)
         p = to_poset(enumerate_bruhat(GroundParams(n, k)), OrderKind(kind))
-        pp = proper_part(p)
-        assert total == 1 + count_chains(p, pp)
+        core = any_beat_core(p, proper_part(p))
+        total = 1 + len(naive_chains(p, core))
+        assert total == 1 + count_chains(p, core) == report["core_simplices"]
+        points = core.bit_count()
+        assert points == report["core_points"]
         capsys.readouterr()
-        points = pp.bit_count()
-        # the count stops before the first point on a negative limit, at the
-        # first point on 0 and at the last one a chain below the total
-        visited = {0: 0, 1: 1, total - 1: points}
         for budget in (0, 1, total - 1, total):
             refused = budget < total
             assert main(argv + ["--max-simplices", str(budget)]) == (2 if refused else 0)
             err = capsys.readouterr().err
             assert err == (
-                f"error: order complex has more than {budget} simplices (budget {budget}; "
-                f"counting stopped after {visited[budget]} of {points} points)\n"
+                f"error: order complex of the beat-point core ({points} points) has "
+                f"{total} simplices, over the budget of {budget}\n"
                 if refused else ""
             )
+
+    @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
+    @pytest.mark.parametrize(
+        "n,k", [(6, 3), (6, 2), (6, 1), (7, 3), (10, 7), (11, 8)]
+    )
+    def test_ladder_decided_under_default_budgets(self, n, k, kind, tmp_path):
+        # the whole proper parts have from ~7 * 10^6 to ~10^26 chains; the
+        # cores have 6 to 30 points
+        out = tmp_path / "report.json"
+        assert main(["verify-sphericity", "--bruhat", str(n), str(k), kind,
+                     "--out", str(out)]) == 0
+        report = read_json(out)
+        assert report["is_sphere"] is True
+        assert report["sphere_dimension"] == n - k - 2
+
+    @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
+    @pytest.mark.parametrize(
+        "n,k",
+        [(n, k) for n in range(2, 6) for k in range(1, n)] + [(6, 3)],
+    )
+    def test_core_euler_characteristic_matches_the_census(self, n, k, kind, tmp_path):
+        # the reduced Euler characteristic of the core's homology against
+        # the alternating sum of the whole proper part's f-vector, the
+        # empty simplex included in degree -1
+        out = tmp_path / "report.json"
+        assert main(["verify-sphericity", "--bruhat", str(n), str(k), kind,
+                     "--out", str(out)]) == 0
+        homology = read_json(out)["homology"]
+        p = to_poset(enumerate_bruhat(GroundParams(n, k)), OrderKind(kind))
+        f_vector = chain_f_vector(p, proper_part(p))
+        census = -1 + sum((-1) ** d * f for d, f in enumerate(f_vector))
+        assert sum((-1) ** entry["degree"] * entry["betti"] for entry in homology) == census
 
     def test_homology_runs_on_the_core_only(self, monkeypatch, capsys):
         sizes = []
@@ -818,7 +868,9 @@ class TestLabelsOnlyWhenRead:
         [
             (["verify-sphericity", "--bruhat", "5", "2", "single_step"], 0),
             (["verify-sphericity", "--bruhat", "5", "2", "inclusion"], 0),
-            (["verify-sphericity", "--bruhat", "10", "7", "single_step"], 2),
+            (["verify-sphericity", "--bruhat", "10", "7", "single_step"], 0),
+            (["verify-sphericity", "--bruhat", "10", "7", "single_step",
+              "--max-simplices", "10"], 2),
             (["check-lemma", "--bruhat", "5", "2", "single_step"], 0),
             (["check-lemma", "--bruhat", "5", "2", "inclusion"], 0),
         ],

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    OverLimit,
     addable_bits,
     addable_cover,
     addable_thinned,
+    any_beat_core,
     bitwise_transpose,
+    chain_f_vector,
     homology_dict,
     members,
     naive_beat_points,
@@ -33,9 +36,7 @@ from higher_bruhat.homology import reduced_homology
 from higher_bruhat.posets import (
     FiniteBoundedPoset,
     MonotoneMap,
-    OverLimit,
     beat_core,
-    chain_f_vector,
     check_monotone,
     count_chains,
     from_covers,
@@ -339,12 +340,16 @@ def boolean_lattice(n):
 
 
 def with_new_bound(p, above):
-    """p with a new top above its top (or a new bottom below its bottom)."""
-    labels = p.labels + ("new",)
-    new = len(p)
+    """p with a new top above its top (or a new bottom below its bottom).
+
+    The new top takes the last index and the new bottom the first, so an
+    index order that is a linear extension stays one.
+    """
     if above:
-        return from_covers(labels, p.covers() + ((p.top, new),), p.bottom, new)
-    return from_covers(labels, p.covers() + ((new, p.bottom),), new, p.top)
+        new = len(p)
+        return from_covers(p.labels + ("new",), p.covers() + ((p.top, new),), p.bottom, new)
+    covers = tuple((a + 1, b + 1) for a, b in p.covers()) + ((0, p.bottom + 1),)
+    return from_covers(("new",) + p.labels, covers, 0, p.top + 1)
 
 
 class TestBeatCore:
@@ -357,17 +362,19 @@ class TestBeatCore:
         # 2^[3] with two points hung between the bottom and the atom {1},
         # each with a strict up-set that has a minimum but no maximum, and
         # two between the 2-set {1,2} and the top, each with a strict
-        # down-set that has a maximum but no minimum
+        # down-set that has a maximum but no minimum.  The hung points take
+        # indices that keep the index order a linear extension
         b = boolean_lattice(3)
+        index = [0, 3, 4, 5, 6, 7, 8, 11]
         p = from_covers(
-            b.labels + ("under", "under2", "over", "over2"),
-            b.covers() + ((0, 8), (8, 1), (0, 9), (9, 1),
-                          (3, 10), (10, 7), (3, 11), (11, 7)),
+            ("bot", "under", "under2") + b.labels[1:7] + ("over", "over2", "top"),
+            tuple((index[x], index[y]) for x, y in b.covers())
+            + ((0, 1), (1, 3), (0, 2), (2, 3), (5, 9), (9, 11), (5, 10), (10, 11)),
             0,
-            7,
+            11,
         )
         core = beat_core(p, proper_part(p))
-        assert core == proper_part(b)
+        assert core == sum(1 << index[x] for x in members(proper_part(b)))
         assert naive_beat_points(p, core) == []
 
     def test_chain_collapses_to_a_point(self):
@@ -388,6 +395,31 @@ class TestBeatCore:
         p = chain_poset(2)
         assert beat_core(p, proper_part(p)) == 0
         assert chain_f_vector(p, proper_part(p)) == ()
+
+    @pytest.mark.parametrize(
+        "n,k", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 1), (6, 3), (6, 2), (6, 1), (7, 3)]
+    )
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    def test_bruhat_ladder_matches_any_route(self, n, k, kind):
+        # one candidate row per side gives the same masks as the test
+        # against every member of the strict sets
+        p = to_poset(enumerate_bruhat(GroundParams(n, k)), kind)
+        for live in (proper_part(p), whole(p)):
+            assert beat_core(p, live) == any_beat_core(p, live)
+
+    def test_random_posets_match_any_route(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            p = random_bounded_poset(rng, max_elements=14)
+            for q in (p, with_new_bound(p, True), with_new_bound(p, False)):
+                for live in (proper_part(q), whole(q), rng.getrandbits(len(q))):
+                    assert beat_core(q, live) == any_beat_core(q, live)
+
+    def test_index_order_must_be_a_linear_extension(self):
+        # c2 < c1 is a cover that runs down the index order
+        p = from_covers(["c0", "c1", "c2", "c3"], [(0, 2), (2, 1), (1, 3)], 0, 3)
+        with pytest.raises(ParameterError, match="linear extension"):
+            beat_core(p, proper_part(p))
 
 
 class TestMaskKernels:
@@ -423,7 +455,14 @@ class TestMaskKernels:
                 assert {face for faces in cx.faces for face in faces} == {
                     tuple(position[i] for i in c) for c in chains
                 }
-                core = beat_core(p, live)
+                # beat_core needs an index order that is a linear extension,
+                # which a shuffle may break; the any() route needs none
+                core = any_beat_core(p, live)
+                if all(a < b for a, b in p.covers()):
+                    assert beat_core(p, live) == core
+                else:
+                    with pytest.raises(ParameterError, match="linear extension"):
+                        beat_core(p, live)
                 assert core & ~live == 0
                 assert naive_beat_points(p, core) == []
                 assert homology_dict(

@@ -1,31 +1,37 @@
 """Behavior at the edge of desk scale.
 
 B(6,2) is enumerable (908 elements) but its proper part has ~10^11
-chains: the sphericity route must refuse it before attempting the order
-complex, while the row route's carrier pass still covers every chain,
-because it decides the fibre classes of the 50,598 comparable pairs that
-bound them.  The same pass decides B(7,3) and B(7,2), with ~10^21 and
-~10^23 chains, and each of these row runs is the oracle of the column
-route that check-lemma takes on the same instance.
+chains: the sphericity route decides it on the 14-point beat-point core,
+whose complex has 75 simplices, while the row route's carrier pass still
+covers every chain, because it decides the fibre classes of the 50,598
+comparable pairs that bound them.  The same pass decides B(7,3) and
+B(7,2), with ~10^21 and ~10^23 chains, and each of these row runs is the
+oracle of the column route that check-lemma takes on the same instance.
 B(5,1) certifies in well under a second, because homology runs on the
 14-point beat-point core of its 118-point proper part.  The cross-check
-against Smith normal form on the whole order complex takes ~30 s and only
-runs when explicitly asked for via HIGHER_BRUHAT_STRETCH=1.
+against Smith normal form on the whole order complex takes a few
+seconds, and B(7,2) and B(8,1) build posets of 24,698 and 40,320
+elements at a few hundred MB; these run only when explicitly asked for
+via HIGHER_BRUHAT_STRETCH=1.
 """
 
 import json
 import os
+import time
 
 import pytest
 
-from helpers import condition_verdicts, full_route_report
+from helpers import any_beat_core, chain_f_vector, condition_verdicts, full_route_report
+from higher_bruhat import cli
 from higher_bruhat.bruhat import (
     OrderKind,
     descent_conditions,
     dissection_instance,
     enumerate_bruhat,
+    to_poset,
 )
 from higher_bruhat.cli import main
+from higher_bruhat.posets import beat_core, proper_part
 from higher_bruhat.subsets import GroundParams
 from higher_bruhat.suspension_check import build_proof_maps, carrier_cone_check, check_conditions
 
@@ -35,9 +41,30 @@ def test_six_two_enumerates():
     assert len(order) == 908
 
 
-def test_six_two_sphericity_refused_before_building(tmp_path):
-    # must return quickly with the resource exit code, not hang
-    assert main(["verify-sphericity", "--bruhat", "6", "2", "single_step"]) == 2
+def test_six_two_sphericity_decided_on_the_core(tmp_path, monkeypatch):
+    # the default budget bounds the core's complex, not the ~10^11 chains
+    # of the proper part, so the verdict comes fast and only the core's
+    # complex is built
+    sizes = []
+    build = cli.order_complex
+
+    def recording(p, live):
+        sizes.append(live.bit_count())
+        return build(p, live)
+
+    monkeypatch.setattr(cli, "order_complex", recording)
+    out = tmp_path / "report.json"
+    started = time.perf_counter()
+    assert main(["verify-sphericity", "--bruhat", "6", "2", "single_step",
+                 "--out", str(out)]) == 0
+    assert time.perf_counter() - started < 5
+    assert sizes == [14]
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["is_sphere"] is True
+    assert report["sphere_dimension"] == 2
+    assert (report["proper_part_points"], report["core_points"], report["core_simplices"]) == (
+        906, 14, 75
+    )
 
 
 def row_route(n, k, kind):
@@ -103,20 +130,55 @@ def test_five_one_is_a_two_sphere(tmp_path):
     assert main(["verify-sphericity", "--bruhat", "5", "1", "single_step",
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
-    assert report["num_simplices"] == 113_391
     assert report["is_sphere"] is True
     assert report["sphere_dimension"] == 2
+    assert (report["proper_part_points"], report["core_points"], report["core_simplices"]) == (
+        118, 14, 75
+    )
+    # the census of the whole proper part, which the command no longer takes
+    p = to_poset(enumerate_bruhat(GroundParams(5, 1)), OrderKind.SINGLE_STEP)
+    assert 1 + sum(chain_f_vector(p, proper_part(p))) == 113_391
 
 
 @pytest.mark.skipif(
     not os.environ.get("HIGHER_BRUHAT_STRETCH"),
-    reason="takes ~30 s; set HIGHER_BRUHAT_STRETCH=1 to run",
+    reason="takes a few seconds; set HIGHER_BRUHAT_STRETCH=1 to run",
 )
 def test_five_one_matches_full_route(tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify-sphericity", "--bruhat", "5", "1", "single_step",
                  "--out", str(out)]) == 0
     expected = full_route_report(5, 1, "single_step")
-    assert expected["num_simplices"] == 113_391
     assert expected["is_sphere"] is True
     assert json.loads(out.read_text(encoding="utf-8")) == expected
+
+
+@pytest.mark.skipif(
+    not os.environ.get("HIGHER_BRUHAT_STRETCH"),
+    reason="builds a 24,698-element poset; set HIGHER_BRUHAT_STRETCH=1 to run",
+)
+@pytest.mark.parametrize("kind", ["single_step", "inclusion"])
+def test_seven_two_is_a_three_sphere(kind, tmp_path):
+    # ~1.1 * 10^23 chains in the proper part, 30 points in its core
+    out = tmp_path / "report.json"
+    started = time.perf_counter()
+    assert main(["verify-sphericity", "--bruhat", "7", "2", kind, "--out", str(out)]) == 0
+    assert time.perf_counter() - started < 3
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["is_sphere"] is True
+    assert report["sphere_dimension"] == 3
+    assert (report["core_points"], report["core_simplices"]) == (30, 541)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("HIGHER_BRUHAT_STRETCH"),
+    reason="builds a 40,320-element poset at ~400 MB; set HIGHER_BRUHAT_STRETCH=1 to run",
+)
+def test_eight_one_beat_core_matches_any_route():
+    p = to_poset(enumerate_bruhat(GroundParams(8, 1)), OrderKind.SINGLE_STEP)
+    pp = proper_part(p)
+    started = time.perf_counter()
+    core = beat_core(p, pp)
+    assert time.perf_counter() - started < 1
+    assert core.bit_count() == 126
+    assert core == any_beat_core(p, pp)
