@@ -47,16 +47,7 @@ from .posets import (
     product_with_two_chain,
     proper_part,
 )
-from .subsets import (
-    ConsistentSet,
-    GroundParams,
-    KSubset,
-    Packet,
-    enumerate_subsets,
-    is_consistent,
-    packet_of,
-    violating_packets,
-)
+from .subsets import ConsistentSet, GroundParams
 from .suspension_check import (
     CarrierReport,
     ConditionReport,

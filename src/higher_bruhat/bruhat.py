@@ -27,7 +27,7 @@ import enum
 import itertools
 from bisect import bisect_left
 from functools import cached_property, partial, reduce
-from operator import and_, or_
+from operator import and_, ne, or_
 from typing import Iterator
 
 from . import posets
@@ -164,14 +164,6 @@ class BruhatOrder:
             covers.extend(itertools.chain.from_iterable(growths))
         return tuple(covers)
 
-    @property
-    def bottom(self) -> ConsistentSet:
-        return ConsistentSet(self.params, self.bits[0])
-
-    @property
-    def top(self) -> ConsistentSet:
-        return ConsistentSet(self.params, self.bits[-1])
-
     def green(self) -> frozenset[int]:
         """Indices of the green families, those without the member {n-k..n}.
 
@@ -220,44 +212,22 @@ class BruhatOrder:
             )
         return self._reach
 
-    def inclusion(self) -> tuple[int, ...]:
-        """Row bitsets of ordinary inclusion of member families.
 
-        The families containing that of b are those containing the family
-        of a lower cover a of b and the member that b adds, so row b is
-        row a ANDed with that member's column of the elements: one AND per
-        element.  A cover is used only when its lower family lies inside
-        the upper one, so the rows never depend on the covers being right.
-        An element with no such cover, such as the empty family, starts
-        from every element and ANDs the columns of all its members.
-        """
-        bits = self.bits
-        containing = posets._columns(bits, self.params.num_members)
-        everything = (1 << len(bits)) - 1
-        first_cover = {b: a for a, b in reversed(self.covers)}
-        rows: list[int] = []
-        for b, family in enumerate(bits):
-            a = first_cover.get(b, b)
-            if a < b and not bits[a] & ~family:
-                row, added = rows[a], family ^ bits[a]
-            else:
-                row, added = everything, family
-            rows.append(reduce(and_, map(containing.__getitem__, posets._bits(added)), row))
-        return tuple(rows)
+def _inclusion_rows(families, containing: list[int], width: int) -> Iterator[int]:
+    """Inclusion up rows of the given families, one at a time.
 
-
-def _inclusion_rows(level, containing: list[int], width: int) -> Iterator[int]:
-    """Inclusion up rows of one level's families, counted down from the top.
-
-    A family's row is the AND of its members' columns over the width
-    families at or above its level.  The families come in ascending bitset
-    order, so each shares its highest members with the one before: the
-    ANDs over those, taken highest member first, are kept and only the
-    rest are redone.
+    A family's row is the AND of its members' columns over their low width
+    bits, so the columns set what each bit of a row stands for and width
+    how many bits are kept.  Each family shares with the one before the
+    members above their highest differing member: the ANDs over those,
+    taken highest member first, are kept and only the rest are redone.
+    That reuse is exact for families in any order; it saves most when
+    consecutive families share their highest members, as within a level
+    in ascending bitset order.
     """
     partial = [(1 << width) - 1]
     prev = 0
-    for family in level:
+    for family in families:
         low = (family ^ prev).bit_length()
         del partial[1 + (family >> low).bit_count():]
         for x in reversed(posets._bits(family & ((1 << low) - 1))):
@@ -337,6 +307,18 @@ def _addable(cols: list[int], absent: list[int], packets: list[tuple[int, ...]])
     return add
 
 
+def _droppable(cols: list[int], absent: list[int], packets: list[tuple[int, ...]]) -> list[int]:
+    """Per member x, the column of the families of a level that can drop x.
+
+    Within a packet the complement of a segment is a segment, so a family
+    is consistent iff its complement is, and f minus x is the complement
+    of (the complement of f) plus x.  _addable on the complements' columns
+    therefore gives, for each x, the families holding x that stay
+    consistent without it.
+    """
+    return _addable(absent, cols, packets)
+
+
 def _certified_columns(params: GroundParams, level: list[int]) -> list[int]:
     """The member columns of a level, once the segment kernel has passed them.
 
@@ -384,8 +366,8 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, .
     the sorted set of one-member growths, read off the addable columns.
     Each level's start and addable columns are kept, so
     BruhatOrder.covers can read the covers off them later; each grown
-    level below the middle also keeps its droppable columns, _addable on
-    the columns and their complements swapped, until it is mirrored.
+    level below the middle also keeps its droppable columns (_droppable)
+    until it is mirrored.
 
     Mirror.  Complement, f -> full ^ f, is an involution on bitsets that
     keeps consistency: within a packet the complement of a segment is a
@@ -434,7 +416,7 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, .
         absent = [full ^ col for col in cols]
         add = _addable(cols, absent, packets)
         if 2 * c < width:
-            drops.append(_addable(absent, cols, packets))
+            drops.append(_droppable(cols, absent, packets))
         levels.append((len(elements), tuple(add)))
         elements.extend(level)
     bounds = [start for start, _ in levels] + [len(elements)]
@@ -501,8 +483,11 @@ def to_poset(order: BruhatOrder, kind: OrderKind) -> posets.FiniteBoundedPoset:
 
     The relation is built from the enumeration's covers and certified by
     construction.  The inclusion order reuses that certificate when its
-    rows equal the single-step rows; otherwise its rows go through
-    from_relation's full validation.
+    rows equal the single-step rows.  Those are streamed from member
+    columns (_inclusion_rows), which never read the covers, and compared
+    one at a time, so no whole inclusion relation is held; only when a
+    row differs are the rows built again, in full, for from_relation's
+    validation.
 
     Element i is labelled _label(params, bits[i]), rendered when the
     poset's labels are first read and then kept.  The bitsets are
@@ -511,9 +496,10 @@ def to_poset(order: BruhatOrder, kind: OrderKind) -> posets.FiniteBoundedPoset:
     top = len(order) - 1
     p = posets.from_covers(order.bits, order.covers, 0, top, render=partial(_label, order.params))
     if kind is OrderKind.INCLUSION:
-        rows = order.inclusion()
-        if rows != p.leq:
-            return posets.from_relation(p.labels, rows, bottom=0, top=top)
+        containing = posets._columns(order.bits, order.params.num_members)
+        rows = partial(_inclusion_rows, order.bits, containing, len(order))
+        if any(map(ne, rows(), p.leq)):
+            return posets.from_relation(p.labels, tuple(rows()), bottom=0, top=top)
     return p
 
 
@@ -578,18 +564,6 @@ COLUMN_ROUTE_NOTE = (
     "and green_is_down_set hold by proof; the proof maps and carrier cones are "
     "proved from the five conditions, not built."
 )
-
-
-def _droppable(cols: list[int], absent: list[int], packets: list[tuple[int, ...]]) -> list[int]:
-    """Per member x, the column of the families of a level that can drop x.
-
-    Within a packet the complement of a segment is a segment, so a family
-    is consistent iff its complement is, and f minus x is the complement
-    of (the complement of f) plus x.  _addable on the complements' columns
-    therefore gives, for each x, the families holding x that stay
-    consistent without it.
-    """
-    return _addable(absent, cols, packets)
 
 
 def _check_top(order: BruhatOrder) -> None:

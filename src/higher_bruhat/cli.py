@@ -146,7 +146,7 @@ def cmd_check_lemma(ns) -> int:
         route, inst, condition_report = "columns", None, descent_conditions(order, kind)
         notes = [HOMOTOPY_DISCLAIMER, COLUMN_ROUTE_NOTE]
     else:
-        inst = loaded.resolve_dissection(max_subsets=ns.max_subsets)
+        inst = loaded.resolve_dissection()
         route, condition_report = "rows", check_conditions(inst)
         notes = [HOMOTOPY_DISCLAIMER]
     report = {

@@ -69,12 +69,12 @@ class LoadedInstance:
             out.add(pos[lbl])
         return frozenset(out)
 
-    def resolve_dissection(self, max_subsets: int | None = None) -> DissectionInstance:
-        """Assemble a full dissection instance, or fail with ParameterError."""
-        if self.bruhat is not None:
-            params, kind = self.bruhat
-            order = enumerate_bruhat(params, max_subsets=max_subsets)
-            return dissection_instance(order, kind)
+    def resolve_dissection(self) -> DissectionInstance:
+        """Assemble an explicit instance's dissection, or fail with ParameterError.
+
+        A Bruhat instance is not resolved here: check-lemma decides it from
+        member columns, and to_doc builds its dissection_instance itself.
+        """
         if self.p is None or self.q is None:
             raise ParameterError("instance needs both P and Q poset blocks")
         if self.green_labels is None:

@@ -1,9 +1,9 @@
-"""Ground-level combinatorics: r-subsets of [n], packets, and consistency.
+"""Ground-level combinatorics: member families as bitsets, packets, consistency.
 
 Ground-set elements are 1-based throughout.  The canonical index of a
 subset is its colexicographic rank, which does not depend on the size of
 the ground set: a subset of [n-1] keeps its rank when the ground set grows
-to [n].  All member families are stored as bitsets indexed by that rank.
+to [n].  A member family is only ever a bitset indexed by that rank.
 
 A list of families can also be held as member columns, one bitset per
 member with bit f set iff family f holds it; the segment kernel checks
@@ -21,76 +21,12 @@ from math import comb
 from .errors import InconsistentSetError, ParameterError
 from .posets import _bits
 
-__all__ = [
-    "GroundParams",
-    "KSubset",
-    "Packet",
-    "ConsistentSet",
-    "colex_rank",
-    "subset_of_rank",
-    "enumerate_subsets",
-    "packet_of",
-    "is_consistent",
-    "violating_packets",
-]
+__all__ = ["GroundParams", "ConsistentSet", "colex_rank"]
 
 
 def colex_rank(elements: tuple[int, ...]) -> int:
     """Colexicographic rank of a strictly increasing 1-based tuple."""
     return sum(comb(e - 1, i + 1) for i, e in enumerate(elements))
-
-
-def subset_of_rank(rank: int, size: int) -> tuple[int, ...]:
-    """Inverse of colex_rank for subsets of the given size."""
-    if rank < 0 or size < 0:
-        raise ParameterError(f"rank and size must be non-negative, got {rank}, {size}")
-    out = []
-    rem = rank
-    for i in range(size, 0, -1):
-        v = i
-        while comb(v, i) <= rem:
-            v += 1
-        out.append(v)
-        rem -= comb(v - 1, i)
-    if rem:
-        raise ParameterError(f"rank {rank} is not reachable at size {size}")
-    return tuple(reversed(out))
-
-
-@dataclass(frozen=True)
-class KSubset:
-    """A sorted r-element subset of [n], 1-based."""
-
-    elements: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        e = self.elements
-        if not isinstance(e, tuple):
-            raise ParameterError(f"elements must be a tuple, got {type(e).__name__}")
-        if e and e[0] < 1:
-            raise ParameterError(f"elements must be >= 1, got {e!r}")
-        if any(a >= b for a, b in zip(e, e[1:])):
-            raise ParameterError(f"elements must be strictly increasing, got {e!r}")
-
-    @classmethod
-    def of(cls, elements) -> "KSubset":
-        return cls(tuple(sorted(set(elements))))
-
-    @property
-    def rank(self) -> int:
-        return colex_rank(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, x) -> bool:
-        return x in self.elements
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(e) for e in self.elements) + "}"
 
 
 @dataclass(frozen=True)
@@ -118,39 +54,6 @@ class GroundParams:
     @property
     def full_bits(self) -> int:
         return (1 << self.num_members) - 1
-
-
-@dataclass(frozen=True)
-class Packet:
-    """All (k+1)-subsets of a fixed (k+2)-subset, in lexicographic order."""
-
-    base: KSubset
-    members: tuple[KSubset, ...]
-
-
-def enumerate_subsets(n: int, r: int) -> list[KSubset]:
-    """All r-subsets of [n] in colexicographic order (index = colex rank)."""
-    if n < 0 or r < 0 or r > n:
-        raise ParameterError(f"need 0 <= r <= n, got n={n}, r={r}")
-    combos = sorted(itertools.combinations(range(1, n + 1), r), key=lambda t: t[::-1])
-    return [KSubset(t) for t in combos]
-
-
-def packet_of(base: KSubset, params: GroundParams | None = None) -> Packet:
-    """The packet of a (k+2)-subset: its (k+1)-subsets in lex order.
-
-    Deleting a larger element of the base yields a lexicographically
-    smaller member, so members[0] = base minus its maximum and
-    members[-1] = base minus its minimum.
-    """
-    if len(base) < 2:
-        raise ParameterError(f"packet base needs at least 2 elements, got {base}")
-    if params is not None and len(base) != params.k + 2:
-        raise ParameterError(
-            f"packet base must have k+2={params.k + 2} elements, got {len(base)}"
-        )
-    members = sorted(itertools.combinations(base.elements, len(base) - 1))
-    return Packet(base, tuple(KSubset(m) for m in members))
 
 
 @dataclass(frozen=True)
@@ -209,49 +112,6 @@ def _segment_columns(
         yield c, passing
 
 
-def _bits_of(members, params: GroundParams) -> int:
-    """Bitset of a member family; validates sizes and ground-set bounds."""
-    if isinstance(members, ConsistentSet):
-        if members.params != params:
-            raise ParameterError(
-                f"parameter mismatch: {members.params} vs {params}"
-            )
-        return members.bits
-    bits = 0
-    for m in members:
-        elems = m.elements if isinstance(m, KSubset) else tuple(sorted(m))
-        if len(elems) != params.member_size:
-            raise ParameterError(
-                f"member {elems} has size {len(elems)}, expected {params.member_size}"
-            )
-        if elems and (elems[0] < 1 or elems[-1] > params.n):
-            raise ParameterError(f"member {elems} is not a subset of [{params.n}]")
-        bits |= 1 << colex_rank(elems)
-    return bits
-
-
-def is_consistent(members, params: GroundParams) -> bool:
-    """True iff every packet meets the family in a lex prefix, suffix, all, or nothing."""
-    bits = _bits_of(members, params)
-    return all((bits & c.mask) in c.segments for c in _packet_checks(params.n, params.k))
-
-
-def violating_packets(members, params: GroundParams) -> list[Packet]:
-    """The packets whose segment condition fails; empty iff is_consistent."""
-    bits = _bits_of(members, params)
-    return [
-        _packet(c.base)
-        for c in _packet_checks(params.n, params.k)
-        if (bits & c.mask) not in c.segments
-    ]
-
-
-@lru_cache(maxsize=None)
-def _packet(base: tuple[int, ...]) -> Packet:
-    """The packet of a base, built once."""
-    return packet_of(KSubset(base))
-
-
 @dataclass(frozen=True, slots=True)
 class ConsistentSet:
     """An element of a higher Bruhat order.
@@ -273,29 +133,6 @@ class ConsistentSet:
                     f"family is inconsistent on packet with base {c.base}"
                 )
 
-    @classmethod
-    def from_members(cls, params: GroundParams, members) -> "ConsistentSet":
-        return cls(params, _bits_of(members, params))
-
-    def members(self) -> tuple[KSubset, ...]:
-        """Members in colex rank order."""
-        out = []
-        m = self.bits
-        while m:
-            low = m & -m
-            out.append(KSubset(subset_of_rank(low.bit_length() - 1, self.params.member_size)))
-            m ^= low
-        return tuple(out)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __contains__(self, member) -> bool:
-        elems = member.elements if isinstance(member, KSubset) else tuple(sorted(member))
-        if len(elems) != self.params.member_size or elems[-1] > self.params.n:
-            return False
-        return bool(self.bits >> colex_rank(elems) & 1)
-
     def __str__(self) -> str:
         return _label(self.params, self.bits)
 
@@ -308,5 +145,6 @@ def _label(params: GroundParams, bits: int) -> str:
 
 @lru_cache(maxsize=None)
 def _member_names(n: int, size: int) -> tuple[str, ...]:
-    """str() of every size-subset of [n], indexed by colex rank."""
-    return tuple(str(s) for s in enumerate_subsets(n, size))
+    """The name, such as "{1,2,4}", of every size-subset of [n], by colex rank."""
+    colex = sorted(itertools.combinations(range(1, n + 1), size), key=lambda t: t[::-1])
+    return tuple("{" + ",".join(map(str, t)) + "}" for t in colex)

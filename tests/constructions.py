@@ -5,22 +5,48 @@ constructively: the level maps f, i and j on families, admissible
 permutations, build-up chains and their duals, and interval descent.  The
 library decides the same hypotheses exhaustively on bitsets and runs none
 of these, so the tests run both routes and compare them.  Single-step
-comparability is read off the rows of BruhatOrder.reach().
+comparability is read off the rows of BruhatOrder.reach().  Families are
+ConsistentSets; their members are plain sorted tuples, ranked in colex
+order (colex_rank, subset_of_rank).
 """
 
 import heapq
 import itertools
+from math import comb
 
 from higher_bruhat.complexes import make_complex
 from higher_bruhat.errors import InvariantError, ParameterError
-from higher_bruhat.subsets import (
-    ConsistentSet,
-    GroundParams,
-    KSubset,
-    colex_rank,
-    enumerate_subsets,
-    subset_of_rank,
-)
+from higher_bruhat.subsets import ConsistentSet, GroundParams, colex_rank
+
+
+def subset_of_rank(rank, size):
+    """Inverse of colex_rank for subsets of the given size."""
+    if rank < 0 or size < 0:
+        raise ParameterError(f"rank and size must be non-negative, got {rank}, {size}")
+    out = []
+    rem = rank
+    for i in range(size, 0, -1):
+        v = i
+        while comb(v, i) <= rem:
+            v += 1
+        out.append(v)
+        rem -= comb(v - 1, i)
+    if rem:
+        raise ParameterError(f"rank {rank} is not reachable at size {size}")
+    return tuple(reversed(out))
+
+
+def members_of(family):
+    """The members of a family, as sorted tuples in colex rank order."""
+    size = family.params.member_size
+    return tuple(
+        subset_of_rank(x, size) for x in range(family.bits.bit_length()) if family.bits >> x & 1
+    )
+
+
+def holds(family, member):
+    """Whether the family holds the member, a sorted tuple."""
+    return bool(family.bits >> colex_rank(member) & 1)
 
 
 def leq_inclusion(u, v):
@@ -69,12 +95,12 @@ def admissible_permutation(v):
     Ties are broken by smallest colex rank.
     """
     m, k = v.params.n, v.params.k
-    nodes = enumerate_subsets(m, k)
+    nodes = [subset_of_rank(rank, k) for rank in range(comb(m, k))]
     succ = [[] for _ in nodes]
     indegree = [0] * len(nodes)
     for q in itertools.combinations(range(1, m + 1), k + 1):
         members = sorted(itertools.combinations(q, k))
-        if q not in v:
+        if not holds(v, q):
             members.reverse()
         ranks = [colex_rank(t) for t in members]
         for a, b in zip(ranks, ranks[1:]):
@@ -103,14 +129,14 @@ def buildup_sequence(u):
     as it is built, so a wrong order raises InconsistentSetError.
     """
     restricted = map_f(u)
-    position = {s.elements: pos for pos, s in enumerate(admissible_permutation(restricted))}
+    position = {s: pos for pos, s in enumerate(admissible_permutation(restricted))}
     additions = sorted(
-        (m for m in u.members() if m.elements[-1] == u.params.n),
-        key=lambda m: position[m.elements[:-1]],
+        (m for m in members_of(u) if m[-1] == u.params.n),
+        key=lambda m: position[m[:-1]],
     )
     steps = [map_i(restricted)]
     for member in additions:
-        steps.append(ConsistentSet(u.params, steps[-1].bits | 1 << member.rank))
+        steps.append(ConsistentSet(u.params, steps[-1].bits | 1 << colex_rank(member)))
     return tuple(steps)
 
 
@@ -126,11 +152,10 @@ def internal_gaps(subset, n):
     """Elements of [n] strictly between min and max of the subset but not in it."""
     if len(subset) == 0:
         raise ParameterError("internal gaps are undefined for the empty subset")
-    elems = subset.elements
-    if elems[-1] > n:
+    if subset[-1] > n:
         raise ParameterError(f"{subset} is not a subset of [{n}]")
-    present = set(elems)
-    return [j for j in range(elems[0] + 1, elems[-1]) if j not in present]
+    present = set(subset)
+    return [j for j in range(subset[0] + 1, subset[-1]) if j not in present]
 
 
 def interval_descent(family):
@@ -148,15 +173,15 @@ def interval_descent(family):
         raise ParameterError("the empty family contains no interval")
     n = family.params.n
     low = family.bits & -family.bits
-    current = KSubset(subset_of_rank(low.bit_length() - 1, family.params.member_size))
+    current = subset_of_rank(low.bit_length() - 1, family.params.member_size)
     trace = [current]
     gaps = internal_gaps(current, n)
     while gaps:
-        base = tuple(sorted(current.elements + (gaps[0],)))
-        drop_min, drop_max = KSubset(base[1:]), KSubset(base[:-1])
-        if drop_min in family:
+        base = tuple(sorted(current + (gaps[0],)))
+        drop_min, drop_max = base[1:], base[:-1]
+        if holds(family, drop_min):
             nxt = drop_min
-        elif drop_max in family:
+        elif holds(family, drop_max):
             nxt = drop_max
         else:
             raise InvariantError(

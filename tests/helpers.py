@@ -8,7 +8,7 @@ the same answers.
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
 from operator import and_, getitem, or_
 
@@ -26,7 +26,13 @@ from higher_bruhat.posets import (
     order_complex,
     proper_part,
 )
-from higher_bruhat.subsets import GroundParams, _label, _packet_checks, _segment_columns
+from higher_bruhat.subsets import (
+    ConsistentSet,
+    GroundParams,
+    _label,
+    _packet_checks,
+    _segment_columns,
+)
 
 
 def naive_colex_subsets(n, r):
@@ -41,9 +47,13 @@ def naive_colex_subsets(n, r):
     ]
 
 
-def naive_is_consistent(members, n, k):
-    """Segment condition straight from the definition, with list slicing."""
+def naive_violated_bases(members, n, k):
+    """The bases of the packets that the family does not meet in a segment.
+
+    Straight from the definition, with list slicing.
+    """
     family = {tuple(sorted(m)) for m in members}
+    violated = []
     for base in itertools.combinations(range(1, n + 1), k + 2):
         packet = sorted(itertools.combinations(base, k + 1))
         flags = [m in family for m in packet]
@@ -51,8 +61,25 @@ def naive_is_consistent(members, n, k):
         if count in (0, len(packet)):
             continue
         if not (all(flags[:count]) or all(flags[-count:])):
-            return False
-    return True
+            violated.append(base)
+    return violated
+
+
+def naive_is_consistent(members, n, k):
+    """Segment condition straight from the definition: no violated packet."""
+    return not naive_violated_bases(members, n, k)
+
+
+@lru_cache(maxsize=None)
+def naive_member_names(n, r):
+    """The "{1,2,4}"-style name of every r-subset of [n], in naive_colex_subsets order."""
+    return tuple("{" + ",".join(map(str, s)) + "}" for s in naive_colex_subsets(n, r))
+
+
+def family(params, *members):
+    """The ConsistentSet of the given sorted members, ranked by naive_colex_subsets."""
+    ranks = naive_colex_subsets(params.n, params.member_size)
+    return ConsistentSet(params, sum(1 << ranks.index(m) for m in set(members)))
 
 
 def inversion_family(perm):
@@ -265,7 +292,8 @@ def whole_relation_compare(order):
 
 def naive_label(u):
     """The label of a consistent family, member by member."""
-    return "{" + ",".join(str(m) for m in u.members()) + "}"
+    names = naive_member_names(u.params.n, u.params.member_size)
+    return "{" + ",".join(names[x] for x in members(u.bits)) + "}"
 
 
 def naive_covers(p):

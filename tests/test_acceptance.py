@@ -13,6 +13,7 @@ from constructions import (
     buildup_sequence,
     complement,
     dual_buildup_sequence,
+    holds,
     internal_gaps,
     interval_descent,
     is_green,
@@ -144,7 +145,7 @@ def test_criterion_5_interval_descent():
                 gaps = [len(internal_gaps(s, n)) for s in trace]
                 assert all(a > b for a, b in zip(gaps, gaps[1:])), (n, k, str(u))
                 assert gaps[-1] == 0
-                assert trace[-1] in u
+                assert holds(u, trace[-1])
 
     verdict(5, "interval existence via gap descent", check)
 

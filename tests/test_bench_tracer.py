@@ -7,12 +7,13 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = """
-import contextlib, io
+import contextlib, io, sys
 from spans import Tracer
 from higher_bruhat.cli import main
 Tracer().install()
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["verify-sphericity", "--bruhat", "4", "1", "single_step"]) == 0
+    assert main(["verify-sphericity", "--bruhat", "4", "1", "inclusion"]) == 0
     assert main(["check-lemma", "--bruhat", "4", "1", "single_step"]) == 0
     assert main(["check-lemma", "--bruhat", "5", "2", "inclusion"]) == 0
     assert main(["verify-sphericity", "--bruhat", "10", "7", "single_step"]) == 0
@@ -20,13 +21,16 @@ with contextlib.redirect_stdout(io.StringIO()):
                  "--max-simplices", "10"]) == 2
     assert main(["enumerate", "6", "2", "--method", "both"]) == 0
     assert main(["compare-orders", "5", "2"]) == 0
+    assert main(["export", "--bruhat", "4", "1", "single_step", "--format", "json",
+                 "--out", sys.argv[1]]) == 0
+    assert main(["check-lemma", "--instance", sys.argv[1]]) == 0
 """
 
 
-def test_tracer_installs_and_traces_a_run():
+def test_tracer_installs_and_traces_a_run(tmp_path):
     path = os.pathsep.join(os.path.join(ROOT, d) for d in ("bench", "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", SCRIPT, str(tmp_path / "instance.json")],
         cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,

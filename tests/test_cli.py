@@ -30,7 +30,7 @@ from higher_bruhat.bruhat import (
 from higher_bruhat.cli import main
 from higher_bruhat.instance_io import instance_to_doc, load_instance
 from higher_bruhat.posets import MonotoneMap, count_chains, from_covers, proper_part
-from higher_bruhat.subsets import ConsistentSet, GroundParams, KSubset
+from higher_bruhat.subsets import ConsistentSet, GroundParams, colex_rank
 from higher_bruhat.suspension_check import (
     HOMOTOPY_DISCLAIMER,
     DissectionInstance,
@@ -102,7 +102,7 @@ class TestEnumerateCommand:
 
     def test_inconsistent_growth_is_exit_1(self, monkeypatch, capsys):
         addable = bruhat._addable
-        rank = KSubset((1, 2, 4)).rank
+        rank = colex_rank((1, 2, 4))
 
         def admits_124(cols, absent, packets):
             add = addable(cols, absent, packets)
@@ -418,8 +418,13 @@ class TestColumnRouteMutants:
     @pytest.mark.parametrize("n,k", [(4, 1), (5, 2)])
     def test_cleared_droppable_bit_fails_the_sandwich(self, n, k, monkeypatch, tmp_path):
         # every family holding one member with n can drop it; with that bit
-        # cleared, the family is the one that fails the lower half
+        # cleared, the family is the one that fails the lower half.  Both
+        # orders are enumerated up front, as the growth drops members with
+        # _droppable too, so the mutant reaches the column route alone.
         order = enumerate_bruhat(GroundParams(n, k))
+        suborder = enumerate_bruhat(GroundParams(n - 1, k))
+        monkeypatch.setattr(cli, "enumerate_bruhat", lambda params, **kwargs: order)
+        monkeypatch.setattr(bruhat, "enumerate_bruhat", lambda params: suborder)
         _, _, added = bruhat._level_maps(order.params)
         labels = dissection_instance(order, OrderKind.SINGLE_STEP).p.labels
         targets = [x for x, b in enumerate(order.bits) if (b & added).bit_count() == 1]
