@@ -3,16 +3,20 @@
 An order is grown from the empty family one cardinality at a time, up to
 its middle level.  Each level is held as member columns, and a neighbour
 rule on every packet gives the column of families that can take each
-member; the next level is read straight off these addable columns, which
-the order keeps, so its covers are built only when something reads them.
+member, which the order keeps, so its covers are built only when
+something reads them.  Each family of the next level is grown from its
+canonical parent alone, the family less its highest droppable member,
+so the level comes out without duplicates; a count of its covers from
+below then checks that none is missing.
 The upper half is mirrored, not grown: complement keeps consistency,
 turns additions into removals and reverses the order within a level, so
 level W - c of W members is level c complemented and read backwards, and
 its addable columns are level c's droppable columns, bit-reversed.  Each
 level, grown or mirrored, is certified against the packet segments by
-the segment kernel before the next one is made.  The brute-force oracle
-runs the same kernel over all bitsets, in chunks, to decide membership on
-its own; it must find the same families.
+the segment kernel, which reads each packet as a monotone run, before
+the next one is made.  The brute-force oracle runs the same kernel over
+all bitsets, in chunks, to decide membership on its own; it must find
+the same families.
 Both relations (single-step inclusion and ordinary inclusion) live on the
 same element set; single-step comparability is reachability in the
 digraph of single-member additions.  Every cover adds one member, so
@@ -26,9 +30,9 @@ from __future__ import annotations
 import enum
 import itertools
 from bisect import bisect_left
-from functools import cached_property, partial, reduce
-from operator import and_, ne, or_
-from typing import Iterator
+from functools import cached_property, lru_cache, partial, reduce
+from operator import and_, ge, ne, or_
+from typing import Iterator, NamedTuple
 
 from . import posets
 from .errors import InvariantError, NotBoundedError, ParameterError, ResourceLimitError
@@ -322,9 +326,9 @@ def _droppable(cols: list[int], absent: list[int], packets: list[tuple[int, ...]
 def _certified_columns(params: GroundParams, level: list[int]) -> list[int]:
     """The member columns of a level, once the segment kernel has passed them.
 
-    The kernel decides every family of the level on these columns,
-    straight from the definition of consistency and apart from the
-    neighbour rule and the mirror.  A family that fails a packet raises
+    The kernel decides every family of the level on these columns, from
+    the segments as monotone runs and apart from the neighbour rule, the
+    canonical parent and the mirror.  A family that fails a packet raises
     InvariantError naming the level's first such family and the packet.
     """
     cols = posets._columns(level, params.num_members)
@@ -354,6 +358,114 @@ def _mirror(level: list[int], drop: list[int], full: int) -> tuple[list[int], tu
     )
 
 
+class _GrowthPlan(NamedTuple):
+    """The static part of _grow's canonical-parent filter on one B(n,k).
+
+    A member's drop term on a packet is the OR of two literals, each an
+    index into cols + absent (x for member x held, width + x for x
+    absent), and terms holds, per member, the literal pairs of its terms.
+    Per member x, the members y > x fall in three lists by how adding x
+    changes y's term on the packet they share, if any: plain (unchanged),
+    narrowed as (y, the term's other literal) where x absent was a
+    literal, and widened as (y, y's other terms) where x held was one.
+    """
+
+    terms: tuple[tuple[tuple[int, int], ...], ...]
+    plain: tuple[tuple[int, ...], ...]
+    narrowed: tuple[tuple[tuple[int, int], ...], ...]
+    widened: tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _growth_plan(n: int, k: int) -> _GrowthPlan:
+    """The canonical-parent plan of B(n,k); the drop terms are _droppable's.
+
+    On a packet m_1 < ... < m_r in lex order, a consistent family can
+    drop m_1 iff m_2 is absent or m_r held, m_r iff m_{r-1} is absent or
+    m_1 held, and m_t otherwise iff m_{t-1} or m_{t+1} is absent.
+    """
+    width = GroundParams(n, k).num_members
+    terms: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+    for c in _packet_checks(n, k):
+        m = c.members
+        pairs = [(width + m[1], m[-1])]
+        pairs.extend((width + prev, width + nxt) for prev, nxt in zip(m, m[2:]))
+        pairs.append((width + m[-2], m[0]))
+        for y, pair in zip(m, pairs):
+            terms[y].append(pair)
+    narrowed: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+    widened: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(width)]
+    for y, pairs in enumerate(terms):
+        for i, (a, b) in enumerate(pairs):
+            for literal, other in ((a, b), (b, a)):
+                x = literal % width
+                # a term with both of x's literals keeps its value
+                if x < y and other % width != x:
+                    if literal == x:
+                        widened[x].append((y, tuple(pairs[:i] + pairs[i + 1:])))
+                    else:
+                        narrowed[x].append((y, other))
+    plain = []
+    for x in range(width):
+        changed = {y for y, _ in narrowed[x] + widened[x]}
+        plain.append(tuple(y for y in range(x + 1, width) if y not in changed))
+    return _GrowthPlan(
+        tuple(map(tuple, terms)), tuple(plain),
+        tuple(map(tuple, narrowed)), tuple(map(tuple, widened)),
+    )
+
+
+def _and_terms(col: int, pairs: tuple[tuple[int, int], ...], either: list[int]) -> int:
+    """col ANDed with each term, the OR of a pair of literals of either."""
+    for a, b in pairs:
+        col &= either[a] | either[b]
+    return col
+
+
+def _canonical(add: list[int], drop: list[int], either: list[int], plan: _GrowthPlan) -> list[int]:
+    """Per member x, the column of the families g with g + x canonical.
+
+    add and drop are a level's addable and droppable columns, and either
+    is its member columns followed by their complements.  g + x is
+    canonical iff x is addable to g and no member y > x of g can be
+    dropped from g + x (see _grow).  Only the term of y on the packet it
+    shares with x can tell g + x from g: where x held is a literal of
+    that term, y can be dropped iff its other terms allow it; where x
+    absent is, a family without x satisfies the term, so y can be
+    dropped iff it can be from g and the other literal holds.
+    """
+    out = []
+    for x, col in enumerate(add):
+        if col:
+            dropped = reduce(or_, map(drop.__getitem__, plan.plain[x]), 0)
+            for y, literal in plan.narrowed[x]:
+                dropped |= drop[y] & either[literal]
+            for y, others in plan.widened[x]:
+                dropped |= _and_terms(either[y], others, either)
+            col &= ~dropped
+        out.append(col)
+    return out
+
+
+# The bytes "0" and "1" of a binary numeral to the bytes 0 and 1.
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _grown(level: list[int], grows: list[int]) -> list[int]:
+    """Each family g + x with bit g of grows[x] set, ascending.
+
+    The families of level hold no x where bit g of grows[x] is set, and
+    adding x to them keeps their order, so each member's growths come in
+    one ascending run, and the sort merges the runs.
+    """
+    out: list[int] = []
+    for x, col in enumerate(grows):
+        selectors = bin(col)[:1:-1].encode().translate(_SELECTORS)
+        out.extend(map((1 << x).__or__, itertools.compress(level, selectors)))
+    out.sort()
+    return out
+
+
 def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]]:
     """Elements in (cardinality, bits) order and each level's addable columns.
 
@@ -362,12 +474,36 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, .
     above it are the complements of those below.  A level is held as
     member columns (bit f of column x is set iff family f holds member
     x), and the addable column of x, built by _addable with the neighbour
-    rule below, has bit f set iff f + x is consistent.  The next level is
-    the sorted set of one-member growths, read off the addable columns.
-    Each level's start and addable columns are kept, so
-    BruhatOrder.covers can read the covers off them later; each grown
-    level below the middle also keeps its droppable columns (_droppable)
-    until it is mirrored.
+    rule below, has bit f set iff f + x is consistent; the droppable
+    column of x, from the drop terms of _growth_plan, has bit f set iff
+    f holds x and f - x is consistent.  Each level's start and addable
+    columns are kept, so BruhatOrder.covers can read the covers off them
+    later; each grown level below the middle also keeps its droppable
+    columns until it is mirrored.
+
+    Canonical parent.  Every nonempty consistent family h has a member
+    whose removal leaves it consistent, since the empty family is the
+    unique minimum of B(n,k) under single-step inclusion
+    (Manin-Schechtman 1989).  Its canonical parent is h - x for the
+    highest such x, so the next level is grown from each family g and
+    member x with x addable to g and no member y > x of g droppable from
+    g + x, each family once (_canonical, then _grown).  g + x - y differs
+    from g - y only on the packets that hold x, and from g + x only on
+    those that hold y; two members share at most one packet, their
+    union.  So y can be dropped from g + x iff it can be from g, except
+    on that packet, whose term is evaluated with x held (_growth_plan).
+
+    Completeness.  After level c is certified, the growth requires it to
+    be strictly ascending and its droppable columns to have as many
+    set bits as the addable columns of level c - 1, else InvariantError
+    names the level.  Let level c - 1 be complete.  Each set bit of its
+    addable columns is a pair (g, x) with g + x consistent, that is a
+    pair (h, y) with h consistent of cardinality c and h - y consistent:
+    one cover out of level c - 1.  Level c holds such families h only,
+    each g + x with x not in g, and if it is certified and strictly
+    ascending it holds each once, so its droppable bits count the pairs
+    over the families it holds.  Every nonempty h has a droppable member,
+    so the counts are equal iff no family is missing.
 
     Mirror.  Complement, f -> full ^ f, is an involution on bitsets that
     keeps consistency: within a packet the complement of a segment is a
@@ -398,27 +534,39 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, .
     t = s + 1, since the only suffix holding m_1 is the whole packet,
     which S + m_t is only when t = s + 1 = r.  The rule agrees: m_{t-1}
     is in f iff t = s + 1, m_{t+1} never is, and m_1 is in f.  The proper
-    suffix is the mirror image, with m_{t+1}, t = r - s and m_r.
+    suffix is the mirror image, with m_{t+1}, t = r - s and m_r.  The
+    drop terms are the rule on complements (_droppable).
     """
     width = params.num_members
     packets = [c.members for c in _packet_checks(params.n, params.k)]
+    plan = _growth_plan(params.n, params.k)
+    name = f"B({params.n},{params.k})"
     elements: list[int] = []
     levels: list[tuple[int, tuple[int, ...]]] = []
     drops: list[list[int]] = []
-    level = [0]
+    level, covers = [0], 0
     for c in range(width // 2 + 1):
-        if c:
-            level = sorted(
-                {level[f] | 1 << x for x, col in enumerate(add) for f in posets._bits(col)}
-            )
         cols = _certified_columns(params, level)
+        if any(map(ge, level, itertools.islice(level, 1, None))):
+            raise InvariantError(f"the growth of {name} repeats a family at level {c}")
         full = (1 << len(level)) - 1
         absent = [full ^ col for col in cols]
+        either = cols + absent
+        drop = [_and_terms(col, pairs, either) for col, pairs in zip(cols, plan.terms)]
+        dropped = sum(map(int.bit_count, drop))
+        if dropped != covers:
+            raise InvariantError(
+                f"the growth of {name} misses a family at level {c}: its families "
+                f"drop {dropped} members, the level below takes {covers}"
+            )
         add = _addable(cols, absent, packets)
+        covers = sum(map(int.bit_count, add))
         if 2 * c < width:
-            drops.append(_droppable(cols, absent, packets))
+            drops.append(drop)
         levels.append((len(elements), tuple(add)))
         elements.extend(level)
+        if c < width // 2:
+            level = _grown(level, _canonical(add, drop, either, plan))
     bounds = [start for start, _ in levels] + [len(elements)]
     for c in reversed(range(len(drops))):
         upper, add = _mirror(elements[bounds[c]:bounds[c + 1]], drops.pop(), params.full_bits)

@@ -31,7 +31,6 @@ from higher_bruhat.subsets import (
     GroundParams,
     _label,
     _packet_checks,
-    _segment_columns,
 )
 
 
@@ -384,12 +383,34 @@ def blocking_tables(n, k):
     return tuple(tables), tuple(masks)
 
 
+def explicit_segment_columns(cols, full, n, k):
+    """Per packet, the column of the families that meet it in a segment.
+
+    Straight from the definition: a family passes a packet iff its
+    intersection with the packet is one of the packet's segments, and the
+    families with a given intersection are the AND, over the packet's
+    members, of the member's column or of its complement.  Yields
+    (check, passing column) over families given by member columns, all
+    families at once; full has one bit per family.
+    """
+    comps = [full ^ col for col in cols]
+    for c in _packet_checks(n, k):
+        passing = 0
+        for segment in c.segments:
+            hit = full
+            for x in c.members:
+                hit &= cols[x] if segment >> x & 1 else comps[x]
+            passing |= hit
+        yield c, passing
+
+
 def all_levels_grow(params):
     """Elements in (cardinality, bits) order and each level's addable columns.
 
-    The library's growth before it mirrored the upper half: every level,
-    up to the full family, is grown from the addable columns of the level
-    below and certified by the segment kernel, with no use of complements.
+    The library's growth before it mirrored the upper half and kept one
+    parent per family: every level, up to the full family, is the sorted
+    set of all growths of the level below, transposed bit by bit and
+    certified by the explicit-segment kernel, with no use of complements.
     """
     width = params.num_members
     packets = [c.members for c in _packet_checks(params.n, params.k)]
@@ -397,9 +418,9 @@ def all_levels_grow(params):
     levels: list[tuple[int, tuple[int, ...]]] = []
     level = [0]
     while level:
-        cols = posets._columns(level, width)
+        cols = bitwise_transpose(level, width)
         full = (1 << len(level)) - 1
-        for c, passing in _segment_columns(cols, full, params.n, params.k):
+        for c, passing in explicit_segment_columns(cols, full, params.n, params.k):
             failing = full ^ passing
             if failing:
                 bad = level[(failing & -failing).bit_length() - 1]

@@ -223,6 +223,48 @@ class TestEnumeration:
         with pytest.raises(InvariantError, match=re.escape(message)):
             enumerate_bruhat(GroundParams(6, 2))
 
+    def mutate_canonical(self, monkeypatch, mutant):
+        # mutant(add, grows) edits the canonical columns that grow level 2
+        canonical = bruhat._canonical
+        calls = []
+
+        def mutated(add, *rest):
+            grows = canonical(add, *rest)
+            if len(calls) == 1:
+                mutant(add, grows)
+            calls.append(None)
+            return grows
+
+        monkeypatch.setattr(bruhat, "_canonical", mutated)
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 2)])
+    def test_missing_canonical_growth_raises(self, n, k, monkeypatch):
+        # a family of level 2 loses its only emission; the rest are consistent
+        def dropping(add, grows):
+            x = next(x for x, col in enumerate(grows) if col)
+            grows[x] &= grows[x] - 1
+
+        self.mutate_canonical(monkeypatch, dropping)
+        with pytest.raises(InvariantError, match=rf"B\({n},{k}\) misses a family at level 2:"):
+            enumerate_bruhat(GroundParams(n, k))
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 2)])
+    def test_repeated_growth_raises(self, n, k, monkeypatch):
+        # a family of level 2 is also emitted from a parent that is not canonical
+        def doubling(add, grows):
+            x = next(x for x, (a, col) in enumerate(zip(add, grows)) if a & ~col)
+            extra = add[x] & ~grows[x]
+            grows[x] |= extra & -extra
+
+        self.mutate_canonical(monkeypatch, doubling)
+        with pytest.raises(InvariantError, match=rf"B\({n},{k}\) repeats a family at level 2$"):
+            enumerate_bruhat(GroundParams(n, k))
+
+    @pytest.mark.parametrize("n,k,size", [(8, 1, factorial(8)), (8, 2, 1_232_944)])
+    def test_counts_at_size(self, n, k, size):
+        # n! for k = 1, and OEIS A006245 for k = 2
+        assert len(enumerate_bruhat(GroundParams(n, k))) == size
+
     def test_out_of_range_growth_raises(self, monkeypatch):
         grow = bruhat._grow
 

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from constructions import (
     subset_of_rank,
 )
 from helpers import (
+    explicit_segment_columns,
     family,
     naive_colex_subsets,
     naive_is_consistent,
@@ -125,16 +127,29 @@ class TestSegmentKernel:
         families = [[subs[i] for i in range(len(subs)) if bits >> i & 1] for bits in bitsets]
         violated = [set(naive_violated_bases(members, n, k)) for members in families]
         full = (1 << len(bitsets)) - 1
+        cols = _columns(bitsets, params.num_members)
+        explicit = explicit_segment_columns(cols, full, n, k)
         ok = full
-        for check, passing in _segment_columns(
-            _columns(bitsets, params.num_members), full, n, k
-        ):
+        for (check, passing), (_, expected) in zip(_segment_columns(cols, full, n, k), explicit):
+            assert passing == expected
             ok &= passing
             for f, bases in enumerate(violated):
                 assert bool(passing >> f & 1) == (check.base not in bases)
         for f, (bits, members) in enumerate(zip(bitsets, families)):
             assert bool(ok >> f & 1) == certified(params, bits)
             assert bool(ok >> f & 1) == naive_is_consistent(members, n, k)
+
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in range(1, 17) for k in range(n) if comb(n, k + 1) <= 16]
+    )
+    def test_run_form_matches_explicit_segments_on_every_bitset(self, n, k):
+        # every bitset of the width at once, one family per bitset
+        params = GroundParams(n, k)
+        cols = _columns(range(1 << params.num_members), params.num_members)
+        full = (1 << (1 << params.num_members)) - 1
+        runs = list(_segment_columns(cols, full, n, k))
+        assert runs == list(explicit_segment_columns(cols, full, n, k))
+        assert len(runs) == comb(n, k + 2)
 
     def test_consistent_family_fails_no_packet(self):
         assert failing_bases(GroundParams(3, 1), [(1, 2), (1, 3)]) == []
