@@ -30,9 +30,9 @@ from __future__ import annotations
 import enum
 import itertools
 from bisect import bisect_left
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, partial, reduce
 from operator import and_, ge, ne, or_
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import posets
 from .errors import InvariantError, NotBoundedError, ParameterError, ResourceLimitError
@@ -295,20 +295,39 @@ def _bruteforce_bits(params: GroundParams) -> list[int]:
     return out
 
 
+def _neighbour_terms(packets: list[tuple[int, ...]], width: int) -> list[list[tuple[int, int]]]:
+    """Per member x, the neighbour rule of _grow as pairs of literals.
+
+    A literal indexes cols + absent: x for member x held, width + x for x
+    absent.  A consistent family f without x can take x iff, for each
+    pair of x, one of its two literals holds of f.
+    """
+    terms: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+    for m in packets:
+        terms[m[0]].append((m[1], width + m[-1]))
+        terms[m[-1]].append((m[-2], width + m[0]))
+        for prev, mid, nxt in zip(m, m[1:], m[2:]):
+            terms[mid].append((prev, nxt))
+    return terms
+
+
+def _and_terms(col: int, pairs: Iterable[tuple[int, int]], either: list[int]) -> int:
+    """col ANDed with each term, the OR of a pair of literals of either."""
+    for a, b in pairs:
+        col &= either[a] | either[b]
+    return col
+
+
 def _addable(cols: list[int], absent: list[int], packets: list[tuple[int, ...]]) -> list[int]:
     """Per member x, the column of the families of a level that can take x.
 
     cols and absent are the level's member columns and their complements,
     and packets holds each packet's members in lex order.  The result
-    applies the neighbour rule of _grow to every packet.
+    applies the neighbour rule of _grow (_neighbour_terms) to every packet.
     """
-    add = list(absent)
-    for m in packets:
-        add[m[0]] &= cols[m[1]] | absent[m[-1]]
-        add[m[-1]] &= cols[m[-2]] | absent[m[0]]
-        for prev, mid, nxt in zip(m, m[1:], m[2:]):
-            add[mid] &= cols[prev] | cols[nxt]
-    return add
+    either = [*cols, *absent]
+    terms = _neighbour_terms(packets, len(cols))
+    return [_and_terms(col, pairs, either) for col, pairs in zip(absent, terms)]
 
 
 def _droppable(cols: list[int], absent: list[int], packets: list[tuple[int, ...]]) -> list[int]:
@@ -361,72 +380,53 @@ def _mirror(level: list[int], drop: list[int], full: int) -> tuple[list[int], tu
 class _GrowthPlan(NamedTuple):
     """The static part of _grow's canonical-parent filter on one B(n,k).
 
-    A member's drop term on a packet is the OR of two literals, each an
-    index into cols + absent (x for member x held, width + x for x
-    absent), and terms holds, per member, the literal pairs of its terms.
-    Per member x, the members y > x fall in three lists by how adding x
-    changes y's term on the packet they share, if any: plain (unchanged),
-    narrowed as (y, the term's other literal) where x absent was a
-    literal, and widened as (y, y's other terms) where x held was one.
+    y's droppable column is _addable on the complements (_droppable), so
+    its terms are y's neighbour terms read on absent + cols: literal x
+    there means member x absent, width + x member x held.  Per member x,
+    the members y > x fall in three lists by how adding x changes y's
+    term on the packet they share, if any: plain (unchanged), narrowed
+    as (y, the term's other literal) where x absent was a literal, and
+    widened as (y, y's other terms) where x held was one.
     """
 
-    terms: tuple[tuple[tuple[int, int], ...], ...]
     plain: tuple[tuple[int, ...], ...]
     narrowed: tuple[tuple[tuple[int, int], ...], ...]
     widened: tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]
 
 
-@lru_cache(maxsize=None)
-def _growth_plan(n: int, k: int) -> _GrowthPlan:
-    """The canonical-parent plan of B(n,k); the drop terms are _droppable's.
+def _growth_plan(packets: list[tuple[int, ...]], width: int) -> _GrowthPlan:
+    """The canonical-parent plan of an order's packets, from _neighbour_terms.
 
-    On a packet m_1 < ... < m_r in lex order, a consistent family can
-    drop m_1 iff m_2 is absent or m_r held, m_r iff m_{r-1} is absent or
-    m_1 held, and m_t otherwise iff m_{t-1} or m_{t+1} is absent.
+    Each growth builds its own plan, which costs far less than the growth:
+    a plan cached across growths outlives their levels and raised the peak
+    memory of a run.
     """
-    width = GroundParams(n, k).num_members
-    terms: list[list[tuple[int, int]]] = [[] for _ in range(width)]
-    for c in _packet_checks(n, k):
-        m = c.members
-        pairs = [(width + m[1], m[-1])]
-        pairs.extend((width + prev, width + nxt) for prev, nxt in zip(m, m[2:]))
-        pairs.append((width + m[-2], m[0]))
-        for y, pair in zip(m, pairs):
-            terms[y].append(pair)
     narrowed: list[list[tuple[int, int]]] = [[] for _ in range(width)]
     widened: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(width)]
-    for y, pairs in enumerate(terms):
+    for y, pairs in enumerate(_neighbour_terms(packets, width)):
         for i, (a, b) in enumerate(pairs):
             for literal, other in ((a, b), (b, a)):
                 x = literal % width
                 # a term with both of x's literals keeps its value
                 if x < y and other % width != x:
                     if literal == x:
-                        widened[x].append((y, tuple(pairs[:i] + pairs[i + 1:])))
-                    else:
                         narrowed[x].append((y, other))
+                    else:
+                        widened[x].append((y, tuple(pairs[:i] + pairs[i + 1:])))
     plain = []
     for x in range(width):
         changed = {y for y, _ in narrowed[x] + widened[x]}
         plain.append(tuple(y for y in range(x + 1, width) if y not in changed))
-    return _GrowthPlan(
-        tuple(map(tuple, terms)), tuple(plain),
-        tuple(map(tuple, narrowed)), tuple(map(tuple, widened)),
-    )
+    return _GrowthPlan(tuple(plain), tuple(map(tuple, narrowed)), tuple(map(tuple, widened)))
 
 
-def _and_terms(col: int, pairs: tuple[tuple[int, int], ...], either: list[int]) -> int:
-    """col ANDed with each term, the OR of a pair of literals of either."""
-    for a, b in pairs:
-        col &= either[a] | either[b]
-    return col
-
-
-def _canonical(add: list[int], drop: list[int], either: list[int], plan: _GrowthPlan) -> list[int]:
+def _canonical(
+    add: list[int], drop: list[int], cols: list[int], absent: list[int], plan: _GrowthPlan
+) -> list[int]:
     """Per member x, the column of the families g with g + x canonical.
 
-    add and drop are a level's addable and droppable columns, and either
-    is its member columns followed by their complements.  g + x is
+    add and drop are a level's addable and droppable columns, and cols
+    and absent its member columns and their complements.  g + x is
     canonical iff x is addable to g and no member y > x of g can be
     dropped from g + x (see _grow).  Only the term of y on the packet it
     shares with x can tell g + x from g: where x held is a literal of
@@ -434,14 +434,15 @@ def _canonical(add: list[int], drop: list[int], either: list[int], plan: _Growth
     absent is, a family without x satisfies the term, so y can be
     dropped iff it can be from g and the other literal holds.
     """
+    flipped = absent + cols
     out = []
     for x, col in enumerate(add):
         if col:
             dropped = reduce(or_, map(drop.__getitem__, plan.plain[x]), 0)
             for y, literal in plan.narrowed[x]:
-                dropped |= drop[y] & either[literal]
+                dropped |= drop[y] & flipped[literal]
             for y, others in plan.widened[x]:
-                dropped |= _and_terms(either[y], others, either)
+                dropped |= _and_terms(cols[y], others, flipped)
             col &= ~dropped
         out.append(col)
     return out
@@ -475,11 +476,11 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, .
     member columns (bit f of column x is set iff family f holds member
     x), and the addable column of x, built by _addable with the neighbour
     rule below, has bit f set iff f + x is consistent; the droppable
-    column of x, from the drop terms of _growth_plan, has bit f set iff
-    f holds x and f - x is consistent.  Each level's start and addable
-    columns are kept, so BruhatOrder.covers can read the covers off them
-    later; each grown level below the middle also keeps its droppable
-    columns until it is mirrored.
+    column of x, built by _droppable with the same rule on complements,
+    has bit f set iff f holds x and f - x is consistent.  Each level's
+    start and addable columns are kept, so BruhatOrder.covers can read
+    the covers off them later; each grown level below the middle also
+    keeps its droppable columns until it is mirrored.
 
     Canonical parent.  Every nonempty consistent family h has a member
     whose removal leaves it consistent, since the empty family is the
@@ -534,12 +535,11 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, .
     t = s + 1, since the only suffix holding m_1 is the whole packet,
     which S + m_t is only when t = s + 1 = r.  The rule agrees: m_{t-1}
     is in f iff t = s + 1, m_{t+1} never is, and m_1 is in f.  The proper
-    suffix is the mirror image, with m_{t+1}, t = r - s and m_r.  The
-    drop terms are the rule on complements (_droppable).
+    suffix is the mirror image, with m_{t+1}, t = r - s and m_r.
     """
     width = params.num_members
     packets = [c.members for c in _packet_checks(params.n, params.k)]
-    plan = _growth_plan(params.n, params.k)
+    plan = _growth_plan(packets, width)
     name = f"B({params.n},{params.k})"
     elements: list[int] = []
     levels: list[tuple[int, tuple[int, ...]]] = []
@@ -551,8 +551,7 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, .
             raise InvariantError(f"the growth of {name} repeats a family at level {c}")
         full = (1 << len(level)) - 1
         absent = [full ^ col for col in cols]
-        either = cols + absent
-        drop = [_and_terms(col, pairs, either) for col, pairs in zip(cols, plan.terms)]
+        drop = _droppable(cols, absent, packets)
         dropped = sum(map(int.bit_count, drop))
         if dropped != covers:
             raise InvariantError(
@@ -566,7 +565,7 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, .
         levels.append((len(elements), tuple(add)))
         elements.extend(level)
         if c < width // 2:
-            level = _grown(level, _canonical(add, drop, either, plan))
+            level = _grown(level, _canonical(add, drop, cols, absent, plan))
     bounds = [start for start, _ in levels] + [len(elements)]
     for c in reversed(range(len(drops))):
         upper, add = _mirror(elements[bounds[c]:bounds[c + 1]], drops.pop(), params.full_bits)

@@ -419,8 +419,8 @@ class TestColumnRouteMutants:
     def test_cleared_droppable_bit_fails_the_sandwich(self, n, k, monkeypatch, tmp_path):
         # every family holding one member with n can drop it; with that bit
         # cleared, the family is the one that fails the lower half.  Both
-        # orders are enumerated up front, so the mutant reaches the column
-        # route alone.
+        # orders are enumerated up front, as the growth drops members with
+        # _droppable too, so the mutant reaches the column route alone.
         order = enumerate_bruhat(GroundParams(n, k))
         suborder = enumerate_bruhat(GroundParams(n - 1, k))
         monkeypatch.setattr(cli, "enumerate_bruhat", lambda params, **kwargs: order)
