@@ -4,7 +4,9 @@ The library enumerates the higher Bruhat orders B(n,k) under single-step
 inclusion and under ordinary inclusion, checks the five suspension
 conditions on dissected bounded posets exhaustively, and certifies sphere
 homology of proper-part order complexes by exact integer Smith normal
-form on their beat-point cores.  It holds only what the certifier runs:
+form on their beat-point cores.  An export writes a Bruhat instance's
+dissection (P, Q, the colouring and the maps f, i and j) straight from
+its enumeration.  The library holds only what the certifier runs:
 the paper's constructive proofs of the conditions (admissible
 permutations, build-up chains, interval descent, the suspension of a
 complex) live in the test suite, as oracles.
@@ -14,7 +16,6 @@ from .bruhat import (
     BruhatOrder,
     OrderKind,
     descent_conditions,
-    dissection_instance,
     enumerate_bruhat,
     to_poset,
 )

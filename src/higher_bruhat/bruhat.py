@@ -23,6 +23,10 @@ digraph of single-member additions.  Every cover adds one member, so
 covers join consecutive levels, and reach is the level closure: the rows
 of a level are built from the rows of the level above alone, top level
 first, so only two levels of rows need be held at once.
+An order's instance file, the dissection of B(n,k) over B(n-1,k), is
+written from the order itself (dissection_doc): the labels, covers,
+colouring and map tables are read off the families, and a poset is built
+only for an inclusion order whose relation differs from single-step.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Iterable, Iterator, NamedTuple
 from . import posets
 from .errors import InvariantError, NotBoundedError, ParameterError, ResourceLimitError
 from .subsets import ConsistentSet, GroundParams, _label, _packet_checks, _segment_columns
-from .suspension_check import Check, ConditionReport, DissectionInstance
+from .suspension_check import Check, ConditionReport
 
 __all__ = [
     "OrderKind",
@@ -45,8 +49,8 @@ __all__ = [
     "enumerate_bruhat",
     "compare_orders",
     "to_poset",
-    "dissection_instance",
     "descent_conditions",
+    "dissection_doc",
     "PROVED_FROM",
     "COLUMN_ROUTE_NOTE",
     "DEFAULT_BFS_LIMIT",
@@ -167,15 +171,6 @@ class BruhatOrder:
                     growths[f].append((lower[f], index[level[f] | bit]))
             covers.extend(itertools.chain.from_iterable(growths))
         return tuple(covers)
-
-    def green(self) -> frozenset[int]:
-        """Indices of the green families, those without the member {n-k..n}.
-
-        That member is the colex-largest, so a family is green iff its top
-        bit is clear.
-        """
-        top = 1 << (self.params.num_members - 1)
-        return frozenset(i for i, b in enumerate(self.bits) if not b & top)
 
     def up_levels(self) -> Iterator[tuple[int, list[int]]]:
         """Single-step up rows one level at a time, top level first.
@@ -668,41 +663,6 @@ def _not_enumerated(params: GroundParams, family: int) -> InvariantError:
     )
 
 
-def dissection_instance(order: BruhatOrder, kind: OrderKind) -> DissectionInstance:
-    """The structure maps of the level descent, packaged for condition checking.
-
-    Builds P from the order and Q from the order one ground-set size down,
-    both under the relation of the given kind, colors elements green/red,
-    and tabulates the three maps of _level_maps: f forgets the members
-    holding n, i keeps a family as it is, and j adds every member holding
-    n.  check_conditions decides the lemma's hypotheses on these tables
-    exhaustively, so the paper's constructive proofs of them (admissible
-    permutations, build-up chains, interval descent) are not run.
-    descent_conditions decides the same hypotheses without the tables.
-    """
-    params = order.params
-    _require_level_above_base(params)
-    small, kept, added = _level_maps(params)
-    suborder = enumerate_bruhat(small)
-    p = to_poset(order, kind)
-    q = to_poset(suborder, kind)
-    index, sub_index = order._index, suborder._index
-    try:
-        f_images = tuple(sub_index[b & kept] for b in order.bits)
-        i_images = tuple(index[b] for b in suborder.bits)
-        j_images = tuple(index[b | added] for b in suborder.bits)
-    except KeyError as exc:
-        raise _not_enumerated(params, exc.args[0])
-    return DissectionInstance(
-        p=p,
-        q=q,
-        green=order.green(),
-        f=posets.MonotoneMap(p, q, f_images),
-        i=posets.MonotoneMap(q, p, i_images),
-        j=posets.MonotoneMap(q, p, j_images),
-    )
-
-
 # What the column route's proof maps and carrier cones are proved from.
 PROVED_FROM = "the five conditions"
 
@@ -732,16 +692,17 @@ def _check_top(order: BruhatOrder) -> None:
 def descent_conditions(order: BruhatOrder, kind: OrderKind) -> ConditionReport:
     """The lemma's hypotheses on B(n,k) -> B(n-1,k), decided from member columns.
 
-    This is check_conditions on dissection_instance(order, kind), with the
-    same checks in the same order and the same verdicts, but no poset, no
-    relation row and no map table is built.  Q = B(n-1,k) is enumerated,
-    and f, i and j are the mask, identity and OR of _level_maps.  A failing
-    check's witness is worded as check_conditions words it.
+    This is check_conditions on the instance that dissection_doc writes
+    and resolve_dissection reads back, with the same checks in the same
+    order and the same verdicts, but no poset, no relation row and no map
+    table is built.  Q = B(n-1,k) is enumerated, and f, i and j are the
+    mask, identity and OR of _level_maps.  A failing check's witness is
+    worded as check_conditions words it.
 
     Images.  Every f(x), i(a) and j(a) is looked up among the enumerated
-    families, in the order of dissection_instance's tables, and a miss
-    raises the same InvariantError.  The bounds are checked as to_poset
-    checks them (_check_top).
+    families, in the order of dissection_doc's tables, and a miss raises
+    the same InvariantError.  The bounds are checked as to_poset checks
+    them (_check_top).
 
     Proved from the images, so reported as passing:
     - f, i and j are monotone.  Under inclusion each preserves inclusion.
@@ -893,3 +854,58 @@ def descent_conditions(order: BruhatOrder, kind: OrderKind) -> ConditionReport:
         tuple(Check(name, True) for name in proved),
         tuple(Check(name, witness is None, witness) for name, witness in decided),
     )
+
+
+def dissection_doc(order: BruhatOrder, kind: OrderKind) -> dict:
+    """The P, Q, green and map blocks of the order's instance file.
+
+    This is the dissection of the level descent B(n,k) -> B(n-1,k), written
+    from the enumeration: no poset, relation row or map object is built.
+    The labels are _label of the families, and the bounds, the first and
+    last family, are checked as descent_conditions checks them
+    (_check_top).  A family is green iff it lacks the top member
+    {n-k..n}, the colex-largest, so iff its top bit is clear.  The tables
+    f, i and j are the mask, identity and OR of _level_maps, each image
+    looked up among the enumerated families in table order: a miss raises
+    InvariantError, as in descent_conditions.  The covers are the order's
+    own, under inclusion too whenever compare_orders finds no pair
+    comparable under inclusion only; otherwise they are read from
+    to_poset's validated relation.  In the base case n = k+1 there is no
+    level below, and the blocks are P and green alone.
+    """
+
+    def poset_block(o: BruhatOrder, names: list[str]) -> dict:
+        # compare_orders runs first, so its rows and the covers are not held at once
+        if kind is OrderKind.INCLUSION and compare_orders(o)[2]:
+            covers = to_poset(o, kind).covers()
+        else:
+            covers = o.covers
+        return {
+            "labels": names,
+            "covers": [[names[a], names[b]] for a, b in covers],
+            "bottom": names[0],
+            "top": names[-1],
+        }
+
+    params = order.params
+    _check_top(order)
+    labels = list(map(partial(_label, params), order.bits))
+    top = 1 << params.num_members - 1
+    doc = {"green": [label for label, b in zip(labels, order.bits) if not b & top]}
+    if params.n >= params.k + 2:
+        small, kept, added = _level_maps(params)
+        suborder = enumerate_bruhat(small)
+        _check_top(suborder)
+        sub_labels = list(map(partial(_label, small), suborder.bits))
+        index, sub_index = order._index, suborder._index
+        try:
+            doc["maps"] = {
+                "f": {x: sub_labels[sub_index[b & kept]] for x, b in zip(labels, order.bits)},
+                "i": {a: labels[index[b]] for a, b in zip(sub_labels, suborder.bits)},
+                "j": {a: labels[index[b | added]] for a, b in zip(sub_labels, suborder.bits)},
+            }
+        except KeyError as exc:
+            raise _not_enumerated(params, exc.args[0])
+        doc["Q"] = poset_block(suborder, sub_labels)
+    doc["P"] = poset_block(order, labels)
+    return doc

@@ -8,8 +8,10 @@ are byte-deterministic for a fixed input and library version.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from typing import Iterable, Iterator
 
 from . import __version__
 from .bruhat import (
@@ -64,18 +66,27 @@ def _budget(text: str) -> int:
     return value
 
 
-def _write_text(blob: str, out: str) -> None:
+def _write_text(chunks: Iterable[str], out: str) -> None:
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(blob)
+            fh.writelines(chunks)
     except OSError as exc:
         raise ParameterError(f"cannot write {out}: {exc.strerror}")
 
 
+def _json_chunks(doc: dict) -> Iterator[str]:
+    """The sorted, indented JSON text of doc and a final newline, in pieces.
+
+    The pieces join to json.dumps' text with the same options, so a large
+    document is written without its whole text held at once.
+    """
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+    return itertools.chain(encoder.iterencode(doc), ("\n",))
+
+
 def _write_report(report: dict, out: str | None) -> None:
     if out is not None:
-        blob = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-        _write_text(blob, out)
+        _write_text(_json_chunks(report), out)
 
 
 def _bruhat_block(values) -> dict:
@@ -308,7 +319,7 @@ def cmd_export(ns) -> int:
     loaded, _ = _load_instance(ns)
     doc = loaded.to_doc(ns.max_subsets)
     if ns.format == "json":
-        blob = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        chunks = _json_chunks(doc)
     else:
         green = set(doc["green"]) if "green" in doc else None
         lines = ["digraph poset {", "  rankdir=BT;"]
@@ -321,12 +332,12 @@ def cmd_export(ns) -> int:
         for a, b in doc["P"]["covers"]:
             lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)};")
         lines.append("}")
-        blob = "\n".join(lines) + "\n"
+        chunks = ["\n".join(lines) + "\n"]
 
     if ns.out is None:
-        sys.stdout.write(blob)
+        sys.stdout.writelines(chunks)
     else:
-        _write_text(blob, ns.out)
+        _write_text(chunks, ns.out)
     return EXIT_PASS
 
 

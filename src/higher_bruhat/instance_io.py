@@ -18,8 +18,9 @@ alone (the command line's --bruhat N K ORDER is the same block inline):
 
 schema is the integer 1.  A bruhat block takes the keys n, k and order
 (default single_step) and no other.  Labels must be unique; covers and
-maps refer to labels.  Exported documents are byte-deterministic for a
-fixed input and library version.
+maps refer to labels.  A Bruhat instance exports in the explicit form,
+written straight from its enumeration (bruhat.dissection_doc).  Exported
+documents are byte-deterministic for a fixed input and library version.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .bruhat import OrderKind, dissection_instance, enumerate_bruhat, to_poset
+from .bruhat import OrderKind, dissection_doc, enumerate_bruhat
 from .errors import ParameterError
 from .posets import FiniteBoundedPoset, MonotoneMap, from_covers
 from .subsets import GroundParams
@@ -41,7 +42,6 @@ __all__ = [
     "load_instance",
     "poset_to_doc",
     "poset_from_doc",
-    "instance_to_doc",
 ]
 
 SCHEMA_VERSION = 1
@@ -73,7 +73,7 @@ class LoadedInstance:
         """Assemble an explicit instance's dissection, or fail with ParameterError.
 
         A Bruhat instance is not resolved here: check-lemma decides it from
-        member columns, and to_doc builds its dissection_instance itself.
+        member columns, and to_doc writes its document from the order.
         """
         if self.p is None or self.q is None:
             raise ParameterError("instance needs both P and Q poset blocks")
@@ -116,21 +116,20 @@ class LoadedInstance:
     def to_doc(self, max_subsets: int | None = None) -> dict:
         """The explicit document of this instance, as export writes it.
 
-        A Bruhat instance in the base case n = k+1 has no level below, so
-        its document holds P and green alone.  Map tables are written only
-        when resolve_dissection accepts them, so check-lemma can read every
-        exported file that has maps; it raises ParameterError otherwise.
+        A Bruhat instance's document is written from its enumeration by
+        dissection_doc; in the base case n = k+1 there is no level below,
+        and it holds P and green alone.  An explicit instance's map tables
+        are written only when resolve_dissection accepts them, so
+        check-lemma can read every exported file that has maps; it raises
+        ParameterError otherwise.
         """
-        if self.bruhat is None:
-            p, q, green, maps = self.p, self.q, self.green_indices(), self.map_tables
-            if maps is not None:
-                self.resolve_dissection()
-        else:
+        if self.bruhat is not None:
             params, kind = self.bruhat
             order = enumerate_bruhat(params, max_subsets=max_subsets)
-            if params.n >= params.k + 2:
-                return instance_to_doc(dissection_instance(order, kind))
-            p, q, green, maps = to_poset(order, kind), None, order.green(), None
+            return {"schema": SCHEMA_VERSION, **dissection_doc(order, kind)}
+        p, q, green, maps = self.p, self.q, self.green_indices(), self.map_tables
+        if maps is not None:
+            self.resolve_dissection()
         doc = {"schema": SCHEMA_VERSION, "P": poset_to_doc(p)}
         if q is not None:
             doc["Q"] = poset_to_doc(q)
@@ -241,22 +240,3 @@ def load_instance(path: str) -> LoadedInstance:
     except json.JSONDecodeError as exc:
         raise ParameterError(f"instance file is not valid JSON: {exc}")
     return parse_instance_doc(doc)
-
-
-def instance_to_doc(inst: DissectionInstance) -> dict:
-    """Expand a dissection instance into the explicit document form."""
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "P": poset_to_doc(inst.p),
-        "Q": poset_to_doc(inst.q),
-        "green": [inst.p.labels[i] for i in sorted(inst.green)],
-        "maps": {
-            "f": {inst.p.labels[x]: inst.q.labels[inst.f.images[x]]
-                  for x in range(len(inst.p.labels))},
-            "i": {inst.q.labels[a]: inst.p.labels[inst.i.images[a]]
-                  for a in range(len(inst.q.labels))},
-            "j": {inst.q.labels[a]: inst.p.labels[inst.j.images[a]]
-                  for a in range(len(inst.q.labels))},
-        },
-    }
-    return doc

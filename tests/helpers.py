@@ -13,12 +13,13 @@ from math import gcd
 from operator import and_, getitem, or_
 
 from constructions import from_facets
-from higher_bruhat import __version__, posets
+from higher_bruhat import __version__, bruhat, posets
 from higher_bruhat.bruhat import BruhatOrder, OrderKind, _addable, enumerate_bruhat, to_poset
 from higher_bruhat.cli import SPHERICITY_NOTE
 from higher_bruhat.complexes import SimplicialComplex
 from higher_bruhat.errors import InvariantError, NotAPosetError, NotBoundedError, ParameterError
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
+from higher_bruhat.instance_io import SCHEMA_VERSION, poset_to_doc
 from higher_bruhat.posets import (
     FiniteBoundedPoset,
     from_covers,
@@ -32,6 +33,7 @@ from higher_bruhat.subsets import (
     _label,
     _packet_checks,
 )
+from higher_bruhat.suspension_check import DissectionInstance
 
 
 def naive_colex_subsets(n, r):
@@ -238,6 +240,22 @@ def addable_cover(order, level, x, f):
     """The cover (a, b) that bit f of the level's addable column x stands for."""
     a = order.addable[level][0] + f
     return a, order._index[order.bits[a] | 1 << x]
+
+
+def bounded_thinning(order):
+    """(level, x, f) of the first cover a < b whose loss keeps the order bounded.
+
+    a has another upper cover and b another lower one, so the order thinned
+    by addable_thinned keeps its bounds under single-step but loses a <= b;
+    inclusion keeps every pair.
+    """
+    uppers = [a for a, _ in order.covers]
+    lowers = [b for _, b in order.covers]
+    return next(
+        m for m in addable_bits(order)
+        if uppers.count(addable_cover(order, *m)[0]) > 1
+        and lowers.count(addable_cover(order, *m)[1]) > 1
+    )
 
 
 def closure_reach_rows(order):
@@ -668,6 +686,70 @@ def full_route_report(n, k, kind):
             for d in range(-1, top + 1)
         ],
         "notes": [SPHERICITY_NOTE],
+    }
+
+
+def green(order):
+    """Indices of the green families, those without the member {n-k..n}.
+
+    That member is the colex-largest, so a family is green iff its top bit
+    is clear.
+    """
+    top = 1 << order.params.num_members - 1
+    return frozenset(i for i, b in enumerate(order.bits) if not b & top)
+
+
+def dissection_instance(order, kind):
+    """The row-route oracle: the level descent as posets and monotone maps.
+
+    Builds P from the order and Q from the order one ground-set size down,
+    both with to_poset under the relation of the given kind, colours the
+    elements green/red, and tabulates the three maps of _level_maps: f
+    forgets the members holding n, i keeps a family as it is, and j adds
+    every member holding n.  An image that was not enumerated raises the
+    library's InvariantError.  check_conditions on this instance is the
+    oracle of descent_conditions, and instance_to_doc of it the oracle of
+    the export.  The bruhat names are looked up on each call, so that a
+    test's monkeypatch of them reaches the oracle too.
+    """
+    params = order.params
+    bruhat._require_level_above_base(params)
+    small, kept, added = bruhat._level_maps(params)
+    suborder = bruhat.enumerate_bruhat(small)
+    p = bruhat.to_poset(order, kind)
+    q = bruhat.to_poset(suborder, kind)
+    index, sub_index = order._index, suborder._index
+    try:
+        f_images = tuple(sub_index[b & kept] for b in order.bits)
+        i_images = tuple(index[b] for b in suborder.bits)
+        j_images = tuple(index[b | added] for b in suborder.bits)
+    except KeyError as exc:
+        raise bruhat._not_enumerated(params, exc.args[0])
+    return DissectionInstance(
+        p=p,
+        q=q,
+        green=green(order),
+        f=posets.MonotoneMap(p, q, f_images),
+        i=posets.MonotoneMap(q, p, i_images),
+        j=posets.MonotoneMap(q, p, j_images),
+    )
+
+
+def instance_to_doc(inst):
+    """A dissection instance in the explicit document form, from its posets and maps."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "P": poset_to_doc(inst.p),
+        "Q": poset_to_doc(inst.q),
+        "green": [inst.p.labels[i] for i in sorted(inst.green)],
+        "maps": {
+            "f": {inst.p.labels[x]: inst.q.labels[inst.f.images[x]]
+                  for x in range(len(inst.p.labels))},
+            "i": {inst.q.labels[a]: inst.p.labels[inst.i.images[a]]
+                  for a in range(len(inst.q.labels))},
+            "j": {inst.q.labels[a]: inst.p.labels[inst.j.images[a]]
+                  for a in range(len(inst.q.labels))},
+        },
     }
 
 

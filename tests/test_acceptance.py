@@ -23,8 +23,14 @@ from constructions import (
     map_j,
     suspension,
 )
-from helpers import homology_dict, proper_part_complex, random_bounded_poset, random_complex
-from higher_bruhat.bruhat import OrderKind, dissection_instance, enumerate_bruhat, to_poset
+from helpers import (
+    dissection_instance,
+    homology_dict,
+    proper_part_complex,
+    random_bounded_poset,
+    random_complex,
+)
+from higher_bruhat.bruhat import OrderKind, enumerate_bruhat, to_poset
 from higher_bruhat.cli import main
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
 from higher_bruhat.posets import product_with_two_chain, proper_part

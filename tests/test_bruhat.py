@@ -25,6 +25,7 @@ from helpers import (
     addable_thinned,
     closure_reach_rows,
     condition_verdicts,
+    dissection_instance,
     family,
     inversion_family,
     member_column_inclusion_rows,
@@ -42,7 +43,6 @@ from higher_bruhat.bruhat import (
     BruhatOrder,
     OrderKind,
     descent_conditions,
-    dissection_instance,
     enumerate_bruhat,
     to_poset,
 )
@@ -639,7 +639,7 @@ class TestDescentConditions:
         for name in ("from_covers", "from_relation", "count_chains", "product_with_two_chain"):
             monkeypatch.setattr(posets, name, refuse)
         monkeypatch.setattr(bruhat, "to_poset", refuse)
-        for name in ("reach", "up_levels", "green"):
+        for name in ("reach", "up_levels"):
             monkeypatch.setattr(BruhatOrder, name, refuse)
         for name in ("covers", "_index", "elements"):
             monkeypatch.setattr(BruhatOrder, name, property(refuse))

@@ -12,28 +12,30 @@ from helpers import (
     addable_bits,
     addable_thinned,
     any_beat_core,
+    bounded_thinning,
     chain_f_vector,
     closure_reach_rows,
+    dissection_instance,
     full_route_report,
+    green,
+    instance_to_doc,
     naive_chains,
     naive_label,
     whole_relation_compare,
 )
-from higher_bruhat import bruhat, cli, posets, subsets
+from higher_bruhat import bruhat, cli, instance_io, posets, subsets
 from higher_bruhat.bruhat import (
     COLUMN_ROUTE_NOTE,
     OrderKind,
-    dissection_instance,
     enumerate_bruhat,
     to_poset,
 )
 from higher_bruhat.cli import main
-from higher_bruhat.instance_io import instance_to_doc, load_instance
-from higher_bruhat.posets import MonotoneMap, count_chains, from_covers, proper_part
+from higher_bruhat.instance_io import SCHEMA_VERSION, load_instance, poset_to_doc
+from higher_bruhat.posets import count_chains, from_covers, proper_part
 from higher_bruhat.subsets import ConsistentSet, GroundParams, colex_rank
 from higher_bruhat.suspension_check import (
     HOMOTOPY_DISCLAIMER,
-    DissectionInstance,
     build_proof_maps,
     carrier_cone_check,
 )
@@ -426,7 +428,7 @@ class TestColumnRouteMutants:
         monkeypatch.setattr(cli, "enumerate_bruhat", lambda params, **kwargs: order)
         monkeypatch.setattr(bruhat, "enumerate_bruhat", lambda params: suborder)
         _, _, added = bruhat._level_maps(order.params)
-        labels = dissection_instance(order, OrderKind.SINGLE_STEP).p.labels
+        labels = [bruhat._label(order.params, b) for b in order.bits]
         targets = [x for x, b in enumerate(order.bits) if (b & added).bit_count() == 1]
         real = bruhat._droppable
         for x in targets:
@@ -909,32 +911,93 @@ class TestLabelsOnlyWhenRead:
         assert fresh == eager and eager == fresh
         assert fresh.labels == first
 
-    @pytest.mark.parametrize(
-        "n,k,kind", [(3, 1, "single_step"), (4, 1, "inclusion"), (5, 2, "single_step")]
-    )
-    def test_export_matches_eager_labels(self, n, k, kind, tmp_path):
-        # the export of labels rendered on read is byte for byte the export
-        # of the same instance with every label rendered up front
+
+def row_route_export(order, kind):
+    """The JSON export of an order, written from dissection_instance's posets and maps.
+
+    In the base case n = k+1 there is no level below, and the document holds
+    P and green alone.
+    """
+    params = order.params
+    if params.n >= params.k + 2:
+        doc = instance_to_doc(dissection_instance(order, kind))
+    else:
+        p = to_poset(order, kind)
+        doc = {"schema": SCHEMA_VERSION, "P": poset_to_doc(p),
+               "green": [p.labels[i] for i in sorted(green(order))]}
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+EXPORT_CASES = [(n, k) for n in range(1, 7) for k in range(n)] + [(7, 3)]
+
+
+class TestExportWriter:
+    """export --bruhat writes from the order what the row route writes from posets."""
+
+    @pytest.mark.parametrize("n,k", EXPORT_CASES)
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    def test_matches_the_row_route(self, n, k, kind, tmp_path):
         out = tmp_path / "instance.json"
-        assert main(["export", "--bruhat", str(n), str(k), kind,
+        assert main(["export", "--bruhat", str(n), str(k), kind.value,
                      "--format", "json", "--out", str(out)]) == 0
-        inst = dissection_instance(enumerate_bruhat(GroundParams(n, k)), OrderKind(kind))
+        expected = row_route_export(enumerate_bruhat(GroundParams(n, k)), kind)
+        assert out.read_bytes() == expected.encode("utf-8")
 
-        def eager(poset, params):
-            order = enumerate_bruhat(params)
-            labels = [naive_label(ConsistentSet(params, b)) for b in order.bits]
-            return from_covers(labels, poset.cover_pairs, poset.bottom, poset.top)
+    def test_matches_the_row_route_where_the_orders_differ(self, monkeypatch, tmp_path):
+        # the thinned B(4,1) loses a single-step pair that inclusion keeps,
+        # so its inclusion covers come from to_poset's validated relation
+        full = enumerate_bruhat(GroundParams(4, 1))
+        thinned = addable_thinned(full, *bounded_thinning(full))
+        assert bruhat.compare_orders(thinned)[2]
+        monkeypatch.setattr(instance_io, "enumerate_bruhat", lambda params, **kwargs: thinned)
+        out = tmp_path / "instance.json"
+        assert main(["export", "--bruhat", "4", "1", "inclusion",
+                     "--format", "json", "--out", str(out)]) == 0
+        expected = row_route_export(thinned, OrderKind.INCLUSION)
+        assert out.read_bytes() == expected.encode("utf-8")
+        covers = read_json(out)["P"]["covers"]
+        assert len(covers) == len(full.covers) == len(thinned.covers) + 1
 
-        p, q = eager(inst.p, GroundParams(n, k)), eager(inst.q, GroundParams(n - 1, k))
-        assert p == inst.p and q == inst.q
-        expected = instance_to_doc(DissectionInstance(
-            p=p, q=q, green=inst.green,
-            f=MonotoneMap(p, q, inst.f.images),
-            i=MonotoneMap(q, p, inst.i.images),
-            j=MonotoneMap(q, p, inst.j.images),
-        ))
-        blob = json.dumps(expected, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-        assert out.read_bytes() == blob.encode("utf-8")
+    @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
+    def test_builds_no_poset_and_holds_no_text(self, kind, monkeypatch, tmp_path):
+        # B(7,2) and B(6,2) are 24,698 and 908 families: built as posets,
+        # P and Q peaked at ~146 MiB under tracemalloc; the writer peaks at
+        # ~22 MiB, and streams the 38 MB of JSON text to the file
+        def refuse(*args, **kwargs):
+            raise AssertionError("a poset was built")
+
+        monkeypatch.setattr(posets, "from_covers", refuse)
+        monkeypatch.setattr(posets, "from_relation", refuse)
+        out = tmp_path / "instance.json"
+        tracemalloc.start()
+        try:
+            assert main(["export", "--bruhat", "7", "2", kind,
+                         "--format", "json", "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the file alone would not fit under the bound
+        bound = 32 * 2**20
+        assert peak < bound < out.stat().st_size
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
+    def test_image_outside_the_target_exits_1_and_writes_nothing(
+        self, fmt, kind, monkeypatch, tmp_path, capsys
+    ):
+        # B(3,1) with {{1,2},{1,3}} swapped for the inconsistent {{1,2},{2,3}}:
+        # the restriction of some element of B(4,1) is no longer found
+        real = enumerate_bruhat(GroundParams(3, 1))
+        swapped = tuple(5 if b == 3 else b for b in real.bits)
+        fake = bruhat.BruhatOrder(real.params, swapped, real.addable)
+        fake.covers = real.covers
+        monkeypatch.setattr(bruhat, "enumerate_bruhat", lambda params: fake)
+        out = tmp_path / "instance.out"
+        assert main(["export", "--bruhat", "4", "1", kind, "--format", fmt,
+                     "--out", str(out)]) == 1
+        message = "a structure map sends a family to {{1,2},{1,3}}, which was not enumerated"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
 
 class TestNoFamilyObjects:

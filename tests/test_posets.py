@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import (
     OverLimit,
-    addable_bits,
     addable_cover,
     addable_thinned,
     any_beat_core,
     bitwise_transpose,
+    bounded_thinning,
     chain_f_vector,
+    dissection_instance,
     homology_dict,
     member_column_inclusion_rows,
     members,
@@ -29,7 +30,6 @@ from helpers import (
 from higher_bruhat import posets
 from higher_bruhat.bruhat import (
     OrderKind,
-    dissection_instance,
     enumerate_bruhat,
     to_poset,
 )
@@ -671,13 +671,7 @@ class TestCertifiedAgainstPairWalk:
         # upper cover and b another lower one, keeps the single-step order
         # bounded but loses a <= b from it; inclusion keeps every pair
         full = enumerate_bruhat(GroundParams(4, 1))
-        uppers = [a for a, _ in full.covers]
-        lowers = [b for _, b in full.covers]
-        mutant = next(
-            m for m in addable_bits(full)
-            if uppers.count(addable_cover(full, *m)[0]) > 1
-            and lowers.count(addable_cover(full, *m)[1]) > 1
-        )
+        mutant = bounded_thinning(full)
         drop = addable_cover(full, *mutant)
         thinned = addable_thinned(full, *mutant)
         assert thinned.covers == tuple(c for c in full.covers if c != drop)

@@ -21,12 +21,17 @@ import time
 
 import pytest
 
-from helpers import any_beat_core, chain_f_vector, condition_verdicts, full_route_report
+from helpers import (
+    any_beat_core,
+    chain_f_vector,
+    condition_verdicts,
+    dissection_instance,
+    full_route_report,
+)
 from higher_bruhat import cli
 from higher_bruhat.bruhat import (
     OrderKind,
     descent_conditions,
-    dissection_instance,
     enumerate_bruhat,
     to_poset,
 )

@@ -1,13 +1,9 @@
 import pytest
 
 from constructions import is_green, map_f
-from helpers import bitwise_green_witness, chain_carrier_failures
+from helpers import bitwise_green_witness, chain_carrier_failures, dissection_instance
 from higher_bruhat import suspension_check
-from higher_bruhat.bruhat import (
-    OrderKind,
-    dissection_instance,
-    enumerate_bruhat,
-)
+from higher_bruhat.bruhat import OrderKind, enumerate_bruhat
 from higher_bruhat.errors import ConditionViolationError, ParameterError
 from higher_bruhat.posets import (
     FiniteBoundedPoset,
