@@ -9,7 +9,9 @@ dissection (P, Q, the colouring and the maps f, i and j) straight from
 its enumeration.  The library holds only what the certifier runs:
 the paper's constructive proofs of the conditions (admissible
 permutations, build-up chains, interval descent, the suspension of a
-complex) live in the test suite, as oracles.
+complex) and the row builds of the lemma's comparison maps and coned
+carriers, which follow from the conditions by proof, live in the test
+suite, as oracles.
 """
 
 from .bruhat import (
@@ -21,7 +23,6 @@ from .bruhat import (
 )
 from .complexes import SimplicialComplex, make_complex
 from .errors import (
-    ConditionViolationError,
     InconsistentSetError,
     InvariantError,
     NotAPosetError,
@@ -45,17 +46,9 @@ from .posets import (
     from_covers,
     from_relation,
     order_complex,
-    product_with_two_chain,
     proper_part,
 )
 from .subsets import ConsistentSet, GroundParams
-from .suspension_check import (
-    CarrierReport,
-    ConditionReport,
-    DissectionInstance,
-    build_proof_maps,
-    carrier_cone_check,
-    check_conditions,
-)
+from .suspension_check import ConditionReport, DissectionInstance, check_conditions
 
 __version__ = "0.1.0"

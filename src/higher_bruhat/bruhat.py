@@ -51,7 +51,6 @@ __all__ = [
     "to_poset",
     "descent_conditions",
     "dissection_doc",
-    "PROVED_FROM",
     "COLUMN_ROUTE_NOTE",
     "DEFAULT_BFS_LIMIT",
     "DEFAULT_BRUTEFORCE_LIMIT",
@@ -663,13 +662,9 @@ def _not_enumerated(params: GroundParams, family: int) -> InvariantError:
     )
 
 
-# What the column route's proof maps and carrier cones are proved from.
-PROVED_FROM = "the five conditions"
-
 COLUMN_ROUTE_NOTE = (
     "Column route: once every image is an enumerated family, the preconditions "
-    "and green_is_down_set hold by proof; the proof maps and carrier cones are "
-    "proved from the five conditions, not built."
+    "and green_is_down_set hold by proof."
 )
 
 
@@ -744,22 +739,9 @@ def descent_conditions(order: BruhatOrder, kind: OrderKind) -> ConditionReport:
       family that fails its test, though a lower family may fail too, by
       reaching only such families.
 
-    Proved from the five conditions, so not built (check-lemma reports
-    both as passing when the conditions do):
-    - The proof maps g and h (build_proof_maps).  g(x) = (f(x), colour)
-      sends no proper x to a bound, by the extreme fibres, and is monotone
-      since f is and the red elements form an up-set.  h(a,0) = i(a) is
-      proper for a proper (a,0): i(a) at P's bottom would give a = f(i(a))
-      = f(bottom) = Q's bottom, as f is monotone and f(i(Q's bottom)) is
-      Q's bottom; and i(a) is green while P's top is red, lying above the
-      red j(a).  Dually h(a,1) = j(a).  h is monotone since i and j are,
-      and i(b) <= j(b) is the sandwich at i(b), as f(i(b)) = b.
-      g(h(a,s)) = (a,s) by the compositions and the images' colours.
-    - The carrier cones (carrier_cone_check).  For a proper chain from a
-      to b, i(f(a)) <= a <= b <= j(f(b)) by the sandwich, so the apex
-      lies in the carrier.  Both endpoints are bounds only when f(a) is
-      Q's bottom and f(b) Q's top; the extreme fibres then make a red and
-      b green, with a <= b, which the down-set forbids.
+    Proved from the five conditions, as suspension_check's docstring
+    shows, so not built: the proof maps g and h and the carrier cones.
+    check-lemma reports both as passing when the conditions do.
     """
     params = order.params
     _require_level_above_base(params)

@@ -31,7 +31,3 @@ class InvariantError(RuntimeError):
     Raised where a result is provably impossible for well-formed input;
     seeing it means the input was corrupted or there is a bug.
     """
-
-
-class ConditionViolationError(InvariantError):
-    """A proof-skeleton check failed on the supplied instance."""

@@ -7,8 +7,7 @@ keeps its covers, ascending, as cover_pairs.
 
 A FiniteBoundedPoset in hand is always certified, by one of two routes:
 
-- from_covers (and product_with_two_chain, which passes it the covers of
-  the product) certifies by construction.  A Kahn sort puts the cover
+- from_covers certifies by construction.  A Kahn sort puts the cover
   digraph in topological order, and a cycle raises NotAPosetError.  Up
   rows are closed in reverse topological order and down rows in
   topological order.  Acyclicity gives antisymmetry, the closure gives
@@ -39,7 +38,7 @@ prints no label renders none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from itertools import repeat
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -54,7 +53,6 @@ __all__ = [
     "from_relation",
     "proper_part",
     "beat_core",
-    "product_with_two_chain",
     "order_complex",
     "check_monotone",
     "count_chains",
@@ -396,27 +394,6 @@ def beat_core(p: FiniteBoundedPoset, live: int) -> int:
                 live ^= bit
                 changed = True
     return live
-
-
-def product_with_two_chain(q: FiniteBoundedPoset) -> FiniteBoundedPoset:
-    """The poset q x {0,1} with componentwise order.
-
-    Element (a, s) has index a + s * len(q) and label "(a,s)", rendered
-    from q's labels on first read; (a, s) <= (b, t) iff a <= b in q and
-    s <= t.  Its covers are q's in each layer plus (a, 0) < (a, 1).
-    """
-    n = len(q)
-    covers = (
-        q.cover_pairs
-        + tuple((a + n, b + n) for a, b in q.cover_pairs)
-        + tuple((a, a + n) for a in range(n))
-    )
-    return from_covers(range(2 * n), covers, q.bottom, q.top + n, render=partial(_pair_label, q))
-
-
-def _pair_label(q: FiniteBoundedPoset, z: int) -> str:
-    """The label of element z of q x {0,1}."""
-    return f"({q.labels[z % len(q)]},{z // len(q)})"
 
 
 def check_monotone(m: MonotoneMap) -> tuple[bool, list[tuple[int, int]]]:

@@ -1,48 +1,77 @@
 """Mechanical checking of the suspension conditions on a dissected poset.
 
-Given bounded posets P and Q, a green/red dissection of P, and maps
-f: P -> Q and i, j: Q -> P, five conditions together guarantee that the
+Given bounded posets P and Q, a green/red dissection of P, and monotone
+maps f: P -> Q and i, j: Q -> P, five conditions together give that the
 proper part of P is homotopy equivalent to the suspension of the proper
-part of Q.  This module checks the conditions exhaustively, builds the
-comparison maps used in the argument, and verifies that every chain
-has a coned carrier.  Homotopy equivalence itself is NOT certified:
-these are hypothesis and proof-skeleton checks; the homological
-consequence is certified separately by the homology module.
+part of Q.  This module checks the conditions and their preconditions
+exhaustively.  The lemma's proof takes two further steps, the comparison
+maps and the coned carriers, and both follow from the five conditions
+alone, as shown below; check-lemma reports them as proved whenever the
+conditions pass, whichever route decided them.  The homotopy
+equivalence itself is not certified.
+
+The conditions, for every x in P and a in Q: the green elements form a
+down-set (so the red ones an up-set); f(i(a)) = f(j(a)) = a; i(a) is
+green and j(a) red; i(f(x)) <= x <= j(f(x)); the fibre of f over the
+bottom of Q is red off the bottom of P, and the fibre over the top of Q
+green off the top of P.  Write 0 and 1 for the bounds.
+
+- f(0_P) = 0_Q, because f(0_P) <= f(i(0_Q)) = 0_Q; dually f(1_P) = 1_Q.
+  0_P is green, lying below the green i(0_Q), and 1_P red, lying above
+  the red j(1_Q).
+- The proof maps are well defined.  g sends a green proper x to
+  (f(x), 0) and a red one to (f(x), 1) in Q x {0,1}; h sends a proper
+  (a, 0) to i(a) and a proper (a, 1) to j(a); both send bounds to
+  bounds.  A proper x sent to (0_Q, 0) would be green off 0_P in the
+  fibre over 0_Q, and one sent to (1_Q, 1) red off 1_P in the fibre over
+  1_Q, which the extreme fibres forbid.  i(a) = 0_P would give a =
+  f(i(a)) = f(0_P) = 0_Q, and i(a) is green while 1_P is red, so a
+  proper (a, 0) goes to a proper element; dually a proper (a, 1).
+- g is monotone, since f is and the red elements form an up-set.  h is
+  monotone within each layer, since i and j are, and across the layers
+  by the sandwich at i(b): for a <= b, i(a) <= i(b) <= j(f(i(b))) = j(b).
+- g(h(a, s)) = (a, s), by the compositions and the images' colours.
+- Every carrier cones.  The carrier of a chain of the proper part, from
+  a up to b, is the interval from i(f(a)) to j(f(b)) within the proper
+  part; its apex is the lower end when that is proper, else the upper
+  end.  By the sandwich, i(f(a)) <= a <= b <= j(f(b)), so the apex lies
+  in the carrier and is comparable to all of it.  The lower end lies
+  below the proper a and the upper end above b, so both ends are bounds
+  only when i(f(a)) = 0_P and j(f(b)) = 1_P.  Then f(a) = 0_Q and
+  f(b) = 1_Q, so a is red and b green by the extreme fibres, with a <= b,
+  which the down-set forbids.
+
+The test suite builds g, h and every carrier on the rows, as oracles of
+these proofs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .errors import ConditionViolationError, ParameterError
-from .posets import (
-    FiniteBoundedPoset,
-    MonotoneMap,
-    _bits,
-    check_monotone,
-    count_chains,
-    product_with_two_chain,
-    proper_part,
-)
+from .errors import ParameterError
+from .posets import FiniteBoundedPoset, MonotoneMap, check_monotone
 
 __all__ = [
     "DissectionInstance",
     "Check",
     "ConditionReport",
-    "CarrierReport",
     "check_conditions",
-    "build_proof_maps",
-    "carrier_cone_check",
     "CONDITION_NAMES",
     "HOMOTOPY_DISCLAIMER",
+    "PROVED_FROM",
 ]
 
 HOMOTOPY_DISCLAIMER = (
-    "Checks certify the five conditions and the proof skeleton mechanically; "
-    "homotopy equivalence itself is not certified."
+    "Checks certify the five conditions mechanically; the proof maps and "
+    "carrier cones are proved from them, and homotopy equivalence itself is "
+    "not certified."
 )
+
+# What the proof maps and carrier cones are proved from.
+PROVED_FROM = "the five conditions"
 
 CONDITION_NAMES = (
     "green_is_down_set",
@@ -184,168 +213,3 @@ def check_conditions(inst: DissectionInstance) -> ConditionReport:
     conditions.append(Check("extreme_fibers", witness is None, witness))
 
     return ConditionReport(tuple(pre), tuple(conditions))
-
-
-def build_proof_maps(inst: DissectionInstance) -> tuple[MonotoneMap, MonotoneMap]:
-    """Construct and verify the comparison maps between the proper parts.
-
-    g sends a green proper x to (f(x), 0) and a red proper x to (f(x), 1)
-    in Q x {0,1}; h sends a proper (a, 0) to i(a) and a proper (a, 1) to
-    j(a) back in P.  Both are maps between the bounded posets that send
-    bounds to bounds, so a map is monotone iff its restriction to the
-    proper parts is: a pair involving a bound never violates.  Raises
-    ConditionViolationError if either map sends a proper element to a
-    bound, fails monotonicity, or g o h is not the identity on the proper
-    part.  Assumes check_conditions passes; on broken instances the first
-    violated obligation is reported.
-    """
-    p, q = inst.p, inst.q
-    nq = len(q)
-    doubled = product_with_two_chain(q)
-    bounds_p, bounds_z = (p.bottom, p.top), (doubled.bottom, doubled.top)
-
-    g_images = [0] * len(p)
-    g_images[p.bottom], g_images[p.top] = bounds_z
-    for x in _bits(proper_part(p)):
-        side = 0 if x in inst.green else 1
-        z = inst.f.images[x] + side * nq
-        if z in bounds_z:
-            raise ConditionViolationError(
-                f"g is not well-defined: {p.labels[x]} maps to the bound "
-                f"{doubled.labels[z]}"
-            )
-        g_images[x] = z
-    g = MonotoneMap(p, doubled, tuple(g_images))
-
-    h_images = [0] * len(doubled)
-    h_images[doubled.bottom], h_images[doubled.top] = bounds_p
-    proper_z = _bits(proper_part(doubled))
-    for z in proper_z:
-        a, side = z % nq, z // nq
-        x = (inst.i if side == 0 else inst.j).images[a]
-        if x in bounds_p:
-            raise ConditionViolationError(
-                f"h is not well-defined: {doubled.labels[z]} maps to the bound "
-                f"{p.labels[x]}"
-            )
-        h_images[z] = x
-    h = MonotoneMap(doubled, p, tuple(h_images))
-
-    for name, m in (("g", g), ("h", h)):
-        ok, violations = check_monotone(m)
-        if not ok:
-            x, y = violations[0]
-            raise ConditionViolationError(
-                f"{name} is not order-preserving on {m.source.labels[x]} <= "
-                f"{m.source.labels[y]}"
-            )
-    for z in proper_z:
-        if g.images[h.images[z]] != z:
-            raise ConditionViolationError(
-                f"g(h({doubled.labels[z]})) != {doubled.labels[z]}"
-            )
-    return g, h
-
-
-@dataclass(frozen=True)
-class CarrierReport:
-    total_chains: int
-    chains_checked: int
-    pairs_checked: int
-    failures: tuple[str, ...]
-    notes: tuple[str, ...] = field(default=())
-
-    @property
-    def all_cones(self) -> bool:
-        return not self.failures
-
-
-def carrier_cone_check(inst: DissectionInstance) -> CarrierReport:
-    """Verify that every chain of the proper part of P has a coned carrier.
-
-    For a chain s of the proper part of P, the carrier is the closed
-    interval from i(f(min s)) to j(f(max s)), intersected with the proper
-    part.  At least one endpoint must itself be proper, and that endpoint,
-    the apex, must lie in the carrier; the carrier is then a cone.  No
-    carrier element can be incomparable to the apex, since the apex is
-    either i(f(min s)), below the whole carrier, or j(f(max s)), above it.
-    The carrier depends on s only through its least and greatest
-    elements, and every comparable pair a <= b is itself a chain, so the
-    chains are covered by the comparable pairs of the proper part.
-
-    A pair a <= b decides through its fibre class (f(a), f(b)) alone, so
-    each class is decided once.  One pass over the proper a builds, for
-    each c in Q, fibre[c], the proper elements with f(a) = c, and
-    above[c], the union of their up rows within the proper part.  A class
-    (c, d) is realised by some pair iff above[c] meets fibre[d].  A
-    monotone f realises only classes with c <= d, so d runs over the up
-    row of c in Q.  Every member of above[c] lies in some fibre[d]; if
-    one lies outside the fibres of that row, f is not monotone and a
-    realised class was not tested.  Then, and when a tested class fails,
-    the comparable pairs are walked to list the failures, each named as
-    the chain a<b (or a, when a = b).  Otherwise every realised class, and
-    so every pair and every chain, has a coned carrier.  pairs_checked
-    counts the pairs as the popcounts of the same up rows.
-    """
-    p, q, f = inst.p, inst.q, inst.f.images
-    proper = proper_part(p)
-    fibre = [0] * len(q)
-    above = [0] * len(q)
-    pairs = 0
-    for a in _bits(proper):
-        row = p.leq[a] & proper
-        fibre[f[a]] |= 1 << a
-        above[f[a]] |= row
-        pairs += row.bit_count()
-    failures = [] if _classes_cone(inst, fibre, above) else _pair_failures(inst, proper)
-    total = count_chains(p, proper)
-    return CarrierReport(
-        total_chains=total,
-        chains_checked=total,
-        pairs_checked=pairs,
-        failures=tuple(failures),
-        notes=(HOMOTOPY_DISCLAIMER,),
-    )
-
-
-def _cone_failure(p: FiniteBoundedPoset, lo: int, hi: int) -> str | None:
-    """Why the carrier from lo to hi is not a cone, or None when it is.
-
-    The apex is lo when lo is proper, else hi when hi is.  Being proper,
-    it lies in the carrier iff lo <= apex <= hi, that is iff lo <= hi.
-    """
-    bounds = (p.bottom, p.top)
-    if lo in bounds and hi in bounds:
-        return "neither carrier endpoint is proper"
-    if not p.le(lo, hi):
-        apex = hi if lo in bounds else lo
-        return f"apex {p.labels[apex]} outside its carrier"
-    return None
-
-
-def _classes_cone(inst: DissectionInstance, fibre: list[int], above: list[int]) -> bool:
-    """True iff every realised fibre class is tested and has a coned carrier."""
-    p, q, i, j = inst.p, inst.q, inst.i.images, inst.j.images
-    for c, reach in enumerate(above):
-        tested = 0
-        for d in _bits(q.leq[c]):
-            if reach & fibre[d] and _cone_failure(p, i[c], j[d]):
-                return False
-            tested |= fibre[d]
-        if reach & ~tested:
-            return False
-    return True
-
-
-def _pair_failures(inst: DissectionInstance, proper: int) -> list[str]:
-    """The carrier failures of the comparable proper pairs of P, pair by pair."""
-    p, f, i, j = inst.p, inst.f.images, inst.i.images, inst.j.images
-    failures = []
-    for a in _bits(proper):
-        lo = i[f[a]]
-        for b in _bits(p.leq[a] & proper):
-            why = _cone_failure(p, lo, j[f[b]])
-            if why:
-                chain = p.labels[a] if a == b else f"{p.labels[a]}<{p.labels[b]}"
-                failures.append(f"chain {chain}: {why}")
-    return failures

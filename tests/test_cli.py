@@ -13,6 +13,8 @@ from helpers import (
     addable_thinned,
     any_beat_core,
     bounded_thinning,
+    build_proof_maps,
+    carrier_cone_check,
     chain_f_vector,
     closure_reach_rows,
     dissection_instance,
@@ -34,11 +36,7 @@ from higher_bruhat.cli import main
 from higher_bruhat.instance_io import SCHEMA_VERSION, load_instance, poset_to_doc
 from higher_bruhat.posets import count_chains, from_covers, proper_part
 from higher_bruhat.subsets import ConsistentSet, GroundParams, colex_rank
-from higher_bruhat.suspension_check import (
-    HOMOTOPY_DISCLAIMER,
-    build_proof_maps,
-    carrier_cone_check,
-)
+from higher_bruhat.suspension_check import HOMOTOPY_DISCLAIMER
 
 
 def read_json(path):
@@ -203,12 +201,10 @@ class TestCheckLemmaCommand:
         proved = {"proved_from": "the five conditions"}
         assert report["proof_maps"] == {"error": None, "passed": True, **proved}
         assert report["carrier"] == {"failures": [], "notes": [HOMOTOPY_DISCLAIMER], **proved}
-        # the row route builds what the column route proves
+        # the row oracles build what check-lemma proves
         inst = dissection_instance(enumerate_bruhat(GroundParams(4, 1)), OrderKind(order))
         build_proof_maps(inst)
-        carrier = carrier_cone_check(inst)
-        assert carrier.chains_checked == carrier.total_chains
-        assert carrier.failures == ()
+        assert carrier_cone_check(inst).failures == ()
 
     def test_sampling_flags_are_gone(self):
         for flag in ("--max-chains", "--seed"):
@@ -399,7 +395,11 @@ class TestCheckLemmaCommand:
         assert report["all_pass"] is True
         assert report["route"] == "rows"
         assert report["notes"] == [HOMOTOPY_DISCLAIMER]
-        assert report["carrier"]["chains_checked"] == report["carrier"]["total_chains"] == 6
+        # the row route proves the proof maps and carrier as the column route
+        # does, and counts no chain
+        proved = {"proved_from": "the five conditions"}
+        assert report["proof_maps"] == {"error": None, "passed": True, **proved}
+        assert report["carrier"] == {"failures": [], "notes": [HOMOTOPY_DISCLAIMER], **proved}
 
 
 def first_failure(report):
@@ -931,6 +931,10 @@ def row_route_export(order, kind):
 EXPORT_CASES = [(n, k) for n in range(1, 7) for k in range(n)] + [(7, 3)]
 
 
+# The blocks of a check-lemma report that do not depend on its route.
+ROUTE_FREE_BLOCKS = ("preconditions", "conditions", "proof_maps", "carrier", "all_pass")
+
+
 class TestExportWriter:
     """export --bruhat writes from the order what the row route writes from posets."""
 
@@ -942,6 +946,20 @@ class TestExportWriter:
                      "--format", "json", "--out", str(out)]) == 0
         expected = row_route_export(enumerate_bruhat(GroundParams(n, k)), kind)
         assert out.read_bytes() == expected.encode("utf-8")
+        # check-lemma decides the export on rows as the instance on columns;
+        # the base case n = k+1 has no level below and exits 3 on both
+        columns, rows = tmp_path / "columns.json", tmp_path / "rows.json"
+        code = main(["check-lemma", "--bruhat", str(n), str(k), kind.value,
+                     "--out", str(columns)])
+        assert main(["check-lemma", "--instance", str(out), "--out", str(rows)]) == code
+        if n == k + 1:
+            assert code == 3
+            return
+        assert code == 0
+        by_columns, by_rows = read_json(columns), read_json(rows)
+        assert (by_columns["route"], by_rows["route"]) == ("columns", "rows")
+        for block in ROUTE_FREE_BLOCKS:
+            assert by_columns[block] == by_rows[block]
 
     def test_matches_the_row_route_where_the_orders_differ(self, monkeypatch, tmp_path):
         # the thinned B(4,1) loses a single-step pair that inclusion keeps,

@@ -8,6 +8,7 @@ from constructions import from_facets, suspension
 from helpers import (
     dense_matmul,
     homology_dict,
+    product_with_two_chain,
     proper_part_complex,
     random_bounded_poset,
     random_complex,
@@ -24,7 +25,6 @@ from higher_bruhat.homology import (
     reduced_homology,
     smith_normal_form,
 )
-from higher_bruhat.posets import product_with_two_chain
 from higher_bruhat.subsets import GroundParams
 
 EMPTY = make_complex(0, [])

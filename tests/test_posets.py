@@ -24,6 +24,7 @@ from helpers import (
     naive_inclusion_rows,
     pair_walk_check_monotone,
     pair_walk_validate,
+    product_with_two_chain,
     random_bounded_poset,
     size_sorted_count_chains,
 )
@@ -45,7 +46,6 @@ from higher_bruhat.posets import (
     from_relation,
     iter_chains,
     order_complex,
-    product_with_two_chain,
     proper_part,
 )
 from higher_bruhat.subsets import GroundParams

@@ -2,11 +2,12 @@
 
 B(6,2) is enumerable (908 elements) but its proper part has ~10^11
 chains: the sphericity route decides it on the 14-point beat-point core,
-whose complex has 75 simplices, while the row route's carrier pass still
+whose complex has 75 simplices, while the row oracle's carrier pass still
 covers every chain, because it decides the fibre classes of the 50,598
 comparable pairs that bound them.  The same pass decides B(7,3) and
 B(7,2), with ~10^21 and ~10^23 chains, and each of these row runs is the
-oracle of the column route that check-lemma takes on the same instance.
+oracle of the column route that check-lemma takes on the same instance,
+and of the proof by which it reports the carrier cones.
 B(5,1) certifies in well under a second, because homology runs on the
 14-point beat-point core of its 118-point proper part.  The cross-check
 against Smith normal form on the whole order complex takes a few
@@ -23,6 +24,8 @@ import pytest
 
 from helpers import (
     any_beat_core,
+    build_proof_maps,
+    carrier_cone_check,
     chain_f_vector,
     condition_verdicts,
     dissection_instance,
@@ -36,9 +39,9 @@ from higher_bruhat.bruhat import (
     to_poset,
 )
 from higher_bruhat.cli import main
-from higher_bruhat.posets import beat_core, proper_part
+from higher_bruhat.posets import beat_core, count_chains, proper_part
 from higher_bruhat.subsets import GroundParams
-from higher_bruhat.suspension_check import build_proof_maps, carrier_cone_check, check_conditions
+from higher_bruhat.suspension_check import check_conditions
 
 
 def test_six_two_enumerates():
@@ -73,24 +76,25 @@ def test_six_two_sphericity_decided_on_the_core(tmp_path, monkeypatch):
 
 
 def row_route(n, k, kind):
-    """The order and the row route's condition and carrier reports, by library calls.
+    """The order, the row conditions, the carrier oracle's report and the chain count.
 
-    check-lemma --bruhat decides on the column route and proves the proof
-    maps and the carrier; these pins build and count them on the rows.
+    check-lemma decides the conditions and proves the proof maps and the
+    carrier; these pins build and count them on the rows.
     """
     order = enumerate_bruhat(GroundParams(n, k))
     inst = dissection_instance(order, OrderKind(kind))
     conditions = check_conditions(inst)
     build_proof_maps(inst)
-    return order, conditions, carrier_cone_check(inst)
+    chains = count_chains(inst.p, proper_part(inst.p))
+    return order, conditions, carrier_cone_check(inst), chains
 
 
 def test_six_two_carrier_check_is_exhaustive():
-    order, conditions, carrier = row_route(6, 2, "single_step")
+    order, conditions, carrier, chains = row_route(6, 2, "single_step")
     assert conditions.all_pass is True
     assert carrier.failures == ()
     assert carrier.pairs_checked == 50_598
-    assert carrier.chains_checked == carrier.total_chains == 99_888_984_062
+    assert chains == 99_888_984_062
     columns = descent_conditions(order, OrderKind.SINGLE_STEP)
     assert condition_verdicts(columns) == condition_verdicts(conditions)
 
@@ -106,11 +110,11 @@ def test_six_two_carrier_check_is_exhaustive():
 def test_seven_rung_carrier_check_is_exhaustive(n, k, kind, pairs, chains):
     # the carrier check decides per fibre class, so B(7,2) takes seconds;
     # the pair and chain totals were recorded from the per-pair walk
-    order, conditions, carrier = row_route(n, k, kind)
+    order, conditions, carrier, counted = row_route(n, k, kind)
     assert conditions.all_pass is True
     assert carrier.failures == ()
     assert carrier.pairs_checked == pairs
-    assert carrier.chains_checked == carrier.total_chains == chains
+    assert counted == chains
     # the same row run is the column route's oracle on this rung.  B(7,2)
     # has no row run under inclusion (it would add seconds), but
     # compare-orders finds that its two orders coincide (10,984,675

@@ -1,24 +1,35 @@
+import random
+from dataclasses import replace
+
 import pytest
 
+import helpers
 from constructions import is_green, map_f
-from helpers import bitwise_green_witness, chain_carrier_failures, dissection_instance
-from higher_bruhat import suspension_check
+from helpers import (
+    ConditionViolationError,
+    bitwise_green_witness,
+    build_proof_maps,
+    carrier_cone_check,
+    chain_carrier_failures,
+    dissection_instance,
+    product_with_two_chain,
+    random_bounded_poset,
+)
 from higher_bruhat.bruhat import OrderKind, enumerate_bruhat
-from higher_bruhat.errors import ConditionViolationError, ParameterError
+from higher_bruhat.errors import ParameterError
 from higher_bruhat.posets import (
     FiniteBoundedPoset,
     MonotoneMap,
+    count_chains,
     from_covers,
     iter_chains,
-    product_with_two_chain,
     proper_part,
 )
 from higher_bruhat.subsets import GroundParams
 from higher_bruhat.suspension_check import (
     CONDITION_NAMES,
+    HOMOTOPY_DISCLAIMER,
     DissectionInstance,
-    build_proof_maps,
-    carrier_cone_check,
     check_conditions,
 )
 
@@ -287,9 +298,9 @@ class TestBuildProofMaps:
 
 class TestCarrierConeCheck:
     def test_all_chains_of_three_one(self):
-        report = carrier_cone_check(bruhat_instance(3, 1))
-        assert report.total_chains == 6
-        assert report.chains_checked == 6
+        inst = bruhat_instance(3, 1)
+        report = carrier_cone_check(inst)
+        assert count_chains(inst.p, proper_part(inst.p)) == 6
         assert report.pairs_checked == 6
         assert report.all_cones
 
@@ -297,10 +308,10 @@ class TestCarrierConeCheck:
     @pytest.mark.parametrize("kind", list(OrderKind))
     def test_exhaustive_larger(self, n, k, kind):
         inst = bruhat_instance(n, k, kind)
-        report = carrier_cone_check(inst)
-        assert report.chains_checked == report.total_chains
-        assert report.total_chains == len(list(iter_chains(inst.p, proper_part(inst.p))))
-        assert report.all_cones
+        assert carrier_cone_check(inst).all_cones
+        assert chain_carrier_failures(inst) == set()
+        chains = len(list(iter_chains(inst.p, proper_part(inst.p))))
+        assert count_chains(inst.p, proper_part(inst.p)) == chains
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3)])
     @pytest.mark.parametrize("kind", list(OrderKind))
@@ -342,7 +353,7 @@ class TestCarrierConeCheck:
         def no_walk(inst, proper):
             raise AssertionError("a valid instance walked its pairs")
 
-        monkeypatch.setattr(suspension_check, "_pair_failures", no_walk)
+        monkeypatch.setattr(helpers, "_pair_failures", no_walk)
         report = carrier_cone_check(bruhat_instance(n, k, kind))
         assert report.all_cones
 
@@ -363,6 +374,74 @@ class TestCarrierConeCheck:
         report = carrier_cone_check(swap_sections(bruhat_instance(3, 1)))
         assert not report.all_cones
 
-    def test_disclaimer_always_present(self):
-        report = carrier_cone_check(bruhat_instance(3, 1))
-        assert any("not certified" in note for note in report.notes)
+    def test_disclaimer_says_what_is_not_certified(self):
+        assert "not certified" in HOMOTOPY_DISCLAIMER
+        assert "proved from" in HOMOTOPY_DISCLAIMER
+
+
+def random_dissection(rng):
+    """A dissection of P = Q x {0,1} over a random bounded Q, with interior elements.
+
+    f is the projection, i and j the sections into layers 0 and 1, and
+    green is layer 0.  Over some elements a of Q, P also holds an element
+    m_a with the covers (a,0) < m_a < (a,1).  The fibre of a then holds
+    m_a, which may take either colour when a is proper; over the bottom of
+    Q it is red and over the top green, by the extreme fibres.  Every
+    condition holds, so one edit of a colour or an image may keep them.
+    """
+    q = random_bounded_poset(rng, max_elements=7)
+    doubled = product_with_two_chain(q)
+    nq = len(q)
+    extra = [a for a in range(nq) if rng.random() < 0.5]
+    labels = list(doubled.labels) + [f"m{q.labels[a]}" for a in extra]
+    covers = list(doubled.cover_pairs)
+    green = set(range(nq))
+    for m, a in enumerate(extra, start=2 * nq):
+        covers += [(a, m), (m, a + nq)]
+        if a == q.top or (a != q.bottom and rng.random() < 0.5):
+            green.add(m)
+    p = from_covers(labels, covers, doubled.bottom, doubled.top)
+    f = [z % nq for z in range(2 * nq)] + extra
+    return DissectionInstance(
+        p=p, q=q, green=frozenset(green),
+        f=MonotoneMap(p, q, tuple(f)),
+        i=MonotoneMap(q, p, tuple(range(nq))),
+        j=MonotoneMap(q, p, tuple(range(nq, 2 * nq))),
+    )
+
+
+def random_edit(inst, rng):
+    """inst with one colour flipped or one image of f, i or j redirected."""
+    edit = rng.choice(["green", "f", "i", "j"])
+    if edit == "green":
+        return replace(inst, green=inst.green ^ {rng.randrange(len(inst.p))})
+    m = getattr(inst, edit)
+    images = list(m.images)
+    images[rng.randrange(len(images))] = rng.randrange(len(m.target))
+    return replace(inst, **{edit: MonotoneMap(m.source, m.target, tuple(images))})
+
+
+class TestProofsFromTheConditions:
+    """The five conditions give the proof maps and the carrier cones.
+
+    check-lemma reports both as proved whenever the conditions pass; the
+    row oracles check that on random dissections, one edit away from
+    passing.
+    """
+
+    def test_random_edits(self):
+        rng = random.Random(23)
+        passed = failed = edited_passes = 0
+        for _ in range(400):
+            base = random_dissection(rng)
+            assert check_conditions(base).all_pass
+            inst = random_edit(base, rng)
+            if not check_conditions(inst).all_pass:
+                failed += 1
+                continue
+            passed += 1
+            edited_passes += inst != base
+            build_proof_maps(inst)
+            assert carrier_cone_check(inst).all_cones
+            assert chain_carrier_failures(inst) == set()
+        assert passed and failed and edited_passes
