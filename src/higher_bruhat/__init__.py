@@ -41,7 +41,6 @@ from .homology import (
 )
 from .posets import (
     FiniteBoundedPoset,
-    MonotoneMap,
     check_monotone,
     from_covers,
     from_relation,

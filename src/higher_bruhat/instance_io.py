@@ -17,9 +17,11 @@ alone (the command line's --bruhat N K ORDER is the same block inline):
     {"schema": 1, "bruhat": {"n": 4, "k": 1, "order": "single_step"}}
 
 schema is the integer 1.  A bruhat block takes the keys n, k and order
-(default single_step) and no other.  Labels must be unique; covers and
-maps refer to labels.  A Bruhat instance exports in the explicit form,
-written straight from its enumeration (bruhat.dissection_doc).  Exported
+(default single_step) and no other.  Labels must be unique; covers,
+green and maps refer to labels, and parse_instance_doc resolves them all
+into indices, with one label-to-index dict per poset.  A Bruhat instance
+exports in the explicit form, written straight from its enumeration
+(bruhat.dissection_doc), an explicit one from its indices.  Exported
 documents are byte-deterministic for a fixed input and library version.
 """
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 from .bruhat import OrderKind, dissection_doc, enumerate_bruhat
 from .errors import ParameterError
-from .posets import FiniteBoundedPoset, MonotoneMap, from_covers
+from .posets import FiniteBoundedPoset, from_covers
 from .subsets import GroundParams
 from .suspension_check import DissectionInstance
 
@@ -49,98 +51,82 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class LoadedInstance:
-    """Either Bruhat parameters or explicit poset material."""
+    """Bruhat parameters, or P, Q, P's green indices and the image tables f, i, j."""
 
     bruhat: tuple[GroundParams, OrderKind] | None = None
     p: FiniteBoundedPoset | None = None
     q: FiniteBoundedPoset | None = None
-    green_labels: tuple[str, ...] | None = None
-    map_tables: dict | None = None
-
-    def green_indices(self) -> frozenset[int] | None:
-        """Indices in P of the green labels, or None without a green list."""
-        if self.green_labels is None:
-            return None
-        pos = {lbl: i for i, lbl in enumerate(self.p.labels)}
-        out = set()
-        for lbl in self.green_labels:
-            if lbl not in pos:
-                raise ParameterError(f"green label {lbl!r} is not an element")
-            out.add(pos[lbl])
-        return frozenset(out)
+    green: frozenset[int] | None = None
+    maps: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None = None
 
     def resolve_dissection(self) -> DissectionInstance:
-        """Assemble an explicit instance's dissection, or fail with ParameterError.
+        """An explicit instance's dissection, or ParameterError if it lacks a piece.
 
         A Bruhat instance is not resolved here: check-lemma decides it from
         member columns, and to_doc writes its document from the order.
         """
-        if self.p is None or self.q is None:
-            raise ParameterError("instance needs both P and Q poset blocks")
-        if self.green_labels is None:
-            raise ParameterError("instance needs a green list")
-        if not self.map_tables or set(self.map_tables) != {"f", "i", "j"}:
-            raise ParameterError("instance needs label maps f, i and j")
-        green = self.green_indices()
-        f, i, j = self._label_maps()
-        return DissectionInstance(p=self.p, q=self.q, green=green, f=f, i=i, j=j)
-
-    def _label_maps(self) -> tuple[MonotoneMap, MonotoneMap, MonotoneMap]:
-        """The maps f, i and j of the label tables.
-
-        A table that misses a label of its source, or sends one to a label
-        its target does not have, raises ParameterError.
-        """
-        p, q = self.p, self.q
-        p_pos = {lbl: i for i, lbl in enumerate(p.labels)}
-        q_pos = {lbl: i for i, lbl in enumerate(q.labels)}
-
-        def table_to_map(name, source, target, target_pos) -> MonotoneMap:
-            table = self.map_tables[name]
-            images = []
-            for lbl in source.labels:
-                if lbl not in table:
-                    raise ParameterError(f"map {name} is not total: missing {lbl!r}")
-                img = table[lbl]
-                if not isinstance(img, str) or img not in target_pos:
-                    raise ParameterError(f"map {name} sends {lbl!r} to unknown {img!r}")
-                images.append(target_pos[img])
-            return MonotoneMap(source, target, tuple(images))
-
-        return (
-            table_to_map("f", p, q, q_pos),
-            table_to_map("i", q, p, p_pos),
-            table_to_map("j", q, p, p_pos),
-        )
+        _require_complete(self.p, self.q, self.green, self.maps is not None)
+        return DissectionInstance(self.p, self.q, self.green, *self.maps)
 
     def to_doc(self, max_subsets: int | None = None) -> dict:
         """The explicit document of this instance, as export writes it.
 
         A Bruhat instance's document is written from its enumeration by
         dissection_doc; in the base case n = k+1 there is no level below,
-        and it holds P and green alone.  An explicit instance's map tables
-        are written only when resolve_dissection accepts them, so
-        check-lemma can read every exported file that has maps; it raises
-        ParameterError otherwise.
+        and it holds P and green alone.  An explicit instance's document is
+        written from its indices, so a table key outside its source is not
+        written back.  Maps are read only with a complete instance, so
+        check-lemma reads every export that has them.
         """
         if self.bruhat is not None:
             params, kind = self.bruhat
             order = enumerate_bruhat(params, max_subsets=max_subsets)
             return {"schema": SCHEMA_VERSION, **dissection_doc(order, kind)}
-        p, q, green, maps = self.p, self.q, self.green_indices(), self.map_tables
-        if maps is not None:
-            self.resolve_dissection()
+        p, q = self.p, self.q
         doc = {"schema": SCHEMA_VERSION, "P": poset_to_doc(p)}
         if q is not None:
             doc["Q"] = poset_to_doc(q)
-        if green is not None:
-            doc["green"] = [p.labels[i] for i in sorted(green)]
-        if maps is not None:
-            doc["maps"] = maps
+        if self.green is not None:
+            doc["green"] = [p.labels[x] for x in sorted(self.green)]
+        if self.maps is not None:
+            doc["maps"] = {
+                name: dict(zip(source.labels, map(target.labels.__getitem__, images)))
+                for name, source, target, images in zip("fij", (p, q, q), (q, p, p), self.maps)
+            }
         return doc
 
 
-def poset_from_doc(doc) -> FiniteBoundedPoset:
+def _require_complete(p, q, green, has_maps: bool) -> None:
+    """Refuse a dissection that lacks P and Q, green or the maps f, i and j."""
+    if p is None or q is None:
+        raise ParameterError("instance needs both P and Q poset blocks")
+    if green is None:
+        raise ParameterError("instance needs a green list")
+    if not has_maps:
+        raise ParameterError("instance needs label maps f, i and j")
+
+
+def _resolve_table(
+    name: str, table: dict, source: tuple[str, ...], target_pos: dict[str, int]
+) -> tuple[int, ...]:
+    """The image indices of a label table, in source order.
+
+    A table that misses a label of its source, or sends one to a label its
+    target does not have, raises ParameterError.
+    """
+    images = []
+    for lbl in source:
+        if lbl not in table:
+            raise ParameterError(f"map {name} is not total: missing {lbl!r}")
+        img = table[lbl]
+        if not isinstance(img, str) or img not in target_pos:
+            raise ParameterError(f"map {name} sends {lbl!r} to unknown {img!r}")
+        images.append(target_pos[img])
+    return tuple(images)
+
+
+def poset_from_doc(doc) -> tuple[FiniteBoundedPoset, dict[str, int]]:
+    """The poset of a poset block and the index of each of its labels."""
     if not isinstance(doc, dict):
         raise ParameterError("poset block must be an object")
     try:
@@ -166,7 +152,7 @@ def poset_from_doc(doc) -> FiniteBoundedPoset:
         pairs.append((pos[pair[0]], pos[pair[1]]))
     if not all(isinstance(x, str) and x in pos for x in (bottom, top)):
         raise ParameterError("bottom/top must be existing labels")
-    return from_covers(tuple(labels), pairs, pos[bottom], pos[top])
+    return from_covers(tuple(labels), pairs, pos[bottom], pos[top]), pos
 
 
 def poset_to_doc(p: FiniteBoundedPoset) -> dict:
@@ -200,6 +186,11 @@ def parse_bruhat_block(block) -> tuple[GroundParams, OrderKind]:
 
 
 def parse_instance_doc(doc) -> LoadedInstance:
+    """The instance a document describes, its labels resolved into indices.
+
+    Maps call for a complete instance, checked before the green labels and
+    the tables f, i and j are resolved; ParameterError refuses a document.
+    """
     if not isinstance(doc, dict):
         raise ParameterError("instance document must be a JSON object")
     schema = doc.get("schema")
@@ -214,19 +205,30 @@ def parse_instance_doc(doc) -> LoadedInstance:
         return LoadedInstance(bruhat=parse_bruhat_block(doc["bruhat"]))
     if "P" not in doc:
         raise ParameterError("instance document needs a P block or a bruhat block")
-    p = poset_from_doc(doc["P"])
-    q = poset_from_doc(doc["Q"]) if "Q" in doc else None
+    p, p_pos = poset_from_doc(doc["P"])
+    q, q_pos = poset_from_doc(doc["Q"]) if "Q" in doc else (None, None)
     green = doc.get("green")
-    if green is not None:
-        if not isinstance(green, list) or not all(isinstance(x, str) for x in green):
-            raise ParameterError("green must be a list of labels")
-        green = tuple(green)
-    maps = doc.get("maps")
-    if maps is not None and (
-        not isinstance(maps, dict) or not all(isinstance(t, dict) for t in maps.values())
+    if green is not None and (
+        not isinstance(green, list) or not all(isinstance(x, str) for x in green)
     ):
-        raise ParameterError("maps must be an object of label tables")
-    return LoadedInstance(p=p, q=q, green_labels=green, map_tables=maps)
+        raise ParameterError("green must be a list of labels")
+    maps = doc.get("maps")
+    if maps is not None:
+        if not isinstance(maps, dict) or not all(isinstance(t, dict) for t in maps.values()):
+            raise ParameterError("maps must be an object of label tables")
+        _require_complete(p, q, green, bool(maps) and set(maps) == {"f", "i", "j"})
+    if green is not None:
+        try:
+            green = frozenset(map(p_pos.__getitem__, green))
+        except KeyError as exc:
+            raise ParameterError(f"green label {exc.args[0]!r} is not an element")
+    if maps is not None:
+        maps = (
+            _resolve_table("f", maps["f"], p.labels, q_pos),
+            _resolve_table("i", maps["i"], q.labels, p_pos),
+            _resolve_table("j", maps["j"], q.labels, p_pos),
+        )
+    return LoadedInstance(p=p, q=q, green=green, maps=maps)
 
 
 def load_instance(path: str) -> LoadedInstance:

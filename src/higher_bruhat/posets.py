@@ -29,6 +29,9 @@ renumbered, and chains and cores are given as indices into p.
 Bit indices are read out of a row with one linear scan of its binary
 string, not one full-width operation per bit.
 
+A map between posets is its image table, one target index per source
+element; check_monotone takes the source and target beside it.
+
 Labels serve reports and error messages only.  from_covers can take
 distinct keys and an injective renderer in their place; the poset then
 renders its labels on their first read and keeps them, so a route that
@@ -48,7 +51,6 @@ from .errors import NotAPosetError, NotBoundedError, ParameterError
 
 __all__ = [
     "FiniteBoundedPoset",
-    "MonotoneMap",
     "from_covers",
     "from_relation",
     "proper_part",
@@ -139,8 +141,7 @@ class FiniteBoundedPoset:
     """A finite poset with a least and a greatest element.
 
     Calling the class validates the relation rows as from_relation does;
-    from_covers builds a poset certified by construction.  Equality reads
-    the labels last, so posets whose rows differ render none.
+    from_covers builds a poset certified by construction.
     """
 
     labels: tuple[str, ...]
@@ -185,14 +186,6 @@ class FiniteBoundedPoset:
             return self.__dict__.setdefault("labels", tuple(map(render, keys)))
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            (self.leq, self.bottom, self.top) == (other.leq, other.bottom, other.top)
-            and self.labels == other.labels
-        )
-
     def __len__(self) -> int:
         return len(self.leq)
 
@@ -202,26 +195,6 @@ class FiniteBoundedPoset:
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction as (lower, upper) index pairs, ascending."""
         return self.cover_pairs
-
-
-@dataclass(frozen=True)
-class MonotoneMap:
-    """A map between posets given by per-element target indices."""
-
-    source: FiniteBoundedPoset
-    target: FiniteBoundedPoset
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.images) != len(self.source):
-            raise ParameterError("image table does not cover the source")
-        n_target = len(self.target)
-        for i, img in enumerate(self.images):
-            if not 0 <= img < n_target:
-                raise ParameterError(f"image of {self.source.labels[i]} is out of range")
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
 
 
 def from_relation(
@@ -396,19 +369,22 @@ def beat_core(p: FiniteBoundedPoset, live: int) -> int:
     return live
 
 
-def check_monotone(m: MonotoneMap) -> tuple[bool, list[tuple[int, int]]]:
-    """Exhaustively verify order preservation; returns (ok, violating pairs).
+def check_monotone(
+    source: FiniteBoundedPoset, target: FiniteBoundedPoset, images: Sequence[int]
+) -> tuple[bool, list[tuple[int, int]]]:
+    """Exhaustively verify that the map x -> images[x] from source to target
+    preserves order; returns (ok, violating pairs).
 
     A map into a transitive relation preserves every comparable pair iff it
     preserves the covers, so the source's covers decide.  Only when one
     fails are all comparable pairs walked, to list the violations.
     """
-    target, images = m.target.leq, m.images
-    if all(target[images[a]] >> images[b] & 1 for a, b in m.source.cover_pairs):
+    up = target.leq
+    if all(up[images[a]] >> images[b] & 1 for a, b in source.cover_pairs):
         return True, []
     violations = []
-    for i, row in enumerate(m.source.leq):
-        reach = target[images[i]]
+    for i, row in enumerate(source.leq):
+        reach = up[images[i]]
         violations.extend((i, j) for j in _bits(row) if not reach >> images[j] & 1)
     return not violations, violations
 

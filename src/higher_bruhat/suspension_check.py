@@ -3,12 +3,15 @@
 Given bounded posets P and Q, a green/red dissection of P, and monotone
 maps f: P -> Q and i, j: Q -> P, five conditions together give that the
 proper part of P is homotopy equivalent to the suspension of the proper
-part of Q.  This module checks the conditions and their preconditions
-exhaustively.  The lemma's proof takes two further steps, the comparison
-maps and the coned carriers, and both follow from the five conditions
-alone, as shown below; check-lemma reports them as proved whenever the
-conditions pass, whichever route decided them.  The homotopy
-equivalence itself is not certified.
+part of Q.  A DissectionInstance holds each map as its image table, a
+tuple of indices into its target; an instance file's labels are
+resolved into these indices when the file is read (instance_io).  This
+module checks the conditions and their preconditions exhaustively.  The
+lemma's proof takes two further steps, the comparison maps and the
+coned carriers, and both follow from the five conditions alone, as
+shown below; check-lemma reports them as proved whenever the conditions
+pass, whichever route decided them.  The homotopy equivalence itself is
+not certified.
 
 The conditions, for every x in P and a in Q: the green elements form a
 down-set (so the red ones an up-set); f(i(a)) = f(j(a)) = a; i(a) is
@@ -52,7 +55,7 @@ from functools import reduce
 from operator import or_
 
 from .errors import ParameterError
-from .posets import FiniteBoundedPoset, MonotoneMap, check_monotone
+from .posets import FiniteBoundedPoset, check_monotone
 
 __all__ = [
     "DissectionInstance",
@@ -84,24 +87,28 @@ CONDITION_NAMES = (
 
 @dataclass(frozen=True)
 class DissectionInstance:
-    """Posets P and Q, a green element set of P, and maps f, i, j."""
+    """Posets P and Q, green indices of P, and image tables: f[x] in Q, i[a] and j[a] in P."""
 
     p: FiniteBoundedPoset
     q: FiniteBoundedPoset
     green: frozenset[int]
-    f: MonotoneMap
-    i: MonotoneMap
-    j: MonotoneMap
+    f: tuple[int, ...]
+    i: tuple[int, ...]
+    j: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.f.source != self.p or self.f.target != self.q:
-            raise ParameterError("f must map P to Q")
-        if self.i.source != self.q or self.i.target != self.p:
-            raise ParameterError("i must map Q to P")
-        if self.j.source != self.q or self.j.target != self.p:
-            raise ParameterError("j must map Q to P")
+        p, q = self.p, self.q
+        for name, images, source, target in (
+            ("f", self.f, p, q), ("i", self.i, q, p), ("j", self.j, q, p)
+        ):
+            if len(images) != len(source):
+                raise ParameterError(f"image table of {name} does not cover its source")
+            n = len(target)
+            x = next((x for x, img in enumerate(images) if not 0 <= img < n), None)
+            if x is not None:
+                raise ParameterError(f"image of {source.labels[x]} under {name} is out of range")
         for g in self.green:
-            if not 0 <= g < len(self.p):
+            if not 0 <= g < len(p):
                 raise ParameterError(f"green index {g} out of range")
 
 
@@ -130,8 +137,8 @@ def check_conditions(inst: DissectionInstance) -> ConditionReport:
 
     Labels are read only to write a witness, so a pass renders none.
     """
-    p, q = inst.p, inst.q
-    green = inst.green
+    p, q, green = inst.p, inst.q, inst.green
+    f, i, j = inst.f, inst.i, inst.j
 
     pre = [
         Check("p_bounded", True),
@@ -142,11 +149,13 @@ def check_conditions(inst: DissectionInstance) -> ConditionReport:
             None if q.bottom != q.top else f"bottom and top of Q coincide at {q.labels[q.bottom]}",
         ),
     ]
-    for name, m in (("f_monotone", inst.f), ("i_monotone", inst.i), ("j_monotone", inst.j)):
-        ok, violations = check_monotone(m)
+    for name, source, target, images in (
+        ("f_monotone", p, q, f), ("i_monotone", q, p, i), ("j_monotone", q, p, j)
+    ):
+        ok, violations = check_monotone(source, target, images)
         witness = None
         if not ok:
-            src = m.source.labels
+            src = source.labels
             x, y = violations[0]
             witness = f"{src[x]} <= {src[y]} but images are incomparable or reversed"
         pre.append(Check(name, ok, witness))
@@ -170,10 +179,10 @@ def check_conditions(inst: DissectionInstance) -> ConditionReport:
     # f composed with i and with j is the identity on Q
     witness = None
     for a in range(len(q)):
-        if inst.f.images[inst.i.images[a]] != a:
+        if f[i[a]] != a:
             witness = f"f(i({q.labels[a]})) != {q.labels[a]}"
             break
-        if inst.f.images[inst.j.images[a]] != a:
+        if f[j[a]] != a:
             witness = f"f(j({q.labels[a]})) != {q.labels[a]}"
             break
     conditions.append(Check("compositions_identity", witness is None, witness))
@@ -181,22 +190,22 @@ def check_conditions(inst: DissectionInstance) -> ConditionReport:
     # image of i is green, image of j is red
     witness = None
     for a in range(len(q)):
-        if inst.i.images[a] not in green:
-            witness = f"i({q.labels[a]}) = {p.labels[inst.i.images[a]]} is red"
+        if i[a] not in green:
+            witness = f"i({q.labels[a]}) = {p.labels[i[a]]} is red"
             break
-        if inst.j.images[a] in green:
-            witness = f"j({q.labels[a]}) = {p.labels[inst.j.images[a]]} is green"
+        if j[a] in green:
+            witness = f"j({q.labels[a]}) = {p.labels[j[a]]} is green"
             break
     conditions.append(Check("images_two_colored", witness is None, witness))
 
     # i(f(x)) <= x <= j(f(x)) for every x
     witness = None
     for x in range(len(p)):
-        a = inst.f.images[x]
-        if not p.le(inst.i.images[a], x):
+        a = f[x]
+        if not p.le(i[a], x):
             witness = f"i(f({p.labels[x]})) is not below {p.labels[x]}"
             break
-        if not p.le(x, inst.j.images[a]):
+        if not p.le(x, j[a]):
             witness = f"j(f({p.labels[x]})) is not above {p.labels[x]}"
             break
     conditions.append(Check("sandwich", witness is None, witness))
@@ -204,10 +213,10 @@ def check_conditions(inst: DissectionInstance) -> ConditionReport:
     # fiber over bottom of Q is red off the bottom of P; dually at the top
     witness = None
     for x in range(len(p)):
-        if inst.f.images[x] == q.bottom and x != p.bottom and x in green:
+        if f[x] == q.bottom and x != p.bottom and x in green:
             witness = f"{p.labels[x]} is green in the fiber over the bottom of Q"
             break
-        if inst.f.images[x] == q.top and x != p.top and x not in green:
+        if f[x] == q.top and x != p.top and x not in green:
             witness = f"{p.labels[x]} is red in the fiber over the top of Q"
             break
     conditions.append(Check("extreme_fibers", witness is None, witness))

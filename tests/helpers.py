@@ -527,15 +527,15 @@ def pair_walk_validate(labels, leq, bottom, top):
             raise NotBoundedError(f"{labels[top]} is not above every element")
 
 
-def pair_walk_check_monotone(m):
+def pair_walk_check_monotone(source, target, images):
     """(ok, violating pairs) from every comparable pair of the source."""
     violations = []
-    for i in range(len(m.source.labels)):
-        mm = m.source.leq[i]
+    for i in range(len(source.labels)):
+        mm = source.leq[i]
         while mm:
             low = mm & -mm
             j = low.bit_length() - 1
-            if not m.target.leq[m.images[i]] >> m.images[j] & 1:
+            if not target.leq[images[i]] >> images[j] & 1:
                 violations.append((i, j))
             mm ^= low
     return not violations, violations
@@ -700,7 +700,7 @@ def green(order):
 
 
 def dissection_instance(order, kind):
-    """The row-route oracle: the level descent as posets and monotone maps.
+    """The row-route oracle: the level descent as posets and image tables.
 
     Builds P from the order and Q from the order one ground-set size down,
     both with to_poset under the relation of the given kind, colours the
@@ -729,9 +729,9 @@ def dissection_instance(order, kind):
         p=p,
         q=q,
         green=green(order),
-        f=posets.MonotoneMap(p, q, f_images),
-        i=posets.MonotoneMap(q, p, i_images),
-        j=posets.MonotoneMap(q, p, j_images),
+        f=f_images,
+        i=i_images,
+        j=j_images,
     )
 
 
@@ -743,11 +743,11 @@ def instance_to_doc(inst):
         "Q": poset_to_doc(inst.q),
         "green": [inst.p.labels[i] for i in sorted(inst.green)],
         "maps": {
-            "f": {inst.p.labels[x]: inst.q.labels[inst.f.images[x]]
+            "f": {inst.p.labels[x]: inst.q.labels[inst.f[x]]
                   for x in range(len(inst.p.labels))},
-            "i": {inst.q.labels[a]: inst.p.labels[inst.i.images[a]]
+            "i": {inst.q.labels[a]: inst.p.labels[inst.i[a]]
                   for a in range(len(inst.q.labels))},
-            "j": {inst.q.labels[a]: inst.p.labels[inst.j.images[a]]
+            "j": {inst.q.labels[a]: inst.p.labels[inst.j[a]]
                   for a in range(len(inst.q.labels))},
         },
     }
@@ -773,8 +773,8 @@ def chain_carrier_failures(inst):
     failures = set()
     for chain in iter_chains(p, proper_part(p)):
         least, greatest = chain[0], chain[-1]
-        lo = inst.i.images[inst.f.images[least]]
-        hi = inst.j.images[inst.f.images[greatest]]
+        lo = inst.i[inst.f[least]]
+        hi = inst.j[inst.f[greatest]]
         name = p.labels[least]
         if least != greatest:
             name += "<" + p.labels[greatest]
@@ -824,6 +824,16 @@ def _pair_label(q, z):
     return f"({q.labels[z % len(q)]},{z // len(q)})"
 
 
+@dataclass(frozen=True)
+class PosetMap:
+    """A map between posets as build_proof_maps returns it: its image table
+    and the posets at both ends."""
+
+    source: FiniteBoundedPoset
+    target: FiniteBoundedPoset
+    images: tuple
+
+
 def build_proof_maps(inst):
     """Build and check the comparison maps between the proper parts, on rows.
 
@@ -845,31 +855,31 @@ def build_proof_maps(inst):
     g_images[p.bottom], g_images[p.top] = bounds_z
     for x in posets._bits(proper_part(p)):
         side = 0 if x in inst.green else 1
-        z = inst.f.images[x] + side * nq
+        z = inst.f[x] + side * nq
         if z in bounds_z:
             raise ConditionViolationError(
                 f"g is not well-defined: {p.labels[x]} maps to the bound "
                 f"{doubled.labels[z]}"
             )
         g_images[x] = z
-    g = posets.MonotoneMap(p, doubled, tuple(g_images))
+    g = PosetMap(p, doubled, tuple(g_images))
 
     h_images = [0] * len(doubled)
     h_images[doubled.bottom], h_images[doubled.top] = bounds_p
     proper_z = posets._bits(proper_part(doubled))
     for z in proper_z:
         a, side = z % nq, z // nq
-        x = (inst.i if side == 0 else inst.j).images[a]
+        x = (inst.i if side == 0 else inst.j)[a]
         if x in bounds_p:
             raise ConditionViolationError(
                 f"h is not well-defined: {doubled.labels[z]} maps to the bound "
                 f"{p.labels[x]}"
             )
         h_images[z] = x
-    h = posets.MonotoneMap(doubled, p, tuple(h_images))
+    h = PosetMap(doubled, p, tuple(h_images))
 
     for name, m in (("g", g), ("h", h)):
-        ok, violations = posets.check_monotone(m)
+        ok, violations = posets.check_monotone(m.source, m.target, m.images)
         if not ok:
             x, y = violations[0]
             raise ConditionViolationError(
@@ -919,7 +929,7 @@ def carrier_cone_check(inst):
     the chain a<b (or a, when a = b).  pairs_checked counts the pairs as
     the popcounts of the same up rows.
     """
-    p, q, f = inst.p, inst.q, inst.f.images
+    p, q, f = inst.p, inst.q, inst.f
     proper = proper_part(p)
     fibre = [0] * len(q)
     above = [0] * len(q)
@@ -950,7 +960,7 @@ def _cone_failure(p, lo, hi):
 
 def _classes_cone(inst, fibre, above):
     """True iff every realised fibre class is tested and has a coned carrier."""
-    p, q, i, j = inst.p, inst.q, inst.i.images, inst.j.images
+    p, q, i, j = inst.p, inst.q, inst.i, inst.j
     for c, reach in enumerate(above):
         tested = 0
         for d in posets._bits(q.leq[c]):
@@ -964,7 +974,7 @@ def _classes_cone(inst, fibre, above):
 
 def _pair_failures(inst, proper):
     """The carrier failures of the comparable proper pairs of P, pair by pair."""
-    p, f, i, j = inst.p, inst.f.images, inst.i.images, inst.j.images
+    p, f, i, j = inst.p, inst.f, inst.i, inst.j
     failures = []
     for a in posets._bits(proper):
         lo = i[f[a]]

@@ -545,9 +545,9 @@ class TestDissectionInstance:
     def test_maps_and_colors_match_the_family_maps(self, n, k, kind):
         big, small = order(n, k), order(n - 1, k)
         inst = dissection_instance(big, kind)
-        assert inst.f.images == tuple(small._index[map_f(u).bits] for u in big.elements)
-        assert inst.i.images == tuple(big._index[map_i(v).bits] for v in small.elements)
-        assert inst.j.images == tuple(big._index[map_j(v).bits] for v in small.elements)
+        assert inst.f == tuple(small._index[map_f(u).bits] for u in big.elements)
+        assert inst.i == tuple(big._index[map_i(v).bits] for v in small.elements)
+        assert inst.j == tuple(big._index[map_j(v).bits] for v in small.elements)
         assert inst.green == frozenset(i for i, u in enumerate(big.elements) if is_green(u))
 
     def test_image_outside_the_target_raises(self, monkeypatch):

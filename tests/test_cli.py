@@ -292,10 +292,11 @@ class TestCheckLemmaCommand:
                 f"error: bruhat block has unknown key {key!r}; use n, k and order\n"
             )
 
-    @pytest.mark.parametrize("fault", ["unknown_image", "missing_label"])
+    @pytest.mark.parametrize("fault", ["unknown_image", "missing_label", "unknown_green"])
     def test_export_checks_map_tables(self, fault, tmp_path, capsys):
-        # export refuses the map tables that check-lemma refuses, with the
-        # same message, instead of writing a file check-lemma cannot read
+        # export refuses the map tables and green labels that check-lemma
+        # refuses, with the same message, instead of writing a file
+        # check-lemma cannot read
         source = tmp_path / "instance.json"
         assert main(["export", "--bruhat", "4", "1", "single_step",
                      "--format", "json", "--out", str(source)]) == 0
@@ -304,9 +305,12 @@ class TestCheckLemmaCommand:
         if fault == "unknown_image":
             doc["maps"]["f"][label] = "nowhere"
             message = f"error: map f sends {label!r} to unknown 'nowhere'\n"
-        else:
+        elif fault == "missing_label":
             del doc["maps"]["f"][label]
             message = f"error: map f is not total: missing {label!r}\n"
+        else:
+            doc["green"].append("nowhere")
+            message = "error: green label 'nowhere' is not an element\n"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         reexport = tmp_path / "reexport.json"
@@ -317,20 +321,33 @@ class TestCheckLemmaCommand:
             assert capsys.readouterr() == ("", message)
         assert not reexport.exists()
 
-    @pytest.mark.parametrize("cut", ["maps", "maps_and_q", "q"])
+    @pytest.mark.parametrize(
+        "cut",
+        ["maps", "maps_and_q", "q", "q_and_green", "no_maps_and_green", "no_maps_and_q_and_green"],
+    )
     def test_export_refuses_maps_that_check_lemma_refuses(self, cut, tmp_path, capsys):
         # any maps object is written only as check-lemma would read it: a
-        # table cut down to one bad image, or maps without Q
+        # table cut down to one bad image, or maps without Q.  Green labels
+        # resolve when the file is read, after the completeness checks
+        # that maps call for: without maps, check-lemma names an unknown
+        # green label before the missing maps or Q, as export does
         source = tmp_path / "instance.json"
         assert main(["export", "--bruhat", "3", "1", "single_step",
                      "--format", "json", "--out", str(source)]) == 0
         doc = read_json(source)
+        faults = cut.split("_and_")
         message = "error: instance needs label maps f, i and j\n"
-        if cut.startswith("maps"):
+        if "maps" in faults:
             doc["maps"] = {"f": {next(iter(doc["maps"]["f"])): "nowhere"}}
-        if cut.endswith("q"):
+        if "no_maps" in faults:
+            del doc["maps"]
+        if "q" in faults:
             del doc["Q"]
             message = "error: instance needs both P and Q poset blocks\n"
+        if "green" in faults:
+            doc["green"].append("nowhere")
+            if "no_maps" in faults:
+                message = "error: green label 'nowhere' is not an element\n"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         reexport = tmp_path / "reexport.json"

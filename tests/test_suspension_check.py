@@ -12,14 +12,15 @@ from helpers import (
     carrier_cone_check,
     chain_carrier_failures,
     dissection_instance,
+    instance_to_doc,
     product_with_two_chain,
     random_bounded_poset,
 )
 from higher_bruhat.bruhat import OrderKind, enumerate_bruhat
 from higher_bruhat.errors import ParameterError
+from higher_bruhat.instance_io import parse_instance_doc
 from higher_bruhat.posets import (
     FiniteBoundedPoset,
-    MonotoneMap,
     count_chains,
     from_covers,
     iter_chains,
@@ -85,12 +86,9 @@ def diagonal_class_fails(inst):
     fibre classes, exactly (c0, c0) loses its cone.
     """
     c0, c1 = one_upper_cover(inst.q)
-    images = list(inst.i.images)
+    images = list(inst.i)
     images[c0] = images[c1]
-    return DissectionInstance(
-        p=inst.p, q=inst.q, green=inst.green,
-        f=inst.f, i=MonotoneMap(inst.q, inst.p, tuple(images)), j=inst.j,
-    ), (c0, c0)
+    return replace(inst, i=tuple(images)), (c0, c0)
 
 
 def off_diagonal_class_fails(inst):
@@ -103,14 +101,10 @@ def off_diagonal_class_fails(inst):
     exactly (c0, c1) loses its cone.
     """
     c0, c1 = one_upper_cover(inst.q)
-    i_images, j_images = list(inst.i.images), list(inst.j.images)
-    i_images[c0] = inst.j.images[c0]
-    j_images[c1] = inst.i.images[c1]
-    return DissectionInstance(
-        p=inst.p, q=inst.q, green=inst.green, f=inst.f,
-        i=MonotoneMap(inst.q, inst.p, tuple(i_images)),
-        j=MonotoneMap(inst.q, inst.p, tuple(j_images)),
-    ), (c0, c1)
+    i_images, j_images = list(inst.i), list(inst.j)
+    i_images[c0] = inst.j[c0]
+    j_images[c1] = inst.i[c1]
+    return replace(inst, i=tuple(i_images), j=tuple(j_images)), (c0, c1)
 
 
 def non_monotone_f(inst):
@@ -126,15 +120,12 @@ def non_monotone_f(inst):
     a0, c = next(
         (a, c) for a in range(len(p)) if pp >> a & 1
         for c in range(len(q)) if qp >> c & 1
-        if any(b != a and pp >> b & 1 and not q.le(c, inst.f.images[b])
+        if any(b != a and pp >> b & 1 and not q.le(c, inst.f[b])
                for b in range(len(p)) if p.le(a, b))
     )
-    images = list(inst.f.images)
+    images = list(inst.f)
     images[a0] = c
-    return DissectionInstance(
-        p=p, q=q, green=inst.green,
-        f=MonotoneMap(p, q, tuple(images)), i=inst.i, j=inst.j,
-    )
+    return replace(inst, f=tuple(images))
 
 
 def failing_pairs(p, failures):
@@ -173,14 +164,7 @@ def dual_instance(inst):
     p = reverse_poset(inst.p)
     q = reverse_poset(inst.q)
     red = frozenset(range(len(p.labels))) - inst.green
-    return DissectionInstance(
-        p=p,
-        q=q,
-        green=red,
-        f=MonotoneMap(p, q, inst.f.images),
-        i=MonotoneMap(q, p, inst.j.images),
-        j=MonotoneMap(q, p, inst.i.images),
-    )
+    return DissectionInstance(p=p, q=q, green=red, f=inst.f, i=inst.j, j=inst.i)
 
 
 class TestCheckConditions:
@@ -221,12 +205,7 @@ class TestCheckConditions:
     def test_one_element_target_fails_precondition(self):
         p = from_covers(["a", "b"], [(0, 1)], 0, 1)
         q = FiniteBoundedPoset(("q",), (0b1,), 0, 0)
-        inst = DissectionInstance(
-            p=p, q=q, green=frozenset({0}),
-            f=MonotoneMap(p, q, (0, 0)),
-            i=MonotoneMap(q, p, (0,)),
-            j=MonotoneMap(q, p, (1,)),
-        )
+        inst = DissectionInstance(p=p, q=q, green=frozenset({0}), f=(0, 0), i=(0,), j=(1,))
         report = check_conditions(inst)
         assert not report.all_pass
         names = {c.name for c in report.failures()}
@@ -237,6 +216,18 @@ class TestCheckConditions:
             inst = bruhat_instance(n, k)
             assert check_conditions(dual_instance(inst)).all_pass
 
+    def test_map_validation(self):
+        # one image per source element, each an index of its target
+        p = from_covers(["a", "b"], [(0, 1)], 0, 1)
+        green = frozenset({0})
+        assert DissectionInstance(p=p, q=p, green=green, f=(0, 1), i=(0, 1), j=(0, 1))
+        with pytest.raises(ParameterError, match="image table of f does not cover its source"):
+            DissectionInstance(p=p, q=p, green=green, f=(0,), i=(0, 1), j=(0, 1))
+        with pytest.raises(ParameterError, match="image of b under f is out of range"):
+            DissectionInstance(p=p, q=p, green=green, f=(0, 5), i=(0, 1), j=(0, 1))
+        with pytest.raises(ParameterError, match="image of a under j is out of range"):
+            DissectionInstance(p=p, q=p, green=green, f=(0, 1), i=(0, 1), j=(-1, 1))
+
     def test_structural_validation(self):
         inst = bruhat_instance(3, 1)
         with pytest.raises(ParameterError):
@@ -244,7 +235,8 @@ class TestCheckConditions:
                 p=inst.p, q=inst.q, green=frozenset({999}),
                 f=inst.f, i=inst.i, j=inst.j,
             )
-        with pytest.raises(ParameterError):
+        # i and f swapped: each table has the other's length
+        with pytest.raises(ParameterError, match="image table of f does not cover its source"):
             DissectionInstance(
                 p=inst.p, q=inst.q, green=inst.green,
                 f=inst.i, i=inst.f, j=inst.j,
@@ -337,7 +329,7 @@ class TestCarrierConeCheck:
         inst, (c, d) = mutant(bruhat_instance(n, k, kind))
         report = carrier_cone_check(inst)
         assert set(report.failures) == chain_carrier_failures(inst)
-        f = inst.f.images
+        f = inst.f
         pp = proper_part(inst.p)
         in_class = {
             (a, b) for a in range(len(inst.p)) for b in range(len(inst.p))
@@ -366,7 +358,7 @@ class TestCarrierConeCheck:
         assert set(report.failures) == chain_carrier_failures(inst)
         # every failing pair lies in a class outside Q's order, which the
         # fibre classes tested do not reach
-        f = inst.f.images
+        f = inst.f
         for a, b in failing_pairs(inst.p, report.failures):
             assert not inst.q.le(f[a], f[b])
 
@@ -404,9 +396,7 @@ def random_dissection(rng):
     f = [z % nq for z in range(2 * nq)] + extra
     return DissectionInstance(
         p=p, q=q, green=frozenset(green),
-        f=MonotoneMap(p, q, tuple(f)),
-        i=MonotoneMap(q, p, tuple(range(nq))),
-        j=MonotoneMap(q, p, tuple(range(nq, 2 * nq))),
+        f=tuple(f), i=tuple(range(nq)), j=tuple(range(nq, 2 * nq)),
     )
 
 
@@ -415,10 +405,10 @@ def random_edit(inst, rng):
     edit = rng.choice(["green", "f", "i", "j"])
     if edit == "green":
         return replace(inst, green=inst.green ^ {rng.randrange(len(inst.p))})
-    m = getattr(inst, edit)
-    images = list(m.images)
-    images[rng.randrange(len(images))] = rng.randrange(len(m.target))
-    return replace(inst, **{edit: MonotoneMap(m.source, m.target, tuple(images))})
+    images = list(getattr(inst, edit))
+    target = inst.q if edit == "f" else inst.p
+    images[rng.randrange(len(images))] = rng.randrange(len(target))
+    return replace(inst, **{edit: tuple(images)})
 
 
 class TestProofsFromTheConditions:
@@ -445,3 +435,24 @@ class TestProofsFromTheConditions:
             assert carrier_cone_check(inst).all_cones
             assert chain_carrier_failures(inst) == set()
         assert passed and failed and edited_passes
+
+
+class TestReadBoundary:
+    """An instance file's labels resolve into the dissection they were written from."""
+
+    def test_random_dissections_round_trip(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            inst = random_dissection(rng)
+            if rng.random() < 0.5:
+                inst = random_edit(inst, rng)
+            doc = instance_to_doc(inst)
+            loaded = parse_instance_doc(doc)
+            back = loaded.resolve_dissection()
+            for name in ("p", "q"):
+                mine, theirs = getattr(back, name), getattr(inst, name)
+                assert mine == theirs
+                assert (mine.down, mine.cover_pairs) == (theirs.down, theirs.cover_pairs)
+            assert (back.green, back.f, back.i, back.j) == (inst.green, inst.f, inst.i, inst.j)
+            assert back == inst
+            assert loaded.to_doc() == doc
