@@ -1,17 +1,18 @@
-"""Higher Bruhat orders, order complexes, and exact homology certificates.
+"""Higher Bruhat orders, the suspension conditions, and sphericity certificates.
 
 The library enumerates the higher Bruhat orders B(n,k) under single-step
 inclusion and under ordinary inclusion, checks the five suspension
-conditions on dissected bounded posets exhaustively, and certifies sphere
-homology of proper-part order complexes by exact integer Smith normal
-form on their beat-point cores.  An export writes a Bruhat instance's
-dissection (P, Q, the colouring and the maps f, i and j) straight from
-its enumeration.  The library holds only what the certifier runs:
-the paper's constructive proofs of the conditions (admissible
-permutations, build-up chains, interval descent, the suspension of a
-complex) and the row builds of the lemma's comparison maps and coned
-carriers, which follow from the conditions by proof, live in the test
-suite, as oracles.
+conditions on dissected bounded posets exhaustively, and certifies that
+a proper part is homotopy equivalent to a sphere by recognising its
+beat-point core as the proper part of a Boolean lattice.  An export
+writes a Bruhat instance's dissection (P, Q, the colouring and the maps
+f, i and j) straight from its enumeration.  The library holds only what
+the certifier runs: the paper's constructive proofs of the conditions
+(admissible permutations, build-up chains, interval descent, the
+suspension of a complex), the row builds of the lemma's comparison maps
+and coned carriers, which follow from the conditions by proof, and the
+order complexes and integer homology that cross-check the Boolean
+recognition are test oracles (see the homology module).
 """
 
 from .bruhat import (
@@ -21,7 +22,6 @@ from .bruhat import (
     enumerate_bruhat,
     to_poset,
 )
-from .complexes import SimplicialComplex, make_complex
 from .errors import (
     InconsistentSetError,
     InvariantError,
@@ -31,20 +31,13 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
 )
-from .homology import (
-    HomologyReport,
-    IntegerMatrix,
-    boundary_matrices,
-    is_sphere_homology,
-    reduced_homology,
-    smith_normal_form,
-)
 from .posets import (
     FiniteBoundedPoset,
+    beat_core,
+    boolean_core,
     check_monotone,
     from_covers,
     from_relation,
-    order_complex,
     proper_part,
 )
 from .subsets import ConsistentSet, GroundParams

@@ -23,9 +23,8 @@ from .bruhat import (
     to_poset,
 )
 from .errors import InvariantError, ParameterError, ResourceLimitError
-from .homology import DEFAULT_SIMPLEX_BUDGET, is_sphere_homology, reduced_homology
 from .instance_io import LoadedInstance, load_instance, parse_bruhat_block
-from .posets import beat_core, count_chains, order_complex, proper_part
+from .posets import beat_core, boolean_core, proper_part
 from .subsets import GroundParams, _label
 from .suspension_check import HOMOTOPY_DISCLAIMER, PROVED_FROM, check_conditions
 
@@ -35,9 +34,9 @@ EXIT_RESOURCE = 2
 EXIT_USAGE = 3
 
 SPHERICITY_NOTE = (
-    "Certifies the exact reduced integer homology of the proper part's order "
-    "complex, computed on its beat-point core; homotopy equivalence to a "
-    "sphere is not certified."
+    "Certifies that the proper part's order complex is homotopy equivalent "
+    "to a sphere: its beat-point core, which has the same homotopy type, is "
+    "recognised as the proper part of a Boolean lattice on n-k atoms."
 )
 
 
@@ -190,20 +189,14 @@ def cmd_verify_sphericity(ns) -> int:
     order = enumerate_bruhat(params, max_subsets=ns.max_subsets)
     p = to_poset(order, kind)
     pp = proper_part(p)
-    # beat points do not change the homotopy type, so the core's homology
-    # is the proper part's, and the budget bounds the core's complex: 1 +
-    # its chain count simplices, the empty one included, counted before
-    # the complex is built
+    # beat points do not change the homotopy type, so a core that is the
+    # proper part of a Boolean lattice on n-k atoms is an (n-k-2)-sphere
     core = beat_core(p, pp)
-    core_simplices = 1 + count_chains(p, core)
-    if core_simplices > ns.max_simplices:
-        raise ResourceLimitError(
-            f"order complex of the beat-point core ({core.bit_count()} points) has "
-            f"{core_simplices} simplices, over the budget of {ns.max_simplices}"
-        )
-    homology = reduced_homology(order_complex(p, core), max_simplices=ns.max_simplices)
+    atoms, failure = boolean_core(p, core)
     target = params.n - params.k - 2
-    sphere = is_sphere_homology(homology, target)
+    if failure is None and atoms != target + 2:
+        failure = ("dimension", f"{atoms} atoms, not n-k = {target + 2}")
+    sphere = failure is None
     report = {
         "version": __version__,
         "command": "verify_sphericity",
@@ -214,31 +207,19 @@ def cmd_verify_sphericity(ns) -> int:
         "is_sphere": sphere,
         "proper_part_points": pp.bit_count(),
         "core_points": core.bit_count(),
-        "core_simplices": core_simplices,
-        # degrees above the core's dimension read 0
-        "homology": [
-            {
-                "degree": d,
-                "betti": homology.betti_at(d),
-                "torsion": list(homology.torsion_at(d)),
-            }
-            for d in range(-1, max(target, homology.max_degree) + 1)
-        ],
+        "core_atoms": atoms,
+        "failed_check": None if sphere else {"name": failure[0], "witness": failure[1]},
         "notes": [SPHERICITY_NOTE],
     }
     _write_report(report, ns.out)
     print(f"B({params.n},{params.k}) under {kind.value}:")
-    print(
-        f"  homology computed on the beat-point core: {core.bit_count()} of "
-        f"{pp.bit_count()} points"
-    )
-    print(f"  core order complex: {core_simplices} simplices")
-    for entry in report["homology"]:
-        torsion = entry["torsion"]
-        extra = f" torsion {torsion}" if torsion else ""
-        print(f"  reduced homology degree {entry['degree']}: betti {entry['betti']}{extra}")
-    verdict = "matches" if sphere else "DOES NOT match"
-    print(f"  {verdict} the homology of a {target}-sphere")
+    print(f"  beat-point core: {core.bit_count()} of {pp.bit_count()} points, {atoms} atoms")
+    if sphere:
+        print("  size, images, order, dimension: pass")
+        print(f"  homotopy equivalent to a {target}-sphere")
+    else:
+        print(f"  {failure[0]}: FAIL ({failure[1]})")
+        print(f"  NOT certified as a {target}-sphere")
     print(f"  note: {SPHERICITY_NOTE}")
     return EXIT_PASS if sphere else EXIT_CONDITION
 
@@ -322,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="higher-bruhat",
         description=(
             "Enumerate higher Bruhat orders, check suspension conditions on "
-            "dissected bounded posets, and certify sphere homology of "
-            "proper-part order complexes."
+            "dissected bounded posets, and certify that proper parts are "
+            "homotopy equivalent to spheres."
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
@@ -351,17 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(handler=cmd_check_lemma)
 
     p_sphere = sub.add_parser(
-        "verify-sphericity", help="certify sphere homology of a proper part"
+        "verify-sphericity",
+        help="certify that a proper part is homotopy equivalent to a sphere",
     )
     p_sphere.add_argument(
         "--bruhat", nargs=3, metavar=("N", "K", "ORDER"), required=True
     )
     p_sphere.add_argument("--max-subsets", type=_budget, default=None)
-    p_sphere.add_argument(
-        "--max-simplices", type=_budget, default=DEFAULT_SIMPLEX_BUDGET,
-        help="budget for the simplices of the beat-point core's order complex, "
-             "the empty one included",
-    )
     p_sphere.add_argument("--out", metavar="FILE")
     p_sphere.set_defaults(handler=cmd_verify_sphericity)
 

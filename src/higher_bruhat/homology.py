@@ -3,7 +3,9 @@
 Boundary matrices carry an explicit augmentation into the empty-simplex
 degree, so the homology of the empty complex is Z in degree -1 and the
 suspension isomorphism holds uniformly.  All arithmetic is on Python
-integers; no floating point enters the certified path.
+integers, with no floating point.  No library module imports this one or
+complexes: they are the tests' oracle of the Boolean recognition that
+certifies sphericity, kept in the package for the benchmark's tracer.
 """
 
 from __future__ import annotations

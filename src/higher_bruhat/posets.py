@@ -1,4 +1,4 @@
-"""Finite bounded posets: construction, proper parts, cores, order complexes.
+"""Finite bounded posets: construction, proper parts, beat-point cores.
 
 The order relation is stored as row bitsets in both directions: bit j of
 leq[i] (the up row of i) is set iff element i <= element j, and bit i of
@@ -24,7 +24,7 @@ An induced subposet is the pair (p, live): a bounded poset p and a
 bitset live of the indices of its elements that belong to the subposet.
 The proper part and the beat-point core are such masks.  The functions
 that read a subposet AND p's rows with live, so no row is copied or
-renumbered, and chains and cores are given as indices into p.
+renumbered, and cores are given as masks of indices into p.
 
 Bit indices are read out of a row with one linear scan of its binary
 string, not one full-width operation per bit.
@@ -43,10 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
-from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import and_, or_
+from typing import Callable, Iterable, Sequence
 
-from .complexes import SimplicialComplex, make_complex
 from .errors import NotAPosetError, NotBoundedError, ParameterError
 
 __all__ = [
@@ -55,10 +54,8 @@ __all__ = [
     "from_relation",
     "proper_part",
     "beat_core",
-    "order_complex",
+    "boolean_core",
     "check_monotone",
-    "count_chains",
-    "iter_chains",
     "transpose",
 ]
 
@@ -339,7 +336,7 @@ def beat_core(p: FiniteBoundedPoset, live: int) -> int:
 
     A beat point is a point whose strict down-set has a maximum or whose
     strict up-set has a minimum.  Deleting one keeps the homotopy type of
-    the order complex, so the core has the same homology as live.  The
+    the order complex, so the core has the homotopy type of live.  The
     result is the mask of the surviving points.
 
     p's index order must be a linear extension (a < b on every cover), as
@@ -369,6 +366,63 @@ def beat_core(p: FiniteBoundedPoset, live: int) -> int:
     return live
 
 
+def boolean_core(p: FiniteBoundedPoset, core: int) -> tuple[int, tuple[str, str] | None]:
+    """Recognise the subposet core as the proper part of a Boolean lattice.
+
+    Returns (m, failure).  The atoms are the m minimal points of core, and
+    the image of a point x is the set of atoms below it, down[x] & atoms.
+    failure is None, or the (check, witness) pair of the first of these
+    checks that fails, its witness naming a point by its label:
+
+    - size: core has 2^m - 2 points;
+    - images: the images are distinct proper subsets of the atoms;
+    - order: the points of core above x are those above every atom in
+      x's image.
+
+    Proof that they make x -> image(x) an order isomorphism onto the
+    non-empty proper subsets of the atoms.  Every image is non-empty,
+    since each point of a finite poset lies above a minimal one.  By
+    images the map is injective into those 2^m - 2 subsets, so by size it
+    is onto them.  The order check says that, for x and y in core,
+    x <= y iff every atom below x is below y, that is image(x) ⊆
+    image(y).  So core is the proper part of the Boolean lattice on m
+    atoms, whose order complex is sd ∂Δ^(m-1) ≅ S^(m-2) (Björner,
+    "Topological methods", 1995).  A beat-point core has the homotopy
+    type of the subposet it came from (see beat_core).
+
+    An empty core is the proper part of the one-atom lattice: m = 1, and
+    the core is S^-1.  A label is rendered only for a witness.
+    """
+    if not core:
+        return 1, None
+    up, down = p.leq, p.down
+    points = _bits(core)
+    atoms = reduce(or_, (1 << x for x in points if down[x] & core == 1 << x))
+    m = atoms.bit_count()
+    if len(points) != (1 << m) - 2:
+        return m, ("size", f"{len(points)} points on {m} atoms, not {(1 << m) - 2}")
+    seen: dict[int, int] = {}
+    for x in points:
+        image = down[x] & atoms
+        if image == atoms:
+            return m, ("images", f"{p.labels[x]} lies above every atom")
+        if image in seen:
+            other = p.labels[seen[image]]
+            return m, ("images", f"{other} and {p.labels[x]} lie above the same atoms")
+        seen[image] = x
+    for x in points:
+        # up[x] lies inside the AND by transitivity, so only a point above
+        # x's atoms but not above x can tell them apart
+        missed = reduce(and_, map(up.__getitem__, _bits(down[x] & atoms)), core) & ~up[x]
+        if missed:
+            y = (missed & -missed).bit_length() - 1
+            return m, (
+                "order",
+                f"{p.labels[y]} lies above every atom below {p.labels[x]} but not above it",
+            )
+    return m, None
+
+
 def check_monotone(
     source: FiniteBoundedPoset, target: FiniteBoundedPoset, images: Sequence[int]
 ) -> tuple[bool, list[tuple[int, int]]]:
@@ -387,59 +441,3 @@ def check_monotone(
         reach = up[images[i]]
         violations.extend((i, j) for j in _bits(row) if not reach >> images[j] & 1)
     return not violations, violations
-
-
-def iter_chains(p: FiniteBoundedPoset, live: int) -> Iterator[tuple[int, ...]]:
-    """All non-empty chains of live, each listed in increasing poset order."""
-    members = _bits(live)
-    strict_up = {i: _bits(p.leq[i] & live & ~(1 << i)) for i in members}
-
-    def extend(chain: tuple[int, ...]):
-        yield chain
-        for j in strict_up[chain[-1]]:
-            yield from extend(chain + (j,))
-
-    for start in members:
-        yield from extend((start,))
-
-
-def _bottom_up(p: FiniteBoundedPoset, live: int) -> list[int]:
-    # an element's down-set is a proper superset of the down-set of every
-    # element below it, so sorting by size is a linear extension
-    return sorted(_bits(live), key=lambda i: p.down[i].bit_count())
-
-
-def count_chains(p: FiniteBoundedPoset, live: int) -> int:
-    """Number of non-empty chains of live, without enumerating them.
-
-    The chains ending at i are i alone or i on top of a chain ending
-    strictly below i, so their number e_i is 1 plus the sum of e_j over
-    the members j of live below i.  The counts are held as bit planes:
-    plane t is the mask of the members counted so far whose e_j has bit t
-    set, so the sum is the sum over t of popcount(plane_t & down[i]) << t,
-    one AND and one popcount per plane.  The planes hold only members
-    that come before i in a linear extension, so down[i] needs no mask.
-    """
-    down = p.down
-    planes: list[int] = []
-    total = 0
-    for i in _bottom_up(p, live):
-        e = 1
-        for t, count in enumerate(map(int.bit_count, map(down[i].__and__, planes))):
-            e += count << t
-        total += e
-        bit = 1 << i
-        planes.extend(repeat(0, e.bit_length() - len(planes)))
-        for t in _bits(e):
-            planes[t] |= bit
-    return total
-
-
-def order_complex(p: FiniteBoundedPoset, live: int) -> SimplicialComplex:
-    """The simplicial complex whose simplices are the chains of live.
-
-    Vertex v is the v-th member of live in index order.
-    """
-    position = {i: v for v, i in enumerate(_bits(live))}
-    chains = iter_chains(p, live)
-    return make_complex(len(position), (tuple(map(position.__getitem__, c)) for c in chains))

@@ -16,17 +16,11 @@ from constructions import from_facets
 from higher_bruhat import __version__, bruhat, posets
 from higher_bruhat.bruhat import BruhatOrder, OrderKind, _addable, enumerate_bruhat, to_poset
 from higher_bruhat.cli import SPHERICITY_NOTE
-from higher_bruhat.complexes import SimplicialComplex
+from higher_bruhat.complexes import SimplicialComplex, make_complex
 from higher_bruhat.errors import InvariantError, NotAPosetError, NotBoundedError, ParameterError
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
 from higher_bruhat.instance_io import SCHEMA_VERSION, poset_to_doc
-from higher_bruhat.posets import (
-    FiniteBoundedPoset,
-    from_covers,
-    iter_chains,
-    order_complex,
-    proper_part,
-)
+from higher_bruhat.posets import FiniteBoundedPoset, from_covers, proper_part
 from higher_bruhat.subsets import (
     ConsistentSet,
     GroundParams,
@@ -331,9 +325,86 @@ def members(live):
     return [i for i in range(live.bit_length()) if live >> i & 1]
 
 
+def iter_chains(p, live):
+    """All non-empty chains of live, each listed in increasing poset order."""
+    points = posets._bits(live)
+    strict_up = {i: posets._bits(p.leq[i] & live & ~(1 << i)) for i in points}
+
+    def extend(chain):
+        yield chain
+        for j in strict_up[chain[-1]]:
+            yield from extend(chain + (j,))
+
+    for start in points:
+        yield from extend((start,))
+
+
+def bottom_up(p, live):
+    """The members of live sorted by down-set size, a linear extension."""
+    # an element's down-set is a proper superset of the down-set of every
+    # element below it
+    return sorted(posets._bits(live), key=lambda i: p.down[i].bit_count())
+
+
+def count_chains(p, live):
+    """Number of non-empty chains of live, without enumerating them.
+
+    The chains ending at i are i alone or i on top of a chain ending
+    strictly below i, so their number e_i is 1 plus the sum of e_j over
+    the members j of live below i.  The counts are held as bit planes:
+    plane t is the mask of the members counted so far whose e_j has bit t
+    set, so the sum is the sum over t of popcount(plane_t & down[i]) << t,
+    one AND and one popcount per plane.  The planes hold only members
+    that come before i in a linear extension, so down[i] needs no mask.
+    """
+    down = p.down
+    planes = []
+    total = 0
+    for i in bottom_up(p, live):
+        e = 1
+        for t, count in enumerate(map(int.bit_count, map(down[i].__and__, planes))):
+            e += count << t
+        total += e
+        bit = 1 << i
+        planes.extend(itertools.repeat(0, e.bit_length() - len(planes)))
+        for t in posets._bits(e):
+            planes[t] |= bit
+    return total
+
+
+def order_complex(p, live):
+    """The simplicial complex whose simplices are the chains of live.
+
+    Vertex v is the v-th member of live in index order.
+    """
+    position = {i: v for v, i in enumerate(posets._bits(live))}
+    chains = iter_chains(p, live)
+    return make_complex(len(position), (tuple(map(position.__getitem__, c)) for c in chains))
+
+
 def proper_part_complex(p):
     """The order complex of the proper part of p."""
     return order_complex(p, proper_part(p))
+
+
+def naive_boolean_atoms(p, live):
+    """m if live is the proper part of a Boolean lattice on m atoms, else
+    None: straight from the definition, with one frozenset of atoms per
+    point and one le() per pair.  The empty subposet has m = 1."""
+    points = members(live)
+    if not points:
+        return 1
+    atoms = [a for a in points if not any(b != a and p.le(b, a) for b in points)]
+    image = {x: frozenset(a for a in atoms if p.le(a, x)) for x in points}
+    proper = {
+        frozenset(c) for r in range(1, len(atoms)) for c in itertools.combinations(atoms, r)
+    }
+    boolean = (
+        len(points) == len(proper)
+        and set(image.values()) == proper
+        and all(p.le(x, y) == (image[x] <= image[y]) for x in points for y in points)
+    )
+    return len(atoms) if boolean else None
 
 
 def naive_chains(p, live):
@@ -602,7 +673,7 @@ def chain_f_vector(p, live, limit=None):
     down = p.down
     ending = [[] for _ in down]
     total = 0
-    for visited, i in enumerate(posets._bottom_up(p, live), 1):
+    for visited, i in enumerate(bottom_up(p, live), 1):
         lower = map(ending.__getitem__, posets._bits(down[i] & live & ~(1 << i)))
         # a chain ending at i is i alone or i on top of a chain ending below i
         ending[i] = [1, *map(sum, itertools.zip_longest(*lower, fillvalue=0))]
@@ -643,29 +714,25 @@ def naive_beat_points(p, live):
 
 
 def full_route_report(n, k, kind):
-    """The verify-sphericity report, its homology computed on the whole proper part.
+    """The verify-sphericity report, its verdict taken from the homology of
+    the whole proper part.
 
     This is the route the command took before it moved to the beat-point
     core: Smith normal form on the order complex of every chain.  The core
-    fields come from the former any() route (any_beat_core) and a chain
-    listing; the core is unique up to isomorphism (Stong, 1966), so its
-    sizes do not depend on the route.  The whole complex is homotopy
-    equivalent to the core's, so its homology must vanish above the
-    degrees the report lists.  It builds the same dict as the command's
-    --out report.
+    comes from the former any() route (any_beat_core), and its atoms from
+    the definition of a Boolean proper part (naive_boolean_atoms); the
+    core is unique up to isomorphism (Stong, 1966), so neither depends on
+    the route.  A Boolean core on n-k atoms is an (n-k-2)-sphere up to
+    homotopy, so the two verdicts must agree.  It builds the same dict as
+    the command's --out report, for instances that are spheres.
     """
     params = GroundParams(n, k)
     p = to_poset(enumerate_bruhat(params), OrderKind(kind))
     homology = reduced_homology(proper_part_complex(p))
     core = any_beat_core(p, proper_part(p))
-    chains = naive_chains(p, core)
+    atoms = naive_boolean_atoms(p, core)
     target = n - k - 2
-    top = max(target, max(map(len, chains), default=0) - 1)
-    assert all(
-        not homology.betti_at(d) and not homology.torsion_at(d)
-        for d in homology.degrees()
-        if d > top
-    )
+    assert is_sphere_homology(homology, target) and atoms == n - k, (n, k, kind)
     return {
         "version": __version__,
         "command": "verify_sphericity",
@@ -673,18 +740,11 @@ def full_route_report(n, k, kind):
         "k": k,
         "order": kind,
         "sphere_dimension": target,
-        "is_sphere": is_sphere_homology(homology, target),
+        "is_sphere": True,
         "proper_part_points": proper_part(p).bit_count(),
         "core_points": core.bit_count(),
-        "core_simplices": 1 + len(chains),
-        "homology": [
-            {
-                "degree": d,
-                "betti": homology.betti_at(d),
-                "torsion": list(homology.torsion_at(d)),
-            }
-            for d in range(-1, top + 1)
-        ],
+        "core_atoms": atoms,
+        "failed_check": None,
         "notes": [SPHERICITY_NOTE],
     }
 

@@ -18,7 +18,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["check-lemma", "--bruhat", "5", "2", "inclusion"]) == 0
     assert main(["verify-sphericity", "--bruhat", "10", "7", "single_step"]) == 0
     assert main(["verify-sphericity", "--bruhat", "10", "7", "single_step",
-                 "--max-simplices", "10"]) == 2
+                 "--max-subsets", "1"]) == 2
     assert main(["enumerate", "6", "2", "--method", "both"]) == 0
     assert main(["compare-orders", "5", "2"]) == 0
     assert main(["export", "--bruhat", "4", "1", "single_step", "--format", "json",

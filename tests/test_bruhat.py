@@ -632,11 +632,11 @@ class TestDescentConditions:
             descent_conditions(order(3, 2), OrderKind.SINGLE_STEP)
 
     @pytest.mark.parametrize("kind", list(OrderKind))
-    def test_builds_no_poset_row_index_or_chain_count(self, kind, monkeypatch):
+    def test_builds_no_poset_or_row_index(self, kind, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the column route built rows, a poset or an index")
 
-        for name in ("from_covers", "from_relation", "count_chains"):
+        for name in ("from_covers", "from_relation"):
             monkeypatch.setattr(posets, name, refuse)
         monkeypatch.setattr(bruhat, "to_poset", refuse)
         for name in ("reach", "up_levels"):

@@ -11,7 +11,6 @@ import pytest
 from helpers import (
     addable_bits,
     addable_thinned,
-    any_beat_core,
     bounded_thinning,
     build_proof_maps,
     carrier_cone_check,
@@ -21,8 +20,8 @@ from helpers import (
     full_route_report,
     green,
     instance_to_doc,
-    naive_chains,
     naive_label,
+    order_complex,
     whole_relation_compare,
 )
 from higher_bruhat import bruhat, cli, instance_io, posets, subsets
@@ -33,8 +32,9 @@ from higher_bruhat.bruhat import (
     to_poset,
 )
 from higher_bruhat.cli import main
+from higher_bruhat.homology import is_sphere_homology, reduced_homology
 from higher_bruhat.instance_io import SCHEMA_VERSION, load_instance, poset_to_doc
-from higher_bruhat.posets import count_chains, from_covers, proper_part
+from higher_bruhat.posets import beat_core, from_covers, proper_part
 from higher_bruhat.subsets import ConsistentSet, GroundParams, colex_rank
 from higher_bruhat.suspension_check import HOMOTOPY_DISCLAIMER
 
@@ -570,14 +570,10 @@ class TestVerifySphericityCommand:
         assert code == 0
         report = read_json(out)
         assert report["sphere_dimension"] == -1
-        assert (report["proper_part_points"], report["core_points"], report["core_simplices"]) == (
+        assert (report["proper_part_points"], report["core_points"], report["core_atoms"]) == (
             0, 0, 1
         )
-        assert report["homology"] == [{"degree": -1, "betti": 1, "torsion": []}]
-
-    def test_budget_exceeded_exit_2(self):
-        assert main(["verify-sphericity", "--bruhat", "4", "1", "single_step",
-                     "--max-simplices", "5"]) == 2
+        assert report["failed_check"] is None
 
     def test_bad_order_kind_exit_3(self):
         assert main(["verify-sphericity", "--bruhat", "3", "1", "sideways"]) == 3
@@ -595,88 +591,35 @@ class TestVerifySphericityCommand:
         ) + "\n"
         assert out.read_bytes() == expected.encode("utf-8")
 
-    def test_refusal_never_transposes(self, monkeypatch, capsys):
-        # the certified build keeps down rows, so neither the verdict on
-        # B(10,7) nor its refusal needs a transpose of the relation
+    def test_verdict_never_transposes(self, monkeypatch):
+        # the certified build keeps down rows, so the verdict on B(10,7)
+        # needs no transpose of the relation
         def transpose(*args):
             raise AssertionError("transpose called")
 
         monkeypatch.setattr(posets, "transpose", transpose)
-        argv = ["verify-sphericity", "--bruhat", "10", "7", "single_step"]
-        assert main(argv) == 0
-        capsys.readouterr()
-        assert main(argv + ["--max-simplices", "10"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: order complex of the beat-point core (6 points) has 13 simplices, "
-            "over the budget of 10\n"
-        )
-
-    def test_refusal_counts_the_core_and_builds_no_complex(self, monkeypatch, capsys):
-        # one chain count on the core decides the budget, before any
-        # complex or boundary matrix exists
-        def build(*args, **kwargs):
-            raise AssertionError("a complex was built")
-
-        counted = []
-        count = cli.count_chains
-
-        def recording(p, live):
-            counted.append(live.bit_count())
-            return count(p, live)
-
-        monkeypatch.setattr(cli, "order_complex", build)
-        monkeypatch.setattr(cli, "reduced_homology", build)
-        monkeypatch.setattr(cli, "count_chains", recording)
-        assert main(["verify-sphericity", "--bruhat", "6", "2", "single_step",
-                     "--max-simplices", "74"]) == 2
-        assert counted == [14]
-        assert capsys.readouterr().err == (
-            "error: order complex of the beat-point core (14 points) has 75 simplices, "
-            "over the budget of 74\n"
-        )
-
-    @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
-    @pytest.mark.parametrize("n,k", [(2, 1), (4, 1), (5, 2), (6, 2)])
-    def test_budget_admits_exactly_the_counted_complex(self, n, k, kind, tmp_path, capsys):
-        # a budget admits the input iff it holds the core's complex: 1 + the
-        # core's chain count, the empty simplex included.  The chains are
-        # listed here on the core of the any() route
-        out = tmp_path / "report.json"
-        argv = ["verify-sphericity", "--bruhat", str(n), str(k), kind]
-        assert main(argv + ["--out", str(out)]) == 0
-        report = read_json(out)
-        p = to_poset(enumerate_bruhat(GroundParams(n, k)), OrderKind(kind))
-        core = any_beat_core(p, proper_part(p))
-        total = 1 + len(naive_chains(p, core))
-        assert total == 1 + count_chains(p, core) == report["core_simplices"]
-        points = core.bit_count()
-        assert points == report["core_points"]
-        capsys.readouterr()
-        for budget in (0, 1, total - 1, total):
-            refused = budget < total
-            assert main(argv + ["--max-simplices", str(budget)]) == (2 if refused else 0)
-            err = capsys.readouterr().err
-            assert err == (
-                f"error: order complex of the beat-point core ({points} points) has "
-                f"{total} simplices, over the budget of {budget}\n"
-                if refused else ""
-            )
+        assert main(["verify-sphericity", "--bruhat", "10", "7", "single_step"]) == 0
 
     @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
     @pytest.mark.parametrize(
-        "n,k", [(6, 3), (6, 2), (6, 1), (7, 3), (10, 7), (11, 8)]
+        "n,k", [(n, k) for n in range(2, 8) for k in range(1, n)] + [(10, 7), (11, 8)]
     )
-    def test_ladder_decided_under_default_budgets(self, n, k, kind, tmp_path):
-        # the whole proper parts have from ~7 * 10^6 to ~10^26 chains; the
-        # cores have 6 to 30 points
+    def test_boolean_verdict_matches_snf_on_the_core(self, n, k, kind, tmp_path):
+        # a Boolean core on n-k atoms is an (n-k-2)-sphere up to homotopy,
+        # so Smith normal form on the core's complex must find that
+        # sphere's homology.  The whole proper parts have up to ~10^26
+        # chains; the cores have at most 62 points
         out = tmp_path / "report.json"
         assert main(["verify-sphericity", "--bruhat", str(n), str(k), kind,
                      "--out", str(out)]) == 0
         report = read_json(out)
-        assert report["is_sphere"] is True
+        assert report["is_sphere"] is True and report["failed_check"] is None
         assert report["sphere_dimension"] == n - k - 2
+        assert report["core_atoms"] == n - k
+        p = to_poset(enumerate_bruhat(GroundParams(n, k)), OrderKind(kind))
+        core = beat_core(p, proper_part(p))
+        assert core.bit_count() == report["core_points"]
+        assert is_sphere_homology(reduced_homology(order_complex(p, core)), n - k - 2)
 
     @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
     @pytest.mark.parametrize(
@@ -684,31 +627,81 @@ class TestVerifySphericityCommand:
         [(n, k) for n in range(2, 6) for k in range(1, n)] + [(6, 3)],
     )
     def test_core_euler_characteristic_matches_the_census(self, n, k, kind, tmp_path):
-        # the reduced Euler characteristic of the core's homology against
-        # the alternating sum of the whole proper part's f-vector, the
-        # empty simplex included in degree -1
+        # the reduced Euler characteristic of the core's homology, from the
+        # Smith normal form oracle, against the alternating sum of the whole
+        # proper part's f-vector, the empty simplex included in degree -1
         out = tmp_path / "report.json"
         assert main(["verify-sphericity", "--bruhat", str(n), str(k), kind,
                      "--out", str(out)]) == 0
-        homology = read_json(out)["homology"]
         p = to_poset(enumerate_bruhat(GroundParams(n, k)), OrderKind(kind))
+        core = beat_core(p, proper_part(p))
+        assert core.bit_count() == read_json(out)["core_points"]
+        homology = reduced_homology(order_complex(p, core))
         f_vector = chain_f_vector(p, proper_part(p))
         census = -1 + sum((-1) ** d * f for d, f in enumerate(f_vector))
-        assert sum((-1) ** entry["degree"] * entry["betti"] for entry in homology) == census
+        assert sum((-1) ** d * homology.betti_at(d) for d in homology.degrees()) == census
 
-    def test_homology_runs_on_the_core_only(self, monkeypatch, capsys):
+    def test_recognition_runs_on_the_core_only(self, monkeypatch, capsys):
         sizes = []
-        build = cli.order_complex
+        recognise = cli.boolean_core
 
         def recording(p, live):
             sizes.append(live.bit_count())
-            return build(p, live)
+            return recognise(p, live)
 
-        monkeypatch.setattr(cli, "order_complex", recording)
+        monkeypatch.setattr(cli, "boolean_core", recording)
         assert main(["verify-sphericity", "--bruhat", "4", "1", "single_step"]) == 0
         assert sizes == [6]
         stdout = capsys.readouterr().out
-        assert "homology computed on the beat-point core: 6 of 22 points" in stdout
+        assert "beat-point core: 6 of 22 points, 3 atoms" in stdout
+        assert "homotopy equivalent to a 1-sphere" in stdout
+
+    def test_non_boolean_core_fails_size(self, monkeypatch, tmp_path, capsys):
+        # the whole proper part of B(4,1) keeps its 3 atoms but has 22 points
+        monkeypatch.setattr(cli, "beat_core", lambda p, live: live)
+        out = tmp_path / "report.json"
+        assert main(["verify-sphericity", "--bruhat", "4", "1", "single_step",
+                     "--out", str(out)]) == 1
+        report = read_json(out)
+        assert report["is_sphere"] is False
+        assert report["failed_check"] == {"name": "size", "witness": "22 points on 3 atoms, not 6"}
+        assert (report["core_points"], report["core_atoms"]) == (22, 3)
+        assert "size: FAIL (22 points on 3 atoms, not 6)" in capsys.readouterr().out
+
+    def test_boolean_core_on_too_few_atoms_fails_dimension(self, monkeypatch, tmp_path):
+        # two atoms of B(4,1)'s core are the proper part of 2^[2], a 0-sphere
+        def two_atoms(p, live):
+            core = beat_core(p, live)
+            atoms = [i for i in posets._bits(core) if p.down[i] & core == 1 << i]
+            return 1 << atoms[0] | 1 << atoms[1]
+
+        monkeypatch.setattr(cli, "beat_core", two_atoms)
+        out = tmp_path / "report.json"
+        assert main(["verify-sphericity", "--bruhat", "4", "1", "single_step",
+                     "--out", str(out)]) == 1
+        report = read_json(out)
+        assert report["is_sphere"] is False
+        assert report["failed_check"] == {"name": "dimension", "witness": "2 atoms, not n-k = 3"}
+        assert (report["core_points"], report["core_atoms"]) == (2, 2)
+
+    def test_verdict_imports_no_complex_or_homology(self):
+        script = (
+            "import sys\n"
+            "from higher_bruhat.cli import main\n"
+            "assert main(['verify-sphericity', '--bruhat', '5', '2', 'single_step']) == 0\n"
+            "loaded = {'higher_bruhat.homology', 'higher_bruhat.complexes'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_max_simplices_is_gone(self, capsys):
+        assert main(["verify-sphericity", "--bruhat", "3", "1", "inclusion",
+                     "--max-simplices", "10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: unrecognized arguments: --max-simplices 10\n")
 
 
 class TestCompareOrdersCommand:
@@ -893,8 +886,6 @@ class TestLabelsOnlyWhenRead:
             (["verify-sphericity", "--bruhat", "5", "2", "single_step"], 0),
             (["verify-sphericity", "--bruhat", "5", "2", "inclusion"], 0),
             (["verify-sphericity", "--bruhat", "10", "7", "single_step"], 0),
-            (["verify-sphericity", "--bruhat", "10", "7", "single_step",
-              "--max-simplices", "10"], 2),
             (["check-lemma", "--bruhat", "5", "2", "single_step"], 0),
             (["check-lemma", "--bruhat", "5", "2", "inclusion"], 0),
         ],
@@ -1080,11 +1071,6 @@ class TestNegativeBudgets:
     def test_max_subsets(self, argv, capsys):
         assert main(argv + ["--max-subsets", "-1"]) == 3
         self.assert_usage_error(capsys, "--max-subsets", -1)
-
-    def test_max_simplices(self, capsys):
-        assert main(["verify-sphericity", "--bruhat", "3", "1", "inclusion",
-                     "--max-simplices", "-5"]) == 3
-        self.assert_usage_error(capsys, "--max-simplices", -5)
 
 
 class TestUnwritableOut:

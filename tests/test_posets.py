@@ -13,15 +13,19 @@ from helpers import (
     bitwise_transpose,
     bounded_thinning,
     chain_f_vector,
+    count_chains,
     dissection_instance,
     homology_dict,
+    iter_chains,
     member_column_inclusion_rows,
     members,
     naive_beat_points,
+    naive_boolean_atoms,
     naive_chains,
     naive_cover_pairs,
     naive_covers,
     naive_inclusion_rows,
+    order_complex,
     pair_walk_check_monotone,
     pair_walk_validate,
     product_with_two_chain,
@@ -39,12 +43,10 @@ from higher_bruhat.homology import reduced_homology
 from higher_bruhat.posets import (
     FiniteBoundedPoset,
     beat_core,
+    boolean_core,
     check_monotone,
-    count_chains,
     from_covers,
     from_relation,
-    iter_chains,
-    order_complex,
     proper_part,
 )
 from higher_bruhat.subsets import GroundParams
@@ -463,6 +465,87 @@ class TestBeatCore:
         with pytest.raises(ParameterError, match="linear extension"):
             beat_core(p, proper_part(p))
 
+
+
+def without_comparability(p, a, b):
+    """p with the comparability a < b removed; a must be covered by b."""
+    rows = list(p.leq)
+    rows[a] &= ~(1 << b)
+    return FiniteBoundedPoset(p.labels, tuple(rows), p.bottom, p.top)
+
+
+class TestBooleanCore:
+    """boolean_core accepts Boolean proper parts and names the first failing check."""
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_boolean_lattices_are_accepted(self, m):
+        rng = random.Random(m)
+        for p in (boolean_lattice(m), shuffled(boolean_lattice(m), rng)):
+            assert boolean_core(p, proper_part(p)) == (m, None)
+
+    def test_empty_core_has_one_atom(self):
+        # B(k+1,k) and every 2-element poset: the proper part of 2^[1], S^-1
+        p = chain_poset(2)
+        assert boolean_core(p, proper_part(p)) == (1, None)
+
+    def test_square_face_lattice_fails_size(self):
+        # the faces of a square: its proper part is a circle, 4 vertices and
+        # 4 edges, but 4 atoms would need 14 points
+        labels = ["empty", "v0", "v1", "v2", "v3", "e01", "e12", "e23", "e30", "square"]
+        covers = [(0, v) for v in range(1, 5)]
+        covers += [(1 + v, 5 + e) for e in range(4) for v in (e, (e + 1) % 4)]
+        covers += [(e, 9) for e in range(5, 9)]
+        p = from_covers(labels, covers, 0, 9)
+        assert beat_core(p, proper_part(p)) == proper_part(p)
+        assert boolean_core(p, proper_part(p)) == (4, ("size", "8 points on 4 atoms, not 14"))
+
+    def test_contractible_core_fails_size(self):
+        p = chain_poset(5)
+        core = beat_core(p, proper_part(p))
+        assert core.bit_count() == 1
+        assert boolean_core(p, core) == (1, ("size", "1 points on 1 atoms, not 0"))
+
+    def test_point_above_every_atom_fails_images(self):
+        # 6 = 2^3 - 2 points on 3 atoms, but "t" lies above all three
+        labels = ["bot", "a1", "a2", "a3", "b12", "b23", "t", "top"]
+        covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (2, 5), (3, 5), (4, 6), (5, 6)]
+        covers += [(6, 7)]
+        p = from_covers(labels, covers, 0, 7)
+        assert boolean_core(p, proper_part(p)) == (3, ("images", "t lies above every atom"))
+
+    def test_lost_atom_comparability_fails_images(self):
+        # without {1} < {1,2}, the 2-set lies above the atom {2} alone;
+        # rank 2 has no pair of non-atoms, so B_3 cannot fail order
+        p = without_comparability(boolean_lattice(3), 1, 3)
+        assert boolean_core(p, proper_part(p)) == (
+            3, ("images", "s2 and s3 lie above the same atoms")
+        )
+
+    def test_lost_comparability_between_non_atoms_fails_order(self):
+        # without {1,2} < {1,2,3}, the images are still those of 2^[4]
+        p = without_comparability(boolean_lattice(4), 3, 7)
+        assert boolean_core(p, proper_part(p)) == (
+            4, ("order", "s7 lies above every atom below s3 but not above it")
+        )
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(n)])
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    def test_bruhat_cores_are_boolean_on_n_minus_k_atoms(self, n, k, kind):
+        p = to_poset(enumerate_bruhat(GroundParams(n, k)), kind)
+        core = beat_core(p, proper_part(p))
+        assert boolean_core(p, core) == (n - k, None)
+        assert naive_boolean_atoms(p, core) == n - k
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_random_cores_match_the_definition(self, seed):
+        rng = random.Random(seed)
+        p = random_bounded_poset(rng, max_elements=14)
+        for live in (beat_core(p, proper_part(p)), proper_part(p), rng.getrandbits(len(p))):
+            m, failure = boolean_core(p, live)
+            assert (failure is None) == (naive_boolean_atoms(p, live) is not None)
+            if failure is None:
+                assert naive_boolean_atoms(p, live) == m
 
 class TestMaskKernels:
     """The mask kernels against brute force over subsets of live."""

@@ -2,18 +2,19 @@
 
 B(6,2) is enumerable (908 elements) but its proper part has ~10^11
 chains: the sphericity route decides it on the 14-point beat-point core,
-whose complex has 75 simplices, while the row oracle's carrier pass still
-covers every chain, because it decides the fibre classes of the 50,598
-comparable pairs that bound them.  The same pass decides B(7,3) and
+the proper part of a Boolean lattice on 4 atoms, while the row oracle's
+carrier pass still covers every chain, because it decides the fibre
+classes of the 50,598 comparable pairs that bound them.  The same pass decides B(7,3) and
 B(7,2), with ~10^21 and ~10^23 chains, and each of these row runs is the
 oracle of the column route that check-lemma takes on the same instance,
 and of the proof by which it reports the carrier cones.
-B(5,1) certifies in well under a second, because homology runs on the
-14-point beat-point core of its 118-point proper part.  The cross-check
-against Smith normal form on the whole order complex takes a few
-seconds, and B(7,2) and B(8,1) build posets of 24,698 and 40,320
-elements at a few hundred MB; these run only when explicitly asked for
-via HIGHER_BRUHAT_STRETCH=1.
+B(5,1) certifies in well under a second, because the Boolean
+recognition runs on the 14-point beat-point core of its 118-point
+proper part.  The cross-check against Smith normal form on the whole
+order complex takes a few seconds, and B(7,2) and B(8,1) build posets
+of 24,698 and 40,320 elements at a few hundred MB, B(8,1) with ~1.7 s
+of Smith normal form on its core; these run only when explicitly asked
+for via HIGHER_BRUHAT_STRETCH=1.
 """
 
 import json
@@ -28,8 +29,10 @@ from helpers import (
     carrier_cone_check,
     chain_f_vector,
     condition_verdicts,
+    count_chains,
     dissection_instance,
     full_route_report,
+    order_complex,
 )
 from higher_bruhat import cli
 from higher_bruhat.bruhat import (
@@ -39,7 +42,8 @@ from higher_bruhat.bruhat import (
     to_poset,
 )
 from higher_bruhat.cli import main
-from higher_bruhat.posets import beat_core, count_chains, proper_part
+from higher_bruhat.homology import is_sphere_homology, reduced_homology
+from higher_bruhat.posets import beat_core, boolean_core, proper_part
 from higher_bruhat.subsets import GroundParams
 from higher_bruhat.suspension_check import check_conditions
 
@@ -50,17 +54,16 @@ def test_six_two_enumerates():
 
 
 def test_six_two_sphericity_decided_on_the_core(tmp_path, monkeypatch):
-    # the default budget bounds the core's complex, not the ~10^11 chains
-    # of the proper part, so the verdict comes fast and only the core's
-    # complex is built
+    # the recognition reads the 14-point core, not the ~10^11 chains of the
+    # proper part, so the verdict comes fast
     sizes = []
-    build = cli.order_complex
+    recognise = cli.boolean_core
 
     def recording(p, live):
         sizes.append(live.bit_count())
-        return build(p, live)
+        return recognise(p, live)
 
-    monkeypatch.setattr(cli, "order_complex", recording)
+    monkeypatch.setattr(cli, "boolean_core", recording)
     out = tmp_path / "report.json"
     started = time.perf_counter()
     assert main(["verify-sphericity", "--bruhat", "6", "2", "single_step",
@@ -70,8 +73,8 @@ def test_six_two_sphericity_decided_on_the_core(tmp_path, monkeypatch):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["is_sphere"] is True
     assert report["sphere_dimension"] == 2
-    assert (report["proper_part_points"], report["core_points"], report["core_simplices"]) == (
-        906, 14, 75
+    assert (report["proper_part_points"], report["core_points"], report["core_atoms"]) == (
+        906, 14, 4
     )
 
 
@@ -141,8 +144,8 @@ def test_five_one_is_a_two_sphere(tmp_path):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["is_sphere"] is True
     assert report["sphere_dimension"] == 2
-    assert (report["proper_part_points"], report["core_points"], report["core_simplices"]) == (
-        118, 14, 75
+    assert (report["proper_part_points"], report["core_points"], report["core_atoms"]) == (
+        118, 14, 4
     )
     # the census of the whole proper part, which the command no longer takes
     p = to_poset(enumerate_bruhat(GroundParams(5, 1)), OrderKind.SINGLE_STEP)
@@ -176,7 +179,7 @@ def test_seven_two_is_a_three_sphere(kind, tmp_path):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["is_sphere"] is True
     assert report["sphere_dimension"] == 3
-    assert (report["core_points"], report["core_simplices"]) == (30, 541)
+    assert (report["core_points"], report["core_atoms"]) == (30, 5)
 
 
 @pytest.mark.skipif(
@@ -191,3 +194,22 @@ def test_eight_one_beat_core_matches_any_route():
     assert time.perf_counter() - started < 1
     assert core.bit_count() == 126
     assert core == any_beat_core(p, pp)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("HIGHER_BRUHAT_STRETCH"),
+    reason="builds a 40,320-element poset at ~400 MB; set HIGHER_BRUHAT_STRETCH=1 to run",
+)
+def test_eight_one_boolean_verdict_matches_snf_on_the_core(tmp_path):
+    # the weak order on S_8: its proper part is a 5-sphere (Bjoerner 1984),
+    # and Smith normal form on the core's 47,293 simplices takes ~1.7 s
+    out = tmp_path / "report.json"
+    assert main(["verify-sphericity", "--bruhat", "8", "1", "single_step",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["is_sphere"] is True and report["failed_check"] is None
+    assert (report["core_points"], report["core_atoms"]) == (126, 7)
+    p = to_poset(enumerate_bruhat(GroundParams(8, 1)), OrderKind.SINGLE_STEP)
+    core = beat_core(p, proper_part(p))
+    assert boolean_core(p, core) == (7, None)
+    assert is_sphere_homology(reduced_homology(order_complex(p, core)), 5)
