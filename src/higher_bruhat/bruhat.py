@@ -50,6 +50,7 @@ __all__ = [
     "compare_orders",
     "to_poset",
     "descent_conditions",
+    "descent_chain",
     "dissection_doc",
     "COLUMN_ROUTE_NOTE",
     "DEFAULT_BFS_LIMIT",
@@ -612,13 +613,6 @@ def enumerate_bruhat(
     return BruhatOrder(params, tuple(found), tuple(levels))
 
 
-def _require_level_above_base(params: GroundParams) -> None:
-    if params.n < params.k + 2:
-        raise ParameterError(
-            f"maps between levels need n >= k+2, got n={params.n}, k={params.k}"
-        )
-
-
 def to_poset(order: BruhatOrder, kind: OrderKind) -> posets.FiniteBoundedPoset:
     """The order as a bounded poset under the relation of the given kind.
 
@@ -649,8 +643,12 @@ def _level_maps(params: GroundParams) -> tuple[GroundParams, int, int]:
 
     Colex ranks do not depend on n, so a family of B(n-1,k) is a bitset of
     B(n,k) too: f keeps the members without n, i is the identity and j adds
-    every member holding n.
+    every member holding n.  The base case n = k+1 has no level below.
     """
+    if params.n < params.k + 2:
+        raise ParameterError(
+            f"maps between levels need n >= k+2, got n={params.n}, k={params.k}"
+        )
     small = GroundParams(params.n - 1, params.k)
     return small, small.full_bits, params.full_bits ^ small.full_bits
 
@@ -684,15 +682,18 @@ def _check_top(order: BruhatOrder) -> None:
         raise NotBoundedError(f"{_label(order.params, order.bits[-1])} is not above every element")
 
 
-def descent_conditions(order: BruhatOrder, kind: OrderKind) -> ConditionReport:
+def descent_conditions(
+    order: BruhatOrder, suborder: BruhatOrder, kind: OrderKind
+) -> ConditionReport:
     """The lemma's hypotheses on B(n,k) -> B(n-1,k), decided from member columns.
 
     This is check_conditions on the instance that dissection_doc writes
     and resolve_dissection reads back, with the same checks in the same
     order and the same verdicts, but no poset, no relation row and no map
-    table is built.  Q = B(n-1,k) is enumerated, and f, i and j are the
-    mask, identity and OR of _level_maps.  A failing check's witness is
-    worded as check_conditions words it.
+    table is built.  order is P = B(n,k) and suborder Q = B(n-1,k), both
+    enumerated by the caller, and f, i and j are the mask, identity and
+    OR of _level_maps.  A failing check's witness is worded as
+    check_conditions words it.
 
     Images.  Every f(x), i(a) and j(a) is looked up among the enumerated
     families, in the order of dissection_doc's tables, and a miss raises
@@ -744,9 +745,10 @@ def descent_conditions(order: BruhatOrder, kind: OrderKind) -> ConditionReport:
     check-lemma reports both as passing when the conditions do.
     """
     params = order.params
-    _require_level_above_base(params)
     small, kept, added = _level_maps(params)
-    suborder = enumerate_bruhat(small)
+    if suborder.params != small:
+        got = suborder.params
+        raise ParameterError(f"Q must be B({small.n},{small.k}), got B({got.n},{got.k})")
     _check_top(order)
     _check_top(suborder)
     in_q = set(suborder.bits)
@@ -836,6 +838,37 @@ def descent_conditions(order: BruhatOrder, kind: OrderKind) -> ConditionReport:
         tuple(Check(name, True) for name in proved),
         tuple(Check(name, witness is None, witness) for name, witness in decided),
     )
+
+
+def descent_chain(
+    params: GroundParams, kind: OrderKind, max_subsets: int | None
+) -> Iterator[tuple[int, int, ConditionReport]]:
+    """The paper's induction on B(n,k): descent_conditions for m = n, ..., k+2.
+
+    Yields (m, |B(m,k)|, the report on B(m,k) -> B(m-1,k)) per step, and
+    stops after the first step whose conditions fail.  Each order is
+    enumerated once, as a step's Q is the next step's P; only these two
+    are held.  max_subsets is checked on B(n,k), before any enumeration,
+    and the orders below have fewer members.  Once every step passes, the
+    base B(k+1,k) must be bounded with exactly two families, so that its
+    proper part is empty, the (-1)-sphere; InvariantError otherwise.  By
+    the suspension lemma each passing step suspends the proper part of
+    B(m-1,k) to that of B(m,k), so PP(B(n,k)) is an (n-k-2)-sphere up to
+    homotopy.
+    """
+    order = enumerate_bruhat(params, max_subsets=max_subsets)
+    for m in range(params.n, params.k + 1, -1):
+        suborder = enumerate_bruhat(GroundParams(m - 1, params.k), max_subsets=max_subsets)
+        report = descent_conditions(order, suborder, kind)
+        yield m, len(order), report
+        if not report.all_pass:
+            return
+        order = suborder
+    _check_top(order)
+    if len(order) != 2:
+        raise InvariantError(
+            f"the base B({params.k + 1},{params.k}) has {len(order)} families, not 2"
+        )
 
 
 def dissection_doc(order: BruhatOrder, kind: OrderKind) -> dict:

@@ -1,4 +1,4 @@
-"""Finite bounded posets: construction, proper parts, beat-point cores.
+"""Finite bounded posets: construction, validation, monotone maps.
 
 The order relation is stored as row bitsets in both directions: bit j of
 leq[i] (the up row of i) is set iff element i <= element j, and bit i of
@@ -20,12 +20,6 @@ A FiniteBoundedPoset in hand is always certified, by one of two routes:
   transposed rows, transitivity and boundedness.  One OR of strict rows
   per row decides transitivity and yields the covers.
 
-An induced subposet is the pair (p, live): a bounded poset p and a
-bitset live of the indices of its elements that belong to the subposet.
-The proper part and the beat-point core are such masks.  The functions
-that read a subposet AND p's rows with live, so no row is copied or
-renumbered, and cores are given as masks of indices into p.
-
 Bit indices are read out of a row with one linear scan of its binary
 string, not one full-width operation per bit.
 
@@ -43,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
-from operator import and_, or_
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from .errors import NotAPosetError, NotBoundedError, ParameterError
@@ -52,9 +46,6 @@ __all__ = [
     "FiniteBoundedPoset",
     "from_covers",
     "from_relation",
-    "proper_part",
-    "beat_core",
-    "boolean_core",
     "check_monotone",
     "transpose",
 ]
@@ -321,106 +312,6 @@ def from_covers(
     else:
         p.__dict__["_render"] = (render, keys)
     return p
-
-
-def proper_part(p: FiniteBoundedPoset) -> int:
-    """The mask of p's elements other than its bounds.
-
-    A one-element poset has an empty proper part.
-    """
-    return ((1 << len(p)) - 1) & ~(1 << p.bottom | 1 << p.top)
-
-
-def beat_core(p: FiniteBoundedPoset, live: int) -> int:
-    """Delete beat points of the subposet live until none is left (Stong, 1966).
-
-    A beat point is a point whose strict down-set has a maximum or whose
-    strict up-set has a minimum.  Deleting one keeps the homotopy type of
-    the order complex, so the core has the homotopy type of live.  The
-    result is the mask of the surviving points.
-
-    p's index order must be a linear extension (a < b on every cover), as
-    it is for every poset that to_poset builds; ParameterError otherwise.
-    Then an element's index exceeds that of every element below it, so
-    the only candidate maximum of a strict down-set is its highest bit,
-    and the only candidate minimum of a strict up-set is its lowest bit:
-    one row test each.
-    """
-    if any(a > b for a, b in p.cover_pairs):
-        raise ParameterError("beat_core needs an index order that is a linear extension")
-    up, down = p.leq, p.down
-    changed = True
-    while changed:
-        changed = False
-        for i in _bits(live):
-            bit = 1 << i
-            if not live & bit:
-                continue
-            below = down[i] & live ^ bit
-            above = up[i] & live ^ bit
-            if (below and not below & ~down[below.bit_length() - 1]) or (
-                above and not above & ~up[(above & -above).bit_length() - 1]
-            ):
-                live ^= bit
-                changed = True
-    return live
-
-
-def boolean_core(p: FiniteBoundedPoset, core: int) -> tuple[int, tuple[str, str] | None]:
-    """Recognise the subposet core as the proper part of a Boolean lattice.
-
-    Returns (m, failure).  The atoms are the m minimal points of core, and
-    the image of a point x is the set of atoms below it, down[x] & atoms.
-    failure is None, or the (check, witness) pair of the first of these
-    checks that fails, its witness naming a point by its label:
-
-    - size: core has 2^m - 2 points;
-    - images: the images are distinct proper subsets of the atoms;
-    - order: the points of core above x are those above every atom in
-      x's image.
-
-    Proof that they make x -> image(x) an order isomorphism onto the
-    non-empty proper subsets of the atoms.  Every image is non-empty,
-    since each point of a finite poset lies above a minimal one.  By
-    images the map is injective into those 2^m - 2 subsets, so by size it
-    is onto them.  The order check says that, for x and y in core,
-    x <= y iff every atom below x is below y, that is image(x) ⊆
-    image(y).  So core is the proper part of the Boolean lattice on m
-    atoms, whose order complex is sd ∂Δ^(m-1) ≅ S^(m-2) (Björner,
-    "Topological methods", 1995).  A beat-point core has the homotopy
-    type of the subposet it came from (see beat_core).
-
-    An empty core is the proper part of the one-atom lattice: m = 1, and
-    the core is S^-1.  A label is rendered only for a witness.
-    """
-    if not core:
-        return 1, None
-    up, down = p.leq, p.down
-    points = _bits(core)
-    atoms = reduce(or_, (1 << x for x in points if down[x] & core == 1 << x))
-    m = atoms.bit_count()
-    if len(points) != (1 << m) - 2:
-        return m, ("size", f"{len(points)} points on {m} atoms, not {(1 << m) - 2}")
-    seen: dict[int, int] = {}
-    for x in points:
-        image = down[x] & atoms
-        if image == atoms:
-            return m, ("images", f"{p.labels[x]} lies above every atom")
-        if image in seen:
-            other = p.labels[seen[image]]
-            return m, ("images", f"{other} and {p.labels[x]} lie above the same atoms")
-        seen[image] = x
-    for x in points:
-        # up[x] lies inside the AND by transitivity, so only a point above
-        # x's atoms but not above x can tell them apart
-        missed = reduce(and_, map(up.__getitem__, _bits(down[x] & atoms)), core) & ~up[x]
-        if missed:
-            y = (missed & -missed).bit_length() - 1
-            return m, (
-                "order",
-                f"{p.labels[y]} lies above every atom below {p.labels[x]} but not above it",
-            )
-    return m, None
 
 
 def check_monotone(

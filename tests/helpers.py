@@ -18,9 +18,8 @@ from higher_bruhat.bruhat import BruhatOrder, OrderKind, _addable, enumerate_bru
 from higher_bruhat.cli import SPHERICITY_NOTE
 from higher_bruhat.complexes import SimplicialComplex, make_complex
 from higher_bruhat.errors import InvariantError, NotAPosetError, NotBoundedError, ParameterError
-from higher_bruhat.homology import is_sphere_homology, reduced_homology
 from higher_bruhat.instance_io import SCHEMA_VERSION, poset_to_doc
-from higher_bruhat.posets import FiniteBoundedPoset, from_covers, proper_part
+from higher_bruhat.posets import FiniteBoundedPoset, from_covers
 from higher_bruhat.subsets import (
     ConsistentSet,
     GroundParams,
@@ -713,37 +712,149 @@ def naive_beat_points(p, live):
     return beats
 
 
-def full_route_report(n, k, kind):
-    """The verify-sphericity report, its verdict taken from the homology of
-    the whole proper part.
+# The Boolean-core route: the certificate verify-sphericity gave before the
+# paper's induction, kept as its cross-check oracle.
 
-    This is the route the command took before it moved to the beat-point
-    core: Smith normal form on the order complex of every chain.  The core
-    comes from the former any() route (any_beat_core), and its atoms from
-    the definition of a Boolean proper part (naive_boolean_atoms); the
-    core is unique up to isomorphism (Stong, 1966), so neither depends on
-    the route.  A Boolean core on n-k atoms is an (n-k-2)-sphere up to
-    homotopy, so the two verdicts must agree.  It builds the same dict as
-    the command's --out report, for instances that are spheres.
+
+def proper_part(p: FiniteBoundedPoset) -> int:
+    """The mask of p's elements other than its bounds.
+
+    A one-element poset has an empty proper part.
     """
-    params = GroundParams(n, k)
-    p = to_poset(enumerate_bruhat(params), OrderKind(kind))
-    homology = reduced_homology(proper_part_complex(p))
-    core = any_beat_core(p, proper_part(p))
-    atoms = naive_boolean_atoms(p, core)
-    target = n - k - 2
-    assert is_sphere_homology(homology, target) and atoms == n - k, (n, k, kind)
+    return ((1 << len(p)) - 1) & ~(1 << p.bottom | 1 << p.top)
+
+
+def beat_core(p: FiniteBoundedPoset, live: int) -> int:
+    """Delete beat points of the subposet live until none is left (Stong, 1966).
+
+    A beat point is a point whose strict down-set has a maximum or whose
+    strict up-set has a minimum.  Deleting one keeps the homotopy type of
+    the order complex, so the core has the homotopy type of live.  The
+    result is the mask of the surviving points.
+
+    p's index order must be a linear extension (a < b on every cover), as
+    it is for every poset that to_poset builds; ParameterError otherwise.
+    Then an element's index exceeds that of every element below it, so
+    the only candidate maximum of a strict down-set is its highest bit,
+    and the only candidate minimum of a strict up-set is its lowest bit:
+    one row test each.
+    """
+    if any(a > b for a, b in p.cover_pairs):
+        raise ParameterError("beat_core needs an index order that is a linear extension")
+    up, down = p.leq, p.down
+    changed = True
+    while changed:
+        changed = False
+        for i in posets._bits(live):
+            bit = 1 << i
+            if not live & bit:
+                continue
+            below = down[i] & live ^ bit
+            above = up[i] & live ^ bit
+            if (below and not below & ~down[below.bit_length() - 1]) or (
+                above and not above & ~up[(above & -above).bit_length() - 1]
+            ):
+                live ^= bit
+                changed = True
+    return live
+
+
+def boolean_core(p: FiniteBoundedPoset, core: int) -> tuple[int, tuple[str, str] | None]:
+    """Recognise the subposet core as the proper part of a Boolean lattice.
+
+    Returns (m, failure).  The atoms are the m minimal points of core, and
+    the image of a point x is the set of atoms below it, down[x] & atoms.
+    failure is None, or the (check, witness) pair of the first of these
+    checks that fails, its witness naming a point by its label:
+
+    - size: core has 2^m - 2 points;
+    - images: the images are distinct proper subsets of the atoms;
+    - order: the points of core above x are those above every atom in
+      x's image.
+
+    Proof that they make x -> image(x) an order isomorphism onto the
+    non-empty proper subsets of the atoms.  Every image is non-empty,
+    since each point of a finite poset lies above a minimal one.  By
+    images the map is injective into those 2^m - 2 subsets, so by size it
+    is onto them.  The order check says that, for x and y in core,
+    x <= y iff every atom below x is below y, that is image(x) ⊆
+    image(y).  So core is the proper part of the Boolean lattice on m
+    atoms, whose order complex is sd ∂Δ^(m-1) ≅ S^(m-2) (Björner,
+    "Topological methods", 1995).  A beat-point core has the homotopy
+    type of the subposet it came from (see beat_core).
+
+    An empty core is the proper part of the one-atom lattice: m = 1, and
+    the core is S^-1.  A label is rendered only for a witness.
+    """
+    if not core:
+        return 1, None
+    up, down = p.leq, p.down
+    points = posets._bits(core)
+    atoms = reduce(or_, (1 << x for x in points if down[x] & core == 1 << x))
+    m = atoms.bit_count()
+    if len(points) != (1 << m) - 2:
+        return m, ("size", f"{len(points)} points on {m} atoms, not {(1 << m) - 2}")
+    seen: dict[int, int] = {}
+    for x in points:
+        image = down[x] & atoms
+        if image == atoms:
+            return m, ("images", f"{p.labels[x]} lies above every atom")
+        if image in seen:
+            other = p.labels[seen[image]]
+            return m, ("images", f"{other} and {p.labels[x]} lie above the same atoms")
+        seen[image] = x
+    for x in points:
+        # up[x] lies inside the AND by transitivity, so only a point above
+        # x's atoms but not above x can tell them apart
+        missed = reduce(and_, map(up.__getitem__, posets._bits(down[x] & atoms)), core) & ~up[x]
+        if missed:
+            y = (missed & -missed).bit_length() - 1
+            return m, (
+                "order",
+                f"{p.labels[y]} lies above every atom below {p.labels[x]} but not above it",
+            )
+    return m, None
+
+
+def core_route(n, k, kind):
+    """The Boolean-core route on B(n,k): the poset, its core and the verdict.
+
+    It builds the relation rows (to_poset), deletes the beat points of the
+    proper part (beat_core) and recognises the core as the proper part of
+    a Boolean lattice (boolean_core).  A Boolean core on m atoms is an
+    (m-2)-sphere up to homotopy, so the verdict is is_sphere, whether the
+    core is Boolean, and sphere_dimension, m - 2.  The rows take ~|B(n,k)|^2
+    / 8 bytes per direction: 1.26 GB on B(8,4).
+    """
+    p = to_poset(enumerate_bruhat(GroundParams(n, k)), OrderKind(kind))
+    core = beat_core(p, proper_part(p))
+    atoms, failure = boolean_core(p, core)
+    return p, core, {"is_sphere": failure is None, "sphere_dimension": atoms - 2}
+
+
+def full_route_report(n, k, kind):
+    """The verify-sphericity report of a sphere, its verdict from the
+    Boolean-core oracle (core_route).
+
+    The steps are those of an induction whose every step passes, each
+    with |B(m,k)| from its own enumeration.  The oracle must find a
+    Boolean core on n-k atoms, as it does on every B(n,k).
+    """
+    _, _, verdict = core_route(n, k, kind)
+    assert verdict == {"is_sphere": True, "sphere_dimension": n - k - 2}, (n, k, kind)
+    steps = [
+        {"n": m, "elements": len(enumerate_bruhat(GroundParams(m, k))), "passed": True}
+        for m in range(n, k + 1, -1)
+    ]
     return {
         "version": __version__,
         "command": "verify_sphericity",
         "n": n,
         "k": k,
         "order": kind,
-        "sphere_dimension": target,
-        "is_sphere": True,
-        "proper_part_points": proper_part(p).bit_count(),
-        "core_points": core.bit_count(),
-        "core_atoms": atoms,
+        "route": "induction",
+        **verdict,
+        "steps": steps,
         "failed_check": None,
         "notes": [SPHERICITY_NOTE],
     }
@@ -773,7 +884,6 @@ def dissection_instance(order, kind):
     test's monkeypatch of them reaches the oracle too.
     """
     params = order.params
-    bruhat._require_level_above_base(params)
     small, kept, added = bruhat._level_maps(params)
     suborder = bruhat.enumerate_bruhat(small)
     p = bruhat.to_poset(order, kind)

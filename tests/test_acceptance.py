@@ -29,6 +29,7 @@ from helpers import (
     dissection_instance,
     homology_dict,
     product_with_two_chain,
+    proper_part,
     proper_part_complex,
     random_bounded_poset,
     random_complex,
@@ -36,7 +37,6 @@ from helpers import (
 from higher_bruhat.bruhat import OrderKind, enumerate_bruhat, to_poset
 from higher_bruhat.cli import main
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
-from higher_bruhat.posets import proper_part
 from higher_bruhat.subsets import GroundParams
 from higher_bruhat.suspension_check import check_conditions
 

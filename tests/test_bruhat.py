@@ -576,7 +576,7 @@ class TestDescentConditions:
     @pytest.mark.parametrize("n,k", DESCENT_CASES)
     @pytest.mark.parametrize("kind", list(OrderKind))
     def test_matches_the_row_route(self, n, k, kind):
-        columns = descent_conditions(order(n, k), kind)
+        columns = descent_conditions(order(n, k), order(n - 1, k), kind)
         rows = check_conditions(dissection_instance(order(n, k), kind))
         assert columns.all_pass is rows.all_pass is True
         assert condition_verdicts(columns) == condition_verdicts(rows)
@@ -612,24 +612,27 @@ class TestDescentConditions:
         assert o.params.full_bits + 1 not in o
         assert (1 << o.params.num_members + 1) - 1 not in o
 
-    def test_image_outside_the_target_raises_as_on_rows(self, monkeypatch):
+    def test_image_outside_the_target_raises_as_on_rows(self):
         real = order(3, 1)
         swapped = tuple(5 if b == 3 else b for b in real.bits)
         fake = BruhatOrder(real.params, swapped, real.addable)
-        monkeypatch.setattr(bruhat, "enumerate_bruhat", lambda params: fake)
         message = "sends a family to {{1,2},{1,3}}, which was not enumerated"
         with pytest.raises(InvariantError, match=re.escape(message)):
-            descent_conditions(order(4, 1), OrderKind.SINGLE_STEP)
+            descent_conditions(order(4, 1), fake, OrderKind.SINGLE_STEP)
 
     def test_an_order_without_its_full_family_is_refused(self):
         real = order(4, 1)
         cut = BruhatOrder(real.params, real.bits[:-1], real.addable[:-1])
         with pytest.raises(NotBoundedError, match=re.escape("is not above every element")):
-            descent_conditions(cut, OrderKind.INCLUSION)
+            descent_conditions(cut, order(3, 1), OrderKind.INCLUSION)
 
     def test_base_case_has_no_level_below(self):
         with pytest.raises(ParameterError, match="need n >= k[+]2"):
-            descent_conditions(order(3, 2), OrderKind.SINGLE_STEP)
+            descent_conditions(order(3, 2), order(2, 1), OrderKind.SINGLE_STEP)
+
+    def test_q_must_be_the_level_below(self):
+        with pytest.raises(ParameterError, match=re.escape("Q must be B(3,1), got B(3,2)")):
+            descent_conditions(order(4, 1), order(3, 2), OrderKind.SINGLE_STEP)
 
     @pytest.mark.parametrize("kind", list(OrderKind))
     def test_builds_no_poset_or_row_index(self, kind, monkeypatch):
@@ -643,7 +646,41 @@ class TestDescentConditions:
             monkeypatch.setattr(BruhatOrder, name, refuse)
         for name in ("covers", "_index", "elements"):
             monkeypatch.setattr(BruhatOrder, name, property(refuse))
-        assert descent_conditions(enumerate_bruhat(GroundParams(6, 2)), kind).all_pass
+        p, q = (enumerate_bruhat(GroundParams(n, 2)) for n in (6, 5))
+        assert descent_conditions(p, q, kind).all_pass
+
+
+class TestDescentChain:
+    """The paper's induction: one descent per level, each order enumerated once."""
+
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    def test_enumerates_each_order_once(self, kind, monkeypatch):
+        enumerated = []
+        real = bruhat.enumerate_bruhat
+
+        def recording(params, **kwargs):
+            enumerated.append((params.n, params.k))
+            return real(params, **kwargs)
+
+        monkeypatch.setattr(bruhat, "enumerate_bruhat", recording)
+        steps = list(bruhat.descent_chain(GroundParams(6, 2), kind, None))
+        assert [(m, elements) for m, elements, _ in steps] == [(6, 908), (5, 62), (4, 8)]
+        assert all(report.all_pass for _, _, report in steps)
+        assert enumerated == [(6, 2), (5, 2), (4, 2), (3, 2)]
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(n - 1)])
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    def test_steps_are_the_descents(self, n, k, kind):
+        steps = list(bruhat.descent_chain(GroundParams(n, k), kind, None))
+        assert [m for m, _, _ in steps] == list(range(n, k + 1, -1))
+        for m, elements, report in steps:
+            expected = descent_conditions(order(m, k), order(m - 1, k), kind)
+            assert elements == len(order(m, k))
+            assert report == expected
+
+    def test_budget_is_checked_on_the_top_order(self):
+        with pytest.raises(ResourceLimitError):
+            next(bruhat.descent_chain(GroundParams(10, 7), OrderKind.SINGLE_STEP, 44))
 
 
 class TestReach:

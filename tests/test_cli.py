@@ -8,20 +8,24 @@ from math import factorial
 
 import pytest
 
+import helpers
 from helpers import (
     addable_bits,
     addable_thinned,
+    boolean_core,
     bounded_thinning,
     build_proof_maps,
     carrier_cone_check,
     chain_f_vector,
     closure_reach_rows,
+    core_route,
     dissection_instance,
     full_route_report,
     green,
     instance_to_doc,
     naive_label,
     order_complex,
+    proper_part,
     whole_relation_compare,
 )
 from higher_bruhat import bruhat, cli, instance_io, posets, subsets
@@ -34,7 +38,7 @@ from higher_bruhat.bruhat import (
 from higher_bruhat.cli import main
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
 from higher_bruhat.instance_io import SCHEMA_VERSION, load_instance, poset_to_doc
-from higher_bruhat.posets import beat_core, from_covers, proper_part
+from higher_bruhat.posets import from_covers
 from higher_bruhat.subsets import ConsistentSet, GroundParams, colex_rank
 from higher_bruhat.suspension_check import HOMOTOPY_DISCLAIMER
 
@@ -427,6 +431,51 @@ def first_failure(report):
     )
 
 
+def droppable_targets(order):
+    """The families of the order holding exactly one member with n."""
+    _, _, added = bruhat._level_maps(order.params)
+    return [x for x, b in enumerate(order.bits) if (b & added).bit_count() == 1]
+
+
+def clear_droppable_bit(monkeypatch, order, x):
+    """Clear family x's droppable bit for its member with n, while
+    descent_conditions decides the order alone; returns the family's label.
+
+    The growth drops members with _droppable too, so the mutant reaches
+    descent_conditions' calls only, one per level, lowest level first.
+    Every family holding one member with n can drop it; with that bit
+    cleared, x is the family that fails the sandwich's lower half.
+    """
+    _, _, added = bruhat._level_maps(order.params)
+    family = order.bits[x]
+    level = family.bit_count()
+    at = x - order.addable[level][0]
+    member = (family & added).bit_length() - 1
+    real_drop, real_conditions = bruhat._droppable, bruhat.descent_conditions
+    scanned = [None]  # levels scanned on the order, None outside it
+
+    def conditions(p, q, kind):
+        scanned[0] = 0 if p.params == order.params else None
+        try:
+            return real_conditions(p, q, kind)
+        finally:
+            scanned[0] = None
+
+    def cleared(cols, absent, packets):
+        drop = real_drop(cols, absent, packets)
+        if scanned[0] is not None:
+            if scanned[0] == level:
+                assert drop[member] >> at & 1
+                drop[member] &= ~(1 << at)
+            scanned[0] += 1
+        return drop
+
+    monkeypatch.setattr(bruhat, "_droppable", cleared)
+    for module in (bruhat, cli):
+        monkeypatch.setattr(module, "descent_conditions", conditions)
+    return bruhat._label(order.params, family)
+
+
 class TestColumnRouteMutants:
     """Broken column inputs fail on the column route as the row route fails."""
 
@@ -436,43 +485,18 @@ class TestColumnRouteMutants:
 
     @pytest.mark.parametrize("n,k", [(4, 1), (5, 2)])
     def test_cleared_droppable_bit_fails_the_sandwich(self, n, k, monkeypatch, tmp_path):
-        # every family holding one member with n can drop it; with that bit
-        # cleared, the family is the one that fails the lower half.  Both
-        # orders are enumerated up front, as the growth drops members with
-        # _droppable too, so the mutant reaches the column route alone.
         order = enumerate_bruhat(GroundParams(n, k))
-        suborder = enumerate_bruhat(GroundParams(n - 1, k))
-        monkeypatch.setattr(cli, "enumerate_bruhat", lambda params, **kwargs: order)
-        monkeypatch.setattr(bruhat, "enumerate_bruhat", lambda params: suborder)
-        _, _, added = bruhat._level_maps(order.params)
-        labels = [bruhat._label(order.params, b) for b in order.bits]
-        targets = [x for x, b in enumerate(order.bits) if (b & added).bit_count() == 1]
-        real = bruhat._droppable
+        targets = droppable_targets(order)
         for x in targets:
-            family = order.bits[x]
-            level = family.bit_count()
-            at = x - order.addable[level][0]
-            member = (family & added).bit_length() - 1
-            calls = []
-
-            def cleared(cols, absent, packets):
-                drop = real(cols, absent, packets)
-                if len(calls) == level:
-                    assert drop[member] >> at & 1
-                    drop[member] &= ~(1 << at)
-                calls.append(level)
-                return drop
-
-            monkeypatch.setattr(bruhat, "_droppable", cleared)
+            label = clear_droppable_bit(monkeypatch, order, x)
             out = tmp_path / "report.json"
             assert main(["check-lemma", "--bruhat", str(n), str(k), "single_step",
                          "--out", str(out)]) == 1
             report = read_json(out)
-            assert first_failure(report) == (
-                "sandwich", f"i(f({labels[x]})) is not below {labels[x]}"
-            )
+            assert first_failure(report) == ("sandwich", f"i(f({label})) is not below {label}")
             assert [c["name"] for c in report["conditions"] if not c["passed"]] == ["sandwich"]
             assert report["proof_maps"] == report["carrier"] == {"skipped": True}
+            monkeypatch.undo()
         assert len(targets) > 3
 
     @pytest.mark.parametrize("n,k", [(3, 0), (5, 0), (4, 1)])
@@ -553,30 +577,33 @@ class TestInstanceRoutes:
             )
 
 
+def sphere_argv(n, k, kind, *extra):
+    return ["verify-sphericity", "--bruhat", str(n), str(k), kind, *extra]
+
+
 class TestVerifySphericityCommand:
     def test_zero_sphere(self, tmp_path):
+        # B(k+2,k): one step down to the base
         out = tmp_path / "report.json"
-        code = main(["verify-sphericity", "--bruhat", "3", "1", "single_step",
-                     "--out", str(out)])
-        assert code == 0
+        assert main(sphere_argv(3, 1, "single_step", "--out", str(out))) == 0
         report = read_json(out)
         assert report["sphere_dimension"] == 0
         assert report["is_sphere"] is True
+        assert report["route"] == "induction"
+        assert report["steps"] == [{"n": 3, "elements": 6, "passed": True}]
 
     def test_minus_one_sphere(self, tmp_path):
+        # B(k+1,k) is the base: no step, and an empty proper part
         out = tmp_path / "report.json"
-        code = main(["verify-sphericity", "--bruhat", "2", "1", "inclusion",
-                     "--out", str(out)])
-        assert code == 0
+        assert main(sphere_argv(2, 1, "inclusion", "--out", str(out))) == 0
         report = read_json(out)
         assert report["sphere_dimension"] == -1
-        assert (report["proper_part_points"], report["core_points"], report["core_atoms"]) == (
-            0, 0, 1
-        )
+        assert report["is_sphere"] is True
+        assert report["steps"] == []
         assert report["failed_check"] is None
 
     def test_bad_order_kind_exit_3(self):
-        assert main(["verify-sphericity", "--bruhat", "3", "1", "sideways"]) == 3
+        assert main(sphere_argv(3, 1, "sideways")) == 3
 
     @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
     @pytest.mark.parametrize(
@@ -584,41 +611,37 @@ class TestVerifySphericityCommand:
     )
     def test_out_matches_full_route(self, tmp_path, n, k, kind):
         out = tmp_path / "report.json"
-        assert main(["verify-sphericity", "--bruhat", str(n), str(k), kind,
-                     "--out", str(out)]) == 0
+        assert main(sphere_argv(n, k, kind, "--out", str(out))) == 0
         expected = json.dumps(
             full_route_report(n, k, kind), sort_keys=True, indent=2, ensure_ascii=False
         ) + "\n"
         assert out.read_bytes() == expected.encode("utf-8")
 
     def test_verdict_never_transposes(self, monkeypatch):
-        # the certified build keeps down rows, so the verdict on B(10,7)
-        # needs no transpose of the relation
         def transpose(*args):
             raise AssertionError("transpose called")
 
         monkeypatch.setattr(posets, "transpose", transpose)
-        assert main(["verify-sphericity", "--bruhat", "10", "7", "single_step"]) == 0
+        assert main(sphere_argv(10, 7, "single_step")) == 0
 
     @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
     @pytest.mark.parametrize(
-        "n,k", [(n, k) for n in range(2, 8) for k in range(1, n)] + [(10, 7), (11, 8)]
+        "n,k",
+        [(n, k) for n in range(1, 8) for k in range(n) if (n, k) != (7, 0)] + [(10, 7), (11, 8)],
     )
     def test_boolean_verdict_matches_snf_on_the_core(self, n, k, kind, tmp_path):
-        # a Boolean core on n-k atoms is an (n-k-2)-sphere up to homotopy,
-        # so Smith normal form on the core's complex must find that
-        # sphere's homology.  The whole proper parts have up to ~10^26
-        # chains; the cores have at most 62 points
+        # the induction's verdict against the Boolean-core oracle's, and a
+        # Boolean core on n-k atoms is an (n-k-2)-sphere up to homotopy, so
+        # Smith normal form on the core's complex must find that sphere's
+        # homology.  The whole proper parts have up to ~10^26 chains; the
+        # cores have at most 62 points.  B(7,0), whose core has 126, runs
+        # with the size rungs in test_stretch.py
         out = tmp_path / "report.json"
-        assert main(["verify-sphericity", "--bruhat", str(n), str(k), kind,
-                     "--out", str(out)]) == 0
+        assert main(sphere_argv(n, k, kind, "--out", str(out))) == 0
         report = read_json(out)
-        assert report["is_sphere"] is True and report["failed_check"] is None
-        assert report["sphere_dimension"] == n - k - 2
-        assert report["core_atoms"] == n - k
-        p = to_poset(enumerate_bruhat(GroundParams(n, k)), OrderKind(kind))
-        core = beat_core(p, proper_part(p))
-        assert core.bit_count() == report["core_points"]
+        p, core, verdict = core_route(n, k, kind)
+        assert {key: report[key] for key in verdict} == verdict
+        assert verdict == {"is_sphere": True, "sphere_dimension": n - k - 2}
         assert is_sphere_homology(reduced_homology(order_complex(p, core)), n - k - 2)
 
     @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
@@ -626,63 +649,132 @@ class TestVerifySphericityCommand:
         "n,k",
         [(n, k) for n in range(2, 6) for k in range(1, n)] + [(6, 3)],
     )
-    def test_core_euler_characteristic_matches_the_census(self, n, k, kind, tmp_path):
+    def test_core_euler_characteristic_matches_the_census(self, n, k, kind):
         # the reduced Euler characteristic of the core's homology, from the
         # Smith normal form oracle, against the alternating sum of the whole
         # proper part's f-vector, the empty simplex included in degree -1
-        out = tmp_path / "report.json"
-        assert main(["verify-sphericity", "--bruhat", str(n), str(k), kind,
-                     "--out", str(out)]) == 0
-        p = to_poset(enumerate_bruhat(GroundParams(n, k)), OrderKind(kind))
-        core = beat_core(p, proper_part(p))
-        assert core.bit_count() == read_json(out)["core_points"]
+        p, core, _ = core_route(n, k, kind)
         homology = reduced_homology(order_complex(p, core))
         f_vector = chain_f_vector(p, proper_part(p))
         census = -1 + sum((-1) ** d * f for d, f in enumerate(f_vector))
         assert sum((-1) ** d * homology.betti_at(d) for d in homology.degrees()) == census
 
-    def test_recognition_runs_on_the_core_only(self, monkeypatch, capsys):
-        sizes = []
-        recognise = cli.boolean_core
+    def test_stdout_lists_the_steps_then_the_verdict(self, capsys):
+        assert main(sphere_argv(5, 2, "single_step")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:5] == [
+            "B(5,2) under single_step:",
+            "  B(5,2) -> B(4,2), 62 families: pass",
+            "  B(4,2) -> B(3,2), 8 families: pass",
+            "  base B(3,2): empty proper part, the (-1)-sphere",
+            "  homotopy equivalent to a 1-sphere",
+        ]
+        assert lines[5] == f"  note: {cli.SPHERICITY_NOTE}"
 
-        def recording(p, live):
-            sizes.append(live.bit_count())
-            return recognise(p, live)
+    def test_oracle_recognises_the_core_only(self):
+        # the Boolean recognition reads B(4,1)'s 6-point core, not its
+        # 22-point proper part
+        p, core, verdict = core_route(4, 1, "single_step")
+        assert (proper_part(p).bit_count(), core.bit_count()) == (22, 6)
+        assert verdict == {"is_sphere": True, "sphere_dimension": 1}
 
-        monkeypatch.setattr(cli, "boolean_core", recording)
-        assert main(["verify-sphericity", "--bruhat", "4", "1", "single_step"]) == 0
-        assert sizes == [6]
-        stdout = capsys.readouterr().out
-        assert "beat-point core: 6 of 22 points, 3 atoms" in stdout
-        assert "homotopy equivalent to a 1-sphere" in stdout
+    def test_oracle_fails_a_non_boolean_core(self, monkeypatch):
+        # with no beat point deleted, the proper part of B(4,1) keeps its 3
+        # atoms but has 22 points, and the cross-check finds no sphere
+        monkeypatch.setattr(helpers, "beat_core", lambda p, live: live)
+        p, _, verdict = core_route(4, 1, "single_step")
+        assert boolean_core(p, proper_part(p)) == (3, ("size", "22 points on 3 atoms, not 6"))
+        assert verdict["is_sphere"] is False
 
-    def test_non_boolean_core_fails_size(self, monkeypatch, tmp_path, capsys):
-        # the whole proper part of B(4,1) keeps its 3 atoms but has 22 points
-        monkeypatch.setattr(cli, "beat_core", lambda p, live: live)
-        out = tmp_path / "report.json"
-        assert main(["verify-sphericity", "--bruhat", "4", "1", "single_step",
-                     "--out", str(out)]) == 1
-        report = read_json(out)
-        assert report["is_sphere"] is False
-        assert report["failed_check"] == {"name": "size", "witness": "22 points on 3 atoms, not 6"}
-        assert (report["core_points"], report["core_atoms"]) == (22, 3)
-        assert "size: FAIL (22 points on 3 atoms, not 6)" in capsys.readouterr().out
+    def test_oracle_on_too_few_atoms_finds_another_dimension(self, monkeypatch, tmp_path):
+        # two atoms of B(4,1)'s core are the proper part of 2^[2], a
+        # 0-sphere, which the cross-check tells from the induction's 1-sphere
+        real = helpers.beat_core
 
-    def test_boolean_core_on_too_few_atoms_fails_dimension(self, monkeypatch, tmp_path):
-        # two atoms of B(4,1)'s core are the proper part of 2^[2], a 0-sphere
         def two_atoms(p, live):
-            core = beat_core(p, live)
+            core = real(p, live)
             atoms = [i for i in posets._bits(core) if p.down[i] & core == 1 << i]
             return 1 << atoms[0] | 1 << atoms[1]
 
-        monkeypatch.setattr(cli, "beat_core", two_atoms)
+        monkeypatch.setattr(helpers, "beat_core", two_atoms)
+        _, core, verdict = core_route(4, 1, "single_step")
+        assert core.bit_count() == 2
+        assert verdict == {"is_sphere": True, "sphere_dimension": 0}
         out = tmp_path / "report.json"
-        assert main(["verify-sphericity", "--bruhat", "4", "1", "single_step",
-                     "--out", str(out)]) == 1
+        assert main(sphere_argv(4, 1, "single_step", "--out", str(out))) == 0
         report = read_json(out)
-        assert report["is_sphere"] is False
-        assert report["failed_check"] == {"name": "dimension", "witness": "2 atoms, not n-k = 3"}
-        assert (report["core_points"], report["core_atoms"]) == (2, 2)
+        assert {key: report[key] for key in verdict} == {"is_sphere": True, "sphere_dimension": 1}
+
+    @pytest.mark.parametrize("n,k,m", [(6, 2, 5), (6, 1, 4), (6, 1, 5)])
+    def test_failing_step_is_named_and_ends_the_chain(self, n, k, m, monkeypatch,
+                                                      tmp_path, capsys):
+        # the cleared-droppable-bit mutant on B(m,k) alone: the chain fails
+        # at step m, as check-lemma on B(m,k) fails, and runs no step below
+        order = enumerate_bruhat(GroundParams(m, k))
+        sizes = {j: len(enumerate_bruhat(GroundParams(j, k))) for j in range(m, n + 1)}
+        targets = droppable_targets(order)
+        for x in (targets[0], targets[-1]):
+            label = clear_droppable_bit(monkeypatch, order, x)
+            lemma_out, sphere_out = tmp_path / "lemma.json", tmp_path / "sphere.json"
+            assert main(["check-lemma", "--bruhat", str(m), str(k), "single_step",
+                         "--out", str(lemma_out)]) == 1
+            assert main(sphere_argv(n, k, "single_step", "--out", str(sphere_out))) == 1
+            witness = f"i(f({label})) is not below {label}"
+            assert first_failure(read_json(lemma_out)) == ("sandwich", witness)
+            report = read_json(sphere_out)
+            assert report["is_sphere"] is False
+            assert report["sphere_dimension"] == n - k - 2
+            assert report["failed_check"] == {"step": m, "name": "sandwich", "witness": witness}
+            assert report["steps"] == [
+                {"n": j, "elements": sizes[j], "passed": j != m} for j in range(n, m - 1, -1)
+            ]
+            stdout = capsys.readouterr().out
+            assert f"B({m},{k}) -> B({m - 1},{k}), {sizes[m]} families: sandwich FAIL" in stdout
+            assert f"NOT certified as a {n - k - 2}-sphere" in stdout
+            monkeypatch.undo()
+
+    def test_base_with_more_than_two_families_exits_1(self, monkeypatch, capsys):
+        real = bruhat.enumerate_bruhat
+
+        def padded(params, **kwargs):
+            o = real(params, **kwargs)
+            if (params.n, params.k) != (3, 2):
+                return o
+            # the empty family twice: the top is still above every family
+            return bruhat.BruhatOrder(o.params, (0, 0, 1), ((0, (0b11,)), (2, (0,))))
+
+        monkeypatch.setattr(bruhat, "enumerate_bruhat", padded)
+        assert main(sphere_argv(4, 2, "inclusion")) == 1
+        assert capsys.readouterr().err == "error: the base B(3,2) has 3 families, not 2\n"
+
+    @pytest.mark.parametrize(
+        "n,k,elements", [(8, 4, 78_032), (8, 1, 40_320)], ids=["8-4", "8-1"]
+    )
+    @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
+    def test_size_rungs_build_no_rows(self, n, k, elements, kind, monkeypatch, tmp_path):
+        # the row route took 1.26 GB on B(8,4); the induction holds two
+        # orders of families, and peaked at ~4.5 MiB under tracemalloc.
+        # |B(8,4)| was observed and checked against the definition
+        # (test_bruhat.py); |B(8,1)| = 8!, and the proper part of the weak
+        # order on S_8 is a 5-sphere (Bjoerner 1984)
+        def refuse(*args, **kwargs):
+            raise AssertionError("relation rows were built")
+
+        monkeypatch.setattr(bruhat, "to_poset", refuse)
+        monkeypatch.setattr(posets, "from_covers", refuse)
+        monkeypatch.setattr(posets, "from_relation", refuse)
+        out = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            assert main(sphere_argv(n, k, kind, "--out", str(out))) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        report = read_json(out)
+        assert (report["is_sphere"], report["sphere_dimension"]) == (True, n - k - 2)
+        assert report["steps"][0] == {"n": n, "elements": elements, "passed": True}
+        assert len(report["steps"]) == n - k - 1
 
     def test_verdict_imports_no_complex_or_homology(self):
         script = (
@@ -697,11 +789,36 @@ class TestVerifySphericityCommand:
         assert proc.returncode == 0, proc.stderr
 
     def test_max_simplices_is_gone(self, capsys):
-        assert main(["verify-sphericity", "--bruhat", "3", "1", "inclusion",
-                     "--max-simplices", "10"]) == 3
+        assert main(sphere_argv(3, 1, "inclusion", "--max-simplices", "10")) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith("error: unrecognized arguments: --max-simplices 10\n")
+
+
+class TestOutOfMemory:
+    """Running out of memory is a resource failure, exit 2, not a failed condition."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "4", "1"],
+            ["check-lemma", "--bruhat", "4", "1", "single_step"],
+            ["verify-sphericity", "--bruhat", "4", "1", "inclusion"],
+            ["compare-orders", "4", "1"],
+            ["export", "--bruhat", "4", "1", "single_step", "--format", "json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exit_2_and_no_report(self, argv, monkeypatch, tmp_path, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        for module in (cli, bruhat, instance_io):
+            monkeypatch.setattr(module, "enumerate_bruhat", exhausted)
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: out of memory in {argv[0]}\n")
+        assert not out.exists()
 
 
 class TestCompareOrdersCommand:

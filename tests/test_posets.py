@@ -10,7 +10,9 @@ from helpers import (
     addable_cover,
     addable_thinned,
     any_beat_core,
+    beat_core,
     bitwise_transpose,
+    boolean_core,
     bounded_thinning,
     chain_f_vector,
     count_chains,
@@ -29,6 +31,7 @@ from helpers import (
     pair_walk_check_monotone,
     pair_walk_validate,
     product_with_two_chain,
+    proper_part,
     random_bounded_poset,
     size_sorted_count_chains,
 )
@@ -42,12 +45,9 @@ from higher_bruhat.errors import NotAPosetError, NotBoundedError, ParameterError
 from higher_bruhat.homology import reduced_homology
 from higher_bruhat.posets import (
     FiniteBoundedPoset,
-    beat_core,
-    boolean_core,
     check_monotone,
     from_covers,
     from_relation,
-    proper_part,
 )
 from higher_bruhat.subsets import GroundParams
 

@@ -1,20 +1,21 @@
 """Behavior at the edge of desk scale.
 
 B(6,2) is enumerable (908 elements) but its proper part has ~10^11
-chains: the sphericity route decides it on the 14-point beat-point core,
-the proper part of a Boolean lattice on 4 atoms, while the row oracle's
-carrier pass still covers every chain, because it decides the fibre
-classes of the 50,598 comparable pairs that bound them.  The same pass decides B(7,3) and
-B(7,2), with ~10^21 and ~10^23 chains, and each of these row runs is the
-oracle of the column route that check-lemma takes on the same instance,
-and of the proof by which it reports the carrier cones.
-B(5,1) certifies in well under a second, because the Boolean
-recognition runs on the 14-point beat-point core of its 118-point
-proper part.  The cross-check against Smith normal form on the whole
-order complex takes a few seconds, and B(7,2) and B(8,1) build posets
-of 24,698 and 40,320 elements at a few hundred MB, B(8,1) with ~1.7 s
-of Smith normal form on its core; these run only when explicitly asked
-for via HIGHER_BRUHAT_STRETCH=1.
+chains: the sphericity route decides it by the paper's induction, three
+level descents from columns, and the Boolean-core oracle recognises its
+14-point beat-point core, the proper part of a Boolean lattice on 4
+atoms, while the row oracle's carrier pass still covers every chain,
+because it decides the fibre classes of the 50,598 comparable pairs
+that bound them.  The same pass decides B(7,3) and B(7,2), with ~10^21
+and ~10^23 chains, and each of these row runs is the oracle of the
+column route that check-lemma takes on the same instance, and of the
+proof by which it reports the carrier cones.
+Smith normal form on the whole order complex of B(5,1) takes a few
+seconds.  The Boolean-core oracle on B(7,2), B(8,1) and B(8,4) builds
+posets of 24,698, 40,320 and 78,032 elements at up to 1.26 GB, B(8,1)
+with ~1.7 s of Smith normal form on its core, and the induction on
+B(8,2), B(8,3) and B(10,1) runs for seconds each; these run only when
+explicitly asked for via HIGHER_BRUHAT_STRETCH=1.
 """
 
 import json
@@ -25,16 +26,20 @@ import pytest
 
 from helpers import (
     any_beat_core,
+    beat_core,
     build_proof_maps,
     carrier_cone_check,
     chain_f_vector,
     condition_verdicts,
+    core_route,
     count_chains,
     dissection_instance,
     full_route_report,
     order_complex,
+    proper_part,
+    proper_part_complex,
 )
-from higher_bruhat import cli
+from higher_bruhat import bruhat, posets
 from higher_bruhat.bruhat import (
     OrderKind,
     descent_conditions,
@@ -43,7 +48,6 @@ from higher_bruhat.bruhat import (
 )
 from higher_bruhat.cli import main
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
-from higher_bruhat.posets import beat_core, boolean_core, proper_part
 from higher_bruhat.subsets import GroundParams
 from higher_bruhat.suspension_check import check_conditions
 
@@ -53,29 +57,22 @@ def test_six_two_enumerates():
     assert len(order) == 908
 
 
-def test_six_two_sphericity_decided_on_the_core(tmp_path, monkeypatch):
-    # the recognition reads the 14-point core, not the ~10^11 chains of the
-    # proper part, so the verdict comes fast
-    sizes = []
-    recognise = cli.boolean_core
-
-    def recording(p, live):
-        sizes.append(live.bit_count())
-        return recognise(p, live)
-
-    monkeypatch.setattr(cli, "boolean_core", recording)
+def test_six_two_sphericity_decided_on_the_core(tmp_path):
+    # the induction reads three level descents, and the oracle's
+    # recognition the 14-point core, not the ~10^11 chains of the proper
+    # part, so both verdicts come fast
     out = tmp_path / "report.json"
     started = time.perf_counter()
     assert main(["verify-sphericity", "--bruhat", "6", "2", "single_step",
                  "--out", str(out)]) == 0
+    p, core, verdict = core_route(6, 2, "single_step")
     assert time.perf_counter() - started < 5
-    assert sizes == [14]
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["is_sphere"] is True
     assert report["sphere_dimension"] == 2
-    assert (report["proper_part_points"], report["core_points"], report["core_atoms"]) == (
-        906, 14, 4
-    )
+    assert [step["elements"] for step in report["steps"]] == [908, 62, 8]
+    assert verdict == {"is_sphere": True, "sphere_dimension": 2}
+    assert (proper_part(p).bit_count(), core.bit_count()) == (906, 14)
 
 
 def row_route(n, k, kind):
@@ -92,13 +89,18 @@ def row_route(n, k, kind):
     return order, conditions, carrier_cone_check(inst), chains
 
 
+def suborder(order):
+    params = order.params
+    return enumerate_bruhat(GroundParams(params.n - 1, params.k))
+
+
 def test_six_two_carrier_check_is_exhaustive():
     order, conditions, carrier, chains = row_route(6, 2, "single_step")
     assert conditions.all_pass is True
     assert carrier.failures == ()
     assert carrier.pairs_checked == 50_598
     assert chains == 99_888_984_062
-    columns = descent_conditions(order, OrderKind.SINGLE_STEP)
+    columns = descent_conditions(order, suborder(order), OrderKind.SINGLE_STEP)
     assert condition_verdicts(columns) == condition_verdicts(conditions)
 
 
@@ -124,8 +126,9 @@ def test_seven_rung_carrier_check_is_exhaustive(n, k, kind, pairs, chains):
     # comparable pairs each), as do B(6,2)'s, and the map tables do not
     # depend on the order, so this run decides that instance too
     kinds = [kind, "inclusion"] if (n, k) == (7, 2) else [kind]
+    below = suborder(order)
     for other in kinds:
-        columns = descent_conditions(order, OrderKind(other))
+        columns = descent_conditions(order, below, OrderKind(other))
         assert condition_verdicts(columns) == condition_verdicts(conditions)
 
 
@@ -144,11 +147,11 @@ def test_five_one_is_a_two_sphere(tmp_path):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["is_sphere"] is True
     assert report["sphere_dimension"] == 2
-    assert (report["proper_part_points"], report["core_points"], report["core_atoms"]) == (
-        118, 14, 4
-    )
-    # the census of the whole proper part, which the command no longer takes
-    p = to_poset(enumerate_bruhat(GroundParams(5, 1)), OrderKind.SINGLE_STEP)
+    assert [step["elements"] for step in report["steps"]] == [120, 24, 6]
+    # the oracle's core, and the census of the whole proper part, which
+    # the command no longer takes
+    p, core, _ = core_route(5, 1, "single_step")
+    assert (proper_part(p).bit_count(), core.bit_count()) == (118, 14)
     assert 1 + sum(chain_f_vector(p, proper_part(p))) == 113_391
 
 
@@ -163,29 +166,34 @@ def test_five_one_matches_full_route(tmp_path):
     expected = full_route_report(5, 1, "single_step")
     assert expected["is_sphere"] is True
     assert json.loads(out.read_text(encoding="utf-8")) == expected
+    # Smith normal form on the order complex of the whole proper part
+    p = to_poset(enumerate_bruhat(GroundParams(5, 1)), OrderKind.SINGLE_STEP)
+    assert is_sphere_homology(reduced_homology(proper_part_complex(p)), 2)
 
 
-@pytest.mark.skipif(
+stretch = pytest.mark.skipif(
     not os.environ.get("HIGHER_BRUHAT_STRETCH"),
-    reason="builds a 24,698-element poset; set HIGHER_BRUHAT_STRETCH=1 to run",
+    reason="builds posets of up to 1.26 GB or runs for seconds; set HIGHER_BRUHAT_STRETCH=1",
 )
+
+
+@stretch
 @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
 def test_seven_two_is_a_three_sphere(kind, tmp_path):
     # ~1.1 * 10^23 chains in the proper part, 30 points in its core
     out = tmp_path / "report.json"
     started = time.perf_counter()
     assert main(["verify-sphericity", "--bruhat", "7", "2", kind, "--out", str(out)]) == 0
-    assert time.perf_counter() - started < 3
+    assert time.perf_counter() - started < 0.5
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["is_sphere"] is True
     assert report["sphere_dimension"] == 3
-    assert (report["core_points"], report["core_atoms"]) == (30, 5)
+    _, core, verdict = core_route(7, 2, kind)
+    assert core.bit_count() == 30
+    assert verdict == {"is_sphere": True, "sphere_dimension": 3}
 
 
-@pytest.mark.skipif(
-    not os.environ.get("HIGHER_BRUHAT_STRETCH"),
-    reason="builds a 40,320-element poset at ~400 MB; set HIGHER_BRUHAT_STRETCH=1 to run",
-)
+@stretch
 def test_eight_one_beat_core_matches_any_route():
     p = to_poset(enumerate_bruhat(GroundParams(8, 1)), OrderKind.SINGLE_STEP)
     pp = proper_part(p)
@@ -196,20 +204,53 @@ def test_eight_one_beat_core_matches_any_route():
     assert core == any_beat_core(p, pp)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("HIGHER_BRUHAT_STRETCH"),
-    reason="builds a 40,320-element poset at ~400 MB; set HIGHER_BRUHAT_STRETCH=1 to run",
-)
-def test_eight_one_boolean_verdict_matches_snf_on_the_core(tmp_path):
-    # the weak order on S_8: its proper part is a 5-sphere (Bjoerner 1984),
-    # and Smith normal form on the core's 47,293 simplices takes ~1.7 s
+@stretch
+@pytest.mark.parametrize("kind", ["single_step", "inclusion"])
+@pytest.mark.parametrize("n,k", [(7, 0), (8, 1), (8, 4)])
+def test_eight_rung_induction_matches_the_boolean_core(n, k, kind, tmp_path):
+    # the induction's verdict against the Boolean-core oracle's, whose
+    # rows take 1.26 GB on B(8,4).  B(7,0) is the Boolean lattice on 7
+    # atoms; the weak order on S_8, B(8,1), has a 5-sphere as its proper
+    # part (Bjoerner 1984).  Smith normal form on the 126-point cores of
+    # these two takes ~1.7 s
     out = tmp_path / "report.json"
-    assert main(["verify-sphericity", "--bruhat", "8", "1", "single_step",
+    assert main(["verify-sphericity", "--bruhat", str(n), str(k), kind,
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
-    assert report["is_sphere"] is True and report["failed_check"] is None
-    assert (report["core_points"], report["core_atoms"]) == (126, 7)
-    p = to_poset(enumerate_bruhat(GroundParams(8, 1)), OrderKind.SINGLE_STEP)
-    core = beat_core(p, proper_part(p))
-    assert boolean_core(p, core) == (7, None)
-    assert is_sphere_homology(reduced_homology(order_complex(p, core)), 5)
+    p, core, verdict = core_route(n, k, kind)
+    assert {key: report[key] for key in verdict} == verdict
+    assert verdict == {"is_sphere": True, "sphere_dimension": n - k - 2}
+    assert is_sphere_homology(reduced_homology(order_complex(p, core)), n - k - 2)
+
+
+@stretch
+@pytest.mark.parametrize("kind", ["single_step", "inclusion"])
+@pytest.mark.parametrize(
+    "n,k,extra,elements",
+    [
+        # OEIS A006245 (primitive sorting networks)
+        (8, 2, (), 1_232_944),
+        # observed, with no published source; the two orders differ here
+        # (Ziegler, Topology 1993)
+        (8, 3, ("--max-subsets", "70"), 1_681_104),
+        # the weak order on S_10: 10! elements, a 7-sphere
+        (10, 1, (), 3_628_800),
+    ],
+    ids=["8-2", "8-3", "10-1"],
+)
+def test_induction_decides_what_rows_cannot_hold(n, k, extra, elements, kind, monkeypatch,
+                                                 tmp_path):
+    # one whole relation on B(8,2) would take ~190 GB of rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("relation rows were built")
+
+    monkeypatch.setattr(bruhat, "to_poset", refuse)
+    monkeypatch.setattr(posets, "from_covers", refuse)
+    monkeypatch.setattr(posets, "from_relation", refuse)
+    out = tmp_path / "report.json"
+    assert main(["verify-sphericity", "--bruhat", str(n), str(k), kind, *extra,
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert (report["is_sphere"], report["sphere_dimension"]) == (True, n - k - 2)
+    assert report["steps"][0] == {"n": n, "elements": elements, "passed": True}
+    assert [step["n"] for step in report["steps"]] == list(range(n, k + 1, -1))

@@ -16,12 +16,13 @@ from helpers import (
     instance_to_doc,
     iter_chains,
     product_with_two_chain,
+    proper_part,
     random_bounded_poset,
 )
 from higher_bruhat.bruhat import OrderKind, enumerate_bruhat
 from higher_bruhat.errors import ParameterError
 from higher_bruhat.instance_io import parse_instance_doc
-from higher_bruhat.posets import FiniteBoundedPoset, from_covers, proper_part
+from higher_bruhat.posets import FiniteBoundedPoset, from_covers
 from higher_bruhat.subsets import GroundParams
 from higher_bruhat.suspension_check import (
     CONDITION_NAMES,
