@@ -14,9 +14,12 @@ level W - c of W members is level c complemented and read backwards, and
 its addable columns are level c's droppable columns, bit-reversed.  Each
 level, grown or mirrored, is certified against the packet segments by
 the segment kernel, which reads each packet as a monotone run, before
-the next one is made.  The brute-force oracle runs the same kernel over
-all bitsets, in chunks, to decide membership on its own; it must find
-the same families.
+the next one is made.  The growth is a stream of certified levels, each
+emitted with its member, addable and droppable columns, level c right
+before its mirror W - c: the induction reads the levels as they come
+and holds two at a time, and enumerate_bruhat collects them into an
+order.  The brute-force oracle runs the same kernel over all bitsets, in
+chunks, to decide membership on its own; it must find the same families.
 Both relations (single-step inclusion and ordinary inclusion) live on the
 same element set; single-step comparability is reachability in the
 digraph of single-member additions.  Every cover adds one member, so
@@ -36,7 +39,7 @@ import itertools
 from bisect import bisect_left
 from functools import cached_property, partial, reduce
 from operator import and_, ge, ne, or_
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import posets
 from .errors import InvariantError, NotBoundedError, ParameterError, ResourceLimitError
@@ -47,6 +50,7 @@ __all__ = [
     "OrderKind",
     "BruhatOrder",
     "enumerate_bruhat",
+    "level_sizes",
     "compare_orders",
     "to_poset",
     "descent_conditions",
@@ -98,15 +102,16 @@ class BruhatOrder:
     family to that family plus x in the next level, so covers join
     consecutive levels.  up_levels closes reachability one level at a time
     from these columns, and reach keeps that level closure in full.
-    Instances are immutable after construction; the covers, the families
-    as ConsistentSets, their index and the reach rows are computed on
-    first use.
+    Instances are not changed after construction: enumerate_bruhat's bits
+    are a list, built once and never copied.  The covers, the families as
+    ConsistentSets, their index and the reach rows are computed on first
+    use.
     """
 
     def __init__(
         self,
         params: GroundParams,
-        bits: tuple[int, ...],
+        bits: Sequence[int],
         addable: tuple[tuple[int, tuple[int, ...]], ...],
     ):
         self.params = params
@@ -313,19 +318,22 @@ def _and_terms(col: int, pairs: Iterable[tuple[int, int]], either: list[int]) ->
     return col
 
 
-def _addable(cols: list[int], absent: list[int], packets: list[tuple[int, ...]]) -> list[int]:
+def _addable(
+    cols: list[int], absent: list[int], terms: list[list[tuple[int, int]]]
+) -> list[int]:
     """Per member x, the column of the families of a level that can take x.
 
     cols and absent are the level's member columns and their complements,
-    and packets holds each packet's members in lex order.  The result
-    applies the neighbour rule of _grow (_neighbour_terms) to every packet.
+    and terms the order's neighbour rule (_neighbour_terms), built once
+    per order.
     """
     either = [*cols, *absent]
-    terms = _neighbour_terms(packets, len(cols))
     return [_and_terms(col, pairs, either) for col, pairs in zip(absent, terms)]
 
 
-def _droppable(cols: list[int], absent: list[int], packets: list[tuple[int, ...]]) -> list[int]:
+def _droppable(
+    cols: list[int], absent: list[int], terms: list[list[tuple[int, int]]]
+) -> list[int]:
     """Per member x, the column of the families of a level that can drop x.
 
     Within a packet the complement of a segment is a segment, so a family
@@ -334,7 +342,7 @@ def _droppable(cols: list[int], absent: list[int], packets: list[tuple[int, ...]
     therefore gives, for each x, the families holding x that stay
     consistent without it.
     """
-    return _addable(absent, cols, packets)
+    return _addable(absent, cols, terms)
 
 
 def _certified_columns(params: GroundParams, level: list[int]) -> list[int]:
@@ -344,6 +352,8 @@ def _certified_columns(params: GroundParams, level: list[int]) -> list[int]:
     the segments as monotone runs and apart from the neighbour rule, the
     canonical parent and the mirror.  A family that fails a packet raises
     InvariantError naming the level's first such family and the packet.
+    Then the level must be strictly ascending and within the order's
+    width, else InvariantError names the level or the order.
     """
     cols = posets._columns(level, params.num_members)
     full = (1 << len(level)) - 1
@@ -355,21 +365,51 @@ def _certified_columns(params: GroundParams, level: list[int]) -> list[int]:
                 f"enumeration emitted {_label(params, bad)}, which is inconsistent "
                 f"on the packet with base {c.base}"
             )
+    if any(map(ge, level, itertools.islice(level, 1, None))):
+        raise InvariantError(
+            f"the growth of B({params.n},{params.k}) repeats a family at level "
+            f"{level[0].bit_count()}"
+        )
+    if level and not 0 <= level[0] <= level[-1] <= params.full_bits:
+        raise InvariantError(f"enumeration emitted a bitset out of range for {params}")
     return cols
 
 
-def _mirror(level: list[int], drop: list[int], full: int) -> tuple[list[int], tuple[int, ...]]:
-    """The complements of a level's families, and their addable columns.
+class Level(NamedTuple):
+    """One certified level of B(n,k), as _grow emits it.
+
+    card is the level's cardinality and families its families, ascending.
+    Bit f of cols[x] is set iff family f holds member x, of add[x] iff
+    family f can take x, and of drop[x] iff family f can drop x.
+    """
+
+    card: int
+    families: list[int]
+    cols: list[int]
+    add: list[int]
+    drop: list[int]
+
+
+def _mirror(
+    level: list[int], add: list[int], drop: list[int], full: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The complements of a level's families, their addable and droppable columns.
 
     The complements come in ascending order, so family g of the result is
-    the complement of family len(level) - 1 - g of the level, and the
-    addable column of x is the level's droppable column of x (drop)
-    bit-reversed over the level's length (see _grow).
+    the complement of family len(level) - 1 - g of the level.  The
+    addable column of x is the level's droppable column of x bit-reversed
+    over the level's length, and the droppable column of x its addable
+    column of x, reversed (see _grow).
     """
-    return (
-        [full ^ f for f in reversed(level)],
-        tuple(_reversed_bits(col, len(level)) for col in drop),
-    )
+    flip = partial(_reversed_bits, length=len(level))
+    return [full ^ f for f in reversed(level)], list(map(flip, drop)), list(map(flip, add))
+
+
+def _mirrored(params: GroundParams, level: Level) -> Level:
+    """Level W - c, certified on its own columns, from level c (see _grow)."""
+    upper, add, drop = _mirror(level.families, level.add, level.drop, params.full_bits)
+    cols = _certified_columns(params, upper)
+    return Level(params.num_members - level.card, upper, cols, add, drop)
 
 
 class _GrowthPlan(NamedTuple):
@@ -389,8 +429,8 @@ class _GrowthPlan(NamedTuple):
     widened: tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]
 
 
-def _growth_plan(packets: list[tuple[int, ...]], width: int) -> _GrowthPlan:
-    """The canonical-parent plan of an order's packets, from _neighbour_terms.
+def _growth_plan(terms: list[list[tuple[int, int]]], width: int) -> _GrowthPlan:
+    """The canonical-parent plan of an order's neighbour terms (_neighbour_terms).
 
     Each growth builds its own plan, which costs far less than the growth:
     a plan cached across growths outlives their levels and raised the peak
@@ -398,7 +438,7 @@ def _growth_plan(packets: list[tuple[int, ...]], width: int) -> _GrowthPlan:
     """
     narrowed: list[list[tuple[int, int]]] = [[] for _ in range(width)]
     widened: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(width)]
-    for y, pairs in enumerate(_neighbour_terms(packets, width)):
+    for y, pairs in enumerate(terms):
         for i, (a, b) in enumerate(pairs):
             for literal, other in ((a, b), (b, a)):
                 x = literal % width
@@ -462,8 +502,8 @@ def _grown(level: list[int], grows: list[int]) -> list[int]:
     return out
 
 
-def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]]:
-    """Elements in (cardinality, bits) order and each level's addable columns.
+def _grow(params: GroundParams) -> Iterator[Level]:
+    """The levels of B(n,k), each certified before it is emitted.
 
     The order grows one cardinality at a time from the empty family, up
     to the middle level, of cardinality W // 2 for W members; the levels
@@ -472,10 +512,12 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, .
     x), and the addable column of x, built by _addable with the neighbour
     rule below, has bit f set iff f + x is consistent; the droppable
     column of x, built by _droppable with the same rule on complements,
-    has bit f set iff f holds x and f - x is consistent.  Each level's
-    start and addable columns are kept, so BruhatOrder.covers can read
-    the covers off them later; each grown level below the middle also
-    keeps its droppable columns until it is mirrored.
+    has bit f set iff f holds x and f - x is consistent.  The neighbour
+    terms and the canonical-parent plan are built once per order.  Level
+    c is emitted as soon as it is certified, then its mirror W - c, and
+    only then is level c + 1 grown from it: the growth holds two levels,
+    and a consumer that drops each level after use holds no more.  So the
+    levels come in the order 0, W, 1, W - 1, ..., ending at the middle.
 
     Canonical parent.  Every nonempty consistent family h has a member
     whose removal leaves it consistent, since the empty family is the
@@ -489,17 +531,18 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, .
     union.  So y can be dropped from g + x iff it can be from g, except
     on that packet, whose term is evaluated with x held (_growth_plan).
 
-    Completeness.  After level c is certified, the growth requires it to
-    be strictly ascending and its droppable columns to have as many
-    set bits as the addable columns of level c - 1, else InvariantError
-    names the level.  Let level c - 1 be complete.  Each set bit of its
-    addable columns is a pair (g, x) with g + x consistent, that is a
-    pair (h, y) with h consistent of cardinality c and h - y consistent:
-    one cover out of level c - 1.  Level c holds such families h only,
-    each g + x with x not in g, and if it is certified and strictly
-    ascending it holds each once, so its droppable bits count the pairs
-    over the families it holds.  Every nonempty h has a droppable member,
-    so the counts are equal iff no family is missing.
+    Completeness.  Every level must be strictly ascending and within the
+    order's width (_certified_columns).  After level c is certified, its
+    droppable columns must have as many set bits as the addable columns
+    of level c - 1, else InvariantError names the level.  Let level c - 1
+    be complete.  Each set bit of its addable columns is a pair (g, x)
+    with g + x consistent, that is a pair (h, y) with h consistent of
+    cardinality c and h - y consistent: one cover out of level c - 1.
+    Level c holds such families h only, each g + x with x not in g, and
+    if it is certified and strictly ascending it holds each once, so its
+    droppable bits count the pairs over the families it holds.  Every
+    nonempty h has a droppable member, so the counts are equal iff no
+    family is missing.
 
     Mirror.  Complement, f -> full ^ f, is an involution on bitsets that
     keeps consistency: within a packet the complement of a segment is a
@@ -507,10 +550,14 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, .
     minus x, and it reverses the bitset order within a level.  So level
     W - c is level c complemented and read backwards, and its addable
     column of x is the droppable column of x of level c, bit-reversed over
-    the level's length (_mirror).  Every consistent family of cardinality
-    W - c is the complement of one of cardinality c, which the growth
-    holds, so the upper levels are complete because the lower ones are.
-    Each mirrored level is read back from the elements, top level first.
+    the level's length, and its droppable column of x the addable column
+    of x of level c, reversed (_mirror).  Every consistent family of
+    cardinality W - c is the complement of one of cardinality c, which
+    the growth holds, so the upper levels are complete because the lower
+    ones are.  The count runs on the mirrored side too, from the top
+    down: the addable columns of level W - c must have as many set bits
+    as the droppable columns of level W - c + 1, which checks the
+    mirrored columns.
 
     Every level, grown or mirrored, is certified against the packets by
     the segment kernel on its own columns (_certified_columns), so the
@@ -533,41 +580,39 @@ def _grow(params: GroundParams) -> tuple[list[int], list[tuple[int, tuple[int, .
     suffix is the mirror image, with m_{t+1}, t = r - s and m_r.
     """
     width = params.num_members
-    packets = [c.members for c in _packet_checks(params.n, params.k)]
-    plan = _growth_plan(packets, width)
+    terms = _neighbour_terms([c.members for c in _packet_checks(params.n, params.k)], width)
+    plan = _growth_plan(terms, width)
     name = f"B({params.n},{params.k})"
-    elements: list[int] = []
-    levels: list[tuple[int, tuple[int, ...]]] = []
-    drops: list[list[int]] = []
-    level, covers = [0], 0
+    level, below, above = [0], 0, 0
     for c in range(width // 2 + 1):
         cols = _certified_columns(params, level)
-        if any(map(ge, level, itertools.islice(level, 1, None))):
-            raise InvariantError(f"the growth of {name} repeats a family at level {c}")
         full = (1 << len(level)) - 1
         absent = [full ^ col for col in cols]
-        drop = _droppable(cols, absent, packets)
+        drop = _droppable(cols, absent, terms)
         dropped = sum(map(int.bit_count, drop))
-        if dropped != covers:
+        if dropped != below:
             raise InvariantError(
                 f"the growth of {name} misses a family at level {c}: its families "
-                f"drop {dropped} members, the level below takes {covers}"
+                f"drop {dropped} members, the level below takes {below}"
             )
-        add = _addable(cols, absent, packets)
-        covers = sum(map(int.bit_count, add))
+        add = _addable(cols, absent, terms)
+        below = sum(map(int.bit_count, add))
+        grown = Level(c, level, cols, add, drop)
+        yield grown
         if 2 * c < width:
-            drops.append(drop)
-        levels.append((len(elements), tuple(add)))
-        elements.extend(level)
+            mirror = _mirrored(params, grown)
+            taken = sum(map(int.bit_count, mirror.add))
+            if taken != above:
+                raise InvariantError(
+                    f"the growth of {name} misses a family at level {width - c}: its "
+                    f"families take {taken} members, the level above drops {above}"
+                )
+            above = sum(map(int.bit_count, mirror.drop))
+            yield mirror
+            # the consumer keeps the mirror if it needs it; the growth does not
+            del mirror
         if c < width // 2:
             level = _grown(level, _canonical(add, drop, cols, absent, plan))
-    bounds = [start for start, _ in levels] + [len(elements)]
-    for c in reversed(range(len(drops))):
-        upper, add = _mirror(elements[bounds[c]:bounds[c + 1]], drops.pop(), params.full_bits)
-        _certified_columns(params, upper)
-        levels.append((len(elements), add))
-        elements.extend(upper)
-    return elements, levels
 
 
 def _check_width(params: GroundParams, method: str, max_subsets: int | None) -> None:
@@ -592,25 +637,54 @@ def enumerate_bruhat(
 ) -> BruhatOrder:
     """Enumerate B(n,k); method is "bfs" or "bruteforce" (an oracle pair).
 
-    Both grow the order level by level from addable columns, which the
-    order keeps to give its covers on first use.  "bruteforce" then
-    decides membership by scanning every bitset against every packet, and
-    raises InvariantError unless the scan finds the same families.  The
-    growth certifies every level against every packet before it grows the
-    next; a failure raises InvariantError.
+    This is the one collector of the growth's stream (_grow), which
+    certifies every level before the next one is made; a failure raises
+    InvariantError.  The lower levels are appended to the order's bits as
+    they come, and the mirrored ones, which come top level first, are
+    held as lists and appended once the middle is reached, each dropped
+    as it is moved: the bits are built once, as a list, and never copied.
+    The order keeps each level's addable columns, to give its covers on
+    first use.  "bruteforce" then decides membership by scanning every
+    bitset against every packet, and raises InvariantError unless the
+    scan finds the same families.
     """
     _check_width(params, method, max_subsets)
-    found, levels = _grow(params)
-    if not 0 <= min(found) <= max(found) <= params.full_bits:
-        raise InvariantError(f"enumeration emitted a bitset out of range for {params}")
+    bits: list[int] = []
+    addable: list[tuple[int, tuple[int, ...]]] = []
+    upper: list[tuple[list[int], list[int]]] = []
+    for level in _grow(params):
+        if 2 * level.card > params.num_members:
+            upper.append((level.families, level.add))
+        else:
+            addable.append((len(bits), tuple(level.add)))
+            bits.extend(level.families)
+    while upper:
+        families, add = upper.pop()
+        addable.append((len(bits), tuple(add)))
+        bits.extend(families)
     if method == "bruteforce":
         scanned = sorted(_bruteforce_bits(params), key=lambda b: (b.bit_count(), b))
-        if scanned != found:
+        if scanned != bits:
             raise InvariantError(
                 f"brute-force scan and addable-mask growth disagree: the scan finds "
-                f"{len(scanned)} families, the growth {len(found)}"
+                f"{len(scanned)} families, the growth {len(bits)}"
             )
-    return BruhatOrder(params, tuple(found), tuple(levels))
+    return BruhatOrder(params, bits, tuple(addable))
+
+
+def level_sizes(params: GroundParams, max_subsets: int | None = None) -> list[int]:
+    """The number of families of each cardinality of B(n,k), in turn.
+
+    enumerate_bruhat(params, max_subsets=max_subsets).level_sizes(), with
+    the same budget and the same certified growth, but each level is
+    dropped once counted, so only two levels are held at a time.
+    """
+    _check_width(params, "bfs", max_subsets)
+    sizes = [0] * (params.num_members + 1)
+    for level in _grow(params):
+        sizes[level.card] = len(level.families)
+        del level  # the next level grows without this one
+    return sizes
 
 
 def to_poset(order: BruhatOrder, kind: OrderKind) -> posets.FiniteBoundedPoset:
@@ -666,39 +740,89 @@ COLUMN_ROUTE_NOTE = (
 )
 
 
-def _check_top(order: BruhatOrder) -> None:
-    """Raise NotBoundedError, as to_poset does, unless the full family is the top.
+def _bounded(params: GroundParams, levels: Iterable[Level]) -> Iterator[Level]:
+    """The levels, passed on as they come; then NotBoundedError, as to_poset
+    raises it, unless the full family is the top.
 
     The full family lies above every family under both orders iff it is
     the top level's only family and each family below that level takes
     some member.  Then the empty family is the bottom under both orders:
     the growth reaches every family up to the middle level from it by
     single-member additions, and a family above the middle has a lower
-    cover, as its complement takes some member.
+    cover, as its complement takes some member.  The error names the
+    order's last family in (cardinality, bits) order.
     """
-    *lower, (start, end, _) = order._levels()
-    grows = all(reduce(or_, add, 0) == (1 << e - s) - 1 for s, e, add in lower)
-    if not (grows and end - start == 1 and order.bits[start] == order.params.full_bits):
-        raise NotBoundedError(f"{_label(order.params, order.bits[-1])} is not above every element")
+    topped, last, grows = False, (-1, 0), True
+    for level in levels:
+        if level.card == params.num_members:
+            topped = len(level.families) == 1 and level.families[0] == params.full_bits
+        elif reduce(or_, level.add, 0) != (1 << len(level.families)) - 1:
+            grows = False
+        last = max(last, (level.card, level.families[-1]))
+        yield level
+        del level  # the next level grows without this one
+    if not (grows and topped):
+        raise NotBoundedError(f"{_label(params, last[1])} is not above every element")
 
 
-def descent_conditions(
-    order: BruhatOrder, suborder: BruhatOrder, kind: OrderKind
-) -> ConditionReport:
-    """The lemma's hypotheses on B(n,k) -> B(n-1,k), decided from member columns.
+def _bounded_size(params: GroundParams, levels: Iterable[Level]) -> int:
+    """The number of families over the levels, once _bounded has passed them."""
+    size = 0
+    for level in _bounded(params, levels):
+        size += len(level.families)
+        del level  # the next level grows without this one
+    return size
+
+
+def _check_top(order: BruhatOrder) -> None:
+    """_bounded on a collected order, whose levels hold no member columns."""
+    levels = enumerate(order._levels())
+    _bounded_size(order.params, (
+        Level(c, order.bits[start:end], [], add, []) for c, (start, end, add) in levels
+    ))
+
+
+def descent_conditions(params: GroundParams, kind: OrderKind) -> ConditionReport:
+    """The lemma's hypotheses on B(n,k) -> B(n-1,k), decided level by level.
 
     This is check_conditions on the instance that dissection_doc writes
     and resolve_dissection reads back, with the same checks in the same
     order and the same verdicts, but no poset, no relation row and no map
-    table is built.  order is P = B(n,k) and suborder Q = B(n-1,k), both
-    enumerated by the caller, and f, i and j are the mask, identity and
-    OR of _level_maps.  A failing check's witness is worded as
-    check_conditions words it.
+    table is built, and Q is never enumerated.  P = B(n,k) is read from
+    its growth's stream, one level at a time, from the columns that the
+    growth certified, and each level is dropped after use (_decided).  f,
+    i and j are the mask, identity and OR of _level_maps.  A failing
+    check's witness is worded as check_conditions words it: each level
+    gives its lowest failing family, and the lowest over all levels, in
+    (cardinality, bits) order, is the witness.  P's bounds are checked on
+    its stream as to_poset checks them (_bounded), then Q's on Q's own
+    stream, then the images (_condition_report), the order in which the
+    row route checks them.
 
-    Images.  Every f(x), i(a) and j(a) is looked up among the enumerated
-    families, in the order of dissection_doc's tables, and a miss raises
-    the same InvariantError.  The bounds are checked as to_poset checks
-    them (_check_top).
+    Images, from the masks.  Colex ranks do not depend on n, so kept, the
+    members without n, is Q's full family.  A packet of P whose base
+    avoids n is a packet of Q and holds no added member.  A packet whose
+    base B holds n has B - {n} as its first member in lex order, and
+    every other member holds n.  Suppose kept is Q's full family and
+    added = P's full family minus kept, which _level_maps gives; then:
+    - f(x) = x & kept is a family of Q: Q's packets are P's packets
+      without n, and x & kept meets each of them as x does, in a segment.
+    - i(a) = a and j(a) = a | added are families of P, for a in Q: each
+      meets a packet without n as a does, and a packet holding n in a
+      prefix (the empty set or its first member) for i, and in a suffix
+      (all but the first member) or the whole packet for j.
+    - The compositions and colours are identities: f(i(a)) = a & kept = a,
+      as a lies in kept, and f(j(a)) = (a | added) & kept = a, as added
+      and kept are disjoint; the top member {n-k..n} holds n, so lies in
+      added and not in kept, so every i(a) is green and every j(a) red.
+    So the two mask equalities, checked in O(1), decide every image, the
+    compositions_identity and images_two_colored.  Masks that fail them
+    are decided family by family: an image is enumerated iff it lies
+    within its order's width and passes the segment kernel, since the
+    growth is complete, and Q's families are P's families within Q's
+    width, in the same order.  A missing image raises the InvariantError
+    that the row route raises: the first f(x) in P's order, else the
+    first j(a) in Q's (i(a) is a family of P by definition).
 
     Proved from the images, so reported as passing:
     - f, i and j are monotone.  Under inclusion each preserves inclusion.
@@ -711,12 +835,11 @@ def descent_conditions(
     - green_is_down_set: a green family lacks the top member, and y <= x
       under either order makes y a subfamily of x.
 
-    Decided by bit tests:
-    - compositions_identity and images_two_colored, per family of Q.
-    - extreme_fibers, per level: the fibre over Q's bottom (the empty
-      family) is the AND of the kept members' absent columns, the fibre
-      over Q's top (its full family) the AND of their columns.  Level 0
-      holds only P's bottom and the top level only P's top.
+    Decided by bit tests, per level:
+    - extreme_fibers: the fibre over Q's bottom (the empty family) is the
+      AND of the kept members' absent columns, the fibre over Q's top (its
+      full family) the AND of their columns.  Level 0 holds only P's
+      bottom and level W only P's top.
     - sandwich, i(f(x)) <= x <= j(f(x)).  Under inclusion, x & kept lies
       in x, and x lies in (x & kept) | added iff x holds no member outside
       kept | added.  Under single-step, by induction on the number of
@@ -726,8 +849,8 @@ def descent_conditions(
       nothing outside kept | added, has an upper cover adding one; for the
       converse, the last (first) step of a chain of single-member
       additions from x & kept to x (from x to x | added) is such a cover.
-      The upper covers are the kept addable columns.  The lower covers are
-      the droppable columns (_droppable): x minus m is consistent, so the
+      The upper covers are the level's addable columns.  The lower covers
+      are its droppable columns: x minus m is consistent, so the
       enumeration holds it, since it holds every consistent family: the
       growth reaches every one up to the middle level (B(n,k) has the
       empty family as its unique minimum under single-step), the levels
@@ -744,100 +867,142 @@ def descent_conditions(
     shows, so not built: the proof maps g and h and the carrier cones.
     check-lemma reports both as passing when the conditions do.
     """
-    params = order.params
-    small, kept, added = _level_maps(params)
-    if suborder.params != small:
-        got = suborder.params
-        raise ParameterError(f"Q must be B({small.n},{small.k}), got B({got.n},{got.k})")
-    _check_top(order)
-    _check_top(suborder)
-    in_q = set(suborder.bits)
-    missing = next(
-        itertools.chain(
-            (b & kept for b in order.bits if b & kept not in in_q),
-            (a for a in suborder.bits if a not in order),
-            (a | added for a in suborder.bits if a | added not in order),
-        ),
-        None,
-    )
-    if missing is not None:
-        raise _not_enumerated(params, missing)
+    small = _level_maps(params)[0]
+    lowest = _decided(params, kind)[1]
+    _bounded_size(small, _grow(small))
+    return _condition_report(params, lowest)
 
+
+def _decided(
+    params: GroundParams, kind: OrderKind
+) -> tuple[int, dict[str, tuple[int, int, object]]]:
+    """P's size, and the lowest failure of each check that descent_conditions
+    decides on P's growth, keyed by check, as (cardinality, index within
+    the level, witness); P's bounds are checked on the stream (_bounded).
+    """
+    small, kept, added = _level_maps(params)
     # labels are rendered only for a witness
     label, sub_label = partial(_label, params), partial(_label, small)
-    width, bits = params.num_members, order.bits
+    width = params.num_members
     red = width - 1
-    compositions = next(
-        (
-            f"f({g}({sub_label(a)})) != {sub_label(a)}"
-            for a in suborder.bits
-            for g, image in (("i", a), ("j", a | added))
-            if image & kept != a
-        ),
-        None,
-    )
-    colours = next(
-        (
-            f"i({sub_label(a)}) = {label(a)} is red" if a >> red & 1
-            else f"j({sub_label(a)}) = {label(a | added)} is green"
-            for a in suborder.bits
-            if a >> red & 1 or not (a | added) >> red & 1
-        ),
-        None,
-    )
-
-    packets = [c.members for c in _packet_checks(params.n, params.k)]
     kept_members = posets._bits(kept)
     dropped = posets._bits(params.full_bits & ~kept)
     gained = posets._bits(added)
     stray = posets._bits(params.full_bits & ~kept & ~added)
     single_step = kind is OrderKind.SINGLE_STEP
+    by_masks = kept == small.full_bits and added == params.full_bits ^ kept
+    # per check, (cardinality, index within the level, witness) of the lowest failure
+    lowest: dict[str, tuple[int, int, object]] = {}
+
+    def note(name: str, card: int, at: int, witness) -> None:
+        if name not in lowest or (card, at) < lowest[name][:2]:
+            lowest[name] = (card, at, witness)
 
     def union(columns: list[int], members: list[int]) -> int:
         return reduce(or_, map(columns.__getitem__, members), 0)
 
-    def lowest(mask: int) -> int:
+    def first(mask: int) -> int:
         return (mask & -mask).bit_length() - 1
 
-    sandwich = fibres = None
-    for start, end, add in order._levels():
-        cols = posets._columns(bits[start:end], width)
-        full = (1 << end - start) - 1
+    def decide(level: Level) -> None:
+        """The sandwich and the extreme fibres on one level, by bit tests."""
+        c, families, cols, add, drop = level
+        full = (1 << len(families)) - 1
         absent = [full ^ col for col in cols]
         below, above = 0, union(cols, stray)
         if single_step:
-            drop = _droppable(cols, absent, packets)
             below = union(cols, dropped) & ~union(drop, dropped)
             above |= union(absent, gained) & ~union(add, gained)
-        if sandwich is None and below | above:
-            at = lowest(below | above)
-            x = label(bits[start + at])
-            sandwich = (
-                f"i(f({x})) is not below {x}" if below >> at & 1 else f"j(f({x})) is not above {x}"
-            )
+        if below | above:
+            at = first(below | above)
+            x = label(families[at])
+            half = "i(f({})) is not below {}" if below >> at & 1 else "j(f({})) is not above {}"
+            note("sandwich", c, at, half.format(x, x))
         green_low = reduce(and_, map(absent.__getitem__, kept_members), absent[red])
         red_high = reduce(and_, map(cols.__getitem__, kept_members), cols[red])
-        miscoloured = (green_low if start else 0) | (red_high if end < len(bits) else 0)
-        if fibres is None and miscoloured:
-            at = lowest(miscoloured)
-            x = label(bits[start + at])
-            fibres = (
-                f"{x} is red in the fiber over the top of Q" if red_high >> at & 1
-                else f"{x} is green in the fiber over the bottom of Q"
-            )
+        miscoloured = (green_low if c else 0) | (red_high if c < width else 0)
+        if miscoloured:
+            at = first(miscoloured)
+            x = label(families[at])
+            note("fibres", c, at,
+                 f"{x} is red in the fiber over the top of Q" if red_high >> at & 1
+                 else f"{x} is green in the fiber over the bottom of Q")
+
+    def by_family(level: Level) -> None:
+        """The images, compositions and colours on one level, where the masks
+        do not prove them."""
+        c, families = level.card, level.families
+        images = [b & kept for b in families]
+        missing = (1 << len(families)) - 1 & ~_held(small, images)
+        if missing:
+            note("f", c, first(missing), images[first(missing)])
+        subs = [a for a in families if a <= small.full_bits]
+        images = [a | added for a in subs]
+        missing = (1 << len(subs)) - 1 & ~_held(params, images)
+        if missing:
+            note("j", c, first(missing), images[first(missing)])
+        for at, a in enumerate(subs):
+            if a & kept != a or (a | added) & kept != a:
+                g = "i" if a & kept != a else "j"
+                note("compositions", c, at, f"f({g}({sub_label(a)})) != {sub_label(a)}")
+                break
+        for at, a in enumerate(subs):
+            if a >> red & 1 or not (a | added) >> red & 1:
+                note("colours", c, at,
+                     f"i({sub_label(a)}) = {label(a)} is red" if a >> red & 1
+                     else f"j({sub_label(a)}) = {label(a | added)} is green")
+                break
+
+    size = 0
+    for level in _bounded(params, _grow(params)):
+        size += len(level.families)
+        decide(level)
+        if not by_masks:
+            by_family(level)
+        del level  # the next level grows without this one
+    return size, lowest
+
+
+def _condition_report(
+    params: GroundParams, lowest: dict[str, tuple[int, int, object]]
+) -> ConditionReport:
+    """descent_conditions' report from _decided's lowest failures; the first
+    missing image raises InvariantError, as on the row route."""
+    missing = lowest.get("f") or lowest.get("j")
+    if missing is not None:
+        raise _not_enumerated(params, missing[2])
+
+    def found(name: str):
+        return lowest[name][2] if name in lowest else None
 
     proved = ("p_bounded", "q_bounded", "q_nondegenerate", "f_monotone", "i_monotone", "j_monotone")
     decided = (
         ("green_is_down_set", None),
-        ("compositions_identity", compositions),
-        ("images_two_colored", colours),
-        ("sandwich", sandwich),
-        ("extreme_fibers", fibres),
+        ("compositions_identity", found("compositions")),
+        ("images_two_colored", found("colours")),
+        ("sandwich", found("sandwich")),
+        ("extreme_fibers", found("fibres")),
     )
     return ConditionReport(
         tuple(Check(name, True) for name in proved),
         tuple(Check(name, witness is None, witness) for name, witness in decided),
     )
+
+
+def _held(params: GroundParams, families: list[int]) -> int:
+    """The column of the given bitsets that B(n,k) holds.
+
+    A bitset is a family of the order iff it lies within the order's
+    width and meets every packet in a segment, since the growth is
+    complete.
+    """
+    inside = [b & params.full_bits for b in families]
+    held = sum(1 << f for f, (b, low) in enumerate(zip(families, inside)) if b == low)
+    for _, passing in _segment_columns(
+        posets._columns(inside, params.num_members), held, params.n, params.k
+    ):
+        held &= passing
+    return held
 
 
 def descent_chain(
@@ -847,28 +1012,35 @@ def descent_chain(
 
     Yields (m, |B(m,k)|, the report on B(m,k) -> B(m-1,k)) per step, and
     stops after the first step whose conditions fail.  Each order is
-    enumerated once, as a step's Q is the next step's P; only these two
-    are held.  max_subsets is checked on B(n,k), before any enumeration,
-    and the orders below have fewer members.  Once every step passes, the
-    base B(k+1,k) must be bounded with exactly two families, so that its
-    proper part is empty, the (-1)-sphere; InvariantError otherwise.  By
-    the suspension lemma each passing step suspends the proper part of
-    B(m-1,k) to that of B(m,k), so PP(B(n,k)) is an (n-k-2)-sphere up to
-    homotopy.
+    grown once, as a stream of levels, and decided as it grows; only the
+    level being read and the one being grown are held.  A step's Q is the
+    next step's P, so a step is reported once the next order's stream has
+    been read: P's bounds, Q's and then the images are checked in the
+    order descent_conditions checks them.  max_subsets is checked on
+    B(n,k), before any growth, and the orders below have fewer members.
+    Once every step passes, the base B(k+1,k) must be bounded with exactly
+    two families, so that its proper part is empty, the (-1)-sphere;
+    InvariantError otherwise.  By the suspension lemma each passing step
+    suspends the proper part of B(m-1,k) to that of B(m,k), so PP(B(n,k))
+    is an (n-k-2)-sphere up to homotopy.
     """
-    order = enumerate_bruhat(params, max_subsets=max_subsets)
-    for m in range(params.n, params.k + 1, -1):
-        suborder = enumerate_bruhat(GroundParams(m - 1, params.k), max_subsets=max_subsets)
-        report = descent_conditions(order, suborder, kind)
-        yield m, len(order), report
-        if not report.all_pass:
-            return
-        order = suborder
-    _check_top(order)
-    if len(order) != 2:
-        raise InvariantError(
-            f"the base B({params.k + 1},{params.k}) has {len(order)} families, not 2"
-        )
+    _check_width(params, "bfs", max_subsets)
+    held = None  # the order read last, its size and lowest failures, not yet reported
+    for m in range(params.n, params.k, -1):
+        order = GroundParams(m, params.k)
+        if m > params.k + 1:
+            size, lowest = _decided(order, kind)
+        else:
+            size, lowest = _bounded_size(order, _grow(order)), {}
+        if held is not None:
+            above, above_size, above_lowest = held
+            report = _condition_report(above, above_lowest)
+            yield above.n, above_size, report
+            if not report.all_pass:
+                return
+        held = order, size, lowest
+    if size != 2:
+        raise InvariantError(f"the base B({params.k + 1},{params.k}) has {size} families, not 2")
 
 
 def dissection_doc(order: BruhatOrder, kind: OrderKind) -> dict:

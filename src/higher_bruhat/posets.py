@@ -72,22 +72,39 @@ def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
+# Rows per block of _columns, a multiple of 8.  A row's string takes about
+# 50 bytes more than its width, so a block's text stays within a few MB.
+_BLOCK = 1 << 15
+
+
 def _columns(rows: Sequence[int], width: int) -> list[int]:
-    """transpose(rows, width) by one stride scan, for narrow matrices.
+    """transpose(rows, width) by stride scans, for narrow matrices.
 
     Each row is ORed with a sentinel bit 1 << width, so bin() spells it
     as "0b1" and then exactly width digits, with no format spec: joined
     last row first, the strings have a fixed stride of width + 3, and the
     characters at that stride from position width + 2 - j spell column j,
-    last row first.  The joined string takes a byte per matrix entry, so
-    this suits many rows of few columns, such as families over their
-    members, and not a square relation.  Every row must fit in width bits.
+    last row first.  The joined text takes a byte per matrix entry, and
+    each row's string on its way some 50 more, so this suits many rows of
+    few columns, such as families over their members, and not a square
+    relation.  The rows are scanned in blocks of _BLOCK, so only one
+    block's text is held: each block's columns are written as
+    little-endian bytes, and a column's bytes are joined over the blocks.
+    Every block but the last has a multiple of 8 rows, so its bytes end
+    where the next block's rows begin.  Every row must fit in width bits.
     """
     if not rows:
         return [0] * width
-    joined = "".join(map(bin, map((1 << width).__or__, reversed(rows))))
     stride = width + 3
-    return [int(joined[stride - 1 - j::stride], 2) for j in range(width)]
+    blocks = []
+    for start in range(0, len(rows), _BLOCK):
+        block = rows[start:start + _BLOCK]
+        joined = "".join(map(bin, map((1 << width).__or__, reversed(block))))
+        size = (len(block) + 7) // 8
+        # column j starts at position stride - 1 - j
+        blocks.append([int(joined[at::stride], 2).to_bytes(size, "little")
+                       for at in range(stride - 1, 2, -1)])
+    return [int.from_bytes(b"".join(column), "little") for column in zip(*blocks)]
 
 
 def _hasse(labels: Sequence[str], up: Sequence[int]) -> tuple[tuple[int, int], ...]:

@@ -14,7 +14,14 @@ from operator import and_, getitem, or_
 
 from constructions import from_facets
 from higher_bruhat import __version__, bruhat, posets
-from higher_bruhat.bruhat import BruhatOrder, OrderKind, _addable, enumerate_bruhat, to_poset
+from higher_bruhat.bruhat import (
+    BruhatOrder,
+    OrderKind,
+    _addable,
+    _neighbour_terms,
+    enumerate_bruhat,
+    to_poset,
+)
 from higher_bruhat.cli import SPHERICITY_NOTE
 from higher_bruhat.complexes import SimplicialComplex, make_complex
 from higher_bruhat.errors import InvariantError, NotAPosetError, NotBoundedError, ParameterError
@@ -26,7 +33,7 @@ from higher_bruhat.subsets import (
     _label,
     _packet_checks,
 )
-from higher_bruhat.suspension_check import DissectionInstance
+from higher_bruhat.suspension_check import Check, ConditionReport, DissectionInstance
 
 
 def naive_colex_subsets(n, r):
@@ -501,7 +508,7 @@ def all_levels_grow(params):
     certified by the explicit-segment kernel, with no use of complements.
     """
     width = params.num_members
-    packets = [c.members for c in _packet_checks(params.n, params.k)]
+    terms = _neighbour_terms([c.members for c in _packet_checks(params.n, params.k)], width)
     elements: list[int] = []
     levels: list[tuple[int, tuple[int, ...]]] = []
     level = [0]
@@ -516,7 +523,7 @@ def all_levels_grow(params):
                     f"enumeration emitted {_label(params, bad)}, which is inconsistent "
                     f"on the packet with base {c.base}"
                 )
-        add = _addable(cols, [full ^ col for col in cols], packets)
+        add = _addable(cols, [full ^ col for col in cols], terms)
         levels.append((len(elements), tuple(add)))
         elements.extend(level)
         level = sorted(
@@ -903,6 +910,132 @@ def dissection_instance(order, kind):
         i=i_images,
         j=j_images,
     )
+
+
+def lookup_descent_conditions(order, suborder, kind):
+    """The library's descent_conditions before it read the growth's stream.
+
+    P and Q are whole enumerated orders.  Every image f(x), i(a) and j(a)
+    is looked up among the enumerated families, the compositions and
+    colours are tested per family of Q, and every level is transposed and
+    its droppable columns built again.  The streamed descent_conditions
+    must give the same checks, verdicts, witnesses and errors.  The
+    bruhat names are looked up on each call, so that a test's monkeypatch
+    of them reaches the oracle too.
+    """
+    params = order.params
+    small, kept, added = bruhat._level_maps(params)
+    if suborder.params != small:
+        got = suborder.params
+        raise ParameterError(f"Q must be B({small.n},{small.k}), got B({got.n},{got.k})")
+    bruhat._check_top(order)
+    bruhat._check_top(suborder)
+    in_q = set(suborder.bits)
+    missing = next(
+        itertools.chain(
+            (b & kept for b in order.bits if b & kept not in in_q),
+            (a for a in suborder.bits if a not in order),
+            (a | added for a in suborder.bits if a | added not in order),
+        ),
+        None,
+    )
+    if missing is not None:
+        raise bruhat._not_enumerated(params, missing)
+
+    # labels are rendered only for a witness
+    label, sub_label = partial(_label, params), partial(_label, small)
+    width, bits = params.num_members, order.bits
+    red = width - 1
+    compositions = next(
+        (
+            f"f({g}({sub_label(a)})) != {sub_label(a)}"
+            for a in suborder.bits
+            for g, image in (("i", a), ("j", a | added))
+            if image & kept != a
+        ),
+        None,
+    )
+    colours = next(
+        (
+            f"i({sub_label(a)}) = {label(a)} is red" if a >> red & 1
+            else f"j({sub_label(a)}) = {label(a | added)} is green"
+            for a in suborder.bits
+            if a >> red & 1 or not (a | added) >> red & 1
+        ),
+        None,
+    )
+
+    packets = [c.members for c in _packet_checks(params.n, params.k)]
+    terms = bruhat._neighbour_terms(packets, width)
+    kept_members = posets._bits(kept)
+    dropped = posets._bits(params.full_bits & ~kept)
+    gained = posets._bits(added)
+    stray = posets._bits(params.full_bits & ~kept & ~added)
+    single_step = kind is OrderKind.SINGLE_STEP
+
+    def union(columns: list[int], members: list[int]) -> int:
+        return reduce(or_, map(columns.__getitem__, members), 0)
+
+    def lowest(mask: int) -> int:
+        return (mask & -mask).bit_length() - 1
+
+    sandwich = fibres = None
+    for start, end, add in order._levels():
+        cols = posets._columns(bits[start:end], width)
+        full = (1 << end - start) - 1
+        absent = [full ^ col for col in cols]
+        below, above = 0, union(cols, stray)
+        if single_step:
+            drop = bruhat._droppable(cols, absent, terms)
+            below = union(cols, dropped) & ~union(drop, dropped)
+            above |= union(absent, gained) & ~union(add, gained)
+        if sandwich is None and below | above:
+            at = lowest(below | above)
+            x = label(bits[start + at])
+            sandwich = (
+                f"i(f({x})) is not below {x}" if below >> at & 1 else f"j(f({x})) is not above {x}"
+            )
+        green_low = reduce(and_, map(absent.__getitem__, kept_members), absent[red])
+        red_high = reduce(and_, map(cols.__getitem__, kept_members), cols[red])
+        miscoloured = (green_low if start else 0) | (red_high if end < len(bits) else 0)
+        if fibres is None and miscoloured:
+            at = lowest(miscoloured)
+            x = label(bits[start + at])
+            fibres = (
+                f"{x} is red in the fiber over the top of Q" if red_high >> at & 1
+                else f"{x} is green in the fiber over the bottom of Q"
+            )
+
+    proved = ("p_bounded", "q_bounded", "q_nondegenerate", "f_monotone", "i_monotone", "j_monotone")
+    decided = (
+        ("green_is_down_set", None),
+        ("compositions_identity", compositions),
+        ("images_two_colored", colours),
+        ("sandwich", sandwich),
+        ("extreme_fibers", fibres),
+    )
+    return ConditionReport(
+        tuple(Check(name, True) for name in proved),
+        tuple(Check(name, witness is None, witness) for name, witness in decided),
+    )
+
+
+def collected_levels(order):
+    """The Level records of a collected order, lowest level first.
+
+    The columns are transposed from the families and the droppable
+    columns built from them, apart from the growth's own.
+    """
+    params = order.params
+    terms = _neighbour_terms(
+        [c.members for c in _packet_checks(params.n, params.k)], params.num_members
+    )
+    for card, (start, end, add) in enumerate(order._levels()):
+        families = list(order.bits[start:end])
+        cols = posets._columns(families, params.num_members)
+        full = (1 << len(families)) - 1
+        drop = bruhat._droppable(cols, [full ^ col for col in cols], terms)
+        yield bruhat.Level(card, families, cols, list(add), drop)
 
 
 def instance_to_doc(inst):

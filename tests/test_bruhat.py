@@ -24,10 +24,12 @@ from helpers import (
     addable_cover,
     addable_thinned,
     closure_reach_rows,
+    collected_levels,
     condition_verdicts,
     dissection_instance,
     family,
     inversion_family,
+    lookup_descent_conditions,
     member_column_inclusion_rows,
     members,
     naive_colex_subsets,
@@ -165,6 +167,19 @@ class TestEnumeration:
         for c in range(width + 1):
             assert list(by_card[width - c]) == [full ^ f for f in reversed(by_card[c])]
 
+    @pytest.mark.parametrize("n,k", GROWTH_CASES)
+    def test_stream_matches_the_collected_order(self, n, k):
+        # level c comes right before its mirror W - c, and each level carries
+        # the columns of the collected order, transposed and built again
+        params = GroundParams(n, k)
+        width = params.num_members
+        stream = list(bruhat._grow(params))
+        assert [level.card for level in stream] == [
+            card for c in range(width // 2 + 1) for card in dict.fromkeys((c, width - c))
+        ]
+        stream.sort(key=lambda level: level.card)
+        assert stream == list(collected_levels(enumerate_bruhat(params)))
+
     def test_growth_cases_have_odd_and_even_widths(self):
         # an even width has a middle level that is its own mirror
         assert {comb(n, k + 1) % 2 for n, k in GROWTH_CASES} == {0, 1}
@@ -186,11 +201,11 @@ class TestEnumeration:
             if bad is None:
                 continue
 
-            def corrupting(level, drop, full, c=c, bad=bad):
-                upper, add = mirror(level, drop, full)
+            def corrupting(level, add, drop, full, c=c, bad=bad):
+                upper, up_add, up_drop = mirror(level, add, drop, full)
                 if upper[0].bit_count() == width - c:
                     upper[len(upper) // 2] = bad
-                return upper, add
+                return upper, up_add, up_drop
 
             monkeypatch.setattr(bruhat, "_mirror", corrupting)
             message = f"emitted {_label(params, bad)}, which is inconsistent on the packet"
@@ -198,6 +213,27 @@ class TestEnumeration:
                 enumerate_bruhat(params)
             corrupted += 1
         assert corrupted >= 2
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 2)])
+    def test_mirrored_columns_are_counted(self, n, k, monkeypatch):
+        # the mirror of level 1 loses an addable bit: its families are right,
+        # so only the count from above, against the level above's droppable
+        # columns, sees it
+        params = GroundParams(n, k)
+        width = params.num_members
+        mirror = bruhat._mirror
+
+        def thinning(level, add, drop, full):
+            upper, up_add, up_drop = mirror(level, add, drop, full)
+            if upper[0].bit_count() == width - 1:
+                x = next(x for x, col in enumerate(up_add) if col)
+                up_add[x] &= up_add[x] - 1
+            return upper, up_add, up_drop
+
+        monkeypatch.setattr(bruhat, "_mirror", thinning)
+        message = rf"B\({n},{k}\) misses a family at level {width - 1}: its families take"
+        with pytest.raises(InvariantError, match=message):
+            enumerate_bruhat(params)
 
     @pytest.mark.parametrize("n,k", SCAN_CASES)
     def test_sliced_scan_matches_per_bitset_scan(self, n, k):
@@ -266,16 +302,19 @@ class TestEnumeration:
         assert len(enumerate_bruhat(GroundParams(n, k))) == size
 
     def test_out_of_range_growth_raises(self, monkeypatch):
-        grow = bruhat._grow
+        # the last family of a grown level gains a bit beyond the width,
+        # which the kernel, reading the low bits only, cannot see
+        params = GroundParams(4, 1)
+        grown = bruhat._grown
 
-        def widened(params):
-            elements, levels = grow(params)
-            elements[-1] |= 1 << params.num_members
-            return elements, levels
+        def widened(level, grows):
+            out = grown(level, grows)
+            out[-1] |= 1 << params.num_members
+            return out
 
-        monkeypatch.setattr(bruhat, "_grow", widened)
+        monkeypatch.setattr(bruhat, "_grown", widened)
         with pytest.raises(InvariantError, match="out of range"):
-            enumerate_bruhat(GroundParams(4, 1))
+            enumerate_bruhat(params)
 
     @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 2)])
     def test_batch_built_elements_match_single_constructions(self, n, k):
@@ -570,28 +609,80 @@ DESCENT_CASES = [
 ]
 
 
+# The orders on which the streamed conditions are compared with the lookup
+# oracle: every B(n,k) with n <= 7, and the larger rungs the CLI tests reach.
+STREAM_CASES = [(n, k) for n in range(2, 8) for k in range(n - 1)] + [(8, 4), (10, 7), (11, 8)]
+
+
+def level_maps_mutants(params):
+    """_level_maps mutants of B(n,k): j loses an added member, f keeps one
+    kept member too few, or f keeps an added member too."""
+    small, kept, added = bruhat._level_maps(params)
+    for member in posets._bits(added):
+        yield small, kept, added & ~(1 << member)
+    for member in posets._bits(kept)[:2]:
+        yield small, kept & ~(1 << member), added
+    for member in posets._bits(added)[:2]:
+        yield small, kept | 1 << member, added
+
+
+def run_or_error(function, *args):
+    """function(*args), or the type and text of the error it raises."""
+    try:
+        return function(*args)
+    except (InvariantError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
 class TestDescentConditions:
     """The column route against the row route, its oracle."""
 
     @pytest.mark.parametrize("n,k", DESCENT_CASES)
     @pytest.mark.parametrize("kind", list(OrderKind))
     def test_matches_the_row_route(self, n, k, kind):
-        columns = descent_conditions(order(n, k), order(n - 1, k), kind)
+        columns = descent_conditions(GroundParams(n, k), kind)
         rows = check_conditions(dissection_instance(order(n, k), kind))
         assert columns.all_pass is rows.all_pass is True
         assert condition_verdicts(columns) == condition_verdicts(rows)
+
+    @pytest.mark.parametrize("n,k", STREAM_CASES)
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    def test_stream_matches_the_lookup_oracle(self, n, k, kind):
+        # the same report as looking every image up among whole orders
+        streamed = descent_conditions(GroundParams(n, k), kind)
+        looked_up = lookup_descent_conditions(order(n, k), order(n - 1, k), kind)
+        assert streamed == looked_up
+        assert streamed.all_pass
+
+    @pytest.mark.parametrize("n,k", [(3, 0), (4, 1), (5, 0), (5, 1), (5, 2), (6, 2)])
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    def test_mask_mutants_fail_as_on_the_lookup_oracle(self, n, k, kind, monkeypatch):
+        # masks that break the proofs are decided family by family, with the
+        # oracle's errors and witnesses
+        params = GroundParams(n, k)
+        outcomes = set()
+        for maps in level_maps_mutants(params):
+            monkeypatch.setattr(bruhat, "_level_maps", lambda params, maps=maps: maps)
+            streamed = run_or_error(descent_conditions, params, kind)
+            looked_up = run_or_error(
+                lookup_descent_conditions, order(n, k), order(n - 1, k), kind
+            )
+            assert streamed == looked_up
+            outcomes.add(streamed[0] if isinstance(streamed, tuple) else streamed.all_pass)
+        assert outcomes <= {InvariantError, False}
+        assert InvariantError in outcomes or k == 0
 
     @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (5, 1), (6, 3)])
     def test_droppable_columns_match_consistency(self, n, k):
         o = order(n, k)
         width = o.params.num_members
         names = naive_colex_subsets(n, k + 1)
-        packets = [c.members for c in _packet_checks(n, k)]
+        terms = bruhat._neighbour_terms([c.members for c in _packet_checks(n, k)], width)
         for start, end, _ in o._levels():
             level = o.bits[start:end]
             cols = posets._columns(level, width)
             full = (1 << len(level)) - 1
-            drop = bruhat._droppable(cols, [full ^ c for c in cols], packets)
+            drop = bruhat._droppable(cols, [full ^ c for c in cols], terms)
             for x in range(width):
                 expected = [
                     f for f, b in enumerate(level)
@@ -612,27 +703,39 @@ class TestDescentConditions:
         assert o.params.full_bits + 1 not in o
         assert (1 << o.params.num_members + 1) - 1 not in o
 
-    def test_image_outside_the_target_raises_as_on_rows(self):
-        real = order(3, 1)
-        swapped = tuple(5 if b == 3 else b for b in real.bits)
-        fake = BruhatOrder(real.params, swapped, real.addable)
-        message = "sends a family to {{1,2},{1,3}}, which was not enumerated"
-        with pytest.raises(InvariantError, match=re.escape(message)):
-            descent_conditions(order(4, 1), fake, OrderKind.SINGLE_STEP)
+    def test_image_outside_the_target_raises_as_on_rows(self, monkeypatch):
+        # f keeps the added member {1,4} (rank 3) too, so some restriction is
+        # no longer a family of B(3,1); the row oracle looks the images up
+        real = bruhat._level_maps
 
-    def test_an_order_without_its_full_family_is_refused(self):
-        real = order(4, 1)
-        cut = BruhatOrder(real.params, real.bits[:-1], real.addable[:-1])
+        def keeps_14(params):
+            small, kept, added = real(params)
+            return small, kept | 1 << 3, added
+
+        monkeypatch.setattr(bruhat, "_level_maps", keeps_14)
+        params = GroundParams(4, 1)
+        message = "sends a family to {{1,2},{1,3},{1,4}}, which was not enumerated"
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            descent_conditions(params, OrderKind.SINGLE_STEP)
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            dissection_instance(order(4, 1), OrderKind.SINGLE_STEP)
+
+    @pytest.mark.parametrize("cut_n", [4, 3], ids=["P", "Q"])
+    def test_an_order_without_its_full_family_is_refused(self, cut_n, monkeypatch):
+        # P's bounds are checked on P's stream, Q's on Q's own
+        real = bruhat._grow
+
+        def cut(params):
+            return (level for level in real(params)
+                    if params.n != cut_n or level.card < params.num_members)
+
+        monkeypatch.setattr(bruhat, "_grow", cut)
         with pytest.raises(NotBoundedError, match=re.escape("is not above every element")):
-            descent_conditions(cut, order(3, 1), OrderKind.INCLUSION)
+            descent_conditions(GroundParams(4, 1), OrderKind.INCLUSION)
 
     def test_base_case_has_no_level_below(self):
         with pytest.raises(ParameterError, match="need n >= k[+]2"):
-            descent_conditions(order(3, 2), order(2, 1), OrderKind.SINGLE_STEP)
-
-    def test_q_must_be_the_level_below(self):
-        with pytest.raises(ParameterError, match=re.escape("Q must be B(3,1), got B(3,2)")):
-            descent_conditions(order(4, 1), order(3, 2), OrderKind.SINGLE_STEP)
+            descent_conditions(GroundParams(3, 2), OrderKind.SINGLE_STEP)
 
     @pytest.mark.parametrize("kind", list(OrderKind))
     def test_builds_no_poset_or_row_index(self, kind, monkeypatch):
@@ -642,12 +745,30 @@ class TestDescentConditions:
         for name in ("from_covers", "from_relation"):
             monkeypatch.setattr(posets, name, refuse)
         monkeypatch.setattr(bruhat, "to_poset", refuse)
+        monkeypatch.setattr(bruhat, "enumerate_bruhat", refuse)
         for name in ("reach", "up_levels"):
             monkeypatch.setattr(BruhatOrder, name, refuse)
         for name in ("covers", "_index", "elements"):
             monkeypatch.setattr(BruhatOrder, name, property(refuse))
-        p, q = (enumerate_bruhat(GroundParams(n, 2)) for n in (6, 5))
-        assert descent_conditions(p, q, kind).all_pass
+        assert descent_conditions(GroundParams(6, 2), kind).all_pass
+
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    def test_reads_the_growth_columns(self, kind, monkeypatch):
+        # no level is transposed, and no droppable column built, a second time
+        calls = {}
+        for module, name in ((posets, "_columns"), (bruhat, "_droppable")):
+            def counting(*args, real=getattr(module, name), name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        params = GroundParams(7, 2)
+        list(bruhat._grow(params))
+        list(bruhat._grow(GroundParams(6, 2)))
+        grown, calls = calls, {}
+        assert descent_conditions(params, kind).all_pass
+        # P's growth and Q's, which is read for its bounds
+        assert calls == grown == {"_columns": 36 + 21, "_droppable": 18 + 11}
 
 
 class TestDescentChain:
@@ -656,13 +777,13 @@ class TestDescentChain:
     @pytest.mark.parametrize("kind", list(OrderKind))
     def test_enumerates_each_order_once(self, kind, monkeypatch):
         enumerated = []
-        real = bruhat.enumerate_bruhat
+        real = bruhat._grow
 
-        def recording(params, **kwargs):
+        def recording(params):
             enumerated.append((params.n, params.k))
-            return real(params, **kwargs)
+            return real(params)
 
-        monkeypatch.setattr(bruhat, "enumerate_bruhat", recording)
+        monkeypatch.setattr(bruhat, "_grow", recording)
         steps = list(bruhat.descent_chain(GroundParams(6, 2), kind, None))
         assert [(m, elements) for m, elements, _ in steps] == [(6, 908), (5, 62), (4, 8)]
         assert all(report.all_pass for _, _, report in steps)
@@ -674,9 +795,22 @@ class TestDescentChain:
         steps = list(bruhat.descent_chain(GroundParams(n, k), kind, None))
         assert [m for m, _, _ in steps] == list(range(n, k + 1, -1))
         for m, elements, report in steps:
-            expected = descent_conditions(order(m, k), order(m - 1, k), kind)
+            expected = lookup_descent_conditions(order(m, k), order(m - 1, k), kind)
             assert elements == len(order(m, k))
             assert report == expected
+
+    def test_a_step_waits_for_the_bounds_of_its_q(self, monkeypatch):
+        # B(6,2) -> B(5,2) is reported only once B(5,2)'s stream is read
+        real = bruhat._grow
+
+        def cut(params):
+            return (level for level in real(params)
+                    if params.n != 5 or level.card < params.num_members)
+
+        monkeypatch.setattr(bruhat, "_grow", cut)
+        steps = bruhat.descent_chain(GroundParams(6, 2), OrderKind.SINGLE_STEP, None)
+        with pytest.raises(NotBoundedError, match=re.escape("is not above every element")):
+            next(steps)
 
     def test_budget_is_checked_on_the_top_order(self):
         with pytest.raises(ResourceLimitError):

@@ -126,7 +126,9 @@ class TestEnumerateCommand:
         # member, so it admits inconsistent families from the second level
         # on; each level is certified before the next grows, so B(8,4)
         # fails fast instead of growing past every consistent family
-        def swapped_ends(cols, absent, packets):
+        packets = [c.members for c in subsets._packet_checks(8, 4)]
+
+        def swapped_ends(cols, absent, terms):
             add = list(absent)
             for m in packets:
                 add[m[0]] &= cols[m[-2]] | absent[m[0]]
@@ -154,13 +156,10 @@ class TestEnumerateCommand:
         assert report["oracle_match"] is True
 
     def test_eight_four_scale_rung(self, tmp_path, monkeypatch):
-        built = []
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate collected the whole order")
 
-        def recording(*args, **kwargs):
-            built.append(enumerate_bruhat(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(cli, "enumerate_bruhat", recording)
+        monkeypatch.setattr(cli, "enumerate_bruhat", refuse)
         out = tmp_path / "report.json"
         assert main(["enumerate", "8", "4", "--out", str(out)]) == 0
         report = read_json(out)
@@ -170,10 +169,39 @@ class TestEnumerateCommand:
         assert [card for card, _ in report["by_cardinality"]] == list(range(57))
         sizes = [count for _, count in report["by_cardinality"]]
         assert sizes == sizes[::-1]
-        # enumerate reads the level sizes, never the covers
-        assert "covers" not in vars(built[0])
+        # enumerate reads the level sizes off the stream, never the covers;
         # observed, with no published source
-        assert len(built[0].covers) == 289_408
+        assert len(enumerate_bruhat(GroundParams(8, 4)).covers) == 289_408
+
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in range(1, 8) for k in range(n)] + [(8, 4), (10, 7), (9, 7), (8, 6)]
+    )
+    def test_streamed_histogram_matches_the_collected_order(self, n, k, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["enumerate", str(n), str(k), "--out", str(out)]) == 0
+        sizes = enumerate_bruhat(GroundParams(n, k)).level_sizes()
+        report = read_json(out)
+        assert report["by_cardinality"] == [[card, size] for card, size in enumerate(sizes)]
+        assert report["count"] == sum(sizes)
+
+    @pytest.mark.parametrize("n,k", [(7, 2), (8, 1)])
+    def test_streamed_count_holds_under_half_the_order(self, n, k, capsys):
+        # enumerate drops each level once it is counted, where the collected
+        # order holds them all: 0.56 against 1.37 MB on B(7,2) and 0.85
+        # against 2.25 MB on B(8,1) under tracemalloc when written
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        subsets._packet_checks(n, k)
+        collected = peak(lambda: enumerate_bruhat(GroundParams(n, k)))
+        streamed = peak(lambda: main(["enumerate", str(n), str(k)]))
+        assert streamed < collected / 2
+        assert capsys.readouterr().out.startswith(f"B({n},{k}): ")
 
     def test_limit_exceeded_is_exit_2(self):
         assert main(["enumerate", "10", "1", "--method", "bruteforce"]) == 2
@@ -438,41 +466,33 @@ def droppable_targets(order):
 
 
 def clear_droppable_bit(monkeypatch, order, x):
-    """Clear family x's droppable bit for its member with n, while
-    descent_conditions decides the order alone; returns the family's label.
+    """Clear family x's droppable bit for its member with n in the growth's
+    stream of the order, once the growth has used it; returns the family's
+    label.
 
-    The growth drops members with _droppable too, so the mutant reaches
-    descent_conditions' calls only, one per level, lowest level first.
-    Every family holding one member with n can drop it; with that bit
-    cleared, x is the family that fails the sandwich's lower half.
+    The growth counts and filters with its droppable columns, so the
+    mutant is a copy of the level that the stream emits, and only
+    descent_conditions reads it.  Every family holding one member with n
+    can drop it; with that bit cleared, x is the family that fails the
+    sandwich's lower half.
     """
     _, _, added = bruhat._level_maps(order.params)
     family = order.bits[x]
     level = family.bit_count()
     at = x - order.addable[level][0]
     member = (family & added).bit_length() - 1
-    real_drop, real_conditions = bruhat._droppable, bruhat.descent_conditions
-    scanned = [None]  # levels scanned on the order, None outside it
+    real_grow = bruhat._grow
 
-    def conditions(p, q, kind):
-        scanned[0] = 0 if p.params == order.params else None
-        try:
-            return real_conditions(p, q, kind)
-        finally:
-            scanned[0] = None
-
-    def cleared(cols, absent, packets):
-        drop = real_drop(cols, absent, packets)
-        if scanned[0] is not None:
-            if scanned[0] == level:
-                assert drop[member] >> at & 1
+    def cleared(params):
+        for grown in real_grow(params):
+            if params == order.params and grown.card == level:
+                assert grown.drop[member] >> at & 1
+                drop = list(grown.drop)
                 drop[member] &= ~(1 << at)
-            scanned[0] += 1
-        return drop
+                grown = grown._replace(drop=drop)
+            yield grown
 
-    monkeypatch.setattr(bruhat, "_droppable", cleared)
-    for module in (bruhat, cli):
-        monkeypatch.setattr(module, "descent_conditions", conditions)
+    monkeypatch.setattr(bruhat, "_grow", cleared)
     return bruhat._label(order.params, family)
 
 
@@ -734,16 +754,16 @@ class TestVerifySphericityCommand:
             monkeypatch.undo()
 
     def test_base_with_more_than_two_families_exits_1(self, monkeypatch, capsys):
-        real = bruhat.enumerate_bruhat
+        real = bruhat._grow
 
-        def padded(params, **kwargs):
-            o = real(params, **kwargs)
+        def padded(params):
             if (params.n, params.k) != (3, 2):
-                return o
+                return real(params)
             # the empty family twice: the top is still above every family
-            return bruhat.BruhatOrder(o.params, (0, 0, 1), ((0, (0b11,)), (2, (0,))))
+            return [bruhat.Level(0, [0, 0], [0], [0b11], [0]),
+                    bruhat.Level(1, [1], [1], [0], [1])]
 
-        monkeypatch.setattr(bruhat, "enumerate_bruhat", padded)
+        monkeypatch.setattr(bruhat, "_grow", padded)
         assert main(sphere_argv(4, 2, "inclusion")) == 1
         assert capsys.readouterr().err == "error: the base B(3,2) has 3 families, not 2\n"
 
@@ -815,6 +835,7 @@ class TestOutOfMemory:
 
         for module in (cli, bruhat, instance_io):
             monkeypatch.setattr(module, "enumerate_bruhat", exhausted)
+        monkeypatch.setattr(bruhat, "_grow", exhausted)
         out = tmp_path / "report.json"
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: out of memory in {argv[0]}\n")

@@ -707,6 +707,16 @@ class TestColumns:
         rows = [0, (1 << 64) - 1, 1, 1 << 63, 0]
         assert posets._columns(rows, 64) == list(bitwise_transpose(rows, 64))
 
+    @pytest.mark.parametrize("count", [
+        posets._BLOCK - 1, posets._BLOCK, posets._BLOCK + 1, 2 * posets._BLOCK + 3,
+    ])
+    def test_rows_over_several_blocks(self, count):
+        # each block's bytes must end where the next block's rows begin
+        rng = random.Random(count)
+        rows = [rng.getrandbits(5) for _ in range(count)]
+        assert posets._columns(rows, 5) == list(posets.transpose(rows, 5))
+        assert posets._columns(rows[::-1], 5) == list(posets.transpose(rows[::-1], 5))
+
 
 class TestCertifiedAgainstPairWalk:
     """The certified, cover-based routes against the former pair-walk ones."""

@@ -14,12 +14,15 @@ Smith normal form on the whole order complex of B(5,1) takes a few
 seconds.  The Boolean-core oracle on B(7,2), B(8,1) and B(8,4) builds
 posets of 24,698, 40,320 and 78,032 elements at up to 1.26 GB, B(8,1)
 with ~1.7 s of Smith normal form on its core, and the induction on
-B(8,2), B(8,3) and B(10,1) runs for seconds each; these run only when
+B(8,2), B(8,3) and B(10,1) runs for seconds each, and on B(11,1), with
+11! families, for about half a minute per order; these run only when
 explicitly asked for via HIGHER_BRUHAT_STRETCH=1.
 """
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -89,18 +92,13 @@ def row_route(n, k, kind):
     return order, conditions, carrier_cone_check(inst), chains
 
 
-def suborder(order):
-    params = order.params
-    return enumerate_bruhat(GroundParams(params.n - 1, params.k))
-
-
 def test_six_two_carrier_check_is_exhaustive():
     order, conditions, carrier, chains = row_route(6, 2, "single_step")
     assert conditions.all_pass is True
     assert carrier.failures == ()
     assert carrier.pairs_checked == 50_598
     assert chains == 99_888_984_062
-    columns = descent_conditions(order, suborder(order), OrderKind.SINGLE_STEP)
+    columns = descent_conditions(order.params, OrderKind.SINGLE_STEP)
     assert condition_verdicts(columns) == condition_verdicts(conditions)
 
 
@@ -126,9 +124,8 @@ def test_seven_rung_carrier_check_is_exhaustive(n, k, kind, pairs, chains):
     # comparable pairs each), as do B(6,2)'s, and the map tables do not
     # depend on the order, so this run decides that instance too
     kinds = [kind, "inclusion"] if (n, k) == (7, 2) else [kind]
-    below = suborder(order)
     for other in kinds:
-        columns = descent_conditions(order, below, OrderKind(other))
+        columns = descent_conditions(order.params, OrderKind(other))
         assert condition_verdicts(columns) == condition_verdicts(conditions)
 
 
@@ -254,3 +251,57 @@ def test_induction_decides_what_rows_cannot_hold(n, k, extra, elements, kind, mo
     assert (report["is_sphere"], report["sphere_dimension"]) == (True, n - k - 2)
     assert report["steps"][0] == {"n": n, "elements": elements, "passed": True}
     assert [step["n"] for step in report["steps"]] == list(range(n, k + 1, -1))
+    if (n, k) == (10, 1):
+        # the stream holds two levels of one order: 272 MB in a fresh
+        # process when the induction held whole orders
+        fresh, _, peak_mb = fresh_run(["verify-sphericity", "--bruhat", "10", "1", kind],
+                                      tmp_path / "fresh.json")
+        assert fresh == report
+        assert peak_mb < 150
+
+
+# Runs the script in argv[1] as a child and prints its exit code, wall
+# time and peak RSS in KB (RUSAGE_CHILDREN).  The launcher is itself a
+# fresh interpreter: a process spawned straight from the test process
+# would carry that process's resident size into its own ru_maxrss.
+LAUNCHER = (
+    "import resource, subprocess, sys, time\n"
+    "started = time.perf_counter()\n"
+    "code = subprocess.call([sys.executable, '-I', '-c', sys.argv[1]], stdout=subprocess.DEVNULL)\n"
+    "wall = time.perf_counter() - started\n"
+    "print(code, wall, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+def fresh_run(argv, out):
+    """The CLI's report on argv from a fresh interpreter, its wall time and
+    its peak RSS in MB."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from higher_bruhat.cli import main\n"
+        f"sys.exit(main({argv + ['--out', str(out)]!r}))\n"
+    )
+    launched = subprocess.run([sys.executable, "-I", "-c", LAUNCHER, script],
+                              capture_output=True, text=True, check=True)
+    code, wall, peak_kb = launched.stdout.split()
+    assert code == "0"
+    return json.loads(out.read_text(encoding="utf-8")), float(wall), int(peak_kb) / 1024
+
+
+@stretch
+@pytest.mark.parametrize("kind", ["single_step", "inclusion"])
+def test_eleven_one_is_an_eight_sphere(kind, tmp_path):
+    # the weak order on S_11, 11! = 39,916,800 families, has an 8-sphere
+    # as its proper part (Bjoerner 1984; Edelman 1984).  Whole orders do
+    # not fit; the stream took 26-36 s at 0.5 GB per order when written
+    report, wall, peak_mb = fresh_run(["verify-sphericity", "--bruhat", "11", "1", kind],
+                                      tmp_path / "report.json")
+    assert (report["is_sphere"], report["sphere_dimension"]) == (True, 8)
+    assert report["steps"][0] == {"n": 11, "elements": 39_916_800, "passed": True}
+    assert [step["elements"] for step in report["steps"]] == [
+        39_916_800, 3_628_800, 362_880, 40_320, 5_040, 720, 120, 24, 6
+    ]
+    assert wall < 180
+    assert peak_mb < 1024
