@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from bisect import bisect_left
 from functools import cached_property, partial, reduce
 from operator import and_, ge, ne, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -121,20 +120,6 @@ class BruhatOrder:
 
     def __len__(self) -> int:
         return len(self.bits)
-
-    def __contains__(self, family: int) -> bool:
-        """Whether the order holds the family, by bisection within its level.
-
-        Level c holds the families of cardinality c, in ascending bitset
-        order, so no index of all the families is built.
-        """
-        card = family.bit_count()
-        if card >= len(self.addable):
-            return False
-        lo = self.addable[card][0]
-        hi = self.addable[card + 1][0] if card + 1 < len(self.addable) else len(self.bits)
-        at = bisect_left(self.bits, family, lo, hi)
-        return at < hi and self.bits[at] == family
 
     @cached_property
     def elements(self) -> tuple[ConsistentSet, ...]:
@@ -698,12 +683,11 @@ def to_poset(order: BruhatOrder, kind: OrderKind) -> posets.FiniteBoundedPoset:
     row differs are the rows built again, in full, for from_relation's
     validation.
 
-    Element i is labelled _label(params, bits[i]), rendered when the
-    poset's labels are first read and then kept.  The bitsets are
-    distinct and _label is injective, so the labels are unique unchecked.
+    Element i is labelled _label(params, bits[i]).
     """
     top = len(order) - 1
-    p = posets.from_covers(order.bits, order.covers, 0, top, render=partial(_label, order.params))
+    labels = list(map(partial(_label, order.params), order.bits))
+    p = posets.from_covers(labels, order.covers, 0, top)
     if kind is OrderKind.INCLUSION:
         containing = posets._columns(order.bits, order.params.num_members)
         rows = partial(_inclusion_rows, order.bits, containing, len(order))
@@ -791,20 +775,21 @@ def descent_conditions(params: GroundParams, kind: OrderKind) -> ConditionReport
     table is built, and Q is never enumerated.  P = B(n,k) is read from
     its growth's stream, one level at a time, from the columns that the
     growth certified, and each level is dropped after use (_decided).  f,
-    i and j are the mask, identity and OR of _level_maps.  A failing
-    check's witness is worded as check_conditions words it: each level
-    gives its lowest failing family, and the lowest over all levels, in
-    (cardinality, bits) order, is the witness.  P's bounds are checked on
-    its stream as to_poset checks them (_bounded), then Q's on Q's own
-    stream, then the images (_condition_report), the order in which the
-    row route checks them.
+    i and j are the mask, identity and OR of _level_maps, whose masks are
+    compared with the proved ones below before P grows: any other mask
+    raises InvariantError naming the descent and the broken mask.  A
+    failing check's witness is worded as check_conditions words it: each
+    level gives its lowest failing family, and the lowest over all levels,
+    in (cardinality, bits) order, is the witness.  P's bounds are checked
+    on its stream as to_poset checks them (_bounded), then Q's on Q's own
+    stream, the order in which the row route checks them.
 
-    Images, from the masks.  Colex ranks do not depend on n, so kept, the
-    members without n, is Q's full family.  A packet of P whose base
-    avoids n is a packet of Q and holds no added member.  A packet whose
-    base B holds n has B - {n} as its first member in lex order, and
-    every other member holds n.  Suppose kept is Q's full family and
-    added = P's full family minus kept, which _level_maps gives; then:
+    The masks.  Colex ranks do not depend on n, so kept, the members
+    without n, is Q's full family.  A packet of P whose base avoids n is a
+    packet of Q and holds no added member.  A packet whose base B holds n
+    has B - {n} as its first member in lex order, and every other member
+    holds n.  Suppose kept is Q's full family and added = P's full family
+    minus kept, which _level_maps gives; then:
     - f(x) = x & kept is a family of Q: Q's packets are P's packets
       without n, and x & kept meets each of them as x does, in a segment.
     - i(a) = a and j(a) = a | added are families of P, for a in Q: each
@@ -815,14 +800,8 @@ def descent_conditions(params: GroundParams, kind: OrderKind) -> ConditionReport
       as a lies in kept, and f(j(a)) = (a | added) & kept = a, as added
       and kept are disjoint; the top member {n-k..n} holds n, so lies in
       added and not in kept, so every i(a) is green and every j(a) red.
-    So the two mask equalities, checked in O(1), decide every image, the
-    compositions_identity and images_two_colored.  Masks that fail them
-    are decided family by family: an image is enumerated iff it lies
-    within its order's width and passes the segment kernel, since the
-    growth is complete, and Q's families are P's families within Q's
-    width, in the same order.  A missing image raises the InvariantError
-    that the row route raises: the first f(x) in P's order, else the
-    first j(a) in Q's (i(a) is a family of P by definition).
+    So the two mask equalities, checked in O(1), prove every image, the
+    compositions_identity and images_two_colored, reported as passing.
 
     Proved from the images, so reported as passing:
     - f, i and j are monotone.  Under inclusion each preserves inclusion.
@@ -834,34 +813,33 @@ def descent_conditions(params: GroundParams, kind: OrderKind) -> ConditionReport
       which differ as n-1 >= k+1.
     - green_is_down_set: a green family lacks the top member, and y <= x
       under either order makes y a subfamily of x.
+    - sandwich under inclusion: x & kept lies in x, and x lies in
+      (x & kept) | added, as kept | added is P's full family.
 
     Decided by bit tests, per level:
     - extreme_fibers: the fibre over Q's bottom (the empty family) is the
       AND of the kept members' absent columns, the fibre over Q's top (its
       full family) the AND of their columns.  Level 0 holds only P's
       bottom and level W only P's top.
-    - sandwich, i(f(x)) <= x <= j(f(x)).  Under inclusion, x & kept lies
-      in x, and x lies in (x & kept) | added iff x holds no member outside
-      kept | added.  Under single-step, by induction on the number of
-      members to drop (to add), the lower half holds for every x iff each
-      family holding a dropped member has a lower cover dropping one, and
-      the upper half iff each family missing an added member, and holding
-      nothing outside kept | added, has an upper cover adding one; for the
-      converse, the last (first) step of a chain of single-member
-      additions from x & kept to x (from x to x | added) is such a cover.
-      The upper covers are the level's addable columns.  The lower covers
-      are its droppable columns: x minus m is consistent, so the
-      enumeration holds it, since it holds every consistent family: the
-      growth reaches every one up to the middle level (B(n,k) has the
-      empty family as its unique minimum under single-step), the levels
-      above are their complements, and the brute-force oracle finds the
-      same families.  A family that fails a test fails the sandwich.  A
-      family that fails the lower half but passes its test has a lower
-      cover that fails the lower half, so the lowest family failing the
-      lower half fails its test: when only the lower half fails, the
-      witness is the row route's.  An upper failure names the lowest
-      family that fails its test, though a lower family may fail too, by
-      reaching only such families.
+    - sandwich under single-step, i(f(x)) <= x <= j(f(x)).  By induction
+      on the number of members to drop (to add), the lower half holds for
+      every x iff each family holding an added member has a lower cover
+      dropping one, and the upper half iff each family missing an added
+      member has an upper cover adding one; for the converse, the last
+      (first) step of a chain of single-member additions from x & kept to
+      x (from x to x | added) is such a cover.  The upper covers are the
+      level's addable columns.  The lower covers are its droppable
+      columns: x minus m is consistent, so the enumeration holds it, since
+      it holds every consistent family: the growth reaches every one up to
+      the middle level (B(n,k) has the empty family as its unique minimum
+      under single-step), the levels above are their complements, and the
+      brute-force oracle finds the same families.  A family that fails a
+      test fails the sandwich.  A family that fails the lower half but
+      passes its test has a lower cover that fails the lower half, so the
+      lowest family failing the lower half fails its test: when only the
+      lower half fails, the witness is the row route's.  An upper failure
+      names the lowest family that fails its test, though a lower family
+      may fail too, by reaching only such families.
 
     Proved from the five conditions, as suspension_check's docstring
     shows, so not built: the proof maps g and h and the carrier cones.
@@ -870,31 +848,36 @@ def descent_conditions(params: GroundParams, kind: OrderKind) -> ConditionReport
     small = _level_maps(params)[0]
     lowest = _decided(params, kind)[1]
     _bounded_size(small, _grow(small))
-    return _condition_report(params, lowest)
+    return _condition_report(lowest)
 
 
 def _decided(
     params: GroundParams, kind: OrderKind
-) -> tuple[int, dict[str, tuple[int, int, object]]]:
-    """P's size, and the lowest failure of each check that descent_conditions
-    decides on P's growth, keyed by check, as (cardinality, index within
-    the level, witness); P's bounds are checked on the stream (_bounded).
+) -> tuple[int, dict[str, tuple[int, int, str]]]:
+    """P's size, and the lowest failure of each condition that
+    descent_conditions decides on P's growth, keyed by condition, as
+    (cardinality, index within the level, witness); P's bounds are checked
+    on the stream (_bounded).  Masks other than the proved ones of
+    _level_maps raise InvariantError before P grows.
     """
     small, kept, added = _level_maps(params)
-    # labels are rendered only for a witness
-    label, sub_label = partial(_label, params), partial(_label, small)
+    # once f's mask is the proved one, j's is the rest of P's full family
+    proved_masks = (("f", kept, small.full_bits), ("j", added, params.full_bits ^ kept))
+    for name, mask, proved in proved_masks:
+        if mask != proved:
+            raise InvariantError(
+                f"the descent B({params.n},{params.k}) -> B({small.n},{small.k}) has the "
+                f"{name} mask {_label(params, mask)}, not the proved {_label(params, proved)}"
+            )
     width = params.num_members
     red = width - 1
     kept_members = posets._bits(kept)
-    dropped = posets._bits(params.full_bits & ~kept)
-    gained = posets._bits(added)
-    stray = posets._bits(params.full_bits & ~kept & ~added)
+    holding_n = posets._bits(added)
     single_step = kind is OrderKind.SINGLE_STEP
-    by_masks = kept == small.full_bits and added == params.full_bits ^ kept
-    # per check, (cardinality, index within the level, witness) of the lowest failure
-    lowest: dict[str, tuple[int, int, object]] = {}
+    # per condition, (cardinality, index within the level, witness) of the lowest failure
+    lowest: dict[str, tuple[int, int, str]] = {}
 
-    def note(name: str, card: int, at: int, witness) -> None:
+    def note(name: str, card: int, at: int, witness: str) -> None:
         if name not in lowest or (card, at) < lowest[name][:2]:
             lowest[name] = (card, at, witness)
 
@@ -905,104 +888,52 @@ def _decided(
         return (mask & -mask).bit_length() - 1
 
     def decide(level: Level) -> None:
-        """The sandwich and the extreme fibres on one level, by bit tests."""
+        """The sandwich under single-step and the extreme fibres on one
+        level, by bit tests."""
         c, families, cols, add, drop = level
         full = (1 << len(families)) - 1
         absent = [full ^ col for col in cols]
-        below, above = 0, union(cols, stray)
         if single_step:
-            below = union(cols, dropped) & ~union(drop, dropped)
-            above |= union(absent, gained) & ~union(add, gained)
-        if below | above:
-            at = first(below | above)
-            x = label(families[at])
-            half = "i(f({})) is not below {}" if below >> at & 1 else "j(f({})) is not above {}"
-            note("sandwich", c, at, half.format(x, x))
+            below = union(cols, holding_n) & ~union(drop, holding_n)
+            above = union(absent, holding_n) & ~union(add, holding_n)
+            if below | above:
+                at = first(below | above)
+                x = _label(params, families[at])
+                note("sandwich", c, at,
+                     f"i(f({x})) is not below {x}" if below >> at & 1
+                     else f"j(f({x})) is not above {x}")
         green_low = reduce(and_, map(absent.__getitem__, kept_members), absent[red])
         red_high = reduce(and_, map(cols.__getitem__, kept_members), cols[red])
         miscoloured = (green_low if c else 0) | (red_high if c < width else 0)
         if miscoloured:
             at = first(miscoloured)
-            x = label(families[at])
-            note("fibres", c, at,
+            x = _label(params, families[at])
+            note("extreme_fibers", c, at,
                  f"{x} is red in the fiber over the top of Q" if red_high >> at & 1
                  else f"{x} is green in the fiber over the bottom of Q")
-
-    def by_family(level: Level) -> None:
-        """The images, compositions and colours on one level, where the masks
-        do not prove them."""
-        c, families = level.card, level.families
-        images = [b & kept for b in families]
-        missing = (1 << len(families)) - 1 & ~_held(small, images)
-        if missing:
-            note("f", c, first(missing), images[first(missing)])
-        subs = [a for a in families if a <= small.full_bits]
-        images = [a | added for a in subs]
-        missing = (1 << len(subs)) - 1 & ~_held(params, images)
-        if missing:
-            note("j", c, first(missing), images[first(missing)])
-        for at, a in enumerate(subs):
-            if a & kept != a or (a | added) & kept != a:
-                g = "i" if a & kept != a else "j"
-                note("compositions", c, at, f"f({g}({sub_label(a)})) != {sub_label(a)}")
-                break
-        for at, a in enumerate(subs):
-            if a >> red & 1 or not (a | added) >> red & 1:
-                note("colours", c, at,
-                     f"i({sub_label(a)}) = {label(a)} is red" if a >> red & 1
-                     else f"j({sub_label(a)}) = {label(a | added)} is green")
-                break
 
     size = 0
     for level in _bounded(params, _grow(params)):
         size += len(level.families)
         decide(level)
-        if not by_masks:
-            by_family(level)
         del level  # the next level grows without this one
     return size, lowest
 
 
-def _condition_report(
-    params: GroundParams, lowest: dict[str, tuple[int, int, object]]
-) -> ConditionReport:
-    """descent_conditions' report from _decided's lowest failures; the first
-    missing image raises InvariantError, as on the row route."""
-    missing = lowest.get("f") or lowest.get("j")
-    if missing is not None:
-        raise _not_enumerated(params, missing[2])
-
-    def found(name: str):
-        return lowest[name][2] if name in lowest else None
-
+def _condition_report(lowest: dict[str, tuple[int, int, str]]) -> ConditionReport:
+    """descent_conditions' report from _decided's lowest failures."""
     proved = ("p_bounded", "q_bounded", "q_nondegenerate", "f_monotone", "i_monotone", "j_monotone")
-    decided = (
-        ("green_is_down_set", None),
-        ("compositions_identity", found("compositions")),
-        ("images_two_colored", found("colours")),
-        ("sandwich", found("sandwich")),
-        ("extreme_fibers", found("fibres")),
+    conditions = (
+        "green_is_down_set", "compositions_identity", "images_two_colored", "sandwich",
+        "extreme_fibers",
     )
     return ConditionReport(
         tuple(Check(name, True) for name in proved),
-        tuple(Check(name, witness is None, witness) for name, witness in decided),
+        tuple(
+            Check(name, name not in lowest, lowest[name][2] if name in lowest else None)
+            for name in conditions
+        ),
     )
-
-
-def _held(params: GroundParams, families: list[int]) -> int:
-    """The column of the given bitsets that B(n,k) holds.
-
-    A bitset is a family of the order iff it lies within the order's
-    width and meets every packet in a segment, since the growth is
-    complete.
-    """
-    inside = [b & params.full_bits for b in families]
-    held = sum(1 << f for f, (b, low) in enumerate(zip(families, inside)) if b == low)
-    for _, passing in _segment_columns(
-        posets._columns(inside, params.num_members), held, params.n, params.k
-    ):
-        held &= passing
-    return held
 
 
 def descent_chain(
@@ -1015,8 +946,8 @@ def descent_chain(
     grown once, as a stream of levels, and decided as it grows; only the
     level being read and the one being grown are held.  A step's Q is the
     next step's P, so a step is reported once the next order's stream has
-    been read: P's bounds, Q's and then the images are checked in the
-    order descent_conditions checks them.  max_subsets is checked on
+    been read: P's bounds and then Q's are checked in the order
+    descent_conditions checks them.  max_subsets is checked on
     B(n,k), before any growth, and the orders below have fewer members.
     Once every step passes, the base B(k+1,k) must be bounded with exactly
     two families, so that its proper part is empty, the (-1)-sphere;
@@ -1034,7 +965,7 @@ def descent_chain(
             size, lowest = _bounded_size(order, _grow(order)), {}
         if held is not None:
             above, above_size, above_lowest = held
-            report = _condition_report(above, above_lowest)
+            report = _condition_report(above_lowest)
             yield above.n, above_size, report
             if not report.all_pass:
                 return

@@ -26,10 +26,7 @@ string, not one full-width operation per bit.
 A map between posets is its image table, one target index per source
 element; check_monotone takes the source and target beside it.
 
-Labels serve reports and error messages only.  from_covers can take
-distinct keys and an injective renderer in their place; the poset then
-renders its labels on their first read and keeps them, so a route that
-prints no label renders none.
+Labels serve reports and error messages only.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
 from operator import or_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NotAPosetError, NotBoundedError, ParameterError
 
@@ -128,17 +125,17 @@ def _hasse(labels: Sequence[str], up: Sequence[int]) -> tuple[tuple[int, int], .
 
 
 def _check_bounds(
-    name: Callable[[int], object], up: Sequence[int], down: Sequence[int], bottom: int, top: int
+    labels: Sequence[str], up: Sequence[int], down: Sequence[int], bottom: int, top: int
 ) -> None:
-    """Refuse bounds that are out of range or not bounds; name(i) labels element i."""
+    """Refuse bounds that are out of range or not bounds."""
     n = len(up)
     if not 0 <= bottom < n or not 0 <= top < n:
         raise NotBoundedError("bottom/top index out of range")
     full = (1 << n) - 1
     if up[bottom] != full:
-        raise NotBoundedError(f"{name(bottom)} is not below every element")
+        raise NotBoundedError(f"{labels[bottom]} is not below every element")
     if down[top] != full:
-        raise NotBoundedError(f"{name(top)} is not above every element")
+        raise NotBoundedError(f"{labels[top]} is not above every element")
 
 
 @dataclass(frozen=True)
@@ -178,18 +175,9 @@ class FiniteBoundedPoset:
                     f"relation is not antisymmetric on {labels[i]}, {labels[j]}"
                 )
         cover_pairs = _hasse(labels, up)
-        _check_bounds(labels.__getitem__, up, down, self.bottom, self.top)
+        _check_bounds(labels, up, down, self.bottom, self.top)
         object.__setattr__(self, "down", down)
         object.__setattr__(self, "cover_pairs", cover_pairs)
-
-    def __getattr__(self, name: str):
-        # reached only while labels given as a renderer (see from_covers)
-        # are unread; setdefault keeps the first rendering, so every read,
-        # concurrent ones included, returns the same tuple
-        if name == "labels" and "_render" in self.__dict__:
-            render, keys = self.__dict__["_render"]
-            return self.__dict__.setdefault("labels", tuple(map(render, keys)))
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def __len__(self) -> int:
         return len(self.leq)
@@ -234,23 +222,24 @@ def from_relation(
 
 
 def _cover_links(
-    n: int, name: Callable[[int], object], cover_pairs: Iterable[tuple[int, int]]
+    labels: Sequence[str], cover_pairs: Iterable[tuple[int, int]]
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """Upper and lower neighbours of each of n elements in the cover digraph."""
+    """Upper and lower neighbours of each element in the cover digraph."""
+    n = len(labels)
     above: list[list[int]] = [[] for _ in range(n)]
     below: list[list[int]] = [[] for _ in range(n)]
     for a, b in cover_pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise ParameterError(f"cover pair ({a}, {b}) out of range")
         if a == b:
-            raise NotAPosetError(f"self-loop at {name(a)}")
+            raise NotAPosetError(f"self-loop at {labels[a]}")
         above[a].append(b)
         below[b].append(a)
     return above, below
 
 
 def _topological_order(
-    name: Callable[[int], object], above: list[list[int]], below: list[list[int]]
+    labels: Sequence[str], above: list[list[int]], below: list[list[int]]
 ) -> tuple[list[int], list[int]]:
     """A Kahn sort of the cover digraph and each element's rank.
 
@@ -270,7 +259,7 @@ def _topological_order(
                 order.append(j)
     if len(order) < len(above):
         stuck = next(i for i, d in enumerate(indegree) if d)
-        raise NotAPosetError(f"covers contain a cycle at or below {name(stuck)}")
+        raise NotAPosetError(f"covers contain a cycle at or below {labels[stuck]}")
     return order, rank
 
 
@@ -283,11 +272,10 @@ def _close(links: list[list[int]], order: Iterable[int]) -> tuple[int, ...]:
 
 
 def from_covers(
-    labels: Sequence[object],
+    labels: Sequence[str],
     cover_pairs: Iterable[tuple[int, int]],
     bottom: int,
     top: int,
-    render: Callable[[object], str] | None = None,
 ) -> FiniteBoundedPoset:
     """Build a bounded poset as the reflexive-transitive closure of covers.
 
@@ -296,23 +284,15 @@ def from_covers(
     interval holds nothing else are exactly its covers.  A pair (a, b)
     with rank(b) = rank(a) + 1 is one of them untested; every other pair
     is tested by one AND and popcount of up[a] and down[b].
-
-    Without render, labels are the elements' labels, which must be unique
-    strings.  With render, labels are distinct keys and element i is
-    labelled render(labels[i]): the poset renders its labels on their
-    first read and keeps them.  The caller vouches that render is
-    injective on the keys, which stands in for the uniqueness check.
     """
-    keys = tuple(labels)
-    n = len(keys)
-    name = keys.__getitem__ if render is None else lambda i: render(keys[i])
-    above, below = _cover_links(n, name, cover_pairs)
-    if render is None and len(set(keys)) != n:
+    labels = tuple(labels)
+    above, below = _cover_links(labels, cover_pairs)
+    if len(set(labels)) != len(labels):
         raise ParameterError("labels must be unique")
-    order, rank = _topological_order(name, above, below)
+    order, rank = _topological_order(labels, above, below)
     up = _close(above, reversed(order))
     down = _close(below, order)
-    _check_bounds(name, up, down, bottom, top)
+    _check_bounds(labels, up, down, bottom, top)
     covers: list[tuple[int, int]] = []
     for a, uppers in enumerate(above):
         # an element between a and b would put b two ranks above a
@@ -323,11 +303,9 @@ def from_covers(
         )
     p = object.__new__(FiniteBoundedPoset)
     # the axioms are proved above, so the pair-by-pair validation is skipped
-    p.__dict__.update(leq=up, bottom=bottom, top=top, down=down, cover_pairs=tuple(covers))
-    if render is None:
-        p.__dict__["labels"] = keys
-    else:
-        p.__dict__["_render"] = (render, keys)
+    p.__dict__.update(
+        labels=labels, leq=up, bottom=bottom, top=top, down=down, cover_pairs=tuple(covers)
+    )
     return p
 
 

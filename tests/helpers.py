@@ -7,6 +7,7 @@ the same answers.
 """
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from math import gcd
@@ -912,6 +913,30 @@ def dissection_instance(order, kind):
     )
 
 
+def order_holds(order, family):
+    """Whether the order holds the family, by bisection within its level.
+
+    Level c holds the families of cardinality c, in ascending bitset
+    order, so no index of all the families is built.
+    """
+    card = family.bit_count()
+    if card >= len(order.addable):
+        return False
+    lo = order.addable[card][0]
+    hi = order.addable[card + 1][0] if card + 1 < len(order.addable) else len(order.bits)
+    at = bisect_left(order.bits, family, lo, hi)
+    return at < hi and order.bits[at] == family
+
+
+def broken_mask_message(params, name, mask, proved):
+    """The error that descent_conditions raises when _level_maps gives
+    f's or j's mask (name) as mask, not as the proved one."""
+    return (
+        f"the descent B({params.n},{params.k}) -> B({params.n - 1},{params.k}) has the "
+        f"{name} mask {_label(params, mask)}, not the proved {_label(params, proved)}"
+    )
+
+
 def lookup_descent_conditions(order, suborder, kind):
     """The library's descent_conditions before it read the growth's stream.
 
@@ -934,8 +959,8 @@ def lookup_descent_conditions(order, suborder, kind):
     missing = next(
         itertools.chain(
             (b & kept for b in order.bits if b & kept not in in_q),
-            (a for a in suborder.bits if a not in order),
-            (a | added for a in suborder.bits if a | added not in order),
+            (a for a in suborder.bits if not order_holds(order, a)),
+            (a | added for a in suborder.bits if not order_holds(order, a | added)),
         ),
         None,
     )
@@ -1109,9 +1134,9 @@ class ConditionViolationError(InvariantError):
 def product_with_two_chain(q):
     """The poset q x {0,1} with componentwise order.
 
-    Element (a, s) has index a + s * len(q) and label "(a,s)", rendered
-    from q's labels on first read; (a, s) <= (b, t) iff a <= b in q and
-    s <= t.  Its covers are q's in each layer plus (a, 0) < (a, 1).
+    Element (a, s) has index a + s * len(q) and label "(a,s)", from q's
+    labels; (a, s) <= (b, t) iff a <= b in q and s <= t.  Its covers are
+    q's in each layer plus (a, 0) < (a, 1).
     """
     n = len(q)
     covers = (
@@ -1119,12 +1144,8 @@ def product_with_two_chain(q):
         + tuple((a + n, b + n) for a, b in q.cover_pairs)
         + tuple((a, a + n) for a in range(n))
     )
-    return from_covers(range(2 * n), covers, q.bottom, q.top + n, render=partial(_pair_label, q))
-
-
-def _pair_label(q, z):
-    """The label of element z of q x {0,1}."""
-    return f"({q.labels[z % len(q)]},{z // len(q)})"
+    labels = [f"({q.labels[z % n]},{z // n})" for z in range(2 * n)]
+    return from_covers(labels, covers, q.bottom, q.top + n)
 
 
 @dataclass(frozen=True)

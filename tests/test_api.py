@@ -1,6 +1,9 @@
-"""The public names of the package: every __all__ entry must resolve, and
-the README's python blocks run as they are written."""
+"""The names of the package: every __all__ entry must resolve, every
+module-level private name is read by some library module, and the
+README's python blocks run as they are written."""
 
+import ast
+import glob
 import importlib
 import os
 import pkgutil
@@ -19,6 +22,35 @@ def test_every_all_name_resolves():
     for module in [higher_bruhat, *modules]:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_every_private_name_is_read_by_the_library():
+    # a module-level private name that no library module reads is dead code
+    # that only the tests could still be keeping alive
+    defined, read = {}, set()
+    for path in glob.glob(os.path.join(os.path.dirname(higher_bruhat.__file__), "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            module = os.path.basename(path)
+            defined.update((name, module) for name in names if name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = sorted(
+        f"{module}: {name}" for name, module in defined.items()
+        if not name.startswith("__") and name not in read
+    )
+    assert dead == []
 
 
 def test_readme_python_blocks_run():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from functools import partial
 from math import comb, factorial
 
 import pytest
@@ -23,6 +24,7 @@ from helpers import (
     all_levels_grow,
     addable_cover,
     addable_thinned,
+    broken_mask_message,
     closure_reach_rows,
     collected_levels,
     condition_verdicts,
@@ -37,6 +39,7 @@ from helpers import (
     naive_inclusion_rows,
     naive_is_consistent,
     naive_label,
+    order_holds,
     per_bitset_bruteforce_bits,
     table_grow,
 )
@@ -616,14 +619,16 @@ STREAM_CASES = [(n, k) for n in range(2, 8) for k in range(n - 1)] + [(8, 4), (1
 
 def level_maps_mutants(params):
     """_level_maps mutants of B(n,k): j loses an added member, f keeps one
-    kept member too few, or f keeps an added member too."""
+    kept member too few, or f keeps an added member too; each with the
+    error that the column route raises on it."""
     small, kept, added = bruhat._level_maps(params)
+    refused = partial(broken_mask_message, params)
     for member in posets._bits(added):
-        yield small, kept, added & ~(1 << member)
+        yield (small, kept, added & ~(1 << member)), refused("j", added & ~(1 << member), added)
     for member in posets._bits(kept)[:2]:
-        yield small, kept & ~(1 << member), added
+        yield (small, kept & ~(1 << member), added), refused("f", kept & ~(1 << member), kept)
     for member in posets._bits(added)[:2]:
-        yield small, kept | 1 << member, added
+        yield (small, kept | 1 << member, added), refused("f", kept | 1 << member, kept)
 
 
 def run_or_error(function, *args):
@@ -656,19 +661,18 @@ class TestDescentConditions:
 
     @pytest.mark.parametrize("n,k", [(3, 0), (4, 1), (5, 0), (5, 1), (5, 2), (6, 2)])
     @pytest.mark.parametrize("kind", list(OrderKind))
-    def test_mask_mutants_fail_as_on_the_lookup_oracle(self, n, k, kind, monkeypatch):
-        # masks that break the proofs are decided family by family, with the
-        # oracle's errors and witnesses
+    def test_mask_mutants_are_refused(self, n, k, kind, monkeypatch):
+        # the column route never passes a broken mask; the lookup oracle,
+        # which looks every image up, does not pass one either
         params = GroundParams(n, k)
         outcomes = set()
-        for maps in level_maps_mutants(params):
+        for maps, refused in level_maps_mutants(params):
             monkeypatch.setattr(bruhat, "_level_maps", lambda params, maps=maps: maps)
-            streamed = run_or_error(descent_conditions, params, kind)
+            assert run_or_error(descent_conditions, params, kind) == (InvariantError, refused)
             looked_up = run_or_error(
                 lookup_descent_conditions, order(n, k), order(n - 1, k), kind
             )
-            assert streamed == looked_up
-            outcomes.add(streamed[0] if isinstance(streamed, tuple) else streamed.all_pass)
+            outcomes.add(looked_up[0] if isinstance(looked_up, tuple) else looked_up.all_pass)
         assert outcomes <= {InvariantError, False}
         assert InvariantError in outcomes or k == 0
 
@@ -699,13 +703,14 @@ class TestDescentConditions:
         probes = list(everything[: 1 << 12])
         if len(everything) > len(probes):
             probes += random.Random(n * 10 + k).sample(everything, 200)
-        assert all((b in o) is (b in held) for b in probes + list(o.bits))
-        assert o.params.full_bits + 1 not in o
-        assert (1 << o.params.num_members + 1) - 1 not in o
+        assert all(order_holds(o, b) is (b in held) for b in probes + list(o.bits))
+        assert not order_holds(o, o.params.full_bits + 1)
+        assert not order_holds(o, (1 << o.params.num_members + 1) - 1)
 
-    def test_image_outside_the_target_raises_as_on_rows(self, monkeypatch):
+    def test_image_outside_the_target_raises_on_both_routes(self, monkeypatch):
         # f keeps the added member {1,4} (rank 3) too, so some restriction is
-        # no longer a family of B(3,1); the row oracle looks the images up
+        # no longer a family of B(3,1): the column route refuses the mask,
+        # and the row oracle looks the images up
         real = bruhat._level_maps
 
         def keeps_14(params):
@@ -714,9 +719,13 @@ class TestDescentConditions:
 
         monkeypatch.setattr(bruhat, "_level_maps", keeps_14)
         params = GroundParams(4, 1)
-        message = "sends a family to {{1,2},{1,3},{1,4}}, which was not enumerated"
-        with pytest.raises(InvariantError, match=re.escape(message)):
+        refused = (
+            "the descent B(4,1) -> B(3,1) has the f mask {{1,2},{1,3},{2,3},{1,4}}, "
+            "not the proved {{1,2},{1,3},{2,3}}"
+        )
+        with pytest.raises(InvariantError, match=re.escape(refused)):
             descent_conditions(params, OrderKind.SINGLE_STEP)
+        message = "sends a family to {{1,2},{1,3},{1,4}}, which was not enumerated"
         with pytest.raises(InvariantError, match=re.escape(message)):
             dissection_instance(order(4, 1), OrderKind.SINGLE_STEP)
 

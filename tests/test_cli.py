@@ -14,6 +14,7 @@ from helpers import (
     addable_thinned,
     boolean_core,
     bounded_thinning,
+    broken_mask_message,
     build_proof_maps,
     carrier_cone_check,
     chain_f_vector,
@@ -496,8 +497,23 @@ def clear_droppable_bit(monkeypatch, order, x):
     return bruhat._label(order.params, family)
 
 
+def j_mask_mutants(params):
+    """(mutant of _level_maps, the error line that it makes the column
+    route print) for each member that j's mask of B(n,k) can lose."""
+    real = bruhat._level_maps
+    _, _, added = real(params)
+    for member in posets._bits(added):
+        def mutant(params, member=member):
+            small, kept, added = real(params)
+            return small, kept, added & ~(1 << member)
+
+        message = broken_mask_message(params, "j", added & ~(1 << member), added)
+        yield mutant, f"error: {message}\n"
+
+
 class TestColumnRouteMutants:
-    """Broken column inputs fail on the column route as the row route fails."""
+    """Broken column inputs fail on the column route; a broken mask is
+    refused before any growth."""
 
     def run(self, argv, capsys):
         code = main(argv)
@@ -521,41 +537,41 @@ class TestColumnRouteMutants:
 
     @pytest.mark.parametrize("n,k", [(3, 0), (5, 0), (4, 1)])
     @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
-    def test_j_missing_an_added_member_fails_alike(self, n, k, kind, monkeypatch,
-                                                  tmp_path, capsys):
-        # on B(n,0), j then adds nothing and fails images_two_colored first;
-        # with k > 0, some j(a) is no longer a family, on both routes
-        real = bruhat._level_maps
-        _, _, added = real(GroundParams(n, k))
+    def test_j_missing_an_added_member_is_refused(self, n, k, kind, monkeypatch,
+                                                 tmp_path, capsys):
+        # the column route refuses the mask and writes no report; the row
+        # route looks the images up: with k > 0 some j(a) is no longer a
+        # family, and on B(n,0) j adds nothing and fails images_two_colored
         columns, source, rows = (tmp_path / name for name in ("c.json", "i.json", "r.json"))
-        for member in posets._bits(added):
-            def mutant(params, member=member):
-                small, kept, added = real(params)
-                return small, kept, added & ~(1 << member)
-
+        for mutant, refused in j_mask_mutants(GroundParams(n, k)):
             monkeypatch.setattr(bruhat, "_level_maps", mutant)
             bruhat_argv = [str(n), str(k), kind]
             column_run = self.run(
                 ["check-lemma", "--bruhat", *bruhat_argv, "--out", str(columns)], capsys
             )
+            assert column_run == (1, refused)
+            assert not columns.exists()
             export_run = self.run(
                 ["export", "--bruhat", *bruhat_argv, "--format", "json", "--out", str(source)],
                 capsys,
             )
             if k > 0:
-                assert column_run == export_run
-                assert column_run[0] == 1 and "which was not enumerated" in column_run[1]
+                assert export_run[0] == 1 and "which was not enumerated" in export_run[1]
                 continue
             assert export_run == (0, "")
             row_run = self.run(["check-lemma", "--instance", str(source), "--out", str(rows)],
                                capsys)
-            assert column_run == row_run == (1, "")
-            by_columns, by_rows = read_json(columns), read_json(rows)
-            assert first_failure(by_columns) == first_failure(by_rows)
-            assert first_failure(by_columns)[0] == "images_two_colored"
-            assert [
-                (c["name"], c["passed"]) for c in by_columns["preconditions"] + by_columns["conditions"]
-            ] == [(c["name"], c["passed"]) for c in by_rows["preconditions"] + by_rows["conditions"]]
+            assert row_run == (1, "")
+            assert first_failure(read_json(rows))[0] == "images_two_colored"
+
+    def test_verify_sphericity_refuses_a_broken_mask(self, monkeypatch, tmp_path, capsys):
+        mutant, refused = next(j_mask_mutants(GroundParams(5, 2)))
+        monkeypatch.setattr(bruhat, "_level_maps", mutant)
+        out = tmp_path / "report.json"
+        argv = ["--bruhat", "5", "2", "single_step", "--out", str(out)]
+        assert self.run(["verify-sphericity", *argv], capsys) == (1, refused)
+        assert self.run(["check-lemma", *argv], capsys) == (1, refused)
+        assert not out.exists()
 
 
 class TestInstanceRoutes:
@@ -1008,7 +1024,8 @@ class TestExportCommand:
 
 
 class TestLabelsOnlyWhenRead:
-    """A poset built from an order renders its labels on first read, once."""
+    """A route that prints no label renders none; a poset built from an
+    order renders each label once."""
 
     @pytest.fixture
     def no_label(self, monkeypatch):
@@ -1046,10 +1063,7 @@ class TestLabelsOnlyWhenRead:
             return naive_label(ConsistentSet(params, bits))
 
         monkeypatch.setattr(bruhat, "_label", render)
-        p = to_poset(order, OrderKind.SINGLE_STEP)
-        assert rendered == []
-        first = p.labels
-        assert p.labels is first
+        first = to_poset(order, OrderKind.SINGLE_STEP).labels
         assert rendered == list(order.bits)
         eager = from_covers(first, order.covers, 0, len(order) - 1)
         assert eager.labels == first
