@@ -4,11 +4,16 @@ Exit codes are a stable contract: 0 pass, 1 mathematical-condition
 failure, 2 resource limit exceeded or out of memory, 3 usage or input
 error.  JSON reports are byte-deterministic for a fixed input and
 library version.
+
+main(argv) is re-entrant: it builds its parser on the first call, shares
+it read-only with every later call, and resolves each subcommand's handler
+when it is called.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -232,11 +237,12 @@ def cmd_verify_sphericity(ns) -> int:
         descent = f"B({m},{params.k}) -> B({m - 1},{params.k})"
         status = "pass" if step["passed"] else f"{failed['name']} FAIL ({failed['witness']})"
         print(f"  {descent}, {step['elements']} families: {status}")
+    dimension = f"({target})" if target < 0 else str(target)
     if sphere:
         print(f"  base B({params.k + 1},{params.k}): empty proper part, the (-1)-sphere")
-        print(f"  homotopy equivalent to a {target}-sphere")
+        print(f"  homotopy equivalent to a {dimension}-sphere")
     else:
-        print(f"  NOT certified as a {target}-sphere")
+        print(f"  NOT certified as a {dimension}-sphere")
     print(f"  note: {SPHERICITY_NOTE}")
     return EXIT_PASS if sphere else EXIT_CONDITION
 
@@ -338,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--elements", action="store_true",
                         help="include the full element list in the report")
     p_enum.add_argument("--out", metavar="FILE", help="write the JSON report here")
-    p_enum.set_defaults(handler=cmd_enumerate)
 
     p_check = sub.add_parser(
         "check-lemma", help="check the suspension conditions on an instance"
@@ -346,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_arguments(p_check)
     p_check.add_argument("--max-subsets", type=_budget, default=None)
     p_check.add_argument("--out", metavar="FILE")
-    p_check.set_defaults(handler=cmd_check_lemma)
 
     p_sphere = sub.add_parser(
         "verify-sphericity",
@@ -357,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sphere.add_argument("--max-subsets", type=_budget, default=None)
     p_sphere.add_argument("--out", metavar="FILE")
-    p_sphere.set_defaults(handler=cmd_verify_sphericity)
 
     p_cmp = sub.add_parser(
         "compare-orders", help="compare single-step and inclusion comparability"
@@ -366,26 +369,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("k", type=int)
     p_cmp.add_argument("--max-subsets", type=_budget, default=None)
     p_cmp.add_argument("--out", metavar="FILE")
-    p_cmp.set_defaults(handler=cmd_compare_orders)
 
     p_exp = sub.add_parser("export", help="export an instance as JSON or DOT")
     _add_instance_arguments(p_exp)
     p_exp.add_argument("--format", choices=["json", "dot"], required=True)
     p_exp.add_argument("--max-subsets", type=_budget, default=None)
     p_exp.add_argument("--out", metavar="FILE")
-    p_exp.set_defaults(handler=cmd_export)
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.
+
+    parse_args only reads the shared parser, so concurrent calls may share
+    it.  The handler is looked up by subcommand name at each call, so a
+    cmd_* function replaced after the first call is the one that runs.
+    """
     try:
-        ns = parser.parse_args(argv)
+        ns = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    handler = globals()["cmd_" + ns.subcommand.replace("-", "_")]
     try:
-        return ns.handler(ns)
+        return handler(ns)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

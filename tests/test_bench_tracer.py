@@ -10,7 +10,8 @@ SCRIPT = """
 import contextlib, io, sys
 from spans import Tracer
 from higher_bruhat.cli import main
-Tracer().install()
+tracer = Tracer()
+tracer.install()
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["verify-sphericity", "--bruhat", "4", "1", "single_step"]) == 0
     assert main(["verify-sphericity", "--bruhat", "4", "1", "inclusion"]) == 0
@@ -24,6 +25,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["export", "--bruhat", "4", "1", "single_step", "--format", "json",
                  "--out", sys.argv[1]]) == 0
     assert main(["check-lemma", "--instance", sys.argv[1]]) == 0
+names = [span[0] for span in tracer.spans if span[0].startswith("cli.")]
+print(" ".join(f"{name}:{names.count(name)}" for name in sorted(set(names))))
 """
 
 
@@ -38,3 +41,9 @@ def test_tracer_installs_and_traces_a_run(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    # every handler runs through its traced wrapper, and the ten calls
+    # build one parser
+    assert proc.stdout.split() == [
+        "cli.build_parser:1", "cli.cmd_check_lemma:3", "cli.cmd_compare_orders:1",
+        "cli.cmd_enumerate:1", "cli.cmd_export:1", "cli.cmd_verify_sphericity:4",
+    ]

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -707,6 +708,16 @@ class TestVerifySphericityCommand:
         ]
         assert lines[5] == f"  note: {cli.SPHERICITY_NOTE}"
 
+    def test_stdout_writes_the_minus_one_sphere_in_parentheses(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(sphere_argv(3, 2, "single_step", "--out", str(out))) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "B(3,2) under single_step:",
+            "  base B(3,2): empty proper part, the (-1)-sphere",
+            "  homotopy equivalent to a (-1)-sphere",
+        ]
+        assert read_json(out)["sphere_dimension"] == -1
+
     def test_oracle_recognises_the_core_only(self):
         # the Boolean recognition reads B(4,1)'s 6-point core, not its
         # 22-point proper part
@@ -1284,3 +1295,121 @@ class TestEntryPoint:
         assert main(["enumerate", "3", "1"]) == 0
         text = capsys.readouterr().out
         assert "B(3,1): 6 consistent families" in text
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+# One process runs every subcommand, the three non-pass exits and an
+# enumerate whose flags must not carry over to the plain one after it.
+ONE_PROCESS_SEQUENCE = [
+    ["enumerate", "4", "1", "--out", "report.json"],
+    ["check-lemma", "--bruhat", "4", "1", "single_step", "--out", "report.json"],
+    ["verify-sphericity", "--bruhat", "3", "2", "inclusion", "--out", "report.json"],
+    ["compare-orders", "4", "1", "--out", "report.json"],
+    ["export", "--bruhat", "3", "1", "single_step", "--format", "dot"],
+    ["export", "--bruhat", "3", "1", "inclusion", "--format", "json", "--out", "report.json"],
+    ["enumerate", "4", "1", "--bogus"],
+    ["--version"],
+    ["enumerate", "6", "2", "--max-subsets", "1", "--out", "report.json"],
+    ["enumerate", "4", "1", "--elements", "--method", "both", "--out", "report.json"],
+    ["enumerate", "4", "1", "--out", "report.json"],
+]
+
+
+def fresh_process_env():
+    # a fixed width, so that usage text wraps alike in and out of process
+    return dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+
+
+def read_report(directory):
+    report = directory / "report.json"
+    if not report.exists():
+        return None
+    data = report.read_bytes()
+    report.unlink()
+    return data
+
+
+class TestOneProcess:
+    def test_matches_fresh_processes_call_by_call(self, tmp_path, monkeypatch, capsys):
+        fresh_dir, shared_dir = tmp_path / "fresh", tmp_path / "shared"
+        fresh_dir.mkdir()
+        shared_dir.mkdir()
+        fresh = []
+        for argv in ONE_PROCESS_SEQUENCE:
+            proc = subprocess.run(
+                [sys.executable, "-m", "higher_bruhat", *argv], cwd=fresh_dir,
+                env=fresh_process_env(), capture_output=True, text=True, timeout=60,
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr, read_report(fresh_dir)))
+
+        for name, value in fresh_process_env().items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.chdir(shared_dir)
+        shared = []
+        for argv in ONE_PROCESS_SEQUENCE:
+            code = main(argv)
+            captured = capsys.readouterr()
+            shared.append((code, captured.out, captured.err, read_report(shared_dir)))
+
+        for argv, got, expected in zip(ONE_PROCESS_SEQUENCE, shared, fresh):
+            assert got == expected, argv
+        assert [code for code, *_ in shared] == [0, 0, 0, 0, 0, 0, 3, 0, 2, 0, 0]
+        with_flags, plain = (json.loads(data) for *_, data in shared[-2:])
+        assert (with_flags["method"], with_flags["oracle_match"]) == ("both", True)
+        assert len(with_flags["elements"]) == 24
+        assert plain["method"] == "bfs"
+        assert "elements" not in plain and "oracle_match" not in plain
+
+    def test_importing_the_cli_builds_no_parser(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(type(self).__name__)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import higher_bruhat.cli\n"
+            "print(len(built))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=fresh_process_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+    def test_many_calls_build_the_parser_once(self, monkeypatch, capsys):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        cli._shared_parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["enumerate", "3", "1"]) == 0
+                assert main(sphere_argv(4, 1, "single_step")) == 0
+                assert main(["check-lemma", "--bruhat", "4", "1", "inclusion"]) == 0
+                assert main(["enumerate", "3"]) == 3
+                assert main(["--version"]) == 0
+        finally:
+            cli._shared_parser.cache_clear()
+        # the top-level parser and one parser per subcommand
+        assert built.count("higher-bruhat") == 1
+        assert len(built) == 6
+
+    def test_a_handler_replaced_after_the_first_call_runs(self, monkeypatch, capsys):
+        assert main(["enumerate", "3", "1"]) == 0
+        seen = []
+
+        def replaced(ns):
+            seen.append((ns.n, ns.k))
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_enumerate", replaced)
+        assert main(["enumerate", "4", "2"]) == 0
+        assert seen == [(4, 2)]
+        assert capsys.readouterr().out.count("consistent families") == 1
