@@ -41,9 +41,9 @@ from operator import and_, ge, ne, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import posets
-from .errors import InvariantError, NotBoundedError, ParameterError, ResourceLimitError
+from .errors import InvariantError, ParameterError, ResourceLimitError
 from .subsets import ConsistentSet, GroundParams, _label, _packet_checks, _segment_columns
-from .suspension_check import Check, ConditionReport
+from .suspension_check import CONDITION_NAMES, Check, ConditionReport
 
 __all__ = [
     "OrderKind",
@@ -544,6 +544,18 @@ def _grow(params: GroundParams) -> Iterator[Level]:
     as the droppable columns of level W - c + 1, which checks the
     mirrored columns.
 
+    Bounds.  After each side's count, every family of a level below the
+    top must take some member, and the mirror of level 0 must be the full
+    family alone, else InvariantError names the level (and its lowest
+    family that takes no member).  So from every family a chain of covers
+    climbs to level W, whose one family is the full family.  By the
+    mirror, which reverses covers, every family but the empty one drops
+    some member, since its complement lies below the top and takes one,
+    and a chain of covers descends to level 0, the empty family alone.
+    So under single-step inclusion, the closure of the covers, the empty
+    family is the bottom and the full family the top; each cover adds a
+    member, so the same holds under inclusion.
+
     Every level, grown or mirrored, is certified against the packets by
     the segment kernel on its own columns (_certified_columns), so the
     mirror is checked, not trusted.  A family that fails a packet raises
@@ -568,6 +580,16 @@ def _grow(params: GroundParams) -> Iterator[Level]:
     terms = _neighbour_terms([c.members for c in _packet_checks(params.n, params.k)], width)
     plan = _growth_plan(terms, width)
     name = f"B({params.n},{params.k})"
+
+    def check_takes(emitted: Level) -> None:
+        stuck = ((1 << len(emitted.families)) - 1) & ~reduce(or_, emitted.add, 0)
+        if stuck:
+            family = emitted.families[(stuck & -stuck).bit_length() - 1]
+            raise InvariantError(
+                f"the growth of {name} is not bounded: {_label(params, family)} at "
+                f"level {emitted.card} takes no member"
+            )
+
     level, below, above = [0], 0, 0
     for c in range(width // 2 + 1):
         cols = _certified_columns(params, level)
@@ -583,6 +605,7 @@ def _grow(params: GroundParams) -> Iterator[Level]:
         add = _addable(cols, absent, terms)
         below = sum(map(int.bit_count, add))
         grown = Level(c, level, cols, add, drop)
+        check_takes(grown)
         yield grown
         if 2 * c < width:
             mirror = _mirrored(params, grown)
@@ -591,6 +614,13 @@ def _grow(params: GroundParams) -> Iterator[Level]:
                 raise InvariantError(
                     f"the growth of {name} misses a family at level {width - c}: its "
                     f"families take {taken} members, the level above drops {above}"
+                )
+            if c:
+                check_takes(mirror)
+            elif mirror.families != [params.full_bits]:
+                raise InvariantError(
+                    f"the growth of {name} is not bounded: level {width} is not its "
+                    f"full family alone"
                 )
             above = sum(map(int.bit_count, mirror.drop))
             yield mirror
@@ -601,9 +631,7 @@ def _grow(params: GroundParams) -> Iterator[Level]:
 
 
 def _check_width(params: GroundParams, method: str, max_subsets: int | None) -> None:
-    """Refuse an order whose member count exceeds the method's limit."""
-    if method not in ("bfs", "bruteforce"):
-        raise ParameterError(f"unknown enumeration method {method!r}")
+    """Refuse an order wider than the limit of method, "bfs" or "bruteforce" (_scanned)."""
     limit = max_subsets
     if limit is None:
         limit = DEFAULT_BFS_LIMIT if method == "bfs" else DEFAULT_BRUTEFORCE_LIMIT
@@ -615,25 +643,19 @@ def _check_width(params: GroundParams, method: str, max_subsets: int | None) -> 
         )
 
 
-def enumerate_bruhat(
-    params: GroundParams,
-    method: str = "bfs",
-    max_subsets: int | None = None,
-) -> BruhatOrder:
-    """Enumerate B(n,k); method is "bfs" or "bruteforce" (an oracle pair).
+def enumerate_bruhat(params: GroundParams, max_subsets: int | None = None) -> BruhatOrder:
+    """Enumerate B(n,k), refusing more members than max_subsets (default 64).
 
     This is the one collector of the growth's stream (_grow), which
-    certifies every level before the next one is made; a failure raises
-    InvariantError.  The lower levels are appended to the order's bits as
-    they come, and the mirrored ones, which come top level first, are
-    held as lists and appended once the middle is reached, each dropped
-    as it is moved: the bits are built once, as a list, and never copied.
-    The order keeps each level's addable columns, to give its covers on
-    first use.  "bruteforce" then decides membership by scanning every
-    bitset against every packet, and raises InvariantError unless the
-    scan finds the same families.
+    certifies every level, and the order's bounds, before the next level
+    is made; a failure raises InvariantError.  The lower levels are
+    appended to the order's bits as they come, and the mirrored ones,
+    which come top level first, are held as lists and appended once the
+    middle is reached, each dropped as it is moved: the bits are built
+    once, as a list, and never copied.  The order keeps each level's
+    addable columns, to give its covers on first use.
     """
-    _check_width(params, method, max_subsets)
+    _check_width(params, "bfs", max_subsets)
     bits: list[int] = []
     addable: list[tuple[int, tuple[int, ...]]] = []
     upper: list[tuple[list[int], list[int]]] = []
@@ -647,14 +669,27 @@ def enumerate_bruhat(
         families, add = upper.pop()
         addable.append((len(bits), tuple(add)))
         bits.extend(families)
-    if method == "bruteforce":
-        scanned = sorted(_bruteforce_bits(params), key=lambda b: (b.bit_count(), b))
-        if scanned != bits:
-            raise InvariantError(
-                f"brute-force scan and addable-mask growth disagree: the scan finds "
-                f"{len(scanned)} families, the growth {len(bits)}"
-            )
     return BruhatOrder(params, bits, tuple(addable))
+
+
+def _scanned(params: GroundParams, max_subsets: int | None) -> BruhatOrder:
+    """enumerate_bruhat's order, once a brute-force scan finds the same families.
+
+    The scan of enumerate --method both (_bruteforce_bits) tests every
+    bitset against every packet, apart from the growth; InvariantError
+    otherwise.  The growth's limit and then the scan's (default 24) are
+    checked first.
+    """
+    _check_width(params, "bfs", max_subsets)
+    _check_width(params, "bruteforce", max_subsets)
+    order = enumerate_bruhat(params, max_subsets)
+    scanned = sorted(_bruteforce_bits(params), key=lambda b: (b.bit_count(), b))
+    if scanned != order.bits:
+        raise InvariantError(
+            f"brute-force scan and addable-mask growth disagree: the scan finds "
+            f"{len(scanned)} families, the growth {len(order.bits)}"
+        )
+    return order
 
 
 def level_sizes(params: GroundParams, max_subsets: int | None = None) -> list[int]:
@@ -724,48 +759,6 @@ COLUMN_ROUTE_NOTE = (
 )
 
 
-def _bounded(params: GroundParams, levels: Iterable[Level]) -> Iterator[Level]:
-    """The levels, passed on as they come; then NotBoundedError, as to_poset
-    raises it, unless the full family is the top.
-
-    The full family lies above every family under both orders iff it is
-    the top level's only family and each family below that level takes
-    some member.  Then the empty family is the bottom under both orders:
-    the growth reaches every family up to the middle level from it by
-    single-member additions, and a family above the middle has a lower
-    cover, as its complement takes some member.  The error names the
-    order's last family in (cardinality, bits) order.
-    """
-    topped, last, grows = False, (-1, 0), True
-    for level in levels:
-        if level.card == params.num_members:
-            topped = len(level.families) == 1 and level.families[0] == params.full_bits
-        elif reduce(or_, level.add, 0) != (1 << len(level.families)) - 1:
-            grows = False
-        last = max(last, (level.card, level.families[-1]))
-        yield level
-        del level  # the next level grows without this one
-    if not (grows and topped):
-        raise NotBoundedError(f"{_label(params, last[1])} is not above every element")
-
-
-def _bounded_size(params: GroundParams, levels: Iterable[Level]) -> int:
-    """The number of families over the levels, once _bounded has passed them."""
-    size = 0
-    for level in _bounded(params, levels):
-        size += len(level.families)
-        del level  # the next level grows without this one
-    return size
-
-
-def _check_top(order: BruhatOrder) -> None:
-    """_bounded on a collected order, whose levels hold no member columns."""
-    levels = enumerate(order._levels())
-    _bounded_size(order.params, (
-        Level(c, order.bits[start:end], [], add, []) for c, (start, end, add) in levels
-    ))
-
-
 def descent_conditions(params: GroundParams, kind: OrderKind) -> ConditionReport:
     """The lemma's hypotheses on B(n,k) -> B(n-1,k), decided level by level.
 
@@ -780,9 +773,9 @@ def descent_conditions(params: GroundParams, kind: OrderKind) -> ConditionReport
     raises InvariantError naming the descent and the broken mask.  A
     failing check's witness is worded as check_conditions words it: each
     level gives its lowest failing family, and the lowest over all levels,
-    in (cardinality, bits) order, is the witness.  P's bounds are checked
-    on its stream as to_poset checks them (_bounded), then Q's on Q's own
-    stream, the order in which the row route checks them.
+    in (cardinality, bits) order, is the witness.  P's growth certifies
+    P's bounds (_grow), and Q's growth is then read to its end for Q's,
+    the order in which the row route checks them.
 
     The masks.  Colex ranks do not depend on n, so kept, the members
     without n, is Q's full family.  A packet of P whose base avoids n is a
@@ -847,7 +840,8 @@ def descent_conditions(params: GroundParams, kind: OrderKind) -> ConditionReport
     """
     small = _level_maps(params)[0]
     lowest = _decided(params, kind)[1]
-    _bounded_size(small, _grow(small))
+    for level in _grow(small):
+        del level  # the next level grows without this one
     return _condition_report(lowest)
 
 
@@ -856,9 +850,8 @@ def _decided(
 ) -> tuple[int, dict[str, tuple[int, int, str]]]:
     """P's size, and the lowest failure of each condition that
     descent_conditions decides on P's growth, keyed by condition, as
-    (cardinality, index within the level, witness); P's bounds are checked
-    on the stream (_bounded).  Masks other than the proved ones of
-    _level_maps raise InvariantError before P grows.
+    (cardinality, index within the level, witness).  Masks other than the
+    proved ones of _level_maps raise InvariantError before P grows.
     """
     small, kept, added = _level_maps(params)
     # once f's mask is the proved one, j's is the rest of P's full family
@@ -913,7 +906,7 @@ def _decided(
                  else f"{x} is green in the fiber over the bottom of Q")
 
     size = 0
-    for level in _bounded(params, _grow(params)):
+    for level in _grow(params):
         size += len(level.families)
         decide(level)
         del level  # the next level grows without this one
@@ -923,15 +916,11 @@ def _decided(
 def _condition_report(lowest: dict[str, tuple[int, int, str]]) -> ConditionReport:
     """descent_conditions' report from _decided's lowest failures."""
     proved = ("p_bounded", "q_bounded", "q_nondegenerate", "f_monotone", "i_monotone", "j_monotone")
-    conditions = (
-        "green_is_down_set", "compositions_identity", "images_two_colored", "sandwich",
-        "extreme_fibers",
-    )
     return ConditionReport(
         tuple(Check(name, True) for name in proved),
         tuple(
             Check(name, name not in lowest, lowest[name][2] if name in lowest else None)
-            for name in conditions
+            for name in CONDITION_NAMES
         ),
     )
 
@@ -946,11 +935,11 @@ def descent_chain(
     grown once, as a stream of levels, and decided as it grows; only the
     level being read and the one being grown are held.  A step's Q is the
     next step's P, so a step is reported once the next order's stream has
-    been read: P's bounds and then Q's are checked in the order
-    descent_conditions checks them.  max_subsets is checked on
-    B(n,k), before any growth, and the orders below have fewer members.
-    Once every step passes, the base B(k+1,k) must be bounded with exactly
-    two families, so that its proper part is empty, the (-1)-sphere;
+    been read: each growth certifies its order's bounds, P's and then Q's,
+    in the order descent_conditions checks them.  max_subsets is checked
+    on B(n,k), before any growth, and the orders below have fewer members.
+    Once every step passes, the base B(k+1,k) must have exactly two
+    families, so that its proper part is empty, the (-1)-sphere;
     InvariantError otherwise.  By the suspension lemma each passing step
     suspends the proper part of B(m-1,k) to that of B(m,k), so PP(B(n,k))
     is an (n-k-2)-sphere up to homotopy.
@@ -962,7 +951,7 @@ def descent_chain(
         if m > params.k + 1:
             size, lowest = _decided(order, kind)
         else:
-            size, lowest = _bounded_size(order, _grow(order)), {}
+            size, lowest = sum(len(level.families) for level in _grow(order)), {}
         if held is not None:
             above, above_size, above_lowest = held
             report = _condition_report(above_lowest)
@@ -979,13 +968,13 @@ def dissection_doc(order: BruhatOrder, kind: OrderKind) -> dict:
 
     This is the dissection of the level descent B(n,k) -> B(n-1,k), written
     from the enumeration: no poset, relation row or map object is built.
-    The labels are _label of the families, and the bounds, the first and
-    last family, are checked as descent_conditions checks them
-    (_check_top).  A family is green iff it lacks the top member
-    {n-k..n}, the colex-largest, so iff its top bit is clear.  The tables
-    f, i and j are the mask, identity and OR of _level_maps, each image
-    looked up among the enumerated families in table order: a miss raises
-    InvariantError, as in descent_conditions.  The covers are the order's
+    The labels are _label of the families, and the bounds are the first
+    and last family, which the growth certified (_grow).  A family is
+    green iff it lacks the top member {n-k..n}, the colex-largest, so iff
+    its top bit is clear.  The tables f, i and j are the mask, identity
+    and OR of _level_maps, each image looked up among the enumerated
+    families in table order: a miss raises InvariantError, as in
+    descent_conditions.  The covers are the order's
     own, under inclusion too whenever compare_orders finds no pair
     comparable under inclusion only; otherwise they are read from
     to_poset's validated relation.  In the base case n = k+1 there is no
@@ -1006,14 +995,12 @@ def dissection_doc(order: BruhatOrder, kind: OrderKind) -> dict:
         }
 
     params = order.params
-    _check_top(order)
     labels = list(map(partial(_label, params), order.bits))
     top = 1 << params.num_members - 1
     doc = {"green": [label for label, b in zip(labels, order.bits) if not b & top]}
     if params.n >= params.k + 2:
         small, kept, added = _level_maps(params)
         suborder = enumerate_bruhat(small)
-        _check_top(suborder)
         sub_labels = list(map(partial(_label, small), suborder.bits))
         index, sub_index = order._index, suborder._index
         try:

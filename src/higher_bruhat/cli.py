@@ -16,6 +16,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from typing import Iterable, Iterator
 
@@ -23,6 +24,7 @@ from . import __version__
 from .bruhat import (
     COLUMN_ROUTE_NOTE,
     _check_width,
+    _scanned,
     compare_orders,
     descent_chain,
     descent_conditions,
@@ -71,9 +73,19 @@ def _budget(text: str) -> int:
 
 
 def _write_text(chunks: Iterable[str], out: str) -> None:
+    """Write the chunks to out; a write that fails removes the partial file.
+
+    Only a regular file is removed: out may name a device such as /dev/null.
+    """
     try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
+        fh = open(out, "w", encoding="utf-8", newline="\n")
+        try:
+            with fh:
+                fh.writelines(chunks)
+        except BaseException:
+            if os.path.isfile(out):
+                os.remove(out)
+            raise
     except OSError as exc:
         raise ParameterError(f"cannot write {out}: {exc.strerror}")
 
@@ -118,20 +130,14 @@ def cmd_enumerate(ns) -> int:
     """Count B(n,k) by cardinality, reading the growth's stream level by level.
 
     The whole order is collected only when something needs it: the
-    element list of --elements, or the brute-force scan.
+    element list of --elements, or the brute-force scan of --method both.
     """
-    params = GroundParams(ns.n, ns.k)
-    method = ns.method
-    if method == "both":
-        # the growth's limit is checked first; "bruteforce" grows the order
-        # and raises InvariantError unless its scan finds the same families
-        _check_width(params, "bfs", ns.max_subsets)
-        method = "bruteforce"
-    if ns.elements or method == "bruteforce":
-        order = enumerate_bruhat(params, method=method, max_subsets=ns.max_subsets)
-        sizes = order.level_sizes()
-    else:
-        sizes = level_sizes(params, ns.max_subsets)
+    params, order = GroundParams(ns.n, ns.k), None
+    if ns.method == "both":
+        order = _scanned(params, ns.max_subsets)
+    elif ns.elements:
+        order = enumerate_bruhat(params, ns.max_subsets)
+    sizes = level_sizes(params, ns.max_subsets) if order is None else order.level_sizes()
     histogram = [[card, size] for card, size in enumerate(sizes)]
     count = sum(sizes)
     report = {
@@ -336,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="enumerate B(n,k)")
     p_enum.add_argument("n", type=int)
     p_enum.add_argument("k", type=int)
-    p_enum.add_argument(
-        "--method", choices=["bfs", "bruteforce", "both"], default="bfs"
-    )
+    p_enum.add_argument("--method", choices=["bfs", "both"], default="bfs")
     p_enum.add_argument("--max-subsets", type=_budget, default=None,
                         help="override the member-count limit")
     p_enum.add_argument("--elements", action="store_true",

@@ -937,6 +937,40 @@ def broken_mask_message(params, name, mask, proved):
     )
 
 
+def check_order_bounds(order):
+    """NotBoundedError unless the order's full family is its top.
+
+    That holds under both orders iff the top level holds the full family
+    alone and every family below it takes some member: by induction on
+    the cardinalities still to add, each such family then lies below the
+    full family.  The error names the order's last family.
+    """
+    params, levels = order.params, order._levels()
+    top_start, _, _ = levels[-1]
+    topped = list(order.bits[top_start:]) == [params.full_bits]
+    grows = all(reduce(or_, add, 0) == (1 << end - start) - 1 for start, end, add in levels[:-1])
+    if not (topped and grows):
+        raise NotBoundedError(f"{_label(params, order.bits[-1])} is not above every element")
+
+
+def top_dropping(params):
+    """A bruhat._mirrored that leaves the top level of params' order empty.
+
+    The emptied top keeps its member, addable and droppable columns, so
+    the segment kernel and both cover counts still pass it, and only the
+    growth's bounds check sees that the full family is gone.
+    """
+    real = bruhat._mirrored
+
+    def mirrored(of, level):
+        mirror = real(of, level)
+        if of == params and mirror.card == of.num_members:
+            return mirror._replace(families=[])
+        return mirror
+
+    return mirrored
+
+
 def lookup_descent_conditions(order, suborder, kind):
     """The library's descent_conditions before it read the growth's stream.
 
@@ -953,8 +987,8 @@ def lookup_descent_conditions(order, suborder, kind):
     if suborder.params != small:
         got = suborder.params
         raise ParameterError(f"Q must be B({small.n},{small.k}), got B({got.n},{got.k})")
-    bruhat._check_top(order)
-    bruhat._check_top(suborder)
+    check_order_bounds(order)
+    check_order_bounds(suborder)
     in_q = set(suborder.bits)
     missing = next(
         itertools.chain(

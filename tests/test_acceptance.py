@@ -34,6 +34,7 @@ from helpers import (
     random_bounded_poset,
     random_complex,
 )
+from higher_bruhat import bruhat
 from higher_bruhat.bruhat import OrderKind, enumerate_bruhat, to_poset
 from higher_bruhat.cli import main
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
@@ -46,11 +47,10 @@ _orders = {}
 _posets = {}
 
 
-def order(n, k, method="bfs"):
-    key = (n, k, method)
-    if key not in _orders:
-        _orders[key] = enumerate_bruhat(GroundParams(n, k), method=method)
-    return _orders[key]
+def order(n, k):
+    if (n, k) not in _orders:
+        _orders[n, k] = enumerate_bruhat(GroundParams(n, k))
+    return _orders[n, k]
 
 
 def poset(n, k, kind):
@@ -131,8 +131,8 @@ def test_criterion_4_enumeration_oracle():
             for k in range(0, n):
                 if comb(n, k + 1) > 20:
                     continue
-                bfs = order(n, k, method="bfs")
-                brute = enumerate_bruhat(GroundParams(n, k), method="bruteforce")
+                bfs = order(n, k)
+                brute = bruhat._scanned(GroundParams(n, k), None)
                 assert [u.bits for u in bfs.elements] == [
                     u.bits for u in brute.elements
                 ], (n, k)

@@ -1,6 +1,7 @@
 """The names of the package: every __all__ entry must resolve, every
 module-level private name is read by some library module, and the
-README's python blocks run as they are written."""
+README's python blocks run, its command lines parse and its budgets are
+the library's limits, as they are written."""
 
 import ast
 import glob
@@ -8,8 +9,20 @@ import importlib
 import os
 import pkgutil
 import re
+import shlex
+
+import pytest
 
 import higher_bruhat
+from higher_bruhat import cli
+from higher_bruhat.bruhat import DEFAULT_BFS_LIMIT, DEFAULT_BRUTEFORCE_LIMIT
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_text():
+    with open(README, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def test_every_all_name_resolves():
@@ -54,9 +67,28 @@ def test_every_private_name_is_read_by_the_library():
 
 
 def test_readme_python_blocks_run():
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme_text(), re.M | re.S)
     assert blocks
     for block in blocks:
-        exec(compile(block, readme, "exec"), {})
+        exec(compile(block, README, "exec"), {})
+
+
+def test_readme_command_lines_parse():
+    # a CLI choice or flag that changes cannot leave the examples stale
+    block = re.search(r"^## Command line\n.*?^```\n(.*?)^```$", readme_text(), re.M | re.S)
+    lines = [shlex.split(line, comments=True) for line in block.group(1).splitlines()]
+    lines = [line for line in lines if line]
+    assert lines and all(line[0] == "higher-bruhat" for line in lines)
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(line[1:])
+        except SystemExit:
+            pytest.fail(f"README's command line does not parse: {shlex.join(line)}")
+
+
+def test_readme_budgets_are_the_limits():
+    row = re.search(r"^\| `--max-subsets` +\| ([^|]*)\|", readme_text(), re.M)
+    assert re.findall(r"\d+", row.group(1)) == [
+        str(DEFAULT_BFS_LIMIT), str(DEFAULT_BRUTEFORCE_LIMIT)
+    ]

@@ -42,6 +42,7 @@ from helpers import (
     order_holds,
     per_bitset_bruteforce_bits,
     table_grow,
+    top_dropping,
 )
 from higher_bruhat import bruhat, posets
 from higher_bruhat.bruhat import (
@@ -80,11 +81,18 @@ SCAN_CASES = [(n, k) for n in range(1, 8) for k in range(n) if comb(n, k + 1) <=
 ]
 
 
-def order(n, k, method="bfs"):
-    key = (n, k, method)
+def order(n, k, scanned=False):
+    # scanned: grown, then found again by the brute-force scan of --method both
+    key = (n, k, scanned)
     if key not in ORDER_CACHE:
-        ORDER_CACHE[key] = enumerate_bruhat(GroundParams(n, k), method=method)
+        params = GroundParams(n, k)
+        ORDER_CACHE[key] = bruhat._scanned(params, None) if scanned else enumerate_bruhat(params)
     return ORDER_CACHE[key]
+
+
+def at_card(cols, absent, card):
+    # whether a level's member columns hold card members per family
+    return sum(map(int.bit_count, cols)) == card * (cols[0] | absent[0]).bit_length()
 
 
 def fam(n, k, *members):
@@ -117,22 +125,22 @@ class TestEnumeration:
             for k in range(0, n - 1):
                 if comb(n, k + 1) > 15:
                     continue
-                bfs = order(n, k, method="bfs")
-                brute = order(n, k, method="bruteforce")
+                bfs = order(n, k)
+                brute = order(n, k, scanned=True)
                 assert [u.bits for u in bfs.elements] == [u.bits for u in brute.elements]
                 assert bfs.covers == brute.covers
 
     @pytest.mark.parametrize(
-        "n,k,method",
+        "n,k,scanned",
         [
-            (n, k, method)
+            (n, k, scanned)
             for n, k in ((2, 1), (3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (6, 2), (6, 4), (4, 0))
-            for method in ("bfs", "bruteforce")
+            for scanned in (False, True)
         ]
-        + [(7, 3, "bfs")],
+        + [(7, 3, False)],
     )
-    def test_covers_match_naive_probe(self, n, k, method):
-        o = order(n, k, method=method)
+    def test_covers_match_naive_probe(self, n, k, scanned):
+        o = order(n, k, scanned)
         assert o.covers == naive_cover_pairs(o)
 
     @pytest.mark.parametrize("n,k", [(4, 1), (6, 2), (10, 7)])
@@ -147,7 +155,7 @@ class TestEnumeration:
             bruhat, "_bruteforce_bits", lambda params: [b for b in scan(params) if b != 1]
         )
         with pytest.raises(InvariantError, match="finds 5 families, the growth 6"):
-            enumerate_bruhat(GroundParams(3, 1), method="bruteforce")
+            bruhat._scanned(GroundParams(3, 1), None)
 
     @pytest.mark.parametrize("n,k", GROWTH_CASES)
     def test_sliced_growth_matches_table_growth(self, n, k):
@@ -237,6 +245,45 @@ class TestEnumeration:
         message = rf"B\({n},{k}\) misses a family at level {width - 1}: its families take"
         with pytest.raises(InvariantError, match=message):
             enumerate_bruhat(params)
+
+    @pytest.mark.parametrize("n,k,card", [(4, 1, 1), (5, 2, 2), (6, 2, 4)])
+    def test_a_family_that_takes_no_member_is_refused(self, n, k, card, monkeypatch):
+        # the lowest family of a level below the middle loses its addable
+        # columns: the bounds check on that level fires before any count
+        # reads them
+        params = GroundParams(n, k)
+        real = bruhat._addable
+        monkeypatch.setattr(
+            bruhat, "_droppable", lambda cols, absent, terms: real(absent, cols, terms)
+        )
+
+        def stuck(cols, absent, terms):
+            add = real(cols, absent, terms)
+            return [col & ~1 for col in add] if at_card(cols, absent, card) else add
+
+        lowest = order(n, k).bits[order(n, k).addable[card][0]]
+        monkeypatch.setattr(bruhat, "_addable", stuck)
+        message = (
+            f"the growth of B({n},{k}) is not bounded: {_label(params, lowest)} at "
+            f"level {card} takes no member"
+        )
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            enumerate_bruhat(params)
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 2)])
+    def test_a_family_that_drops_no_member_is_counted(self, n, k, monkeypatch):
+        # the lowest family of level 2 loses its droppable columns, so its
+        # mirror would take no member: the count on level 2 fires first
+        real = bruhat._droppable
+
+        def stuck(cols, absent, terms):
+            drop = real(cols, absent, terms)
+            return [col & ~1 for col in drop] if at_card(cols, absent, 2) else drop
+
+        monkeypatch.setattr(bruhat, "_droppable", stuck)
+        message = rf"the growth of B\({n},{k}\) misses a family at level 2: its families drop"
+        with pytest.raises(InvariantError, match=message):
+            enumerate_bruhat(GroundParams(n, k))
 
     @pytest.mark.parametrize("n,k", SCAN_CASES)
     def test_sliced_scan_matches_per_bitset_scan(self, n, k):
@@ -352,17 +399,13 @@ class TestEnumeration:
             assert o.bits[b].bit_count() == o.bits[a].bit_count() + 1
 
     def test_limits(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_bruhat(GroundParams(10, 1), method="bruteforce")
-        with pytest.raises(ResourceLimitError):
-            enumerate_bruhat(GroundParams(40, 1), method="bfs")
+        with pytest.raises(ResourceLimitError, match="bruteforce limit of 24"):
+            bruhat._scanned(GroundParams(10, 1), None)
+        with pytest.raises(ResourceLimitError, match="bfs limit of 64"):
+            enumerate_bruhat(GroundParams(40, 1))
         # explicit override admits the instance
-        o = enumerate_bruhat(GroundParams(7, 5), method="bruteforce", max_subsets=21)
+        o = bruhat._scanned(GroundParams(7, 5), 21)
         assert len(o) == 14
-
-    def test_unknown_method(self):
-        with pytest.raises(ParameterError):
-            enumerate_bruhat(GroundParams(3, 1), method="magic")
 
     def test_hand_built_order_checks_its_families_on_access(self):
         # {1,2,4} alone is inconsistent on the packet of {1,2,3,4}
@@ -731,15 +774,10 @@ class TestDescentConditions:
 
     @pytest.mark.parametrize("cut_n", [4, 3], ids=["P", "Q"])
     def test_an_order_without_its_full_family_is_refused(self, cut_n, monkeypatch):
-        # P's bounds are checked on P's stream, Q's on Q's own
-        real = bruhat._grow
-
-        def cut(params):
-            return (level for level in real(params)
-                    if params.n != cut_n or level.card < params.num_members)
-
-        monkeypatch.setattr(bruhat, "_grow", cut)
-        with pytest.raises(NotBoundedError, match=re.escape("is not above every element")):
+        # P's growth certifies P's bounds, Q's growth Q's
+        monkeypatch.setattr(bruhat, "_mirrored", top_dropping(GroundParams(cut_n, 1)))
+        message = f"the growth of B({cut_n},1) is not bounded: level {comb(cut_n, 2)} is not"
+        with pytest.raises(InvariantError, match=re.escape(message)):
             descent_conditions(GroundParams(4, 1), OrderKind.INCLUSION)
 
     def test_base_case_has_no_level_below(self):
@@ -810,15 +848,10 @@ class TestDescentChain:
 
     def test_a_step_waits_for_the_bounds_of_its_q(self, monkeypatch):
         # B(6,2) -> B(5,2) is reported only once B(5,2)'s stream is read
-        real = bruhat._grow
-
-        def cut(params):
-            return (level for level in real(params)
-                    if params.n != 5 or level.card < params.num_members)
-
-        monkeypatch.setattr(bruhat, "_grow", cut)
+        monkeypatch.setattr(bruhat, "_mirrored", top_dropping(GroundParams(5, 2)))
         steps = bruhat.descent_chain(GroundParams(6, 2), OrderKind.SINGLE_STEP, None)
-        with pytest.raises(NotBoundedError, match=re.escape("is not above every element")):
+        message = "the growth of B(5,2) is not bounded: level 10 is not its full family alone"
+        with pytest.raises(InvariantError, match=re.escape(message)):
             next(steps)
 
     def test_budget_is_checked_on_the_top_order(self):

@@ -28,6 +28,7 @@ from helpers import (
     naive_label,
     order_complex,
     proper_part,
+    top_dropping,
     whole_relation_compare,
 )
 from higher_bruhat import bruhat, cli, instance_io, posets, subsets
@@ -73,16 +74,17 @@ class TestEnumerateCommand:
         assert len(report["elements"]) == 8
         assert report["elements"][0] == "{}"
 
-    def test_both_runs_one_bruteforce_enumeration(self, monkeypatch, capsys):
+    def test_both_runs_one_growth_and_one_scan(self, monkeypatch, capsys):
         calls = []
+        for name in ("_grow", "_bruteforce_bits"):
+            def recording(params, real=getattr(bruhat, name), name=name):
+                calls.append((name, params))
+                return real(params)
 
-        def recording(params, method="bfs", max_subsets=None):
-            calls.append(method)
-            return enumerate_bruhat(params, method=method, max_subsets=max_subsets)
-
-        monkeypatch.setattr(cli, "enumerate_bruhat", recording)
+            monkeypatch.setattr(bruhat, name, recording)
         assert main(["enumerate", "5", "2", "--method", "both"]) == 0
-        assert calls == ["bruteforce"]
+        params = GroundParams(5, 2)
+        assert calls == [("_grow", params), ("_bruteforce_bits", params)]
         assert capsys.readouterr().out.endswith("oracle match (bfs vs bruteforce): True\n")
 
     @pytest.mark.parametrize(
@@ -205,14 +207,21 @@ class TestEnumerateCommand:
         assert streamed < collected / 2
         assert capsys.readouterr().out.startswith(f"B({n},{k}): ")
 
-    def test_limit_exceeded_is_exit_2(self):
-        assert main(["enumerate", "10", "1", "--method", "bruteforce"]) == 2
+    def test_limit_exceeded_is_exit_2(self, capsys):
+        assert main(["enumerate", "10", "1", "--method", "both"]) == 2
+        assert capsys.readouterr().err == (
+            "error: C(10,2) = 45 members exceeds the bruteforce limit of 24\n"
+        )
+
+    def test_the_bruteforce_method_is_gone(self, capsys):
+        assert main(["enumerate", "4", "1", "--method", "bruteforce"]) == 3
+        assert "invalid choice: 'bruteforce'" in capsys.readouterr().err
 
     def test_bad_parameters_exit_3(self):
         assert main(["enumerate", "3", "7"]) == 3
 
     def test_jobs_flag_is_gone(self):
-        assert main(["enumerate", "4", "1", "--method", "bruteforce",
+        assert main(["enumerate", "4", "1", "--method", "both",
                      "--jobs", "2"]) == 3
 
     def test_usage_error_exit_3(self):
@@ -866,6 +875,80 @@ class TestOutOfMemory:
         out = tmp_path / "report.json"
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: out of memory in {argv[0]}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("failure", [MemoryError, OSError(28, "No space left on device")])
+    def test_a_write_that_fails_leaves_no_file(self, failure, monkeypatch, tmp_path, capsys):
+        # the encoder fails at its 5,000th chunk, after ~150 kB of B(6,2)'s
+        # export are written; the partial file is removed
+        argv = ["export", "--bruhat", "6", "2", "single_step", "--format", "json"]
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+        real = cli._json_chunks
+        monkeypatch.setattr(cli, "_json_chunks", failing_chunks(real, failure))
+        out = tmp_path / "instance.json"
+        code = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if failure is MemoryError:
+            assert (code, captured.err) == (2, "error: out of memory in export\n")
+        else:
+            assert (code, captured.err) == (
+                3, f"error: cannot write {out}: No space left on device\n"
+            )
+        assert not out.exists()
+        # a write that succeeds writes what stdout shows
+        monkeypatch.setattr(cli, "_json_chunks", real)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == whole
+
+    def test_a_write_to_a_device_that_fails_removes_nothing(self, monkeypatch, capsys):
+        removed = []
+        monkeypatch.setattr(cli.os, "remove", removed.append)
+        monkeypatch.setattr(cli, "_json_chunks", failing_chunks(cli._json_chunks, MemoryError))
+        argv = ["export", "--bruhat", "6", "2", "single_step", "--format", "json"]
+        assert main(argv + ["--out", os.devnull]) == 2
+        assert capsys.readouterr() == ("", "error: out of memory in export\n")
+        assert removed == []
+
+
+def failing_chunks(real, failure):
+    """A cli._json_chunks that raises failure at its 5,000th chunk."""
+
+    def failing(doc):
+        for count, chunk in enumerate(real(doc)):
+            if count == 5000:
+                raise failure
+            yield chunk
+
+    return failing
+
+
+class TestGrowthBounds:
+    """The growth certifies the bounds: every command that grows an order
+    refuses one whose top is not the full family, as a failed condition."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "4", "1"],
+            ["check-lemma", "--bruhat", "4", "1", "single_step"],
+            ["verify-sphericity", "--bruhat", "4", "1", "single_step"],
+            ["compare-orders", "4", "1"],
+            ["export", "--bruhat", "4", "1", "inclusion", "--format", "json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_top_without_the_full_family_is_exit_1(self, argv, monkeypatch, tmp_path, capsys):
+        # every count passes this mutant, and a reader that trusted them
+        # reported 23 families or crashed on the empty top
+        monkeypatch.setattr(bruhat, "_mirrored", top_dropping(GroundParams(4, 1)))
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: the growth of B(4,1) is not bounded: level 6 is not its full family alone\n",
+        )
         assert not out.exists()
 
 
