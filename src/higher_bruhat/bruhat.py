@@ -28,8 +28,9 @@ of a level are built from the rows of the level above alone, top level
 first, so only two levels of rows need be held at once.
 An order's instance file, the dissection of B(n,k) over B(n-1,k), is
 written from the order itself (dissection_doc): the labels, covers,
-colouring and map tables are read off the families, and a poset is built
-only for an inclusion order whose relation differs from single-step.
+colouring and map tables are read off the families, and no poset is
+built: where inclusion relates more pairs than single-step, the extra
+covers are read off the pairs that compare_orders lists.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import enum
 import itertools
 from functools import cached_property, partial, reduce
-from operator import and_, ge, ne, or_
+from operator import and_, ge, itemgetter, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import posets
@@ -51,7 +52,6 @@ __all__ = [
     "enumerate_bruhat",
     "level_sizes",
     "compare_orders",
-    "to_poset",
     "descent_conditions",
     "descent_chain",
     "dissection_doc",
@@ -251,6 +251,38 @@ def compare_orders(order: BruhatOrder) -> tuple[int, int, list[tuple[int, int]]]
                 pairs.extend((i, n - 1 - t) for t in reversed(posets._bits(inc & ~r)))
         by_level.append(pairs)
     return single_step_pairs, inclusion_pairs, [p for pairs in reversed(by_level) for p in pairs]
+
+
+def _inclusion_covers(order: BruhatOrder) -> tuple[tuple[int, int], ...]:
+    """The covers of the order under inclusion, in (i, j) order.
+
+    These are the order's covers and the pairs (i, j) of compare_orders
+    with nothing strictly between their ends: the families above i are the
+    AND of the member columns of i's members, those below j the AND of the
+    absent columns of the members j lacks, and (i, j) is a cover iff their
+    AND holds i and j alone.  That is every cover.  A single-step cover
+    adds one member, so no family lies strictly between its ends under
+    inclusion.  An inclusion cover (i, j) comparable under single-step is
+    joined by a chain of covers, each a strict inclusion, so the chain is
+    that one cover; otherwise (i, j) is comparable under inclusion only,
+    and compare_orders lists it.  No pair is both, so when compare_orders
+    lists none the covers are the order's own, and no column is built.
+    """
+    only = compare_orders(order)[2]
+    if not only:
+        return order.covers
+    bits = order.bits
+    cols = posets._columns(bits, order.params.num_members)
+    full = (1 << len(bits)) - 1
+    absent = [full ^ col for col in cols]
+    extra = []
+    for i, pairs in itertools.groupby(only, itemgetter(0)):
+        above = reduce(and_, map(cols.__getitem__, posets._bits(bits[i])), full)
+        for _, j in pairs:
+            lacks = posets._bits(order.params.full_bits ^ bits[j])
+            if reduce(and_, map(absent.__getitem__, lacks), above).bit_count() == 2:
+                extra.append((i, j))
+    return tuple(sorted(itertools.chain(order.covers, extra)))
 
 
 def _bruteforce_bits(params: GroundParams) -> list[int]:
@@ -707,30 +739,6 @@ def level_sizes(params: GroundParams, max_subsets: int | None = None) -> list[in
     return sizes
 
 
-def to_poset(order: BruhatOrder, kind: OrderKind) -> posets.FiniteBoundedPoset:
-    """The order as a bounded poset under the relation of the given kind.
-
-    The relation is built from the enumeration's covers and certified by
-    construction.  The inclusion order reuses that certificate when its
-    rows equal the single-step rows.  Those are streamed from member
-    columns (_inclusion_rows), which never read the covers, and compared
-    one at a time, so no whole inclusion relation is held; only when a
-    row differs are the rows built again, in full, for from_relation's
-    validation.
-
-    Element i is labelled _label(params, bits[i]).
-    """
-    top = len(order) - 1
-    labels = list(map(partial(_label, order.params), order.bits))
-    p = posets.from_covers(labels, order.covers, 0, top)
-    if kind is OrderKind.INCLUSION:
-        containing = posets._columns(order.bits, order.params.num_members)
-        rows = partial(_inclusion_rows, order.bits, containing, len(order))
-        if any(map(ne, rows(), p.leq)):
-            return posets.from_relation(p.labels, tuple(rows()), bottom=0, top=top)
-    return p
-
-
 def _level_maps(params: GroundParams) -> tuple[GroundParams, int, int]:
     """Q's parameters, the members f keeps, and the members j adds.
 
@@ -835,8 +843,8 @@ def descent_conditions(params: GroundParams, kind: OrderKind) -> ConditionReport
       may fail too, by reaching only such families.
 
     Proved from the five conditions, as suspension_check's docstring
-    shows, so not built: the proof maps g and h and the carrier cones.
-    check-lemma reports both as passing when the conditions do.
+    shows, so neither built nor reported: the proof maps g and h and the
+    carrier cones.
     """
     small = _level_maps(params)[0]
     lowest = _decided(params, kind)[1]
@@ -967,26 +975,20 @@ def dissection_doc(order: BruhatOrder, kind: OrderKind) -> dict:
     """The P, Q, green and map blocks of the order's instance file.
 
     This is the dissection of the level descent B(n,k) -> B(n-1,k), written
-    from the enumeration: no poset, relation row or map object is built.
+    from the enumeration: no poset, whole relation or map object is built.
     The labels are _label of the families, and the bounds are the first
     and last family, which the growth certified (_grow).  A family is
     green iff it lacks the top member {n-k..n}, the colex-largest, so iff
     its top bit is clear.  The tables f, i and j are the mask, identity
     and OR of _level_maps, each image looked up among the enumerated
     families in table order: a miss raises InvariantError, as in
-    descent_conditions.  The covers are the order's
-    own, under inclusion too whenever compare_orders finds no pair
-    comparable under inclusion only; otherwise they are read from
-    to_poset's validated relation.  In the base case n = k+1 there is no
-    level below, and the blocks are P and green alone.
+    descent_conditions.  The covers are the order's own under single-step,
+    and _inclusion_covers under inclusion.  In the base case n = k+1 there
+    is no level below, and the blocks are P and green alone.
     """
 
     def poset_block(o: BruhatOrder, names: list[str]) -> dict:
-        # compare_orders runs first, so its rows and the covers are not held at once
-        if kind is OrderKind.INCLUSION and compare_orders(o)[2]:
-            covers = to_poset(o, kind).covers()
-        else:
-            covers = o.covers
+        covers = _inclusion_covers(o) if kind is OrderKind.INCLUSION else o.covers
         return {
             "labels": names,
             "covers": [[names[a], names[b]] for a, b in covers],

@@ -15,8 +15,8 @@ A FiniteBoundedPoset in hand is always certified, by one of two routes:
   bound.  Input pairs whose interval holds a third element are dropped,
   so cover_pairs holds exactly the covers; a pair that joins consecutive
   ranks of the sort is a cover without a row test.
-- from_relation, like calling the class directly, takes relation rows
-  from outside and validates them: reflexivity, antisymmetry against the
+- Calling the class directly takes relation rows and their bounds from
+  outside and validates them: reflexivity, antisymmetry against the
   transposed rows, transitivity and boundedness.  One OR of strict rows
   per row decides transitivity and yields the covers.
 
@@ -42,7 +42,6 @@ from .errors import NotAPosetError, NotBoundedError, ParameterError
 __all__ = [
     "FiniteBoundedPoset",
     "from_covers",
-    "from_relation",
     "check_monotone",
     "transpose",
 ]
@@ -142,7 +141,7 @@ def _check_bounds(
 class FiniteBoundedPoset:
     """A finite poset with a least and a greatest element.
 
-    Calling the class validates the relation rows as from_relation does;
+    Calling the class validates the relation rows and the bounds;
     from_covers builds a poset certified by construction.
     """
 
@@ -188,37 +187,6 @@ class FiniteBoundedPoset:
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction as (lower, upper) index pairs, ascending."""
         return self.cover_pairs
-
-
-def from_relation(
-    labels: Sequence[str],
-    leq: Sequence[int],
-    bottom: int | None = None,
-    top: int | None = None,
-) -> FiniteBoundedPoset:
-    """Build and validate a bounded poset from relation rows.
-
-    bottom and top are located automatically when not supplied.
-    """
-    labels = tuple(labels)
-    leq = tuple(leq)
-    n = len(labels)
-    if len(leq) != n:
-        raise ParameterError("labels and relation rows differ in length")
-    full = (1 << n) - 1
-    if bottom is None:
-        bottoms = [i for i in range(n) if leq[i] == full]
-        if not bottoms:
-            raise NotBoundedError("no minimum element")
-        bottom = bottoms[0]
-    if top is None:
-        above_all = full
-        for row in leq:
-            above_all &= row
-        if not above_all:
-            raise NotBoundedError("no maximum element")
-        top = (above_all & -above_all).bit_length() - 1
-    return FiniteBoundedPoset(labels, leq, bottom, top)
 
 
 def _cover_links(

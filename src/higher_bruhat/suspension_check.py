@@ -9,9 +9,9 @@ resolved into these indices when the file is read (instance_io).  This
 module checks the conditions and their preconditions exhaustively.  The
 lemma's proof takes two further steps, the comparison maps and the
 coned carriers, and both follow from the five conditions alone, as
-shown below; check-lemma reports them as proved whenever the conditions
-pass, whichever route decided them.  The homotopy equivalence itself is
-not certified.
+shown below, so check-lemma reports the conditions and builds neither,
+whichever route decided them.  The homotopy equivalence itself is not
+certified.
 
 The conditions, for every x in P and a in Q: the green elements form a
 down-set (so the red ones an up-set); f(i(a)) = f(j(a)) = a; i(a) is
@@ -64,7 +64,6 @@ __all__ = [
     "check_conditions",
     "CONDITION_NAMES",
     "HOMOTOPY_DISCLAIMER",
-    "PROVED_FROM",
 ]
 
 HOMOTOPY_DISCLAIMER = (
@@ -72,9 +71,6 @@ HOMOTOPY_DISCLAIMER = (
     "carrier cones are proved from them, and homotopy equivalence itself is "
     "not certified."
 )
-
-# What the proof maps and carrier cones are proved from.
-PROVED_FROM = "the five conditions"
 
 CONDITION_NAMES = (
     "green_is_down_set",

@@ -11,7 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from math import gcd
-from operator import and_, getitem, or_
+from operator import and_, getitem, ne, or_
 
 from constructions import from_facets
 from higher_bruhat import __version__, bruhat, posets
@@ -19,9 +19,9 @@ from higher_bruhat.bruhat import (
     BruhatOrder,
     OrderKind,
     _addable,
+    _inclusion_rows,
     _neighbour_terms,
     enumerate_bruhat,
-    to_poset,
 )
 from higher_bruhat.cli import SPHERICITY_NOTE
 from higher_bruhat.complexes import SimplicialComplex, make_complex
@@ -164,6 +164,30 @@ def random_bounded_poset(rng, max_elements=10) -> FiniteBoundedPoset:
     if middle == 0:
         covers.add((0, n - 1))
     return from_covers(labels, sorted(covers), 0, n - 1)
+
+
+def to_poset(order: BruhatOrder, kind: OrderKind) -> FiniteBoundedPoset:
+    """The order as a bounded poset under the relation of the given kind.
+
+    The library's former route, kept as the row oracle.  The relation is
+    built from the enumeration's covers and certified by construction.
+    The inclusion order reuses that certificate when its rows equal the
+    single-step rows.  Those are streamed from member columns
+    (_inclusion_rows), which never read the covers, and compared one at a
+    time, so no whole inclusion relation is held; only when a row differs
+    are the rows built again, in full, for the class's validation.
+
+    Element i is labelled _label(params, bits[i]).
+    """
+    top = len(order) - 1
+    labels = list(map(partial(_label, order.params), order.bits))
+    p = posets.from_covers(labels, order.covers, 0, top)
+    if kind is OrderKind.INCLUSION:
+        containing = posets._columns(order.bits, order.params.num_members)
+        rows = partial(_inclusion_rows, order.bits, containing, len(order))
+        if any(map(ne, rows(), p.leq)):
+            return FiniteBoundedPoset(p.labels, tuple(rows()), 0, top)
+    return p
 
 
 def naive_inclusion_rows(order):
@@ -894,8 +918,8 @@ def dissection_instance(order, kind):
     params = order.params
     small, kept, added = bruhat._level_maps(params)
     suborder = bruhat.enumerate_bruhat(small)
-    p = bruhat.to_poset(order, kind)
-    q = bruhat.to_poset(suborder, kind)
+    p = to_poset(order, kind)
+    q = to_poset(suborder, kind)
     index, sub_index = order._index, suborder._index
     try:
         f_images = tuple(sub_index[b & kept] for b in order.bits)

@@ -33,9 +33,10 @@ from helpers import (
     proper_part_complex,
     random_bounded_poset,
     random_complex,
+    to_poset,
 )
 from higher_bruhat import bruhat
-from higher_bruhat.bruhat import OrderKind, enumerate_bruhat, to_poset
+from higher_bruhat.bruhat import OrderKind, enumerate_bruhat
 from higher_bruhat.cli import main
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
 from higher_bruhat.subsets import GroundParams
@@ -113,10 +114,9 @@ def test_criterion_3_condition_checks(tmp_path):
                 report = json.loads(out.read_text(encoding="utf-8"))
                 assert report["all_pass"] is True
                 assert report["route"] == "columns"
-                assert report["proof_maps"]["passed"] is True
-                assert report["carrier"]["failures"] == []
                 # the CLI proves the proof maps and carrier from the
-                # conditions; the row oracles build and check them
+                # conditions and reports neither; the row oracles build
+                # and check them
                 inst = dissection_instance(order(n, k), kind)
                 assert check_conditions(inst).all_pass
                 build_proof_maps(inst)

@@ -1,7 +1,8 @@
 """The names of the package: every __all__ entry must resolve, every
-module-level private name is read by some library module, and the
-README's python blocks run, its command lines parse and its budgets are
-the library's limits, as they are written."""
+module-level private name and every name the package root exports is
+read by some library module, and the README's python blocks run, its
+command lines parse and its budgets are the library's limits, as they
+are written."""
 
 import ast
 import glob
@@ -37,13 +38,29 @@ def test_every_all_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def library_trees():
+    """(file name, syntax tree) of each module of the library."""
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(higher_bruhat.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            yield os.path.basename(path), ast.parse(fh.read(), path)
+
+
+def names_read(tree):
+    """The names that a syntax tree loads, and the attributes it reads."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
 def test_every_private_name_is_read_by_the_library():
     # a module-level private name that no library module reads is dead code
     # that only the tests could still be keeping alive
     defined, read = {}, set()
-    for path in glob.glob(os.path.join(os.path.dirname(higher_bruhat.__file__), "*.py")):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), path)
+    for module, tree in library_trees():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -52,18 +69,26 @@ def test_every_private_name_is_read_by_the_library():
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 names = []
-            module = os.path.basename(path)
             defined.update((name, module) for name in names if name.startswith("_"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        read |= names_read(tree)
     dead = sorted(
         f"{module}: {name}" for name, module in defined.items()
         if not name.startswith("__") and name not in read
     )
     assert dead == []
+
+
+def test_every_package_name_is_read_by_the_library():
+    # a name that the package root exports and only the tests read is an
+    # oracle, and belongs in the tests
+    trees = dict(library_trees())
+    exported = {
+        alias.asname or alias.name
+        for node in trees.pop("__init__.py").body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    read = set().union(*map(names_read, trees.values()))
+    assert exported and sorted(exported - read) == []
 
 
 def test_readme_python_blocks_run():

@@ -42,6 +42,7 @@ from helpers import (
     order_holds,
     per_bitset_bruteforce_bits,
     table_grow,
+    to_poset,
     top_dropping,
 )
 from higher_bruhat import bruhat, posets
@@ -50,7 +51,6 @@ from higher_bruhat.bruhat import (
     OrderKind,
     descent_conditions,
     enumerate_bruhat,
-    to_poset,
 )
 from higher_bruhat.errors import (
     InconsistentSetError,
@@ -59,6 +59,7 @@ from higher_bruhat.errors import (
     ParameterError,
     ResourceLimitError,
 )
+from higher_bruhat.posets import FiniteBoundedPoset
 from higher_bruhat.subsets import (
     ConsistentSet,
     GroundParams,
@@ -466,22 +467,31 @@ class TestOrderRelations:
         if len(o) <= 1000:
             assert rows == naive_inclusion_rows(o)
 
-    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 3)])
+    @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (5, 2), (5, 3), (6, 3)])
     def test_inclusion_rows_ignore_lost_covers(self, n, k):
-        # every mutant with one addable bit cleared whose covers still bound
-        # the order: the inclusion poset keeps every pair the covers lost
+        # every mutant with one addable bit cleared: the inclusion covers
+        # are those of the full order's validated inclusion rows, and the
+        # row oracle keeps those rows wherever the thinned covers still
+        # bound the order; B(k+2,k) is two chains, so there no thinning
+        # does.  With no bit cleared the orders coincide, and the covers
+        # are the order's own
         full = order(n, k)
         expected = naive_inclusion_rows(full)
+        labels = tuple(map(str, range(len(full))))
+        covers = FiniteBoundedPoset(labels, expected, 0, len(full) - 1).covers()
+        assert bruhat._inclusion_covers(full) is full.covers
+        assert full.covers == covers
         bounded = 0
         for mutant in addable_bits(full):
             thinned = addable_thinned(full, *mutant)
+            assert bruhat._inclusion_covers(thinned) == covers
             try:
                 p = to_poset(thinned, OrderKind.INCLUSION)
             except NotBoundedError:
                 continue
             bounded += 1
             assert p.leq == expected
-        assert bounded
+        assert bool(bounded) is (n > k + 2)
 
 
 class TestLevelMaps:
@@ -789,9 +799,8 @@ class TestDescentConditions:
         def refuse(*args, **kwargs):
             raise AssertionError("the column route built rows, a poset or an index")
 
-        for name in ("from_covers", "from_relation"):
-            monkeypatch.setattr(posets, name, refuse)
-        monkeypatch.setattr(bruhat, "to_poset", refuse)
+        monkeypatch.setattr(posets, "from_covers", refuse)
+        monkeypatch.setattr(posets.FiniteBoundedPoset, "__post_init__", refuse)
         monkeypatch.setattr(bruhat, "enumerate_bruhat", refuse)
         for name in ("reach", "up_levels"):
             monkeypatch.setattr(BruhatOrder, name, refuse)

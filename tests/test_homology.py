@@ -13,9 +13,10 @@ from helpers import (
     random_bounded_poset,
     random_complex,
     snf_by_minor_gcds,
+    to_poset,
 )
 from higher_bruhat import homology
-from higher_bruhat.bruhat import OrderKind, enumerate_bruhat, to_poset
+from higher_bruhat.bruhat import OrderKind, enumerate_bruhat
 from higher_bruhat.complexes import SimplicialComplex, make_complex
 from higher_bruhat.errors import NotClosedError, ParameterError, ResourceLimitError
 from higher_bruhat.homology import (

@@ -34,12 +34,12 @@ from helpers import (
     proper_part,
     random_bounded_poset,
     size_sorted_count_chains,
+    to_poset,
 )
 from higher_bruhat import posets
 from higher_bruhat.bruhat import (
     OrderKind,
     enumerate_bruhat,
-    to_poset,
 )
 from higher_bruhat.errors import NotAPosetError, NotBoundedError, ParameterError
 from higher_bruhat.homology import reduced_homology
@@ -47,7 +47,6 @@ from higher_bruhat.posets import (
     FiniteBoundedPoset,
     check_monotone,
     from_covers,
-    from_relation,
 )
 from higher_bruhat.subsets import GroundParams
 
@@ -133,25 +132,22 @@ class TestFromCovers:
             assert rebuilt.leq == p.leq
 
 
-class TestFromRelation:
-    def test_detects_bounds(self):
-        rows = (0b111, 0b110, 0b100)
-        p = from_relation(("a", "b", "c"), rows)
-        assert p.bottom == 0 and p.top == 2
+class TestValidatedRows:
+    """Calling FiniteBoundedPoset validates rows and bounds from outside."""
 
     def test_missing_reflexivity(self):
         with pytest.raises(NotAPosetError):
-            from_relation(("a", "b"), (0b11, 0b00), bottom=0, top=1)
+            FiniteBoundedPoset(("a", "b"), (0b11, 0b00), 0, 1)
 
     def test_antisymmetry_violation(self):
         with pytest.raises(NotAPosetError):
-            from_relation(("a", "b"), (0b11, 0b11), bottom=0, top=1)
+            FiniteBoundedPoset(("a", "b"), (0b11, 0b11), 0, 1)
 
     def test_antisymmetry_names_the_first_pair(self):
         # b<->d and c<->d both break antisymmetry; b, d comes first
         rows = (0b1111, 0b1010, 0b1110, 0b1110)
         with pytest.raises(NotAPosetError, match="antisymmetric on b, d$"):
-            from_relation(("a", "b", "c", "d"), rows, bottom=0, top=3)
+            FiniteBoundedPoset(("a", "b", "c", "d"), rows, 0, 3)
 
     def test_antisymmetry_witness_matches_pairwise_scan(self):
         rng = random.Random(5)
@@ -180,16 +176,10 @@ class TestFromRelation:
                 FiniteBoundedPoset(labels, rows, 0, n - 1)
         assert witnessed >= 20
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_detects_interior_bounds(self, seed):
-        q = shuffled(random_bounded_poset(random.Random(seed)), random.Random(seed))
-        p = from_relation(q.labels, q.leq)
-        assert (p.bottom, p.top) == (q.bottom, q.top)
-
     def test_transitivity_violation(self):
         rows = (0b011, 0b110, 0b100)  # a<=b, b<=c, but not a<=c
         with pytest.raises(NotAPosetError):
-            from_relation(("a", "b", "c"), rows, bottom=0, top=2)
+            FiniteBoundedPoset(("a", "b", "c"), rows, 0, 2)
 
     def test_transitivity_witness_matches_pair_walk(self):
         # upper-triangular reflexive rows are antisymmetric, so the first
@@ -217,17 +207,17 @@ class TestFromRelation:
 
     def test_no_bottom(self):
         rows = (0b101, 0b110, 0b100)  # two minimal elements a, b
-        with pytest.raises(NotBoundedError):
-            from_relation(("a", "b", "c"), rows)
+        with pytest.raises(NotBoundedError, match="^a is not below every element$"):
+            FiniteBoundedPoset(("a", "b", "c"), rows, 0, 2)
 
     def test_duplicate_labels(self):
-        with pytest.raises(ParameterError):
-            from_relation(("a", "a"), (0b11, 0b10))
+        with pytest.raises(ParameterError, match="^labels must be unique$"):
+            FiniteBoundedPoset(("a", "a"), (0b11, 0b10), 0, 1)
 
     @pytest.mark.parametrize("rows", [(0b11,), (0b111, 0b110, 0b100)])
     def test_row_count_must_match_labels(self, rows):
         with pytest.raises(ParameterError, match="labels and relation rows differ in length"):
-            from_relation(("a", "b"), rows)
+            FiniteBoundedPoset(("a", "b"), rows, 0, 1)
 
 
 class TestProperPart:
@@ -767,7 +757,7 @@ class TestCertifiedAgainstPairWalk:
             pair_walk_validate(p.labels, p.leq, p.bottom, p.top)
             assert p.down == bitwise_transpose(p.leq, len(p))
             assert p.covers() == naive_covers(p)
-            assert from_relation(p.labels, p.leq) == p
+            assert FiniteBoundedPoset(p.labels, p.leq, p.bottom, p.top) == p
 
     @pytest.mark.parametrize(
         "n,k", [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 2), (6, 3), (7, 3)]
@@ -779,8 +769,12 @@ class TestCertifiedAgainstPairWalk:
         # the inclusion order reuses the cover certificate
         rows = order.reach()
         assert member_column_inclusion_rows(order) == rows
-        validated = from_relation(labels, rows, bottom=0, top=len(labels) - 1)
-        monkeypatch.setattr(posets, "from_relation", None)
+        validated = FiniteBoundedPoset(labels, rows, 0, len(labels) - 1)
+
+        def refuse(self):
+            raise AssertionError("the rows were validated again")
+
+        monkeypatch.setattr(FiniteBoundedPoset, "__post_init__", refuse)
         for kind in OrderKind:
             certified = to_poset(order, kind)
             assert certified == validated
