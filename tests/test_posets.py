@@ -176,6 +176,20 @@ class TestValidatedRows:
                 FiniteBoundedPoset(labels, rows, 0, n - 1)
         assert witnessed >= 20
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_detects_interior_bounds(self, seed):
+        # shuffled bounds sit at interior indices; the class accepts them
+        # there and refuses any other element named as a bound
+        q = shuffled(random_bounded_poset(random.Random(seed)), random.Random(seed))
+        assert FiniteBoundedPoset(q.labels, q.leq, q.bottom, q.top) == q
+        for other in range(len(q)):
+            if other != q.bottom:
+                with pytest.raises(NotBoundedError, match="is not below every element$"):
+                    FiniteBoundedPoset(q.labels, q.leq, other, q.top)
+            if other != q.top:
+                with pytest.raises(NotBoundedError, match="is not above every element$"):
+                    FiniteBoundedPoset(q.labels, q.leq, q.bottom, other)
+
     def test_transitivity_violation(self):
         rows = (0b011, 0b110, 0b100)  # a<=b, b<=c, but not a<=c
         with pytest.raises(NotAPosetError):
