@@ -6,15 +6,17 @@ conditions on dissected bounded posets exhaustively, and certifies that
 the proper part of B(n,k) is homotopy equivalent to an (n-k-2)-sphere by
 the paper's induction: the conditions hold on every level descent
 B(m,k) -> B(m-1,k) down to B(k+1,k), whose proper part is empty
-(descent_chain).  An export writes a Bruhat instance's dissection (P, Q,
+(descent_chain).  A bounded poset, the lemma's P or Q in an explicit
+instance, is built from its covers alone (FiniteBoundedPoset), which
+certifies it.  An export writes a Bruhat instance's dissection (P, Q,
 the colouring and the maps f, i and j) straight from its enumeration,
 and builds no poset under either order.  The library holds only what
 the certifier runs.  The rest are test oracles: the paper's
 constructive proofs of the conditions (admissible permutations, build-up
 chains, interval descent, the suspension of a complex), an order's
-poset built on relation rows (to_poset), the row builds of the lemma's
-comparison maps and coned carriers, which follow from the conditions by
-proof, the beat-point core and Boolean recognition that cross-check the
+poset and a poset given by relation rows (to_poset, rows_poset), the
+row builds of the lemma's comparison maps and coned carriers, which
+follow from the conditions by proof, the beat-point core and Boolean recognition that cross-check the
 induction, and the order complexes and integer homology that cross-check
 both (see the homology module).
 """
@@ -35,11 +37,7 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
 )
-from .posets import (
-    FiniteBoundedPoset,
-    check_monotone,
-    from_covers,
-)
+from .posets import FiniteBoundedPoset, check_monotone
 from .subsets import ConsistentSet, GroundParams
 from .suspension_check import ConditionReport, DissectionInstance, check_conditions
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .bruhat import OrderKind, dissection_doc, enumerate_bruhat
 from .errors import ParameterError
-from .posets import FiniteBoundedPoset, from_covers
+from .posets import FiniteBoundedPoset
 from .subsets import GroundParams
 from .suspension_check import DissectionInstance
 
@@ -152,7 +152,7 @@ def poset_from_doc(doc) -> tuple[FiniteBoundedPoset, dict[str, int]]:
         pairs.append((pos[pair[0]], pos[pair[1]]))
     if not all(isinstance(x, str) and x in pos for x in (bottom, top)):
         raise ParameterError("bottom/top must be existing labels")
-    return from_covers(tuple(labels), pairs, pos[bottom], pos[top]), pos
+    return FiniteBoundedPoset(tuple(labels), pairs, pos[bottom], pos[top]), pos
 
 
 def poset_to_doc(p: FiniteBoundedPoset) -> dict:

@@ -1,24 +1,19 @@
-"""Finite bounded posets: construction, validation, monotone maps.
+"""Finite bounded posets: construction from covers, monotone maps.
 
 The order relation is stored as row bitsets in both directions: bit j of
 leq[i] (the up row of i) is set iff element i <= element j, and bit i of
 down[j] (the down row of j) is set iff i <= j.  Next to its rows a poset
 keeps its covers, ascending, as cover_pairs.
 
-A FiniteBoundedPoset in hand is always certified, by one of two routes:
-
-- from_covers certifies by construction.  A Kahn sort puts the cover
-  digraph in topological order, and a cycle raises NotAPosetError.  Up
-  rows are closed in reverse topological order and down rows in
-  topological order.  Acyclicity gives antisymmetry, the closure gives
-  reflexivity and transitivity, and boundedness is one row comparison per
-  bound.  Input pairs whose interval holds a third element are dropped,
-  so cover_pairs holds exactly the covers; a pair that joins consecutive
-  ranks of the sort is a cover without a row test.
-- Calling the class directly takes relation rows and their bounds from
-  outside and validates them: reflexivity, antisymmetry against the
-  transposed rows, transitivity and boundedness.  One OR of strict rows
-  per row decides transitivity and yields the covers.
+A FiniteBoundedPoset is built from its covers and certified by
+construction.  A Kahn sort puts the cover digraph in topological order,
+and a cycle raises NotAPosetError.  Up rows are closed in reverse
+topological order and down rows in topological order.  Acyclicity gives
+antisymmetry, the closure gives reflexivity and transitivity, and
+boundedness is one row comparison per bound.  Input pairs whose interval
+holds a third element are dropped, so cover_pairs holds exactly the
+covers; a pair that joins consecutive ranks of the sort is a cover
+without a row test.
 
 Bit indices are read out of a row with one linear scan of its binary
 string, not one full-width operation per bit.
@@ -33,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import repeat
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -41,9 +35,7 @@ from .errors import NotAPosetError, NotBoundedError, ParameterError
 
 __all__ = [
     "FiniteBoundedPoset",
-    "from_covers",
     "check_monotone",
-    "transpose",
 ]
 
 
@@ -58,23 +50,15 @@ def _bits(m: int) -> list[int]:
     return out
 
 
-def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
-    """Column bitsets of a bit matrix: bit i of entry j is bit j of rows[i]."""
-    cols = [0] * width
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        for j in _bits(row):
-            cols[j] |= bit
-    return tuple(cols)
-
-
 # Rows per block of _columns, a multiple of 8.  A row's string takes about
 # 50 bytes more than its width, so a block's text stays within a few MB.
 _BLOCK = 1 << 15
 
 
 def _columns(rows: Sequence[int], width: int) -> list[int]:
-    """transpose(rows, width) by stride scans, for narrow matrices.
+    """Column bitsets of a bit matrix by stride scans, for narrow matrices.
+
+    Bit i of column j is bit j of rows[i].
 
     Each row is ORed with a sentinel bit 1 << width, so bin() spells it
     as "0b1" and then exactly width digits, with no format spec: joined
@@ -103,26 +87,6 @@ def _columns(rows: Sequence[int], width: int) -> list[int]:
     return [int.from_bytes(b"".join(column), "little") for column in zip(*blocks)]
 
 
-def _hasse(labels: Sequence[str], up: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """Covers of a reflexive, antisymmetric relation given by its up rows,
-    ascending; NotAPosetError if the relation is not transitive.
-
-    beyond is the union of the strict up-sets of the elements strictly
-    above i.  The relation is transitive iff every strict up-set holds its
-    beyond, and then the covers of i are its strict up-set minus beyond.
-    """
-    strict = [row & ~(1 << i) for i, row in enumerate(up)]
-    out: list[tuple[int, int]] = []
-    for i, row in enumerate(strict):
-        members = _bits(row)
-        beyond = reduce(or_, map(strict.__getitem__, members), 0)
-        if beyond & ~row:
-            j = next(j for j in members if strict[j] & ~row)
-            raise NotAPosetError(f"relation is not transitive through {labels[j]}")
-        out.extend(zip(repeat(i), _bits(row & ~beyond)))
-    return tuple(out)
-
-
 def _check_bounds(
     labels: Sequence[str], up: Sequence[int], down: Sequence[int], bottom: int, top: int
 ) -> None:
@@ -135,58 +99,6 @@ def _check_bounds(
         raise NotBoundedError(f"{labels[bottom]} is not below every element")
     if down[top] != full:
         raise NotBoundedError(f"{labels[top]} is not above every element")
-
-
-@dataclass(frozen=True)
-class FiniteBoundedPoset:
-    """A finite poset with a least and a greatest element.
-
-    Calling the class validates the relation rows and the bounds;
-    from_covers builds a poset certified by construction.
-    """
-
-    labels: tuple[str, ...]
-    leq: tuple[int, ...]
-    bottom: int
-    top: int
-    down: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    cover_pairs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        labels, up = self.labels, self.leq
-        n = len(labels)
-        if len(up) != n:
-            raise ParameterError("labels and relation rows differ in length")
-        if len(set(labels)) != n:
-            raise ParameterError("labels must be unique")
-        full = (1 << n) - 1
-        for i, row in enumerate(up):
-            if row & ~full:
-                raise ParameterError(f"row {i} references elements out of range")
-            if not row >> i & 1:
-                raise NotAPosetError(f"relation is not reflexive at {labels[i]}")
-        down = transpose(up, n)
-        for i, (row, col) in enumerate(zip(up, down)):
-            both = row & col & ~(1 << i)
-            if both:
-                j = (both & -both).bit_length() - 1
-                raise NotAPosetError(
-                    f"relation is not antisymmetric on {labels[i]}, {labels[j]}"
-                )
-        cover_pairs = _hasse(labels, up)
-        _check_bounds(labels, up, down, self.bottom, self.top)
-        object.__setattr__(self, "down", down)
-        object.__setattr__(self, "cover_pairs", cover_pairs)
-
-    def __len__(self) -> int:
-        return len(self.leq)
-
-    def le(self, i: int, j: int) -> bool:
-        return bool(self.leq[i] >> j & 1)
-
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Transitive reduction as (lower, upper) index pairs, ascending."""
-        return self.cover_pairs
 
 
 def _cover_links(
@@ -239,59 +151,74 @@ def _close(links: list[list[int]], order: Iterable[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def from_covers(
-    labels: Sequence[str],
-    cover_pairs: Iterable[tuple[int, int]],
-    bottom: int,
-    top: int,
-) -> FiniteBoundedPoset:
-    """Build a bounded poset as the reflexive-transitive closure of covers.
+@dataclass(frozen=True)
+class FiniteBoundedPoset:
+    """A finite poset with a least and a greatest element, built from covers.
 
-    The result is certified by construction (see the module docstring).
-    Every cover of the closure is one of the pairs, so the pairs whose
-    interval holds nothing else are exactly its covers.  A pair (a, b)
-    with rank(b) = rank(a) + 1 is one of them untested; every other pair
-    is tested by one AND and popcount of up[a] and down[b].
+    The relation is the reflexive-transitive closure of cover_pairs,
+    certified by construction (see the module docstring).  Every cover of
+    the closure is one of the pairs, so the pairs whose interval holds
+    nothing else are exactly its covers, and cover_pairs keeps those,
+    ascending.  A pair (a, b) with rank(b) = rank(a) + 1 is one of them
+    untested; every other pair is tested by one AND and popcount of up[a]
+    and down[b].
     """
-    labels = tuple(labels)
-    above, below = _cover_links(labels, cover_pairs)
-    if len(set(labels)) != len(labels):
-        raise ParameterError("labels must be unique")
-    order, rank = _topological_order(labels, above, below)
-    up = _close(above, reversed(order))
-    down = _close(below, order)
-    _check_bounds(labels, up, down, bottom, top)
-    covers: list[tuple[int, int]] = []
-    for a, uppers in enumerate(above):
-        # an element between a and b would put b two ranks above a
-        next_rank = rank[a] + 1
-        covers.extend(
-            (a, b) for b in sorted(set(uppers))
-            if rank[b] == next_rank or (up[a] & down[b]).bit_count() == 2
-        )
-    p = object.__new__(FiniteBoundedPoset)
-    # the axioms are proved above, so the pair-by-pair validation is skipped
-    p.__dict__.update(
-        labels=labels, leq=up, bottom=bottom, top=top, down=down, cover_pairs=tuple(covers)
-    )
-    return p
+
+    labels: tuple[str, ...]
+    cover_pairs: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
+    bottom: int
+    top: int
+    leq: tuple[int, ...] = field(init=False)
+    down: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        labels = tuple(self.labels)
+        above, below = _cover_links(labels, self.cover_pairs)
+        if len(set(labels)) != len(labels):
+            raise ParameterError("labels must be unique")
+        order, rank = _topological_order(labels, above, below)
+        up = _close(above, reversed(order))
+        down = _close(below, order)
+        _check_bounds(labels, up, down, self.bottom, self.top)
+        covers: list[tuple[int, int]] = []
+        for a, uppers in enumerate(above):
+            # an element between a and b would put b two ranks above a
+            next_rank = rank[a] + 1
+            covers.extend(
+                (a, b) for b in sorted(set(uppers))
+                if rank[b] == next_rank or (up[a] & down[b]).bit_count() == 2
+            )
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "cover_pairs", tuple(covers))
+        object.__setattr__(self, "leq", up)
+        object.__setattr__(self, "down", down)
+
+    def __len__(self) -> int:
+        return len(self.leq)
+
+    def le(self, i: int, j: int) -> bool:
+        return bool(self.leq[i] >> j & 1)
+
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Transitive reduction as (lower, upper) index pairs, ascending."""
+        return self.cover_pairs
 
 
 def check_monotone(
     source: FiniteBoundedPoset, target: FiniteBoundedPoset, images: Sequence[int]
-) -> tuple[bool, list[tuple[int, int]]]:
+) -> tuple[int, int] | None:
     """Exhaustively verify that the map x -> images[x] from source to target
-    preserves order; returns (ok, violating pairs).
+    preserves order; returns None, or the first violating pair (i, j) in
+    row order.
 
     A map into a transitive relation preserves every comparable pair iff it
     preserves the covers, so the source's covers decide.  Only when one
-    fails are all comparable pairs walked, to list the violations.
+    fails are the comparable pairs walked, to the first violation.
     """
     up = target.leq
     if all(up[images[a]] >> images[b] & 1 for a, b in source.cover_pairs):
-        return True, []
-    violations = []
-    for i, row in enumerate(source.leq):
-        reach = up[images[i]]
-        violations.extend((i, j) for j in _bits(row) if not reach >> images[j] & 1)
-    return not violations, violations
+        return None
+    return next(
+        (i, j) for i, row in enumerate(source.leq)
+        for j in _bits(row) if not up[images[i]] >> images[j] & 1
+    )

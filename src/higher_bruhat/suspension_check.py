@@ -148,13 +148,13 @@ def check_conditions(inst: DissectionInstance) -> ConditionReport:
     for name, source, target, images in (
         ("f_monotone", p, q, f), ("i_monotone", q, p, i), ("j_monotone", q, p, j)
     ):
-        ok, violations = check_monotone(source, target, images)
+        violation = check_monotone(source, target, images)
         witness = None
-        if not ok:
+        if violation:
             src = source.labels
-            x, y = violations[0]
+            x, y = violation
             witness = f"{src[x]} <= {src[y]} but images are incomparable or reversed"
-        pre.append(Check(name, ok, witness))
+        pre.append(Check(name, violation is None, witness))
 
     conditions = []
 

@@ -27,7 +27,7 @@ from higher_bruhat.cli import SPHERICITY_NOTE
 from higher_bruhat.complexes import SimplicialComplex, make_complex
 from higher_bruhat.errors import InvariantError, NotAPosetError, NotBoundedError, ParameterError
 from higher_bruhat.instance_io import SCHEMA_VERSION, poset_to_doc
-from higher_bruhat.posets import FiniteBoundedPoset, from_covers
+from higher_bruhat.posets import FiniteBoundedPoset
 from higher_bruhat.subsets import (
     ConsistentSet,
     GroundParams,
@@ -163,7 +163,7 @@ def random_bounded_poset(rng, max_elements=10) -> FiniteBoundedPoset:
             covers.add((m, n - 1))
     if middle == 0:
         covers.add((0, n - 1))
-    return from_covers(labels, sorted(covers), 0, n - 1)
+    return FiniteBoundedPoset(labels, sorted(covers), 0, n - 1)
 
 
 def to_poset(order: BruhatOrder, kind: OrderKind) -> FiniteBoundedPoset:
@@ -175,18 +175,18 @@ def to_poset(order: BruhatOrder, kind: OrderKind) -> FiniteBoundedPoset:
     single-step rows.  Those are streamed from member columns
     (_inclusion_rows), which never read the covers, and compared one at a
     time, so no whole inclusion relation is held; only when a row differs
-    are the rows built again, in full, for the class's validation.
+    are the rows built again, in full, and checked by rows_poset.
 
     Element i is labelled _label(params, bits[i]).
     """
     top = len(order) - 1
     labels = list(map(partial(_label, order.params), order.bits))
-    p = posets.from_covers(labels, order.covers, 0, top)
+    p = FiniteBoundedPoset(labels, order.covers, 0, top)
     if kind is OrderKind.INCLUSION:
         containing = posets._columns(order.bits, order.params.num_members)
         rows = partial(_inclusion_rows, order.bits, containing, len(order))
         if any(map(ne, rows(), p.leq)):
-            return FiniteBoundedPoset(p.labels, tuple(rows()), 0, top)
+            return rows_poset(p.labels, rows(), 0, top)
     return p
 
 
@@ -627,6 +627,39 @@ def pair_walk_validate(labels, leq, bottom, top):
     for i in range(n):
         if not leq[i] >> top & 1:
             raise NotBoundedError(f"{labels[top]} is not above every element")
+
+
+def hasse(labels, up):
+    """Covers of a reflexive, antisymmetric relation given by its up rows,
+    ascending; NotAPosetError if the relation is not transitive.
+
+    beyond is the union of the strict up-sets of the elements strictly
+    above i.  The relation is transitive iff every strict up-set holds its
+    beyond, and then the covers of i are its strict up-set minus beyond.
+    """
+    strict = [row & ~(1 << i) for i, row in enumerate(up)]
+    out = []
+    for i, row in enumerate(strict):
+        members = posets._bits(row)
+        beyond = reduce(or_, map(strict.__getitem__, members), 0)
+        if beyond & ~row:
+            j = next(j for j in members if strict[j] & ~row)
+            raise NotAPosetError(f"relation is not transitive through {labels[j]}")
+        out.extend(zip(itertools.repeat(i), posets._bits(row & ~beyond)))
+    return tuple(out)
+
+
+def rows_poset(labels, rows, bottom, top):
+    """The bounded poset whose up rows are rows, built from their covers.
+
+    The rows are checked pair by pair and reduced to their covers; the
+    class's closure of those covers must give the rows back.
+    """
+    labels, rows = tuple(labels), tuple(rows)
+    pair_walk_validate(labels, rows, bottom, top)
+    p = FiniteBoundedPoset(labels, hasse(labels, rows), bottom, top)
+    assert p.leq == rows
+    return p
 
 
 def pair_walk_check_monotone(source, target, images):
@@ -1203,7 +1236,7 @@ def product_with_two_chain(q):
         + tuple((a, a + n) for a in range(n))
     )
     labels = [f"({q.labels[z % n]},{z // n})" for z in range(2 * n)]
-    return from_covers(labels, covers, q.bottom, q.top + n)
+    return FiniteBoundedPoset(labels, covers, q.bottom, q.top + n)
 
 
 @dataclass(frozen=True)
@@ -1261,9 +1294,9 @@ def build_proof_maps(inst):
     h = PosetMap(doubled, p, tuple(h_images))
 
     for name, m in (("g", g), ("h", h)):
-        ok, violations = posets.check_monotone(m.source, m.target, m.images)
-        if not ok:
-            x, y = violations[0]
+        violation = posets.check_monotone(m.source, m.target, m.images)
+        if violation:
+            x, y = violation
             raise ConditionViolationError(
                 f"{name} is not order-preserving on {m.source.labels[x]} <= "
                 f"{m.source.labels[y]}"

@@ -1,8 +1,8 @@
 """The names of the package: every __all__ entry must resolve, every
 module-level private name and every name the package root exports is
-read by some library module, and the README's python blocks run, its
-command lines parse and its budgets are the library's limits, as they
-are written."""
+read by some library module, no library module builds an object past its
+class, and the README's python blocks run, its command lines parse and
+its budgets are the library's limits, as they are written."""
 
 import ast
 import glob
@@ -89,6 +89,20 @@ def test_every_package_name_is_read_by_the_library():
     }
     read = set().union(*map(names_read, trees.values()))
     assert exported and sorted(exported - read) == []
+
+
+def test_no_library_module_calls_object_new():
+    # a certified value is built only by calling its class, so the class's
+    # checks, and the benchmark tracer's spans on them, see every build
+    calls = sorted(
+        f"{module}:{node.lineno}"
+        for module, tree in library_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
+    )
+    assert calls == []
 
 
 def test_readme_python_blocks_run():

@@ -27,6 +27,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["check-lemma", "--instance", sys.argv[1]]) == 0
 names = [span[0] for span in tracer.spans if span[0].startswith("cli.")]
 print(" ".join(f"{name}:{names.count(name)}" for name in sorted(set(names))))
+metrics = tracer.layer_metrics()
+print(metrics["posets.validate.calls"], metrics["posets.comparable_pairs"])
 """
 
 
@@ -41,9 +43,13 @@ def test_tracer_installs_and_traces_a_run(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    handlers, built = proc.stdout.splitlines()
     # every handler runs through its traced wrapper, and the ten calls
     # build one parser
-    assert proc.stdout.split() == [
+    assert handlers.split() == [
         "cli.build_parser:1", "cli.cmd_check_lemma:3", "cli.cmd_compare_orders:1",
         "cli.cmd_enumerate:1", "cli.cmd_export:1", "cli.cmd_verify_sphericity:4",
     ]
+    # only check-lemma --instance builds posets: P = B(4,1) with 127 strict
+    # and 24 reflexive pairs, and Q = B(3,1) with 11 and 6
+    assert built.split() == ["2", str(127 + 24 + 11 + 6)]

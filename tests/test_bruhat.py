@@ -41,6 +41,7 @@ from helpers import (
     naive_label,
     order_holds,
     per_bitset_bruteforce_bits,
+    rows_poset,
     table_grow,
     to_poset,
     top_dropping,
@@ -59,7 +60,6 @@ from higher_bruhat.errors import (
     ParameterError,
     ResourceLimitError,
 )
-from higher_bruhat.posets import FiniteBoundedPoset
 from higher_bruhat.subsets import (
     ConsistentSet,
     GroundParams,
@@ -478,7 +478,7 @@ class TestOrderRelations:
         full = order(n, k)
         expected = naive_inclusion_rows(full)
         labels = tuple(map(str, range(len(full))))
-        covers = FiniteBoundedPoset(labels, expected, 0, len(full) - 1).covers()
+        covers = rows_poset(labels, expected, 0, len(full) - 1).covers()
         assert bruhat._inclusion_covers(full) is full.covers
         assert full.covers == covers
         bounded = 0
@@ -799,7 +799,6 @@ class TestDescentConditions:
         def refuse(*args, **kwargs):
             raise AssertionError("the column route built rows, a poset or an index")
 
-        monkeypatch.setattr(posets, "from_covers", refuse)
         monkeypatch.setattr(posets.FiniteBoundedPoset, "__post_init__", refuse)
         monkeypatch.setattr(bruhat, "enumerate_bruhat", refuse)
         for name in ("reach", "up_levels"):

@@ -42,7 +42,7 @@ from higher_bruhat.cli import main
 from higher_bruhat.errors import NotBoundedError
 from higher_bruhat.homology import is_sphere_homology, reduced_homology
 from higher_bruhat.instance_io import SCHEMA_VERSION, load_instance, poset_to_doc
-from higher_bruhat.posets import from_covers
+from higher_bruhat.posets import FiniteBoundedPoset
 from higher_bruhat.subsets import ConsistentSet, GroundParams, colex_rank
 from higher_bruhat.suspension_check import HOMOTOPY_DISCLAIMER
 
@@ -660,11 +660,11 @@ class TestVerifySphericityCommand:
         ) + "\n"
         assert out.read_bytes() == expected.encode("utf-8")
 
-    def test_verdict_never_transposes(self, monkeypatch):
-        def transpose(*args):
-            raise AssertionError("transpose called")
+    def test_verdict_builds_no_poset(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a poset was built")
 
-        monkeypatch.setattr(posets, "transpose", transpose)
+        monkeypatch.setattr(posets.FiniteBoundedPoset, "__post_init__", refuse)
         assert main(sphere_argv(10, 7, "single_step")) == 0
 
     @pytest.mark.parametrize("kind", ["single_step", "inclusion"])
@@ -813,7 +813,6 @@ class TestVerifySphericityCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("relation rows were built")
 
-        monkeypatch.setattr(posets, "from_covers", refuse)
         monkeypatch.setattr(posets.FiniteBoundedPoset, "__post_init__", refuse)
         out = tmp_path / "report.json"
         tracemalloc.start()
@@ -1158,7 +1157,7 @@ class TestLabelsOnlyWhenRead:
         first = bruhat.dissection_doc(order, OrderKind.SINGLE_STEP)["P"]["labels"]
         suborder = enumerate_bruhat(small)
         assert rendered == [(params, b) for b in order.bits] + [(small, b) for b in suborder.bits]
-        eager = from_covers(first, order.covers, 0, len(order) - 1)
+        eager = FiniteBoundedPoset(first, order.covers, 0, len(order) - 1)
         fresh = to_poset(order, OrderKind.SINGLE_STEP)
         assert fresh == eager and eager == fresh
         assert fresh.labels == tuple(first)
@@ -1271,7 +1270,6 @@ class TestExportWriter:
             thinned = addable_thinned(full, *bounded_thinning(full))
             monkeypatch.setattr(instance_io, "enumerate_bruhat",
                                 lambda params, **kwargs: thinned)
-        monkeypatch.setattr(posets, "from_covers", refuse)
         monkeypatch.setattr(posets.FiniteBoundedPoset, "__post_init__", refuse)
         out = tmp_path / "instance.json"
         tracemalloc.start()

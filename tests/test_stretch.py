@@ -241,7 +241,6 @@ def test_induction_decides_what_rows_cannot_hold(n, k, extra, elements, kind, mo
     def refuse(*args, **kwargs):
         raise AssertionError("relation rows were built")
 
-    monkeypatch.setattr(posets, "from_covers", refuse)
     monkeypatch.setattr(posets.FiniteBoundedPoset, "__post_init__", refuse)
     out = tmp_path / "report.json"
     assert main(["verify-sphericity", "--bruhat", str(n), str(k), kind, *extra,

@@ -18,11 +18,12 @@ from helpers import (
     product_with_two_chain,
     proper_part,
     random_bounded_poset,
+    rows_poset,
 )
 from higher_bruhat.bruhat import OrderKind, enumerate_bruhat
 from higher_bruhat.errors import ParameterError
 from higher_bruhat.instance_io import parse_instance_doc
-from higher_bruhat.posets import FiniteBoundedPoset, from_covers
+from higher_bruhat.posets import FiniteBoundedPoset
 from higher_bruhat.subsets import GroundParams
 from higher_bruhat.suspension_check import (
     CONDITION_NAMES,
@@ -153,7 +154,7 @@ def reverse_poset(p: FiniteBoundedPoset) -> FiniteBoundedPoset:
             low = m & -m
             rows[low.bit_length() - 1] |= 1 << i
             m ^= low
-    return FiniteBoundedPoset(p.labels, tuple(rows), p.top, p.bottom)
+    return rows_poset(p.labels, rows, p.top, p.bottom)
 
 
 def dual_instance(inst):
@@ -200,8 +201,8 @@ class TestCheckConditions:
         assert failures > 0
 
     def test_one_element_target_fails_precondition(self):
-        p = from_covers(["a", "b"], [(0, 1)], 0, 1)
-        q = FiniteBoundedPoset(("q",), (0b1,), 0, 0)
+        p = FiniteBoundedPoset(["a", "b"], [(0, 1)], 0, 1)
+        q = FiniteBoundedPoset(("q",), (), 0, 0)
         inst = DissectionInstance(p=p, q=q, green=frozenset({0}), f=(0, 0), i=(0,), j=(1,))
         report = check_conditions(inst)
         assert not report.all_pass
@@ -215,7 +216,7 @@ class TestCheckConditions:
 
     def test_map_validation(self):
         # one image per source element, each an index of its target
-        p = from_covers(["a", "b"], [(0, 1)], 0, 1)
+        p = FiniteBoundedPoset(["a", "b"], [(0, 1)], 0, 1)
         green = frozenset({0})
         assert DissectionInstance(p=p, q=p, green=green, f=(0, 1), i=(0, 1), j=(0, 1))
         with pytest.raises(ParameterError, match="image table of f does not cover its source"):
@@ -389,7 +390,7 @@ def random_dissection(rng):
         covers += [(a, m), (m, a + nq)]
         if a == q.top or (a != q.bottom and rng.random() < 0.5):
             green.add(m)
-    p = from_covers(labels, covers, doubled.bottom, doubled.top)
+    p = FiniteBoundedPoset(labels, covers, doubled.bottom, doubled.top)
     f = [z % nq for z in range(2 * nq)] + extra
     return DissectionInstance(
         p=p, q=q, green=frozenset(green),
