@@ -10,22 +10,26 @@ so the level comes out without duplicates; a count of its covers from
 below then checks that none is missing.
 The upper half is mirrored, not grown: complement keeps consistency,
 turns additions into removals and reverses the order within a level, so
-level W - c of W members is level c complemented and read backwards, and
-its addable columns are level c's droppable columns, bit-reversed.  Each
-level, grown or mirrored, is certified against the packet segments by
-the segment kernel, which reads each packet as a monotone run, before
-the next one is made.  The growth is a stream of certified levels, each
-emitted with its member, addable and droppable columns, level c right
-before its mirror W - c: the induction reads the levels as they come
-and holds two at a time, and enumerate_bruhat collects them into an
-order.  The brute-force oracle runs the same kernel over all bitsets, in
-chunks, to decide membership on its own; it must find the same families.
+level W - c of W members is level c complemented and read backwards:
+each of its columns is one of level c's, bit-reversed, so no mirrored
+level is transposed, and its families are built only when read.  Each
+level is certified against the packet segments by the segment kernel,
+which reads each packet as a monotone run, on the columns it is emitted
+with, before the next one is made.  The growth is a stream of certified
+levels, each emitted with its member, addable and droppable columns,
+level c right before its mirror W - c: the induction reads the levels as
+they come and holds two at a time, and enumerate_bruhat collects them
+into an order.  The brute-force oracle runs the same kernel over all
+bitsets, in chunks, to decide membership on its own; it must find the
+same families.
 Both relations (single-step inclusion and ordinary inclusion) live on the
 same element set; single-step comparability is reachability in the
 digraph of single-member additions.  Every cover adds one member, so
 covers join consecutive levels, and reach is the level closure: the rows
 of a level are built from the rows of the level above alone, top level
-first, so only two levels of rows need be held at once.
+first, so only two levels of rows need be held at once.  An inclusion
+row is built the other way, bottom up, from the row of one family a
+member below; compare_orders counts both and compares the counts.
 An order's instance file, the dissection of B(n,k) over B(n-1,k), is
 written from the order itself (dissection_doc): the labels, covers,
 colouring and map tables are read off the families, and no poset is
@@ -202,27 +206,47 @@ class BruhatOrder:
         return self._reach
 
 
-def _inclusion_rows(families, containing: list[int], width: int) -> Iterator[int]:
-    """Inclusion up rows of the given families, one at a time.
+def _inclusion_row(family: int, columns: Sequence[int], full: int) -> int:
+    """The AND of the columns of the family's members, within full."""
+    return reduce(and_, map(columns.__getitem__, posets._bits(family)), full)
 
-    A family's row is the AND of its members' columns over their low width
-    bits, so the columns set what each bit of a row stands for and width
-    how many bits are kept.  Each family shares with the one before the
-    members above their highest differing member: the ANDs over those,
-    taken highest member first, are kept and only the rest are redone.
-    That reuse is exact for families in any order; it saves most when
-    consecutive families share their highest members, as within a level
-    in ascending bitset order.
+
+def _inclusion_degrees(order: BruhatOrder, containing: list[int]) -> memoryview:
+    """Per family, the number of families at or above it under inclusion.
+
+    Bit t of containing[x] stands for family len(order) - 1 - t.  The
+    families strictly above F are those strictly above F - y that hold y,
+    for any member y with F - y in the order (the highest is taken; the
+    empty family is the bottom, so every other family has one).  Levels
+    are walked from the bottom with the columns cut to the levels above,
+    so rows stay narrow, and only the level below is kept.
     """
-    partial = [(1 << width) - 1]
-    prev = 0
-    for family in families:
-        low = (family ^ prev).bit_length()
-        del partial[1 + (family >> low).bit_count():]
-        for x in reversed(posets._bits(family & ((1 << low) - 1))):
-            partial.append(partial[-1] & containing[x])
-        yield partial[-1]
-        prev = family
+    n, bits = len(order), order.bits
+    degrees = memoryview(bytearray(4 * n)).cast("I")
+    below: dict[int, int] = {}
+    for start, end, _ in order._levels():
+        above = (1 << n - end) - 1
+        containing = [col & above for col in containing]
+        level = bits[start:end]
+        rows = []
+        for i, family in enumerate(level, start):
+            rest, row = family, above
+            while rest:
+                top = 1 << rest.bit_length() - 1
+                lower = below.get(family ^ top)
+                if lower is not None:
+                    row = lower & containing[top.bit_length() - 1]
+                    break
+                rest ^= top
+            else:
+                if family:
+                    raise InvariantError(
+                        f"{_label(order.params, family)} has no lower neighbour in the order"
+                    )
+            rows.append(row)
+            degrees[i] = row.bit_count() + 1
+        below = dict(zip(level, rows))
+    return degrees
 
 
 def compare_orders(order: BruhatOrder) -> tuple[int, int, list[tuple[int, int]]]:
@@ -230,27 +254,35 @@ def compare_orders(order: BruhatOrder) -> tuple[int, int, list[tuple[int, int]]]
 
     Returns the number of comparable pairs a < b under single-step
     inclusion, the number under inclusion, and the pairs of indices
-    (i, j) comparable under inclusion only, in (i, j) order.  Each
-    family's inclusion row is built next to its reach row from up_levels,
-    as the AND of its members' columns over the families at or above its
-    level, and both are dropped once their level is compared: at most two
-    levels of rows are held, never a whole relation.
+    (i, j) comparable under inclusion only, in (i, j) order.  Every cover
+    adds a member, so a family's reach row lies within its inclusion row,
+    and they are equal iff their counts are.  The reach rows are counted
+    first, top down (up_levels), then the inclusion rows bottom up
+    (_inclusion_degrees): each pass holds two levels of rows, and the
+    passes run apart, as holding both at once raised the peak memory.
+    Only where the counts differ does up_levels run again, to list the
+    pairs off those families' member-AND rows.
     """
     n, bits = len(order), order.bits
+    reach_sizes = memoryview(bytearray(4 * n)).cast("I")
+    for start, reach in order.up_levels():
+        for i, row in enumerate(reach, start):
+            reach_sizes[i] = row.bit_count()
     # bit t of a column stands for family n - 1 - t, as in up_levels' rows
     containing = posets._columns(bits[::-1], order.params.num_members)
-    single_step_pairs = inclusion_pairs = 0
+    degrees = _inclusion_degrees(order, containing)
     by_level: list[list[tuple[int, int]]] = []
-    for start, reach in order.up_levels():
-        inclusion = _inclusion_rows(bits[start:start + len(reach)], containing, n - start)
-        pairs: list[tuple[int, int]] = []
-        for i, r, inc in zip(range(start, n), reach, inclusion):
-            single_step_pairs += r.bit_count() - 1
-            inclusion_pairs += inc.bit_count() - 1
-            if inc != r:
-                pairs.extend((i, n - 1 - t) for t in reversed(posets._bits(inc & ~r)))
-        by_level.append(pairs)
-    return single_step_pairs, inclusion_pairs, [p for pairs in reversed(by_level) for p in pairs]
+    if degrees != reach_sizes:
+        full = (1 << n) - 1
+        for start, reach in order.up_levels():
+            pairs: list[tuple[int, int]] = []
+            for i, row in enumerate(reach, start):
+                if row.bit_count() != degrees[i]:
+                    only = _inclusion_row(bits[i], containing, full) & ~row
+                    pairs.extend((i, n - 1 - t) for t in reversed(posets._bits(only)))
+            by_level.append(pairs)
+    pairs = [p for level_pairs in reversed(by_level) for p in level_pairs]
+    return sum(reach_sizes) - n, sum(degrees) - n, pairs
 
 
 def _inclusion_covers(order: BruhatOrder) -> tuple[tuple[int, int], ...]:
@@ -277,12 +309,29 @@ def _inclusion_covers(order: BruhatOrder) -> tuple[tuple[int, int], ...]:
     absent = [full ^ col for col in cols]
     extra = []
     for i, pairs in itertools.groupby(only, itemgetter(0)):
-        above = reduce(and_, map(cols.__getitem__, posets._bits(bits[i])), full)
+        above = _inclusion_row(bits[i], cols, full)
         for _, j in pairs:
             lacks = posets._bits(order.params.full_bits ^ bits[j])
             if reduce(and_, map(absent.__getitem__, lacks), above).bit_count() == 2:
                 extra.append((i, j))
     return tuple(sorted(itertools.chain(order.covers, extra)))
+
+
+def _periodic_columns(low: int) -> list[int]:
+    """Bit x of the values 0 .. 2^low - 1, as columns, for each x below low.
+
+    Column x repeats a block of 2^x zeros and 2^x ones, so it is built by
+    doubling: the block ORed with itself shifted by its span, until the
+    span reaches 2^low.
+    """
+    out = []
+    for x in range(low):
+        col, span = ((1 << (1 << x)) - 1) << (1 << x), 2 << x
+        while span < 1 << low:
+            col |= col << span
+            span <<= 1
+        out.append(col)
+    return out
 
 
 def _bruteforce_bits(params: GroundParams) -> list[int]:
@@ -291,17 +340,14 @@ def _bruteforce_bits(params: GroundParams) -> list[int]:
     The segment kernel runs over all 2^W bitsets in chunks of _CHUNK
     consecutive values (one chunk of 2^W when that is smaller).  A chunk
     starts at a multiple of its size, so its member columns are
-    arithmetic: bit x of the values runs in blocks of 2^x zeros and 2^x
-    ones for x below log2 of the size, and is constant above it.
+    arithmetic: bit x of the values is periodic for x below log2 of the
+    size (_periodic_columns), and constant above it.
     """
     width = params.num_members
     low = min(width, _CHUNK.bit_length() - 1)
     size = 1 << low
     full = (1 << size) - 1
-    periodic = [
-        full // ((1 << (2 << x)) - 1) * (((1 << (1 << x)) - 1) << (1 << x))
-        for x in range(low)
-    ]
+    periodic = _periodic_columns(low)
     out = []
     for start in range(0, 1 << width, size):
         cols = periodic + [full if start >> x & 1 else 0 for x in range(low, width)]
@@ -362,71 +408,85 @@ def _droppable(
     return _addable(absent, cols, terms)
 
 
-def _certified_columns(params: GroundParams, level: list[int]) -> list[int]:
-    """The member columns of a level, once the segment kernel has passed them.
+def _certify(params: GroundParams, cols: list[int], size: int) -> None:
+    """Refuse a level of size families unless the segment kernel passes its columns.
 
-    The kernel decides every family of the level on these columns, from
-    the segments as monotone runs and apart from the neighbour rule, the
-    canonical parent and the mirror.  A family that fails a packet raises
-    InvariantError naming the level's first such family and the packet.
-    Then the level must be strictly ascending and within the order's
-    width, else InvariantError names the level or the order.
+    The kernel decides every family of the level on its member columns,
+    from the segments as monotone runs and apart from the neighbour rule,
+    the canonical parent and the mirror.  A family that fails a packet
+    raises InvariantError naming the level's first such family, read off
+    the columns the kernel read, and the packet.
     """
-    cols = posets._columns(level, params.num_members)
-    full = (1 << len(level)) - 1
+    full = (1 << size) - 1
     for c, passing in _segment_columns(cols, full, params.n, params.k):
         failing = full ^ passing
         if failing:
-            bad = level[(failing & -failing).bit_length() - 1]
+            g = (failing & -failing).bit_length() - 1
+            bad = sum(1 << x for x, col in enumerate(cols) if col >> g & 1)
             raise InvariantError(
                 f"enumeration emitted {_label(params, bad)}, which is inconsistent "
                 f"on the packet with base {c.base}"
             )
-    if any(map(ge, level, itertools.islice(level, 1, None))):
-        raise InvariantError(
-            f"the growth of B({params.n},{params.k}) repeats a family at level "
-            f"{level[0].bit_count()}"
-        )
-    if level and not 0 <= level[0] <= level[-1] <= params.full_bits:
-        raise InvariantError(f"enumeration emitted a bitset out of range for {params}")
-    return cols
 
 
 class Level(NamedTuple):
     """One certified level of B(n,k), as _grow emits it.
 
-    card is the level's cardinality and families its families, ascending.
-    Bit f of cols[x] is set iff family f holds member x, of add[x] iff
-    family f can take x, and of drop[x] iff family f can drop x.
+    card is the level's cardinality and families its families, ascending:
+    a list for a grown level, and for a mirrored one the complements of
+    its source level's families, built when read (_Complements).  Bit f
+    of cols[x] is set iff family f holds member x, of add[x] iff family f
+    can take x, and of drop[x] iff family f can drop x.
     """
 
     card: int
-    families: list[int]
+    families: Sequence[int]
     cols: list[int]
     add: list[int]
     drop: list[int]
 
 
-def _mirror(
-    level: list[int], add: list[int], drop: list[int], full: int
-) -> tuple[list[int], list[int], list[int]]:
-    """The complements of a level's families, their addable and droppable columns.
+class _Complements(Sequence[int]):
+    """A mirrored level's families, the source level's complemented and
+    read backwards, built only when read (enumerate_bruhat, a witness)."""
 
-    The complements come in ascending order, so family g of the result is
-    the complement of family len(level) - 1 - g of the level.  The
-    addable column of x is the level's droppable column of x bit-reversed
-    over the level's length, and the droppable column of x its addable
-    column of x, reversed (see _grow).
+    __slots__ = ("_source", "_full")
+
+    def __init__(self, source: list[int], full: int):
+        self._source = source
+        self._full = full
+
+    def __len__(self) -> int:
+        return len(self._source)
+
+    def __getitem__(self, g: int) -> int:
+        return self._full ^ self._source[-1 - g]
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self._full.__xor__, reversed(self._source))
+
+
+def _mirror(
+    cols: list[int], add: list[int], drop: list[int], size: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The member, addable and droppable columns of a level's mirror.
+
+    Family g of the mirror complements family size - 1 - g of the level,
+    so each column is one of the level's reversed over its length: the
+    member columns complemented, the addable and droppable ones swapped.
     """
-    flip = partial(_reversed_bits, length=len(level))
-    return [full ^ f for f in reversed(level)], list(map(flip, drop)), list(map(flip, add))
+    flip = partial(_reversed_bits, length=size)
+    full = (1 << size) - 1
+    return [flip(full ^ col) for col in cols], list(map(flip, drop)), list(map(flip, add))
 
 
 def _mirrored(params: GroundParams, level: Level) -> Level:
-    """Level W - c, certified on its own columns, from level c (see _grow)."""
-    upper, add, drop = _mirror(level.families, level.add, level.drop, params.full_bits)
-    cols = _certified_columns(params, upper)
-    return Level(params.num_members - level.card, upper, cols, add, drop)
+    """Level W - c from level c, its columns certified by the kernel (see _grow)."""
+    size = len(level.families)
+    cols, add, drop = _mirror(level.cols, level.add, level.drop, size)
+    _certify(params, cols, size)
+    families = _Complements(level.families, params.full_bits)
+    return Level(params.num_members - level.card, families, cols, add, drop)
 
 
 class _GrowthPlan(NamedTuple):
@@ -548,10 +608,10 @@ def _grow(params: GroundParams) -> Iterator[Level]:
     union.  So y can be dropped from g + x iff it can be from g, except
     on that packet, whose term is evaluated with x held (_growth_plan).
 
-    Completeness.  Every level must be strictly ascending and within the
-    order's width (_certified_columns).  After level c is certified, its
-    droppable columns must have as many set bits as the addable columns
-    of level c - 1, else InvariantError names the level.  Let level c - 1
+    Completeness.  Every grown level must be strictly ascending and within
+    the order's width.  After level c is certified, its droppable columns
+    must have as many set bits as the addable columns of level c - 1,
+    else InvariantError names the level.  Let level c - 1
     be complete.  Each set bit of its addable columns is a pair (g, x)
     with g + x consistent, that is a pair (h, y) with h consistent of
     cardinality c and h - y consistent: one cover out of level c - 1.
@@ -565,16 +625,18 @@ def _grow(params: GroundParams) -> Iterator[Level]:
     keeps consistency: within a packet the complement of a segment is a
     segment.  It reverses covers, as f + x is the complement of (full ^ f)
     minus x, and it reverses the bitset order within a level.  So level
-    W - c is level c complemented and read backwards, and its addable
-    column of x is the droppable column of x of level c, bit-reversed over
-    the level's length, and its droppable column of x the addable column
-    of x of level c, reversed (_mirror).  Every consistent family of
-    cardinality W - c is the complement of one of cardinality c, which
+    W - c is level c complemented and read backwards, and each of its
+    columns is one of level c's, bit-reversed (_mirror): the member
+    columns complemented, the addable and droppable ones swapped.  It is
+    strictly ascending and within the width as level c is, and its
+    families are built from level c's only when read, so they and its
+    columns come from the same certified level.  Every consistent family
+    of cardinality W - c is the complement of one of cardinality c, which
     the growth holds, so the upper levels are complete because the lower
-    ones are.  The count runs on the mirrored side too, from the top
-    down: the addable columns of level W - c must have as many set bits
-    as the droppable columns of level W - c + 1, which checks the
-    mirrored columns.
+    ones are.  The count runs on the mirrored side too, from the top down:
+    the addable columns of level W - c must have as many set bits as the
+    droppable columns of level W - c + 1, which checks the mirrored
+    columns.
 
     Bounds.  After each side's count, every family of a level below the
     top must take some member, and the mirror of level 0 must be the full
@@ -589,10 +651,12 @@ def _grow(params: GroundParams) -> Iterator[Level]:
     member, so the same holds under inclusion.
 
     Every level, grown or mirrored, is certified against the packets by
-    the segment kernel on its own columns (_certified_columns), so the
-    mirror is checked, not trusted.  A family that fails a packet raises
-    InvariantError naming the family and the packet, at the first level
-    that holds one, so a faulty rule stops before its levels grow large.
+    the segment kernel on the columns it is emitted with (_certify): a
+    grown level's are transposed from its families, a mirrored level's
+    derived from level c's, so the mirror is checked, not trusted.  A
+    family that fails a packet raises InvariantError naming the family,
+    read off those columns, and the packet, at the first level that holds
+    one, so a faulty rule stops before its levels grow large.
 
     Neighbour rule.  Let a packet have members m_1 < ... < m_r in lex
     order (r >= 2) and let f be consistent with m_t not in f.  Then
@@ -624,7 +688,12 @@ def _grow(params: GroundParams) -> Iterator[Level]:
 
     level, below, above = [0], 0, 0
     for c in range(width // 2 + 1):
-        cols = _certified_columns(params, level)
+        cols = posets._columns(level, width)
+        _certify(params, cols, len(level))
+        if any(map(ge, level, itertools.islice(level, 1, None))):
+            raise InvariantError(f"the growth of {name} repeats a family at level {c}")
+        if level and not 0 <= level[0] <= level[-1] <= params.full_bits:
+            raise InvariantError(f"enumeration emitted a bitset out of range for {params}")
         full = (1 << len(level)) - 1
         absent = [full ^ col for col in cols]
         drop = _droppable(cols, absent, terms)
@@ -649,7 +718,7 @@ def _grow(params: GroundParams) -> Iterator[Level]:
                 )
             if c:
                 check_takes(mirror)
-            elif mirror.families != [params.full_bits]:
+            elif list(mirror.families) != [params.full_bits]:
                 raise InvariantError(
                     f"the growth of {name} is not bounded: level {width} is not its "
                     f"full family alone"

@@ -138,11 +138,11 @@ def poset_from_doc(doc) -> tuple[FiniteBoundedPoset, dict[str, int]]:
         raise ParameterError(f"poset block lacks key {missing}")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ParameterError("labels must be a list of strings")
-    if len(set(labels)) != len(labels):
+    pos = {lbl: i for i, lbl in enumerate(labels)}
+    if len(pos) != len(labels):
         raise ParameterError("labels must be unique")
     if not isinstance(covers, list):
         raise ParameterError("covers must be a list of label pairs")
-    pos = {lbl: i for i, lbl in enumerate(labels)}
     pairs = []
     for pair in covers:
         if not isinstance(pair, list) or len(pair) != 2:

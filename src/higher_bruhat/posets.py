@@ -51,8 +51,9 @@ def _bits(m: int) -> list[int]:
 
 
 # Rows per block of _columns, a multiple of 8.  A row's string takes about
-# 50 bytes more than its width, so a block's text stays within a few MB.
-_BLOCK = 1 << 15
+# 50 bytes more than its width, so a block's text stays within about half
+# a MB; larger blocks raised the peak memory of a whole order's transpose.
+_BLOCK = 1 << 12
 
 
 def _columns(rows: Sequence[int], width: int) -> list[int]:

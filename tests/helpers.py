@@ -19,7 +19,6 @@ from higher_bruhat.bruhat import (
     BruhatOrder,
     OrderKind,
     _addable,
-    _inclusion_rows,
     _neighbour_terms,
     enumerate_bruhat,
 )
@@ -166,6 +165,30 @@ def random_bounded_poset(rng, max_elements=10) -> FiniteBoundedPoset:
     return FiniteBoundedPoset(labels, sorted(covers), 0, n - 1)
 
 
+def prefix_inclusion_rows(families, containing, width):
+    """Inclusion up rows of the given families, one at a time.
+
+    The library's former compare-orders route, kept as the slow oracle.
+    A family's row is the AND of its members' columns over their low width
+    bits, so the columns set what each bit of a row stands for and width
+    how many bits are kept.  Each family shares with the one before the
+    members above their highest differing member: the ANDs over those,
+    taken highest member first, are kept and only the rest are redone.
+    That reuse is exact for families in any order; it saves most when
+    consecutive families share their highest members, as within a level
+    in ascending bitset order.
+    """
+    partial = [(1 << width) - 1]
+    prev = 0
+    for family in families:
+        low = (family ^ prev).bit_length()
+        del partial[1 + (family >> low).bit_count():]
+        for x in reversed(posets._bits(family & ((1 << low) - 1))):
+            partial.append(partial[-1] & containing[x])
+        yield partial[-1]
+        prev = family
+
+
 def to_poset(order: BruhatOrder, kind: OrderKind) -> FiniteBoundedPoset:
     """The order as a bounded poset under the relation of the given kind.
 
@@ -173,7 +196,7 @@ def to_poset(order: BruhatOrder, kind: OrderKind) -> FiniteBoundedPoset:
     built from the enumeration's covers and certified by construction.
     The inclusion order reuses that certificate when its rows equal the
     single-step rows.  Those are streamed from member columns
-    (_inclusion_rows), which never read the covers, and compared one at a
+    (prefix_inclusion_rows), which never read the covers, and compared one at a
     time, so no whole inclusion relation is held; only when a row differs
     are the rows built again, in full, and checked by rows_poset.
 
@@ -184,7 +207,7 @@ def to_poset(order: BruhatOrder, kind: OrderKind) -> FiniteBoundedPoset:
     p = FiniteBoundedPoset(labels, order.covers, 0, top)
     if kind is OrderKind.INCLUSION:
         containing = posets._columns(order.bits, order.params.num_members)
-        rows = partial(_inclusion_rows, order.bits, containing, len(order))
+        rows = partial(prefix_inclusion_rows, order.bits, containing, len(order))
         if any(map(ne, rows(), p.leq)):
             return rows_poset(p.labels, rows(), 0, top)
     return p

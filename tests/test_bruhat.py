@@ -41,6 +41,7 @@ from helpers import (
     naive_label,
     order_holds,
     per_bitset_bruteforce_bits,
+    prefix_inclusion_rows,
     rows_poset,
     table_grow,
     to_poset,
@@ -190,7 +191,20 @@ class TestEnumeration:
             card for c in range(width // 2 + 1) for card in dict.fromkeys((c, width - c))
         ]
         stream.sort(key=lambda level: level.card)
+        # a mirrored level's families are built when read
+        stream = [level._replace(families=list(level.families)) for level in stream]
         assert stream == list(collected_levels(enumerate_bruhat(params)))
+
+    @pytest.mark.parametrize("n,k", GROWTH_CASES)
+    def test_mirrored_columns_are_the_transposed_families(self, n, k):
+        # a mirrored level's columns are derived from its source level's,
+        # never transposed; they must be the transpose of the families it gives
+        params = GroundParams(n, k)
+        width = params.num_members
+        mirrored = [level for level in bruhat._grow(params) if 2 * level.card > width]
+        assert len(mirrored) == (width + 1) // 2
+        for level in mirrored:
+            assert level.cols == posets._columns(list(level.families), width)
 
     def test_growth_cases_have_odd_and_even_widths(self):
         # an even width has a middle level that is its own mirror
@@ -198,8 +212,9 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 2)])
     def test_corrupted_mirrored_family_is_refused_by_the_kernel(self, n, k, monkeypatch):
-        # one inconsistent family in a mirrored level: the segment kernel,
-        # not the mirror, decides it, and names it
+        # one inconsistent family written into a mirrored level's member
+        # columns, which the kernel reads: the segment kernel, not the
+        # mirror, decides it, and names it as the columns spell it
         params = GroundParams(n, k)
         held = set(enumerate_bruhat(params).bits)
         width, full = params.num_members, params.full_bits
@@ -213,11 +228,14 @@ class TestEnumeration:
             if bad is None:
                 continue
 
-            def corrupting(level, add, drop, full, c=c, bad=bad):
-                upper, up_add, up_drop = mirror(level, add, drop, full)
-                if upper[0].bit_count() == width - c:
-                    upper[len(upper) // 2] = bad
-                return upper, up_add, up_drop
+            def corrupting(cols, add, drop, size, c=c, bad=bad):
+                up_cols, up_add, up_drop = mirror(cols, add, drop, size)
+                # the first family, read off the columns, has width - c members
+                if sum(col & 1 for col in up_cols) == width - c:
+                    g = size // 2
+                    for x in range(width):
+                        up_cols[x] = up_cols[x] & ~(1 << g) | (bad >> x & 1) << g
+                return up_cols, up_add, up_drop
 
             monkeypatch.setattr(bruhat, "_mirror", corrupting)
             message = f"emitted {_label(params, bad)}, which is inconsistent on the packet"
@@ -235,12 +253,12 @@ class TestEnumeration:
         width = params.num_members
         mirror = bruhat._mirror
 
-        def thinning(level, add, drop, full):
-            upper, up_add, up_drop = mirror(level, add, drop, full)
-            if upper[0].bit_count() == width - 1:
+        def thinning(cols, add, drop, size):
+            up_cols, up_add, up_drop = mirror(cols, add, drop, size)
+            if sum(col & 1 for col in up_cols) == width - 1:
                 x = next(x for x, col in enumerate(up_add) if col)
                 up_add[x] &= up_add[x] - 1
-            return upper, up_add, up_drop
+            return up_cols, up_add, up_drop
 
         monkeypatch.setattr(bruhat, "_mirror", thinning)
         message = rf"B\({n},{k}\) misses a family at level {width - 1}: its families take"
@@ -290,6 +308,17 @@ class TestEnumeration:
     def test_sliced_scan_matches_per_bitset_scan(self, n, k):
         params = GroundParams(n, k)
         assert bruhat._bruteforce_bits(params) == per_bitset_bruteforce_bits(params)
+
+    @pytest.mark.parametrize("low", range(17))
+    def test_periodic_columns_match_the_division_formula(self, low):
+        # the division formula the doubling replaced; chunks of 1, 2 and 4
+        # values are under a byte, and the chunk of 2^16 checks every x < 16
+        size = 1 << low
+        full = (1 << size) - 1
+        assert bruhat._periodic_columns(low) == [
+            full // ((1 << (2 << x)) - 1) * (((1 << (1 << x)) - 1) << (1 << x))
+            for x in range(low)
+        ]
 
     def test_scan_cases_straddle_the_chunk(self):
         widths = {comb(n, k + 1) for n, k in SCAN_CASES}
@@ -461,7 +490,7 @@ class TestOrderRelations:
         # and against every pair where the pairs are few enough
         o = order(n, k)
         containing = posets._columns(o.bits, o.params.num_members)
-        rows = tuple(bruhat._inclusion_rows(o.bits, containing, len(o)))
+        rows = tuple(prefix_inclusion_rows(o.bits, containing, len(o)))
         assert rows == member_column_inclusion_rows(o)
         assert to_poset(o, OrderKind.INCLUSION).leq == rows
         if len(o) <= 1000:
@@ -492,6 +521,69 @@ class TestOrderRelations:
             bounded += 1
             assert p.leq == expected
         assert bool(bounded) is (n > k + 2)
+
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in range(1, 7) for k in range(n)] + [(7, 3)]
+    )
+    def test_inclusion_degrees_match_the_member_rows(self, n, k):
+        # each row from one lower cover, counted, against the slow oracle's
+        o = order(n, k)
+        containing = posets._columns(o.bits[::-1], o.params.num_members)
+        rows = prefix_inclusion_rows(o.bits, posets._columns(o.bits, o.params.num_members), len(o))
+        degrees = bruhat._inclusion_degrees(o, containing)
+        assert (degrees.format, degrees.itemsize) == ("I", 4)
+        assert list(degrees) == [row.bit_count() for row in rows]
+
+    def test_a_family_with_no_lower_neighbour_is_refused(self):
+        # {12,13} of B(3,1) over the empty family alone: no member drops
+        params = GroundParams(3, 1)
+        lonely = BruhatOrder(params, [0, 0b011], ((0, (0, 0, 0)), (1, (0, 0, 0))))
+        containing = posets._columns(lonely.bits[::-1], params.num_members)
+        with pytest.raises(InvariantError, match=re.escape("{{1,2},{1,3}} has no lower neighbour")):
+            bruhat._inclusion_degrees(lonely, containing)
+
+    @staticmethod
+    def member_rows(monkeypatch):
+        # the families whose inclusion row compare_orders builds from member ANDs
+        built = []
+        real = bruhat._inclusion_row
+
+        def recording(family, columns, full):
+            built.append(family)
+            return real(family, columns, full)
+
+        monkeypatch.setattr(bruhat, "_inclusion_row", recording)
+        return built
+
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in range(1, 7) for k in range(n)] + [(7, 3)]
+    )
+    def test_builds_no_member_row_where_the_orders_coincide(self, n, k, monkeypatch):
+        built = self.member_rows(monkeypatch)
+        assert bruhat.compare_orders(order(n, k))[2] == []
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "n,k,sample", [(4, 1, None), (4, 2, None), (5, 2, 25), (5, 3, None)]
+    )
+    def test_builds_member_rows_only_where_the_degrees_differ(self, n, k, sample, monkeypatch):
+        # the thinned mutants of the compare-orders command's cross-check
+        full = order(n, k)
+        mutants = addable_bits(full)
+        if sample is not None:
+            mutants = random.Random(10 * n + k).sample(mutants, sample)
+        built = self.member_rows(monkeypatch)
+        for mutant in mutants:
+            thinned = addable_thinned(full, *mutant)
+            reach = closure_reach_rows(thinned)
+            inclusion = member_column_inclusion_rows(thinned)
+            differing = [
+                thinned.bits[i] for i in range(len(thinned))
+                if reach[i].bit_count() != inclusion[i].bit_count()
+            ]
+            del built[:]
+            bruhat.compare_orders(thinned)
+            assert differing and sorted(built) == sorted(differing)
 
 
 class TestLevelMaps:
@@ -822,8 +914,9 @@ class TestDescentConditions:
         list(bruhat._grow(GroundParams(6, 2)))
         grown, calls = calls, {}
         assert descent_conditions(params, kind).all_pass
-        # P's growth and Q's, which is read for its bounds
-        assert calls == grown == {"_columns": 36 + 21, "_droppable": 18 + 11}
+        # P's growth and Q's, which is read for its bounds: only grown
+        # levels are transposed, as a mirrored level's columns are derived
+        assert calls == grown == {"_columns": 18 + 11, "_droppable": 18 + 11}
 
 
 class TestDescentChain:

@@ -45,6 +45,7 @@ from higher_bruhat.bruhat import (
 )
 from higher_bruhat.errors import NotAPosetError, NotBoundedError, ParameterError
 from higher_bruhat.homology import reduced_homology
+from higher_bruhat.instance_io import poset_from_doc
 from higher_bruhat.posets import FiniteBoundedPoset, check_monotone
 from higher_bruhat.subsets import GroundParams
 
@@ -164,6 +165,16 @@ class TestCoverErrors:
             FiniteBoundedPoset(("a", "a"), [(0, 1), (1, 0)], 0, 1)
         with pytest.raises(NotAPosetError, match="cycle"):
             FiniteBoundedPoset(("a", "b", "c"), [(0, 1), (1, 0)], 0, 5)
+
+    def test_instance_block_refuses_duplicate_labels_before_its_covers(self):
+        # the label index is built once; a duplicate shrinks it, and is
+        # refused before the covers are read
+        block = {"labels": ["a", "a"], "covers": "a-b", "bottom": "a", "top": "a"}
+        with pytest.raises(ParameterError, match="labels must be unique"):
+            poset_from_doc(block)
+        block["labels"] = ["a", "b"]
+        with pytest.raises(ParameterError, match="covers must be a list"):
+            poset_from_doc(block)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_detects_interior_bounds(self, seed):
